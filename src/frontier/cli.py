@@ -31,17 +31,6 @@ from .errors import (
     StationarityError,
     UndefinedEstimateError,
 )
-from .estimators import (
-    degree_density_from_edge_samples,
-    degree_density_from_vertex_samples,
-    estimate_assortativity,
-    estimate_degree_density,
-    estimate_edge_label_density,
-    estimate_global_clustering,
-    estimate_group_densities,
-    vertex_density_from_vertex_samples,
-    _ccdf_from_density,
-)
 from .graphs import (
     generate_barabasi_albert,
     generate_joined_ba,
@@ -49,21 +38,19 @@ from .graphs import (
     parse_vertex_labels,
     write_edge_list,
 )
-from .harness import ExperimentConfig, resolve_budget, run_monte_carlo
-from .rng import RngStream
-from .samplers import (
-    CostModel,
-    StartMode,
-    discard_burn_in,
-    distributed_fs,
-    frontier_sampling,
-    multiple_rw,
-    random_edge_sample,
-    random_vertex_sample,
-    read_trace_csv,
-    single_rw,
-    write_trace_csv,
+from .harness import (
+    ExperimentConfig,
+    MethodSpec,
+    TargetSpec,
+    _burn_in,
+    _check_labels,
+    _estimate_targets,
+    _sample,
+    resolve_budget,
+    run_monte_carlo,
 )
+from .rng import RngStream
+from .samplers import _check_trace, discard_burn_in, read_trace_csv, write_trace_csv
 
 __all__ = ["main"]
 
@@ -128,51 +115,26 @@ def _cmd_generate(args) -> int:
 # -- sample ---------------------------------------------------------------------
 
 
-def _cost_from_args(args) -> CostModel:
-    return CostModel(
-        walk_step_cost=args.walk_step_cost,
-        vertex_query_cost=args.vertex_query_cost,
-        vertex_hit_ratio=args.vertex_hit_ratio,
-        edge_sample_cost=args.edge_sample_cost,
-        edge_hit_ratio=args.edge_hit_ratio,
-        stochastic_starts=args.stochastic_starts,
-    )
-
-
 def _cmd_sample(args) -> int:
     _check_out(args.out, args.force)
     graph = _load_graph_file(args.graph)
-    cost = _cost_from_args(args)
-    rng = RngStream(args.seed)
-    if args.start == "explicit":
+    start = args.start
+    if start == "explicit":
         if not args.start_vertices:
             raise ConfigError("--start explicit needs --start-vertices")
-        start = StartMode.explicit(_resolve_vertices(graph, args.start_vertices))
-    elif args.start == "degree":
-        start = StartMode.degree_proportional()
-    else:
-        start = StartMode.uniform()
-
-    method = args.method
-    if method == "dfs":
-        if args.time_budget is None:
-            raise ConfigError("dfs needs --time-budget")
-        trace = distributed_fs(graph, args.m, args.time_budget, start, rng)
-    else:
-        if args.budget is None:
-            raise ConfigError(f"{method} needs --budget")
-        budget = resolve_budget(args.budget, graph.n_vertices)
-        if method == "fs":
-            trace = frontier_sampling(graph, args.m, start, budget, cost, rng)
-        elif method == "rw":
-            trace = single_rw(graph, start, budget, rng, cost)
-        elif method == "mrw":
-            trace = multiple_rw(graph, args.m, start, budget, cost, rng)
-        elif method == "vertex":
-            trace = random_vertex_sample(graph, budget, cost, rng)
-        else:
-            trace = random_edge_sample(graph, budget, cost, rng)
-
+        start = {"kind": "explicit",
+                 "vertices": _resolve_vertices(graph, args.start_vertices)}
+    cost = {k: getattr(args, k) for k in (
+        "walk_step_cost", "vertex_query_cost", "vertex_hit_ratio",
+        "edge_sample_cost", "edge_hit_ratio", "stochastic_starts")}
+    name = {"vertex": "random_vertex", "edge": "random_edge"}.get(args.method, args.method)
+    method = MethodSpec.from_config(
+        {"name": name, "m": args.m, "start": start, "cost": cost,
+         "time_budget": args.time_budget}, "sample")
+    if args.budget is None and name != "dfs":
+        raise ConfigError(f"{args.method} needs --budget")
+    budget = None if name == "dfs" else resolve_budget(args.budget, graph.n_vertices)
+    trace = _sample(graph, method, budget, RngStream(args.seed))
     if args.burn_in:
         trace = discard_burn_in(trace, args.burn_in)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -184,92 +146,51 @@ def _cmd_sample(args) -> int:
 # -- estimate --------------------------------------------------------------------
 
 
-def _parse_targets(text: str) -> dict:
-    out = {"ccdf": False, "degree": [], "labels": [], "edge_labels": [],
-           "assortativity": False, "clustering": False}
+def _parse_targets(text: str) -> TargetSpec:
+    raw: dict = {}
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
-        if token == "ccdf":
-            out["ccdf"] = True
-        elif token == "assortativity":
-            out["assortativity"] = True
-        elif token == "clustering":
-            out["clustering"] = True
+        if token in ("ccdf", "assortativity", "clustering"):
+            raw[token] = True
         elif token.startswith("degree="):
             try:
-                out["degree"].append(int(token[7:]))
+                raw.setdefault("degree_density", []).append(int(token[7:]))
             except ValueError:
                 raise ConfigError(f"bad target {token!r}") from None
         elif token.startswith("label="):
-            out["labels"].append(token[6:])
+            raw.setdefault("labels", []).append(token[6:])
         elif token.startswith("edge-label="):
-            out["edge_labels"].append(token[11:])
+            raw.setdefault("edge_labels", []).append(token[11:])
         else:
             raise ConfigError(f"unknown target {token!r}")
-    if not any((out["ccdf"], out["degree"], out["labels"], out["edge_labels"],
-                out["assortativity"], out["clustering"])):
-        raise ConfigError("no targets requested")
-    return out
+    return TargetSpec.from_config(raw)
 
 
 def _cmd_estimate(args) -> int:
     graph = _load_graph_file(args.graph)
     with open(args.trace, "r", encoding="utf-8", newline="") as fh:
         trace = read_trace_csv(fh)
-    if trace.graph_hash and trace.graph_hash != graph.graph_hash:
-        raise ConfigError(
-            f"trace was sampled from a different graph "
-            f"(trace {trace.graph_hash[:12]}..., graph {graph.graph_hash[:12]}...)")
+    _check_trace(trace, graph)
     labels = None
     if args.labels_file:
         with open(args.labels_file, "r", encoding="utf-8") as fh:
             labels = parse_vertex_labels(fh, graph)
     targets = _parse_targets(args.targets)
-    if args.burn_in and trace.method in ("rw", "mrw", "fs", "dfs"):
-        trace = discard_burn_in(trace, args.burn_in)
+    _check_labels(targets, labels)
+    trace = _burn_in(trace, args.burn_in)
 
-    vertex_trace = trace.method == "random_vertex"
-    result: dict = {"graph_hash": graph.graph_hash, "method": trace.method,
-                    "n_records": trace.n_steps, "estimates": {}}
-    est = result["estimates"]
-    if targets["ccdf"] or targets["degree"]:
-        if vertex_trace:
-            dens = degree_density_from_vertex_samples(trace, graph, args.ccdf_mode)
-        elif trace.method == "random_edge":
-            dens = degree_density_from_edge_samples(trace, graph, args.ccdf_mode)
-        else:
-            dens = estimate_degree_density(trace, graph, args.ccdf_mode)
-        if targets["ccdf"]:
-            est["gamma"] = {str(k): v for k, v in
-                            sorted(_ccdf_from_density(dens.values).items())}
-        if targets["degree"]:
-            est.setdefault("theta", {})
-            for k in targets["degree"]:
-                est["theta"][f"degree={k}"] = dens.values.get(k, 0.0)
-    if targets["labels"]:
-        if labels is None:
-            raise ConfigError("label targets need --labels-file")
-        est.setdefault("theta", {})
-        for name in targets["labels"]:
-            if vertex_trace:
-                d = vertex_density_from_vertex_samples(trace, labels, name)
-            else:
-                d = estimate_group_densities(trace, graph, labels)
-            est["theta"][name] = d.values[name]
-    if targets["edge_labels"]:
-        if labels is None:
-            raise ConfigError("edge label targets need --labels-file")
-        est["p_edge"] = {}
-        for name in targets["edge_labels"]:
-            est["p_edge"][name] = estimate_edge_label_density(
-                trace, labels, name).values[name]
-    if targets["assortativity"]:
-        est["r"] = estimate_assortativity(trace, graph).r_hat
-    if targets["clustering"]:
-        est["C"] = estimate_global_clustering(trace, graph).c_hat
-
+    raw = _estimate_targets(trace, graph, labels, targets, args.ccdf_mode, strict=True)
+    est = {key: raw[key] for key in ("p_edge", "r", "C") if key in raw}
+    if "gamma" in raw:
+        est["gamma"] = {str(k): v for k, v in raw["gamma"].items()}
+    theta = {f"degree={k}": v for k, v in raw.get("theta_degree", {}).items()}
+    theta.update(raw.get("theta_label", {}))
+    if theta:
+        est["theta"] = theta
+    result = {"graph_hash": graph.graph_hash, "method": trace.method,
+              "n_records": trace.n_steps, "estimates": est}
     payload = json.dumps(result, sort_keys=True, indent=2) + "\n"
     if args.out == "-":
         sys.stdout.write(payload)

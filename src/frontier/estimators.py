@@ -163,11 +163,9 @@ def estimate_degree_density(trace: SampleTrace, graph: Graph,
     uses the symmetric degree, which is what governs visit rates.
     """
     _require_edge_trace(trace)
-    mode_degs = {"symmetric": graph.deg, "in_directed": graph.indeg_d,
-                 "out_directed": graph.outdeg_d}[mode]
     inv = _inverse_degrees(trace, graph)
     denom = float(inv.sum())
-    num = np.bincount(mode_degs[trace.v], weights=inv)
+    num = np.bincount(graph.degrees(mode)[trace.v], weights=inv)
     values = {k: float(x) / denom for k, x in enumerate(num.tolist()) if x}
     return DensityEstimate(values, trace.n_steps, denom / trace.n_steps)
 
@@ -289,9 +287,7 @@ def degree_density_from_vertex_samples(trace: SampleTrace, graph: Graph,
     """Degree-class frequencies among uniformly sampled vertices."""
     if trace.n_steps == 0:
         raise UndefinedEstimateError("empty trace", code="empty_trace")
-    mode_degs = {"symmetric": graph.deg, "in_directed": graph.indeg_d,
-                 "out_directed": graph.outdeg_d}[mode]
-    counts = np.bincount(mode_degs[trace.v])
+    counts = np.bincount(graph.degrees(mode)[trace.v])
     values = {k: c / trace.n_steps for k, c in enumerate(counts.tolist()) if c}
     return DensityEstimate(values, trace.n_steps)
 
@@ -306,10 +302,8 @@ def degree_density_from_edge_samples(trace: SampleTrace, graph: Graph,
     theta_i.
     """
     _require_edge_trace(trace)
-    mode_degs = {"symmetric": graph.deg, "in_directed": graph.indeg_d,
-                 "out_directed": graph.outdeg_d}[mode]
     d = graph.vol_total / graph.n_vertices
-    counts = np.bincount(mode_degs[trace.u])
+    counts = np.bincount(graph.degrees(mode)[trace.u])
     values = {k: (c / trace.n_steps) * d / k
               for k, c in enumerate(counts.tolist()) if c and k > 0}
     return DensityEstimate(values, trace.n_steps)

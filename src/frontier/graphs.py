@@ -102,6 +102,15 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.deg[v])
 
+    def degrees(self, mode: str = "symmetric") -> np.ndarray:
+        """Per-vertex degrees in the symmetric closure, or in/out degrees of
+        the directed edge set (``in_directed`` / ``out_directed``)."""
+        modes = {"symmetric": self.deg, "in_directed": self.indeg_d,
+                 "out_directed": self.outdeg_d}
+        if mode not in modes:
+            raise ValueError(f"unknown degree mode {mode!r}")
+        return modes[mode]
+
     def has_edge(self, u: int, v: int) -> bool:
         """Membership in the symmetric closure."""
         nbrs = self.neighbors(u)
@@ -126,12 +135,7 @@ class Graph:
 
     def directed_edge_mask(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Vectorized membership test of (u[k], v[k]) in the directed edge set."""
-        ptr, tgt = self._directed_csr
-        pos = _searchsorted_ragged(tgt, ptr[u], ptr[u + 1], v)
-        ok = pos < ptr[u + 1]
-        res = np.zeros(u.shape, dtype=bool)
-        res[ok] = tgt[pos[ok]] == v[ok]
-        return res
+        return _csr_edge_mask(*self._directed_csr, u, v)
 
     @cached_property
     def adjacency_lists(self) -> tuple[list[int], list[int]]:
@@ -160,6 +164,16 @@ class Graph:
         h.update(b"\x00")
         h.update(np.ascontiguousarray(self.canonical_edges(), dtype="<i8").tobytes())
         return h.hexdigest()
+
+
+def _csr_edge_mask(ptr: np.ndarray, tgt: np.ndarray, u: np.ndarray,
+                   v: np.ndarray) -> np.ndarray:
+    """Membership of (u[k], v[k]) in a CSR edge set whose rows are sorted."""
+    pos = _searchsorted_ragged(tgt, ptr[u], ptr[u + 1], v)
+    ok = pos < ptr[u + 1]
+    res = np.zeros(u.shape, dtype=bool)
+    res[ok] = tgt[pos[ok]] == v[ok]
+    return res
 
 
 def _searchsorted_ragged(sorted_flat: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -347,10 +361,8 @@ def parse_vertex_labels(source: "str | bytes | IO", graph: Graph) -> LabelStore:
 
 def degree_labels(graph: Graph, mode: str = "symmetric") -> LabelStore:
     """Label every vertex ``degree=k`` under the chosen degree notion."""
-    degs = {"symmetric": graph.deg, "in_directed": graph.indeg_d,
-            "out_directed": graph.outdeg_d}[mode]
     store = LabelStore()
-    for v, k in enumerate(degs.tolist()):
+    for v, k in enumerate(graph.degrees(mode).tolist()):
         store.add_vertex_label(v, f"degree={k}")
     return store
 

@@ -52,7 +52,9 @@ from .rng import RngStream
 from .samplers import (
     DEFAULT_COST,
     CostModel,
+    SampleTrace,
     StartMode,
+    _walk_steps,
     discard_burn_in,
     distributed_fs,
     frontier_sampling,
@@ -82,7 +84,7 @@ __all__ = [
 ]
 
 _METHOD_NAMES = ("rw", "mrw", "fs", "dfs", "random_vertex", "random_edge")
-_EDGE_METHODS = ("rw", "mrw", "fs", "dfs", "random_edge")
+_WALK_METHODS = ("rw", "mrw", "fs", "dfs")
 
 
 # -- error metrics ---------------------------------------------------------
@@ -235,26 +237,15 @@ class TargetSpec:
             assortativity=bool(raw.get("assortativity", False)),
             clustering=bool(raw.get("clustering", False)),
         )
-        if not (spec.ccdf or spec.degree_density or spec.labels or spec.edge_labels
-                or spec.assortativity or spec.clustering):
+        if not spec.oracle_targets():
             raise ConfigError("targets: nothing to estimate")
         return spec
 
     def oracle_targets(self) -> tuple[str, ...]:
-        out = []
-        if self.ccdf:
-            out.append("ccdf")
-        if self.degree_density:
-            out.append("degree_density")
-        if self.labels:
-            out.append("labels")
-        if self.edge_labels:
-            out.append("edge_labels")
-        if self.assortativity:
-            out.append("assortativity")
-        if self.clustering:
-            out.append("clustering")
-        return tuple(out)
+        """Names of the requested targets, in field order."""
+        return tuple(name for name in ("ccdf", "degree_density", "labels", "edge_labels",
+                                       "assortativity", "clustering")
+                     if getattr(self, name))
 
 
 def resolve_budget(raw, n_vertices: int) -> float:
@@ -383,68 +374,90 @@ def _sample(graph: Graph, method: MethodSpec, budget: float, rng: RngStream):
     raise ConfigError(f"unknown method {method.name!r}")
 
 
-def _estimate_one_run(graph: Graph, labels: LabelStore | None, cfg: ExperimentConfig,
-                      method: MethodSpec, budget: float, run_idx: int,
-                      method_idx: int) -> dict:
-    rng = RngStream(cfg.seed).child(method_idx, run_idx)
-    trace = _sample(graph, method, budget, rng)
-    if cfg.burn_in and method.name in ("rw", "mrw", "fs", "dfs"):
-        trace = discard_burn_in(trace, cfg.burn_in)
-    t = cfg.targets
+def _burn_in(trace: SampleTrace, w: int) -> SampleTrace:
+    """Drop each walker's first ``w`` steps of a walk trace; independent
+    samples have no transient and pass through."""
+    return discard_burn_in(trace, w) if w and trace.method in _WALK_METHODS else trace
+
+
+def _check_labels(targets: TargetSpec, labels: LabelStore | None) -> None:
+    wanted = targets.labels + targets.edge_labels
+    if wanted and labels is None:
+        raise ConfigError("label targets need a labels file")
+    unknown = sorted(set(wanted) - set(labels.label_names)) if wanted else []
+    if unknown:
+        raise ConfigError(f"unknown label target(s) {unknown}")
+
+
+def _estimate_targets(trace: SampleTrace, graph: Graph, labels: LabelStore | None,
+                      targets: TargetSpec, ccdf_mode: str, strict: bool = False) -> dict:
+    """Estimate every target from one trace, choosing the estimators that fit
+    how the trace was sampled.
+
+    An undefined edge-label density, ``r`` or ``C`` is recorded as None, or
+    raised when ``strict``.
+    """
+    def defined(estimate):
+        try:
+            return estimate()
+        except UndefinedEstimateError:
+            if strict:
+                raise
+            return None
+
+    t = targets
     out: dict = {}
     if t.ccdf or t.degree_density:
-        if method.name == "random_vertex":
-            dens = degree_density_from_vertex_samples(trace, graph, cfg.ccdf_mode)
-        elif method.name == "random_edge":
-            dens = degree_density_from_edge_samples(trace, graph, cfg.ccdf_mode)
+        if trace.method == "random_vertex":
+            dens = degree_density_from_vertex_samples(trace, graph, ccdf_mode)
+        elif trace.method == "random_edge":
+            dens = degree_density_from_edge_samples(trace, graph, ccdf_mode)
         else:
-            dens = estimate_degree_density(trace, graph, cfg.ccdf_mode)
+            dens = estimate_degree_density(trace, graph, ccdf_mode)
         if t.degree_density:
             out["theta_degree"] = {k: dens.values.get(k, 0.0) for k in t.degree_density}
         if t.ccdf:
             out["gamma"] = _ccdf_from_density(dens.values)
     if t.labels:
-        if method.name == "random_vertex":
-            vals = {}
-            for name in t.labels:
-                vals[name] = vertex_density_from_vertex_samples(
-                    trace, labels, name).values[name]
-            out["theta_label"] = vals
+        if trace.method == "random_vertex":
+            out["theta_label"] = {
+                name: vertex_density_from_vertex_samples(trace, labels, name).values[name]
+                for name in t.labels}
         else:
             group = estimate_group_densities(trace, graph, labels)
             out["theta_label"] = {name: group.values[name] for name in t.labels}
     if t.edge_labels:
-        vals = {}
-        for name in t.edge_labels:
-            try:
-                vals[name] = estimate_edge_label_density(trace, labels, name).values[name]
-            except UndefinedEstimateError:
-                vals[name] = None
-        out["p_edge"] = vals
+        out["p_edge"] = {
+            name: defined(lambda: estimate_edge_label_density(trace, labels, name).values[name])
+            for name in t.edge_labels}
     if t.assortativity:
-        try:
-            out["r"] = estimate_assortativity(trace, graph).r_hat
-        except UndefinedEstimateError:
-            out["r"] = None
+        out["r"] = defined(lambda: estimate_assortativity(trace, graph).r_hat)
     if t.clustering:
-        try:
-            out["C"] = estimate_global_clustering(trace, graph).c_hat
-        except UndefinedEstimateError:
-            out["C"] = None
+        out["C"] = defined(lambda: estimate_global_clustering(trace, graph).c_hat)
     return out
 
 
-# worker context for forked processes: populated in the parent before the
-# pool is created, inherited by fork, never mutated afterwards
-_WORKER_CTX: dict = {}
+def _estimate_one_run(graph: Graph, labels: LabelStore | None, cfg: ExperimentConfig,
+                      method: MethodSpec, budget: float, run_idx: int,
+                      method_idx: int) -> dict:
+    rng = RngStream(cfg.seed).child(method_idx, run_idx)
+    trace = _burn_in(_sample(graph, method, budget, rng), cfg.burn_in)
+    return _estimate_targets(trace, graph, labels, cfg.targets, cfg.ccdf_mode)
+
+
+# what every run in a pool worker process shares; set there by _init_worker
+_worker_state: tuple = ()
+
+
+def _init_worker(graph: Graph, labels: LabelStore | None, cfg: ExperimentConfig,
+                 budget: float) -> None:
+    global _worker_state
+    _worker_state = (graph, labels, cfg, budget)
 
 
 def _worker_chunk(args) -> list:
     method_idx, run_indices = args
-    graph = _WORKER_CTX["graph"]
-    labels = _WORKER_CTX["labels"]
-    cfg = _WORKER_CTX["config"]
-    budget = _WORKER_CTX["budget"]
+    graph, labels, cfg, budget = _worker_state
     method = cfg.methods[method_idx]
     return [(method_idx, i,
              _estimate_one_run(graph, labels, cfg, method, budget, i, method_idx))
@@ -544,23 +557,51 @@ def _load_truth(graph: Graph, labels: LabelStore | None, cfg: ExperimentConfig,
     return truth
 
 
+def _planned_steps(method: str, budget: float, m: int, start: StartMode,
+                   cost: CostModel) -> int:
+    """Steps per run of walk ``method`` when every start costs its expected
+    price (explicit starts are free)."""
+    per_walker = 0.0 if start.kind == "explicit" else cost.effective_start_cost
+    return _walk_steps(method, budget, m, per_walker * m if method == "fs" else per_walker,
+                       cost.walk_step_cost)
+
+
 def _check_feasible(graph: Graph, method: MethodSpec, budget: float) -> None:
+    """Reject, before any run, explicit starts that do not fit the graph and
+    budgets the sampler would refuse."""
     c = method.cost
-    start_c = 0.0 if method.start.kind == "explicit" else c.effective_start_cost
-    if method.name == "rw":
-        ok = budget - start_c >= c.walk_step_cost
-    elif method.name == "mrw":
-        ok = (budget / method.m - start_c) // c.walk_step_cost >= 1
-    elif method.name == "fs":
-        ok = budget - method.m * start_c >= c.walk_step_cost
-    elif method.name == "dfs":
+    if method.name in _WALK_METHODS and method.start.kind == "explicit":
+        method.start.draw(graph, 1 if method.name == "rw" else method.m, None)
+    if method.name == "dfs":
         ok = method.time_budget is not None and method.time_budget > 0
     elif method.name == "random_vertex":
         ok = budget >= c.vertex_query_cost / c.vertex_hit_ratio
-    else:
+    elif method.name == "random_edge":
         ok = budget >= c.edge_sample_cost / c.edge_hit_ratio
+    else:
+        try:
+            ok = _planned_steps(method.name, budget, method.m, method.start, c) >= 1
+        except BudgetError:
+            ok = False
     if not ok:
         raise ConfigError(f"budget {budget} infeasible for method {method.key}")
+
+
+def _density_rows(method_key: str, kind: str, tag: str, truth: dict, runs: list[dict],
+                  keys: Sequence, label_fmt: str, warnings: list[str]) -> list[ReportRow]:
+    """Report rows of one density family (``gamma`` scores as CNMSE, ``theta``
+    as NMSE); zero-truth keys get a warning instead of a row."""
+    err, warn = nmse(truth, runs)
+    warnings.extend(f"{method_key}/{tag}: {w}" for w in warn)
+    rows = []
+    for k in keys:
+        if truth[k] <= 0:
+            continue
+        mean = float(np.asarray([r.get(k, 0.0) for r in runs]).mean())
+        nm, cn = (None, err[k]) if kind == "gamma" else (err[k], None)
+        rows.append(ReportRow(method_key, kind, label_fmt.format(k), truth[k], mean,
+                              mean / truth[k] - 1.0, nm, cn, len(runs)))
+    return rows
 
 
 def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
@@ -574,8 +615,7 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
     """
     if graph is None:
         graph, labels = config.resolve_graph()
-    if (config.targets.labels or config.targets.edge_labels) and labels is None:
-        raise ConfigError("label targets need a graph with labels")
+    _check_labels(config.targets, labels)
     budget = resolve_budget(config.budget, graph.n_vertices)
     for method in config.methods:
         _check_feasible(graph, method, budget)
@@ -590,14 +630,12 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
         for lo in range(0, config.runs, chunk):
             tasks.append((mi, range(lo, min(lo + chunk, config.runs))))
     if workers > 1:
-        _WORKER_CTX.update(graph=graph, labels=labels, config=config, budget=budget)
-        try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(_worker_chunk, tasks):
-                    for mi, ri, est in part:
-                        results[mi][ri] = est
-        finally:
-            _WORKER_CTX.clear()
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker,
+                initargs=(graph, labels, config, budget)) as pool:
+            for part in pool.map(_worker_chunk, tasks):
+                for mi, ri, est in part:
+                    results[mi][ri] = est
     else:
         for mi, runs in tasks:
             method = config.methods[mi]
@@ -610,44 +648,20 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
     for mi, method in enumerate(config.methods):
         runs = results[mi]
         if t.ccdf:
-            gamma_runs = [r.get("gamma", {}) for r in runs]
-            cn, warn = cnmse(truth.gamma, gamma_runs)
-            warnings.extend(f"{method.key}/gamma: {w}" for w in warn)
-            for l in sorted(truth.gamma):
-                if truth.gamma[l] <= 0:
-                    continue
-                vals = np.asarray([g.get(l, 0.0) for g in gamma_runs])
-                mean = float(vals.mean())
-                rows.append(ReportRow(
-                    method.key, "gamma", str(l), truth.gamma[l], mean,
-                    mean / truth.gamma[l] - 1.0, None, cn[l], len(runs)))
+            rows += _density_rows(method.key, "gamma", "gamma", truth.gamma,
+                                  [r.get("gamma", {}) for r in runs], sorted(truth.gamma),
+                                  "{}", warnings)
         if t.degree_density:
-            theta_runs = [r.get("theta_degree", {}) for r in runs]
-            truth_theta = {k: truth.theta.get(f"degree={k}", 0.0)
-                           for k in t.degree_density}
-            nm, warn = nmse(truth_theta, theta_runs)
-            warnings.extend(f"{method.key}/theta: {w}" for w in warn)
-            for k in t.degree_density:
-                if truth_theta[k] <= 0:
-                    continue
-                vals = np.asarray([r.get(k, 0.0) for r in theta_runs])
-                mean = float(vals.mean())
-                rows.append(ReportRow(
-                    method.key, "theta", f"degree={k}", truth_theta[k], mean,
-                    mean / truth_theta[k] - 1.0, nm[k], None, len(runs)))
+            rows += _density_rows(method.key, "theta", "theta",
+                                  {k: truth.theta.get(f"degree={k}", 0.0)
+                                   for k in t.degree_density},
+                                  [r.get("theta_degree", {}) for r in runs],
+                                  t.degree_density, "degree={}", warnings)
         if t.labels:
-            label_runs = [r.get("theta_label", {}) for r in runs]
-            truth_labels = {name: truth.theta.get(name, 0.0) for name in t.labels}
-            nm, warn = nmse(truth_labels, label_runs)
-            warnings.extend(f"{method.key}/labels: {w}" for w in warn)
-            for name in t.labels:
-                if truth_labels[name] <= 0:
-                    continue
-                vals = np.asarray([r.get(name, 0.0) for r in label_runs])
-                mean = float(vals.mean())
-                rows.append(ReportRow(
-                    method.key, "theta", name, truth_labels[name], mean,
-                    mean / truth_labels[name] - 1.0, nm[name], None, len(runs)))
+            rows += _density_rows(method.key, "theta", "labels",
+                                  {name: truth.theta.get(name, 0.0) for name in t.labels},
+                                  [r.get("theta_label", {}) for r in runs],
+                                  t.labels, "{}", warnings)
         if t.edge_labels:
             for name in t.edge_labels:
                 truth_p = truth.p_edge.get(name, 0.0)
@@ -750,19 +764,9 @@ def convergence_diagnostic(graph: Graph, method: str, budget: float, runs: int,
         raise ConfigError("diagnostic starts must be uniform or degree-proportional")
     if runs < 2:
         raise ValueError("split estimation needs at least 2 runs")
-    c = cost_model.effective_start_cost
-    step_cost = cost_model.walk_step_cost
-    if method == "rw":
-        steps = math.ceil((budget - c) / step_cost - 1e-12)
-        sim_m = 1
-    elif method == "mrw":
-        steps = int((budget / m - c) // step_cost)
-        sim_m = 1  # walkers are iid: the last walker's final edge is one walker's
-    else:
-        steps = math.ceil((budget - m * c) / step_cost - 1e-12)
-        sim_m = m
-    if steps < 1:
-        raise BudgetError(f"budget {budget} leaves no steps for {method}")
+    steps = _planned_steps(method, budget, m, start, cost_model)
+    # mrw walkers are iid: the last walker's final edge is one walker's
+    sim_m = m if method == "fs" else 1
 
     gen = rng.generator()
     deg = graph.deg

@@ -43,15 +43,6 @@ __all__ = [
     "compute_truth",
 ]
 
-_DEGREE_MODES = ("symmetric", "in_directed", "out_directed")
-
-
-def _degrees(graph: Graph, mode: str) -> np.ndarray:
-    if mode not in _DEGREE_MODES:
-        raise ValueError(f"unknown degree mode {mode!r}")
-    return {"symmetric": graph.deg, "in_directed": graph.indeg_d,
-            "out_directed": graph.outdeg_d}[mode]
-
 
 def exact_vertex_label_density(graph: Graph, labels: LabelStore, label: str) -> float:
     """Fraction of vertices carrying ``label``.
@@ -87,14 +78,14 @@ def exact_edge_label_density(graph: Graph, labels: LabelStore, label: str) -> fl
 
 def exact_degree_density(graph: Graph, mode: str = "symmetric") -> dict[int, float]:
     """theta_k: fraction of vertices with degree k, for every observed k."""
-    counts = np.bincount(_degrees(graph, mode))
+    counts = np.bincount(graph.degrees(mode))
     n = graph.n_vertices
     return {k: c / n for k, c in enumerate(counts.tolist()) if c}
 
 
 def exact_degree_ccdf(graph: Graph, mode: str = "symmetric") -> dict[int, float]:
     """gamma_l = fraction of vertices with degree > l, for l = 0..max degree."""
-    degs = _degrees(graph, mode)
+    degs = graph.degrees(mode)
     counts = np.bincount(degs)
     tail = counts[::-1].cumsum()[::-1]  # tail[l] = #vertices with degree >= l
     n = graph.n_vertices

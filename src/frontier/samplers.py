@@ -21,8 +21,8 @@ from typing import IO
 
 import numpy as np
 
-from .errors import BudgetError, GraphFormatError
-from .graphs import Graph
+from .errors import BudgetError, ConfigError, GraphFormatError
+from .graphs import Graph, _csr_edge_mask
 from .rng import RngStream
 
 __all__ = [
@@ -103,7 +103,10 @@ class StartMode:
     def explicit(vertices) -> "StartMode":
         return StartMode("explicit", tuple(int(v) for v in vertices))
 
-    def draw(self, graph: Graph, m: int, gen: np.random.Generator) -> np.ndarray:
+    def draw(self, graph: Graph, m: int, gen: np.random.Generator | None) -> np.ndarray:
+        """Start vertices of ``m`` walkers.  Explicit starts are checked
+        against the graph here and draw no random numbers (``gen`` may be
+        None)."""
         if self.kind == "uniform":
             # with replacement: walkers may share a start vertex
             return gen.integers(0, graph.n_vertices, size=m)
@@ -113,12 +116,12 @@ class StartMode:
             return np.searchsorted(graph.indptr, t, side="right") - 1
         if self.kind == "explicit":
             if self.vertices is None or len(self.vertices) != m:
-                raise ValueError(f"explicit start needs exactly {m} vertices")
+                raise ConfigError(f"explicit start needs exactly {m} vertices")
             arr = np.asarray(self.vertices, dtype=np.int64)
             if arr.min() < 0 or arr.max() >= graph.n_vertices:
-                raise ValueError("explicit start vertex out of range")
+                raise ConfigError("explicit start vertex out of range")
             return arr
-        raise ValueError(f"unknown start mode {self.kind!r}")
+        raise ConfigError(f"unknown start mode {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -233,12 +236,22 @@ def _walk_path(graph: Graph, start: int, n_steps: int, gen: np.random.Generator)
     return np.asarray(path, dtype=np.int64)
 
 
-def _steps_from(budget: float, fixed_cost: float, step_cost: float, label: str) -> int:
-    # run until accumulated steps reach the post-start budget, so the last
-    # step may cross a fractional boundary (ceil)
-    steps = math.ceil((budget - fixed_cost) / step_cost - 1e-12)
+def _walk_steps(method: str, budget: float, m: int, start_cost: float,
+                step_cost: float) -> int:
+    """Steps one run of walk ``method`` (rw, mrw or fs) takes under ``budget``.
+
+    rw and fs step until the steps cover the budget left after
+    ``start_cost``, the start charge of all their walkers, so the last step
+    may cross a fractional boundary (ceil).  Each of the m mrw walkers takes
+    the whole steps that fit in its ``budget / m`` share after its own
+    ``start_cost`` (floor).
+    """
+    if method == "mrw":
+        steps = int((budget / m - start_cost) // step_cost)
+    else:
+        steps = math.ceil((budget - start_cost) / step_cost - 1e-12)
     if steps < 1:
-        raise BudgetError(f"budget {budget} leaves no steps for {label}")
+        raise BudgetError(f"budget {budget} leaves no steps for {method}")
     return steps
 
 
@@ -249,7 +262,7 @@ def single_rw(graph: Graph, start_mode: StartMode = StartMode.uniform(),
     gen = rng.generator()
     start_cost = float(cost_model.start_costs(start_mode.kind, 1, gen)[0])
     start = int(start_mode.draw(graph, 1, gen)[0])
-    steps = _steps_from(budget, start_cost, cost_model.walk_step_cost, "single_rw")
+    steps = _walk_steps("rw", budget, 1, start_cost, cost_model.walk_step_cost)
     path = _walk_path(graph, start, steps, gen)
     return _finish(
         (path[:-1], path[1:], np.zeros(steps), np.full(steps, cost_model.walk_step_cost)),
@@ -269,20 +282,13 @@ def multiple_rw(graph: Graph, m: int, start_mode: StartMode = StartMode.uniform(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    share = budget / m
+    explicit = start_mode.draw(graph, m, None) if start_mode.kind == "explicit" else None
     us, vs, ws, start_list, start_costs = [], [], [], [], []
     for w in range(m):
         gen = rng.child(w).generator()
         sc = float(cost_model.start_costs(start_mode.kind, 1, gen)[0])
-        if start_mode.kind == "explicit":
-            if start_mode.vertices is None or len(start_mode.vertices) != m:
-                raise ValueError(f"explicit start needs exactly {m} vertices")
-            start = int(start_mode.vertices[w])
-        else:
-            start = int(start_mode.draw(graph, 1, gen)[0])
-        steps = int((share - sc) // cost_model.walk_step_cost)
-        if steps < 1:
-            raise BudgetError(f"budget share {share} leaves no steps for walker {w}")
+        start = int(explicit[w] if explicit is not None else start_mode.draw(graph, 1, gen)[0])
+        steps = _walk_steps("mrw", budget, m, sc, cost_model.walk_step_cost)
         path = _walk_path(graph, start, steps, gen)
         us.append(path[:-1])
         vs.append(path[1:])
@@ -315,7 +321,7 @@ def frontier_sampling(graph: Graph, m: int, start_mode: StartMode = StartMode.un
     gen = rng.generator()
     start_cost = float(cost_model.start_costs(start_mode.kind, m, gen).sum())
     starts = start_mode.draw(graph, m, gen)
-    steps = _steps_from(budget, start_cost, cost_model.walk_step_cost, "frontier_sampling")
+    steps = _walk_steps("fs", budget, m, start_cost, cost_model.walk_step_cost)
 
     ip, ix = graph.adjacency_lists
     pos = [int(x) for x in starts]
@@ -364,14 +370,10 @@ def distributed_fs(graph: Graph, m: int, time_budget: float,
     if time_budget <= 0:
         raise BudgetError("time budget must be positive")
     gens = [rng.child(w).generator() for w in range(m)]
-    starts = np.empty(m, dtype=np.int64)
-    for w in range(m):
-        if start_mode.kind == "explicit":
-            if start_mode.vertices is None or len(start_mode.vertices) != m:
-                raise ValueError(f"explicit start needs exactly {m} vertices")
-            starts[w] = start_mode.vertices[w]
-        else:
-            starts[w] = int(start_mode.draw(graph, 1, gens[w])[0])
+    if start_mode.kind == "explicit":
+        starts = start_mode.draw(graph, m, None)
+    else:
+        starts = np.asarray([start_mode.draw(graph, 1, g)[0] for g in gens], dtype=np.int64)
     ip, ix = graph.adjacency_lists
     pos = starts.tolist()
     heap = []
@@ -522,6 +524,32 @@ def read_trace_csv(source: "str | IO") -> SampleTrace:
         budget=float(known.get("budget", "nan")), spent=float(known.get("spent", "nan")),
         start_vertices=start_vertices, u=u, v=v, walker=walker, cost=cost, time=time,
         graph_hash=known.get("graph_hash"), meta=extra)
+
+
+def _check_trace(trace: SampleTrace, graph: Graph) -> None:
+    """Reject a trace that cannot have been sampled from ``graph``.
+
+    Every ``v`` is a vertex; ``u`` is either all -1 (a vertex-only trace)
+    or makes each ``(u, v)`` an edge of the symmetric closure; every
+    walker id is below ``m``.
+    """
+    if trace.graph_hash and trace.graph_hash != graph.graph_hash:
+        raise ConfigError(
+            f"trace was sampled from a different graph "
+            f"(trace {trace.graph_hash[:12]}..., graph {graph.graph_hash[:12]}...)")
+    u, v, n = trace.u, trace.v, graph.n_vertices
+    edges = not (u == -1).all()
+    ids = np.concatenate([u, v]) if edges else v
+    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= n):
+        raise ConfigError(f"trace vertex ids must lie in [0, {n}), or u be -1 throughout")
+    if edges:
+        missing = np.flatnonzero(~_csr_edge_mask(graph.indptr, graph.indices, u, v))
+        if missing.size:
+            k = int(missing[0])
+            raise ConfigError(f"trace record {k + 1}: ({u[k]}, {v[k]}) is not an edge of the graph")
+    if trace.walker.size and (int(trace.walker.min()) < 0
+                              or int(trace.walker.max()) >= trace.m):
+        raise ConfigError(f"trace walker ids must lie in [0, m={trace.m})")
 
 
 def _parse_meta_value(text: str):

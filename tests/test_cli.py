@@ -250,3 +250,101 @@ def test_missing_file_is_io_error(tmp_path, capsys):
     assert run("sample", "rw", "--graph", str(tmp_path / "nope.txt"),
                "--budget", "10", "--out", str(tmp_path / "t.csv")) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "io"
+
+
+# -- input checks shared with experiments ------------------------------------------
+
+
+@pytest.mark.parametrize("extra", [
+    ["fs", "--m", "0", "--budget", "40"],
+    ["fs", "--m", "2", "--budget", "40", "--vertex-hit-ratio", "0"],
+    ["mrw", "--m", "2", "--budget", "40", "--walk-step-cost", "-1"],
+    ["fs", "--m", "2", "--budget", "40", "--start", "explicit", "--start-vertices", "3"],
+    ["mrw", "--m", "3", "--budget", "40", "--start", "explicit", "--start-vertices", "3,9"],
+    ["dfs", "--m", "2", "--time-budget", "5", "--start", "explicit",
+     "--start-vertices", "3,9,27"],
+], ids=["m0", "hit_ratio0", "negative_step_cost", "fs_short_starts", "mrw_short_starts",
+        "dfs_long_starts"])
+def test_sample_bad_method_flags_exit_2(tmp_path, graph_file, capsys, extra):
+    assert run("sample", extra[0], "--graph", graph_file, *extra[1:],
+               "--out", str(tmp_path / "t.csv")) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+@pytest.mark.parametrize("target", ["label=Z", "edge-label=Z"])
+def test_estimate_unknown_label_exit_2(tmp_path, graph_file, trace_file, capsys, target):
+    labels = str(tmp_path / "labels.txt")
+    open(labels, "w").write("0 seedy\n1 seedy\n")
+    assert run("estimate", "--graph", graph_file, "--trace", trace_file,
+               "--targets", target, "--labels-file", labels) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "Z" in err["message"]
+
+
+@pytest.mark.parametrize("header,row", [
+    ("# method=rw\n# m=1\n", "1,0,0,5000,1.0"),            # v beyond n
+    ("# method=random_vertex\n# m=1\n", "1,0,-1,-5,1.0"),  # negative v
+    ("# method=rw\n# m=1\n", "1,0,-3,1,1.0"),              # negative u
+    ("# method=rw\n# m=1\n", "1,1,0,1,1.0"),               # walker >= m
+], ids=["v_beyond_n", "negative_v", "negative_u", "walker_beyond_m"])
+def test_estimate_rejects_trace_outside_graph(tmp_path, graph_file, capsys, header, row):
+    trace = str(tmp_path / "bad.csv")
+    open(trace, "w").write(header + "step,walker,u,v,cost\n" + row + "\n")
+    assert run("estimate", "--graph", graph_file, "--trace", trace,
+               "--targets", "ccdf") == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_estimate_rejects_non_edge_records(tmp_path, graph_file, capsys):
+    g = load_graph(open(graph_file).read())
+    u = 0
+    v = next(x for x in range(g.n_vertices) if x != u and not g.has_edge(u, x))
+    trace = str(tmp_path / "bad.csv")
+    open(trace, "w").write(f"# method=fs\n# m=2\nstep,walker,u,v,cost\n"
+                           f"1,0,{u},{g.neighbors(u)[0]},1.0\n2,1,{u},{v},1.0\n")
+    assert run("estimate", "--graph", graph_file, "--trace", trace,
+               "--targets", "ccdf") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "record 2" in err["message"]
+
+
+def _experiment(tmp_path, **cfg):
+    path = str(tmp_path / "cfg.json")
+    open(path, "w").write(json.dumps(cfg))
+    return run("experiment", "--config", path, "--out", str(tmp_path / "r.csv"),
+               "--force")
+
+
+def test_experiment_unknown_label_exit_2(tmp_path, graph_file, capsys):
+    labels = str(tmp_path / "labels.txt")
+    open(labels, "w").write("0 seedy\n1 seedy\n")
+    for targets in ({"labels": ["Z"]}, {"edge_labels": ["Z"]}):
+        assert _experiment(
+            tmp_path, graph={"kind": "file", "path": graph_file, "labels_path": labels},
+            methods=[{"name": "fs", "m": 2}], budget=20, targets=targets, runs=2) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "Z" in err["message"]
+
+
+@pytest.mark.parametrize("method", [
+    {"name": "mrw", "m": 2, "start": {"kind": "explicit", "vertices": [1, -3]}},
+    {"name": "mrw", "m": 2, "start": {"kind": "explicit", "vertices": [1, 999]}},
+    {"name": "fs", "m": 2, "start": {"kind": "explicit", "vertices": [1]}},
+    {"name": "rw", "start": {"kind": "explicit", "vertices": [1, 2]}},
+    {"name": "dfs", "m": 2, "time_budget": 5, "start": {"kind": "explicit", "vertices": [4]}},
+], ids=["mrw_negative", "mrw_beyond_n", "fs_short", "rw_two", "dfs_short"])
+def test_experiment_bad_explicit_start_exit_2(tmp_path, capsys, method):
+    assert _experiment(tmp_path, graph={"kind": "ba", "n": 80, "attach": 2, "seed": 3},
+                       methods=[method], budget=40, targets={"ccdf": True}, runs=2) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_experiment_rw_budget_follows_sampler(tmp_path, graph_file):
+    # rw keeps stepping while any step fits: 1.5 - 1 start leaves one step
+    out = str(tmp_path / "t.csv")
+    assert run("sample", "rw", "--graph", graph_file, "--budget", "1.5",
+               "--out", out) == 0
+    assert read_trace_csv(out).n_steps == 1
+    assert _experiment(tmp_path, graph={"kind": "file", "path": graph_file},
+                       methods=[{"name": "rw"}], budget=1.5,
+                       targets={"degree_density": [2]}, runs=3) == 0

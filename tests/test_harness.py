@@ -357,3 +357,32 @@ def test_method_spec_keys():
     spec2 = MethodSpec.from_config(
         {"name": "fs", "cost": {"vertex_hit_ratio": 0.5}}, "methods[0]")
     assert spec2.cost.effective_start_cost == 2.0
+
+
+def test_worker_pool_under_spawn():
+    # spawned workers import the package afresh and inherit nothing from the
+    # parent, so the run context must reach them through the pool initializer
+    import subprocess
+    import sys
+
+    import frontier
+
+    script = (
+        "import io, json, multiprocessing, sys\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "from frontier.harness import ExperimentConfig, run_monte_carlo\n"
+        "cfg = ExperimentConfig.from_dict(json.loads(sys.argv[1]))\n"
+        "a, b = io.StringIO(), io.StringIO()\n"
+        "run_monte_carlo(cfg, workers=1).to_csv(a)\n"
+        "run_monte_carlo(cfg, workers=2).to_csv(b)\n"
+        "print(json.dumps([a.getvalue(), b.getvalue()]))\n")
+    cfg = _base_config(methods=[{"name": "fs", "m": 3}, {"name": "rw"}], runs=6)
+    src = os.path.dirname(os.path.dirname(frontier.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(cfg)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    serial, pooled = json.loads(proc.stdout)
+    assert "fs[m=3],gamma," in serial
+    assert pooled == serial
