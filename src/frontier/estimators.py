@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedEstimateError
-from .graphs import Graph, LabelStore
+from .graphs import Graph, LabelStore, _edge_support
 from .oracles import joint_moments
 from .samplers import SampleTrace
 
@@ -246,17 +246,7 @@ def estimate_global_clustering(trace: SampleTrace, graph: Graph,
     # shared-neighbor counts are computed once per distinct sampled edge
     keys = (trace.u.astype(np.int64) << 32) | trace.v
     uniq, inverse = np.unique(keys, return_inverse=True)
-    f_uniq = np.empty(uniq.size, dtype=np.float64)
-    for i, k in enumerate(uniq.tolist()):
-        eu, ev = k >> 32, k & 0xFFFFFFFF
-        a = graph.neighbors(int(eu))
-        b = graph.neighbors(int(ev))
-        if a.size > b.size:
-            a, b = b, a
-        pos = np.searchsorted(b, a)
-        ok = pos < b.size
-        f_uniq[i] = np.count_nonzero(b[pos[ok]] == a[ok])
-    f = f_uniq[inverse]
+    f = _edge_support(graph, uniq >> 32, uniq & 0xFFFFFFFF).astype(np.float64)[inverse]
 
     terms = np.zeros(trace.n_steps)
     pairs = deg_v[active] * (deg_v[active] - 1) / 2.0

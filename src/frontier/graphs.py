@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import io
+import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Sequence
@@ -52,22 +54,30 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class Graph:
-    """Immutable simple graph with directed edges plus symmetric closure."""
+    """Immutable simple graph with directed edges plus symmetric closure.
+
+    ``directed_edges`` is the canonical form: a ``(k, 2)`` int64 array
+    sorted lexicographically, without duplicate rows.  The constructor
+    rejects anything else; :func:`build_graph` makes it from raw pairs.
+    """
 
     def __init__(self, directed_edges: np.ndarray, n_vertices: int,
                  original_ids: np.ndarray | None = None):
-        self.n_vertices = int(n_vertices)
-        self.directed_edges = _frozen(directed_edges)
-        self.outdeg_d = _frozen(np.bincount(directed_edges[:, 0], minlength=n_vertices))
-        self.indeg_d = _frozen(np.bincount(directed_edges[:, 1], minlength=n_vertices))
+        n = self.n_vertices = int(n_vertices)
+        e = self.directed_edges = _frozen(directed_edges)
+        keys = e[:, 0] * n + e[:, 1]
+        if (np.diff(keys) <= 0).any():
+            raise ValueError("directed_edges must be sorted and unique")
+        self.outdeg_d = _frozen(np.bincount(e[:, 0], minlength=n))
+        self.indeg_d = _frozen(np.bincount(e[:, 1], minlength=n))
 
-        sym = np.unique(np.concatenate([directed_edges, directed_edges[:, ::-1]]), axis=0)
+        src, dst = np.divmod(_sorted_unique(np.concatenate([keys, e[:, 1] * n + e[:, 0]])), n)
         self.indptr = _frozen(np.concatenate(
-            [[0], np.cumsum(np.bincount(sym[:, 0], minlength=n_vertices))]).astype(np.int64))
-        self.indices = _frozen(sym[:, 1].astype(np.int64).copy())
+            [[0], np.cumsum(np.bincount(src, minlength=n))]).astype(np.int64))
+        self.indices = _frozen(dst)
         self.deg = _frozen(np.diff(self.indptr))
         if original_ids is None:
-            original_ids = np.arange(n_vertices, dtype=np.int64)
+            original_ids = np.arange(n, dtype=np.int64)
         self.original_ids = _frozen(np.asarray(original_ids, dtype=np.int64))
 
         if (self.deg == 0).any():
@@ -119,12 +129,8 @@ class Graph:
 
     @cached_property
     def _directed_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        e = self.directed_edges
-        order = np.lexsort((e[:, 1], e[:, 0]))
-        tgt = e[order, 1].copy()
-        ptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(e[:, 0], minlength=self.n_vertices))]).astype(np.int64)
-        return ptr, tgt
+        ptr = np.concatenate([[0], np.cumsum(self.outdeg_d)]).astype(np.int64)
+        return ptr, np.ascontiguousarray(self.directed_edges[:, 1])
 
     def has_directed_edge(self, u: int, v: int) -> bool:
         """Membership in the ingested directed edge set."""
@@ -146,15 +152,11 @@ class Graph:
 
     def canonical_edges(self) -> np.ndarray:
         """Directed edge set sorted lexicographically (the canonical form)."""
-        e = self.directed_edges
-        order = np.lexsort((e[:, 1], e[:, 0]))
-        return e[order]
+        return self.directed_edges
 
     def canonical_text(self) -> str:
-        buf = io.StringIO()
-        for u, v in self.canonical_edges().tolist():
-            buf.write(f"{u} {v}\n")
-        return buf.getvalue()
+        e = self.directed_edges
+        return ("%d %d\n" * e.shape[0]) % tuple(e.ravel().tolist())
 
     @cached_property
     def graph_hash(self) -> str:
@@ -192,6 +194,41 @@ def _searchsorted_ragged(sorted_flat: np.ndarray, lo: np.ndarray, hi: np.ndarray
         hi = np.where(active & ~less, mid, hi)
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D int array: one sort plus an adjacent-difference mask."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def _neighbor_blocks(graph: Graph, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(k, w)`` for every neighbour ``w`` of every ``src[k]``, flat in row order."""
+    cnt = graph.deg[src]
+    k = np.repeat(np.arange(src.size), cnt)
+    first = np.repeat(graph.indptr[src] - (np.cumsum(cnt) - cnt), cnt)
+    return k, graph.indices[first + np.arange(k.size)]
+
+
+_SUPPORT_CHUNK = 1 << 18  # neighbour entries expanded per step of _edge_support
+
+
+def _edge_support(graph: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Shared-neighbour count of each pair (u[k], v[k]) in the symmetric closure.
+
+    The neighbours of the lower-degree endpoint are looked up in the other
+    endpoint's row, at most about ``_SUPPORT_CHUNK`` of them at a time.
+    """
+    swap = graph.deg[u] > graph.deg[v]
+    a, b = np.where(swap, v, u), np.where(swap, u, v)
+    cnt = graph.deg[a]
+    cuts = np.searchsorted(np.cumsum(cnt), np.arange(_SUPPORT_CHUNK, cnt.sum(), _SUPPORT_CHUNK))
+    out = np.zeros(u.size, dtype=np.int64)
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, u.size]):
+        k, w = _neighbor_blocks(graph, a[lo:hi])
+        hit = _csr_edge_mask(graph.indptr, graph.indices, b[lo:hi][k], w)
+        out[lo:hi] = np.bincount(k[hit], minlength=hi - lo)
+    return out
+
+
 # -- ingestion -----------------------------------------------------------
 
 
@@ -206,34 +243,59 @@ def _as_text(source: "str | bytes | IO") -> str:
     return data
 
 
+# np.loadtxt reads a text as the line loop of parse_edge_list does when it holds
+# only printable ASCII, tabs and line ends, and '#' opens comment lines only
+_LOADTXT_UNSAFE = re.compile(r"[^\t\n\r -~]")
+_INLINE_COMMENT = re.compile(r"^[^\S\n]*[^#\s][^\n]*#", re.M)
+
+
+def _loadtxt_edges(text: str) -> np.ndarray | None:
+    """Edge array of a plain edge list parsed in C; None for any other input."""
+    if _LOADTXT_UNSAFE.search(text) or ("#" in text and _INLINE_COMMENT.search(text)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on input without data
+            arr = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+    except ValueError:
+        return None
+    return arr if arr.shape[0] and arr.shape[1] == 2 and (arr >= 0).all() else None
+
+
 def parse_edge_list(source: "str | bytes | IO") -> tuple[np.ndarray, np.ndarray]:
     """Parse ``u v`` lines into dense-id pairs plus the original-id table.
 
     Lines starting with ``#`` and blank lines are skipped.  Original ids
     are remapped to ``0..n-1`` in sorted numeric order; position ``k`` of
     the returned id table holds the original id of dense vertex ``k``.
+    Input the C parser cannot take goes through a line loop that names
+    the first bad line.
     """
-    pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(_as_text(source).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'u v', got {raw!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer vertex id in {raw!r}", lineno)
-        if u < 0 or v < 0:
-            raise GraphFormatError(f"line {lineno}: negative vertex id in {raw!r}", lineno)
-        pairs.append((u, v))
-    if not pairs:
-        raise GraphFormatError("no edges found in input")
-    arr = np.asarray(pairs, dtype=np.int64)
-    original_ids = np.unique(arr)
-    dense = np.searchsorted(original_ids, arr)
-    return dense, original_ids
+    text = _as_text(source)
+    arr = _loadtxt_edges(text)
+    if arr is None:
+        pairs: list[tuple[int, int]] = []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise GraphFormatError(f"line {lineno}: expected 'u v', got {raw!r}", lineno)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: non-integer vertex id in {raw!r}", lineno)
+            if u < 0 or v < 0:
+                raise GraphFormatError(f"line {lineno}: negative vertex id in {raw!r}", lineno)
+            pairs.append((u, v))
+        if not pairs:
+            raise GraphFormatError("no edges found in input")
+        arr = np.asarray(pairs, dtype=np.int64)
+    original_ids = _sorted_unique(arr.ravel())
+    if original_ids[-1] == original_ids.size - 1:  # ids are already 0..n-1
+        return arr, original_ids
+    return np.searchsorted(original_ids, arr), original_ids
 
 
 def build_graph(directed_edges: "np.ndarray | Sequence[tuple[int, int]]",
@@ -249,9 +311,11 @@ def build_graph(directed_edges: "np.ndarray | Sequence[tuple[int, int]]",
     arr = arr[arr[:, 0] != arr[:, 1]]
     if arr.shape[0] == 0:
         raise GraphFormatError("graph has no edges after dropping self-loops")
-    arr = np.unique(arr, axis=0)
+    if arr.min() < 0:
+        raise GraphFormatError("vertex ids must be non-negative")
     n = int(arr.max()) + 1
-    return Graph(arr, n, original_ids)
+    keys = _sorted_unique(arr[:, 0] * n + arr[:, 1])
+    return Graph(np.column_stack(np.divmod(keys, n)), n, original_ids)
 
 
 def load_graph(source: "str | bytes | IO") -> Graph:
@@ -396,14 +460,9 @@ def connected_components(graph: Graph) -> VertexPartition:
     _, raw = csgraph.connected_components(mat, directed=False)
     # scipy's numbering is an implementation detail; renumber so component k
     # is the one whose smallest vertex is the k-th smallest component leader
-    first_seen = np.full(raw.max() + 1, -1, dtype=np.int64)
-    order = []
-    for v, lab in enumerate(raw.tolist()):
-        if first_seen[lab] < 0:
-            first_seen[lab] = len(order)
-            order.append(lab)
-    remap = np.empty(raw.max() + 1, dtype=np.int64)
-    remap[order] = np.arange(len(order))
+    first = np.unique(raw, return_index=True)[1]
+    remap = np.empty(first.size, dtype=np.int64)
+    remap[np.argsort(first)] = np.arange(first.size)
     cid = remap[raw]
     sizes = np.bincount(cid)
     volumes = np.bincount(cid, weights=graph.deg).astype(np.int64)
@@ -427,8 +486,8 @@ def restrict_to_lcc(graph: Graph, labels: LabelStore | None = None
     e = graph.directed_edges
     mask = keep[e[:, 0]]  # components are edge-closed, one endpoint suffices
     sub_edges = np.column_stack([new_id[e[mask, 0]], new_id[e[mask, 1]]])
-    sub = Graph(np.unique(sub_edges, axis=0), int(keep.sum()),
-                graph.original_ids[keep])
+    # new ids keep the old order, so the edges stay sorted and unique
+    sub = Graph(sub_edges, int(keep.sum()), graph.original_ids[keep])
     if labels is None:
         return sub, None
     out = LabelStore()
@@ -444,26 +503,15 @@ def restrict_to_lcc(graph: Graph, labels: LabelStore | None = None
 
 
 def is_bipartite(graph: Graph) -> bool:
-    """Two-colorability of the symmetric closure (checked per component)."""
-    color = np.full(graph.n_vertices, -1, dtype=np.int8)
-    indptr, indices = graph.indptr, graph.indices
-    for root in range(graph.n_vertices):
-        if color[root] >= 0:
-            continue
-        color[root] = 0
-        frontier = np.asarray([root], dtype=np.int64)
-        while frontier.size:
-            nxt = []
-            for v in frontier.tolist():
-                nbrs = indices[indptr[v]:indptr[v + 1]]
-                if (color[nbrs] == color[v]).any():
-                    return False
-                fresh = nbrs[color[nbrs] < 0]
-                color[fresh] = 1 - color[v]
-                nxt.append(fresh)
-            frontier = np.concatenate(nxt) if nxt else np.empty(0, dtype=np.int64)
-            frontier = np.unique(frontier)
-    return True
+    """Two-colorability of the symmetric closure: a component is bipartite
+    exactly when its bipartite double cover splits into two components."""
+    n = graph.n_vertices
+    src = np.repeat(np.arange(n), graph.deg)
+    cover = sp.csr_matrix((np.ones(2 * graph.vol_total, dtype=np.int8),
+                           (np.r_[src, src + n], np.r_[graph.indices + n, graph.indices])),
+                          shape=(2 * n, 2 * n))
+    n_cover = csgraph.connected_components(cover, directed=False)[0]
+    return n_cover == 2 * connected_components(graph).n_components
 
 
 # -- generators --------------------------------------------------------------

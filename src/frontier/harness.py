@@ -85,6 +85,9 @@ __all__ = [
 
 _METHOD_NAMES = ("rw", "mrw", "fs", "dfs", "random_vertex", "random_edge")
 _WALK_METHODS = ("rw", "mrw", "fs", "dfs")
+_TARGET_FLAGS = ("ccdf", "assortativity", "clustering")
+_GRAPH_KEYS = {"ba": ("n", "attach", "seed"), "gab": ("n_each", "attach_a", "attach_b", "seed"),
+               "file": ("path", "labels_path")}
 
 
 # -- error metrics ---------------------------------------------------------
@@ -149,6 +152,14 @@ def _check_keys(raw: dict, allowed: Sequence[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
 
 
+def _as_int(value, what: str) -> int:
+    """A config integer: an int, or a float with a whole value; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_start(raw, where: str) -> StartMode:
     if raw is None:
         return StartMode.uniform()
@@ -193,12 +204,15 @@ class MethodSpec:
         name = raw.get("name")
         if name not in _METHOD_NAMES:
             raise ConfigError(f"{where}: unknown method {name!r}; choose from {_METHOD_NAMES}")
-        m = int(raw.get("m", 1))
+        m = _as_int(raw.get("m", 1), f"{where}: m")
         if m < 1:
             raise ConfigError(f"{where}: m must be >= 1")
+        time_budget = raw.get("time_budget")
+        if time_budget is not None and (isinstance(time_budget, bool) or not isinstance(
+                time_budget, (int, float)) or not math.isfinite(time_budget)):
+            raise ConfigError(f"{where}: time_budget must be a finite number, got {time_budget!r}")
         spec = cls(name=name, m=m, start=_parse_start(raw.get("start"), where),
-                   cost=_parse_cost(raw.get("cost"), where),
-                   time_budget=raw.get("time_budget"))
+                   cost=_parse_cost(raw.get("cost"), where), time_budget=time_budget)
         if name == "dfs" and spec.time_budget is None:
             raise ConfigError(f"{where}: dfs needs a time_budget")
         return spec
@@ -229,13 +243,18 @@ class TargetSpec:
     def from_config(cls, raw: dict) -> "TargetSpec":
         _check_keys(raw, ("ccdf", "degree_density", "labels", "edge_labels",
                           "assortativity", "clustering"), "targets")
+        for key, value in raw.items():
+            if (not isinstance(value, bool if key in _TARGET_FLAGS else (list, tuple))
+                    or ("labels" in key and not all(isinstance(x, str) for x in value))):
+                raise ConfigError(f"targets: {key} has the wrong type: {value!r}")
         spec = cls(
-            ccdf=bool(raw.get("ccdf", False)),
-            degree_density=tuple(int(k) for k in raw.get("degree_density", ())),
+            ccdf=raw.get("ccdf", False),
+            degree_density=tuple(_as_int(k, "targets: degree_density entry")
+                                 for k in raw.get("degree_density", ())),
             labels=tuple(raw.get("labels", ())),
             edge_labels=tuple(raw.get("edge_labels", ())),
-            assortativity=bool(raw.get("assortativity", False)),
-            clustering=bool(raw.get("clustering", False)),
+            assortativity=raw.get("assortativity", False),
+            clustering=raw.get("clustering", False),
         )
         if not spec.oracle_targets():
             raise ConfigError("targets: nothing to estimate")
@@ -294,25 +313,30 @@ class ExperimentConfig:
         for key in ("graph", "methods", "budget", "targets"):
             if key not in raw:
                 raise ConfigError(f"config: missing required key {key!r}")
+        if not (isinstance(raw["graph"], dict) and isinstance(raw["targets"], dict)
+                and isinstance(raw["methods"], list)
+                and all(isinstance(m, dict) for m in raw["methods"])):
+            raise ConfigError("config: graph and targets must be objects, methods a list of them")
         graph_raw = dict(raw["graph"])
         kind = graph_raw.get("kind")
-        if kind == "ba":
-            _check_keys(graph_raw, ("kind", "n", "attach", "seed"), "graph")
-        elif kind == "gab":
-            _check_keys(graph_raw, ("kind", "n_each", "attach_a", "attach_b", "seed"), "graph")
-        elif kind == "file":
-            _check_keys(graph_raw, ("kind", "path", "labels_path"), "graph")
-        else:
+        if kind not in _GRAPH_KEYS:
             raise ConfigError(f"graph: unknown kind {kind!r}")
+        _check_keys(graph_raw, ("kind",) + _GRAPH_KEYS[kind], "graph")
+        if kind != "file":  # generator parameters; only the seed is optional
+            for key in _GRAPH_KEYS[kind]:
+                _as_int(graph_raw.get(key, 0 if key == "seed" else None), f"graph: {key}")
+        elif not (isinstance(graph_raw.get("path"), str)
+                  and isinstance(graph_raw.get("labels_path") or "", str)):
+            raise ConfigError("graph: path and labels_path must be strings")
         methods = tuple(MethodSpec.from_config(m, f"methods[{i}]")
                         for i, m in enumerate(raw["methods"]))
         if not methods:
             raise ConfigError("config: methods list is empty")
         targets = TargetSpec.from_config(dict(raw["targets"]))
-        runs = int(raw.get("runs", 10000))
+        runs = _as_int(raw.get("runs", 10000), "config: runs")
         if runs < 1:
             raise ConfigError("config: runs must be >= 1")
-        burn_in = int(raw.get("burn_in", 0))
+        burn_in = _as_int(raw.get("burn_in", 0), "config: burn_in")
         if burn_in < 0:
             raise ConfigError("config: burn_in must be >= 0")
         mode = raw.get("ccdf_mode", "symmetric")
@@ -325,7 +349,7 @@ class ExperimentConfig:
                 f"targets needing sampled edges are incompatible with {vertex_only}")
         return cls(graph=graph_raw, methods=methods, budget=raw["budget"],
                    targets=targets, runs=runs, burn_in=burn_in,
-                   seed=int(raw.get("seed", 0)), ccdf_mode=mode)
+                   seed=_as_int(raw.get("seed", 0), "config: seed"), ccdf_mode=mode)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -387,6 +411,9 @@ def _check_labels(targets: TargetSpec, labels: LabelStore | None) -> None:
     unknown = sorted(set(wanted) - set(labels.label_names)) if wanted else []
     if unknown:
         raise ConfigError(f"unknown label target(s) {unknown}")
+    if targets.edge_labels and not any(True for _ in labels.labeled_edges()):
+        raise ConfigError("edge label targets need edge labels; a labels file "
+                          "carries only vertex labels")
 
 
 def _estimate_targets(trace: SampleTrace, graph: Graph, labels: LabelStore | None,
@@ -769,19 +796,14 @@ def convergence_diagnostic(graph: Graph, method: str, budget: float, runs: int,
     sim_m = m if method == "fs" else 1
 
     gen = rng.generator()
-    deg = graph.deg
-    indptr = graph.indptr
-    indices = graph.indices
+    deg, indptr, indices = graph.deg, graph.indptr, graph.indices
     sel_counts = np.zeros(graph.vol_total, dtype=np.int64)
     est_counts = np.zeros(graph.vol_total, dtype=np.int64)
     runs_sel = runs // 2
     done = 0
     while done < runs:
         # blocks never straddle the selection/estimation boundary
-        if done < runs_sel:
-            r = min(block_size, runs_sel - done)
-        else:
-            r = min(block_size, runs - done)
+        r = min(block_size, (runs_sel if done < runs_sel else runs) - done)
         if sim_m == 1:
             pos = start.draw(graph, r, gen)
             for _ in range(steps - 1):
@@ -804,11 +826,8 @@ def convergence_diagnostic(graph: Graph, method: str, budget: float, runs: int,
                 pos[rows, j] = indices[nxt_eid]
                 if k == steps - 1:
                     eid = nxt_eid
-        binc = np.bincount(eid, minlength=graph.vol_total)
-        if done < runs_sel:
-            sel_counts += binc
-        else:
-            est_counts += binc
+        counts = sel_counts if done < runs_sel else est_counts
+        counts += np.bincount(eid, minlength=graph.vol_total)
         done += r
 
     amin = int(sel_counts.argmin())

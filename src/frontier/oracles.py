@@ -21,7 +21,8 @@ import scipy.sparse as sp
 from scipy import stats
 
 from .errors import StationarityError, UndefinedEstimateError
-from .graphs import Graph, LabelStore, connected_components, is_bipartite
+from .graphs import (Graph, LabelStore, _edge_support, _neighbor_blocks, connected_components,
+                     is_bipartite)
 
 __all__ = [
     "exact_vertex_label_density",
@@ -63,14 +64,8 @@ def exact_vertex_label_density(graph: Graph, labels: LabelStore, label: str) -> 
 def exact_edge_label_density(graph: Graph, labels: LabelStore, label: str) -> float:
     """Fraction of labeled directed edges (in the symmetric closure) carrying ``label``."""
     lid = labels.label_id(label)
-    total = 0
-    hits = 0
-    for (u, v), ls in labels.labeled_edges():
-        if not graph.has_edge(u, v):
-            continue
-        total += 1
-        if lid in ls:
-            hits += 1
+    present = [lid in ls for edge, ls in labels.labeled_edges() if graph.has_edge(*edge)]
+    total, hits = len(present), sum(present)
     if total == 0:
         raise UndefinedEstimateError("no labeled edges in graph", code="no_labeled_edges")
     return hits / total
@@ -89,10 +84,7 @@ def exact_degree_ccdf(graph: Graph, mode: str = "symmetric") -> dict[int, float]
     counts = np.bincount(degs)
     tail = counts[::-1].cumsum()[::-1]  # tail[l] = #vertices with degree >= l
     n = graph.n_vertices
-    out = {}
-    for l in range(counts.size):
-        out[l] = float(tail[l + 1]) / n if l + 1 < tail.size else 0.0
-    return out
+    return {l: float(tail[l + 1]) / n if l + 1 < tail.size else 0.0 for l in range(counts.size)}
 
 
 def _degree_pairs(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -151,16 +143,6 @@ def exact_assortativity(graph: Graph) -> float:
     return assortativity_from_joint(exact_degree_pair_joint(graph))
 
 
-def _shared_neighbors(graph: Graph, u: int, v: int) -> int:
-    a = graph.neighbors(u)
-    b = graph.neighbors(v)
-    if a.size > b.size:
-        a, b = b, a
-    pos = np.searchsorted(b, a)
-    ok = pos < b.size
-    return int(np.count_nonzero(b[pos[ok]] == a[ok]))
-
-
 def triangle_counts(graph: Graph) -> np.ndarray:
     """Number of triangles through each vertex.
 
@@ -168,13 +150,12 @@ def triangle_counts(graph: Graph) -> np.ndarray:
     endpoints; every triangle at v is then counted twice (once per
     incident edge of the triangle), hence the final halving.
     """
-    acc = np.zeros(graph.n_vertices, dtype=np.int64)
-    pairs = np.unique(np.sort(graph.directed_edges, axis=1), axis=0)
-    for u, v in pairs.tolist():
-        f = _shared_neighbors(graph, u, v)
-        if f:
-            acc[u] += f
-            acc[v] += f
+    n = graph.n_vertices
+    src = np.repeat(np.arange(n), graph.deg)
+    fwd = src < graph.indices
+    u, v = src[fwd], graph.indices[fwd]
+    f = _edge_support(graph, u, v)
+    acc = (np.bincount(u, f, n) + np.bincount(v, f, n)).astype(np.int64)
     assert (acc % 2 == 0).all()
     return acc // 2
 
@@ -242,12 +223,8 @@ class PowerChain:
     @cached_property
     def state_digits(self) -> np.ndarray:
         """(n_states, m) array of state tuples."""
-        idx = np.arange(self.n_states, dtype=np.int64)
-        cols = []
-        for _ in range(self.m):
-            cols.append(idx % self.n_vertices)
-            idx = idx // self.n_vertices
-        return np.column_stack(list(reversed(cols)))
+        return np.column_stack(np.unravel_index(np.arange(self.n_states, dtype=np.int64),
+                                                (self.n_vertices,) * self.m))
 
     def subset_count_marginal(self, member: np.ndarray) -> np.ndarray:
         """Stationary pmf of the number of coordinates inside a vertex subset."""
@@ -278,33 +255,17 @@ def enumerate_power_chain(graph: Graph, m: int, state_cap: int = 10 ** 6,
         raise ValueError(f"state space {n}^{m} exceeds cap {state_cap}")
 
     idx = np.arange(n_states, dtype=np.int64)
-    digits = []
-    rem = idx.copy()
-    for _ in range(m):
-        digits.append(rem % n)
-        rem //= n
-    digits = list(reversed(digits))  # digits[i]: vertex of coordinate i per state
-
+    digits = np.unravel_index(idx, (n,) * m)  # digits[i]: vertex of coordinate i per state
     deg = graph.deg.astype(np.int64)
-    esize = np.zeros(n_states, dtype=np.int64)
-    for i in range(m):
-        esize += deg[digits[i]]
+    esize = sum(deg[d] for d in digits)
 
     rows_all = []
     cols_all = []
     strides = [n ** (m - 1 - i) for i in range(m)]
     for i in range(m):
-        src = digits[i]
-        counts = deg[src]
-        rows = np.repeat(idx, counts)
-        # flat gather of each source vertex's neighbor block
-        starts = graph.indptr[src]
-        offsets = np.arange(counts.sum(), dtype=np.int64) - np.repeat(
-            np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-        targets = graph.indices[np.repeat(starts, counts) + offsets]
-        cols = rows + (targets - np.repeat(src, counts)) * strides[i]
+        rows, targets = _neighbor_blocks(graph, digits[i])  # states are 0..n_states-1
         rows_all.append(rows)
-        cols_all.append(cols)
+        cols_all.append(rows + (targets - digits[i][rows]) * strides[i])
     rows = np.concatenate(rows_all)
     cols = np.concatenate(cols_all)
     data = 1.0 / esize[rows]
@@ -334,12 +295,8 @@ def power_chain_stationary(graph: Graph, m: int) -> np.ndarray:
     """
     _require_stationary(graph, "product-chain stationary vector")
     n = graph.n_vertices
-    idx = np.arange(n ** m, dtype=np.int64)
-    total = np.zeros(n ** m, dtype=np.int64)
-    rem = idx.copy()
-    for _ in range(m):
-        total += graph.deg[rem % n]
-        rem //= n
+    digits = np.unravel_index(np.arange(n ** m, dtype=np.int64), (n,) * m)
+    total = sum(graph.deg[d] for d in digits)
     return total / (m * n ** (m - 1) * graph.vol_total)
 
 

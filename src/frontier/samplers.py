@@ -531,7 +531,8 @@ def _check_trace(trace: SampleTrace, graph: Graph) -> None:
 
     Every ``v`` is a vertex; ``u`` is either all -1 (a vertex-only trace)
     or makes each ``(u, v)`` an edge of the symmetric closure; every
-    walker id is below ``m``.
+    walker id is below ``m``; event times (``dfs``) are finite and
+    non-decreasing.
     """
     if trace.graph_hash and trace.graph_hash != graph.graph_hash:
         raise ConfigError(
@@ -550,6 +551,9 @@ def _check_trace(trace: SampleTrace, graph: Graph) -> None:
     if trace.walker.size and (int(trace.walker.min()) < 0
                               or int(trace.walker.max()) >= trace.m):
         raise ConfigError(f"trace walker ids must lie in [0, m={trace.m})")
+    if trace.time is not None and not (np.isfinite(trace.time).all()
+                                       and (np.diff(trace.time) >= 0).all()):
+        raise ConfigError("trace time column must be finite and non-decreasing")
 
 
 def _parse_meta_value(text: str):

@@ -377,6 +377,7 @@ def gab_runs():
                 cnmse=cnmse_bins, elapsed=time.time() - t0)
 
 
+@pytest.mark.slow
 def test_criterion_08_two_community_theta10(gab_runs):
     t0 = time.time()
     exact = [gab_runs["theta"][10]]
@@ -422,6 +423,7 @@ def test_criterion_09_ccdf_error_orderings(gab_runs):
                0.5 <= lo and hi <= 2.0)])
 
 
+@pytest.mark.slow
 def test_criterion_10_final_edge_convergence():
     t0 = time.time()
     g = generate_barabasi_albert(500, 2, seed=3)

@@ -348,3 +348,62 @@ def test_experiment_rw_budget_follows_sampler(tmp_path, graph_file):
     assert _experiment(tmp_path, graph={"kind": "file", "path": graph_file},
                        methods=[{"name": "rw"}], budget=1.5,
                        targets={"degree_density": [2]}, runs=3) == 0
+
+
+@pytest.mark.parametrize("change", [
+    {"methods": [{"name": "fs", "m": "x"}]},
+    {"methods": [{"name": "dfs", "m": 2, "time_budget": "5"}]},
+    {"runs": "many"},
+    {"burn_in": 1.5},
+    {"seed": None},
+    {"targets": {"degree_density": ["a"]}},
+], ids=["m_string", "time_budget_string", "runs_string", "burn_in_float", "seed_null",
+        "degree_density_string"])
+def test_experiment_wrong_value_type_exit_2(tmp_path, capsys, change):
+    cfg = dict(graph={"kind": "ba", "n": 80, "attach": 2, "seed": 3},
+               methods=[{"name": "fs", "m": 2}], budget=40, targets={"ccdf": True}, runs=2)
+    cfg.update(change)
+    assert _experiment(tmp_path, **cfg) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and next(iter(change)) in err["message"]
+
+
+def test_experiment_edge_labels_on_labels_file_exit_2(tmp_path, graph_file, capsys):
+    labels = str(tmp_path / "labels.txt")
+    open(labels, "w").write("0 red\n1 red\n")
+    assert _experiment(
+        tmp_path, graph={"kind": "file", "path": graph_file, "labels_path": labels},
+        methods=[{"name": "fs", "m": 2}], budget=20, targets={"edge_labels": ["red"]},
+        runs=2) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "only vertex labels" in err["message"]
+
+
+@pytest.mark.parametrize("bad_time", ["nan", "inf", "decreasing"])
+def test_estimate_rejects_bad_dfs_times(tmp_path, graph_file, capsys, bad_time):
+    trace = str(tmp_path / "dfs.csv")
+    assert run("sample", "dfs", "--graph", graph_file, "--m", "3", "--time-budget", "20",
+               "--seed", "2", "--out", trace) == 0
+    assert run("estimate", "--graph", graph_file, "--trace", trace,
+               "--targets", "ccdf", "--out", "-") == 0
+    capsys.readouterr()
+    lines = open(trace).read().splitlines()
+    data = [i for i, line in enumerate(lines) if line and line[0].isdigit()]
+    assert len(data) >= 3
+    fields = lines[data[1]].split(",")
+    fields[5] = bad_time if bad_time != "decreasing" else "-1.0"
+    lines[data[1]] = ",".join(fields)
+    open(trace, "w").write("\n".join(lines) + "\n")
+    assert run("estimate", "--graph", graph_file, "--trace", trace,
+               "--targets", "ccdf", "--out", "-") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "time" in err["message"]
+
+
+def test_estimate_edge_label_with_labels_file_exit_2(tmp_path, graph_file, trace_file, capsys):
+    labels = str(tmp_path / "labels.txt")
+    open(labels, "w").write("0 red\n1 red\n")
+    assert run("estimate", "--graph", graph_file, "--trace", trace_file,
+               "--targets", "edge-label=red", "--labels-file", labels) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "only vertex labels" in err["message"]

@@ -1,11 +1,17 @@
+import hashlib
 import io
+import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frontier import graphs
 from frontier.errors import GraphFormatError
+from frontier.estimators import estimate_global_clustering
 from frontier.graphs import (
+    Graph,
     build_graph,
     connected_components,
     degree_labels,
@@ -13,11 +19,14 @@ from frontier.graphs import (
     generate_joined_ba,
     is_bipartite,
     load_graph,
+    parse_edge_list,
     parse_vertex_labels,
     restrict_to_lcc,
     write_edge_list,
     LabelStore,
 )
+from frontier.oracles import triangle_counts
+from frontier.samplers import SampleTrace
 
 
 # -- parsing ---------------------------------------------------------------
@@ -276,3 +285,203 @@ def test_write_parse_round_trip(pairs):
     write_edge_list(g, buf)
     g2 = load_graph(buf.getvalue())
     assert g2.graph_hash == g.graph_hash
+
+
+# -- the graph layer against the sort-per-step reference ----------------------
+#
+# The references below keep the former implementation: a Python line loop
+# for parsing, np.unique(axis=0) for dedup and the closure, lexsort for the
+# canonical order, and set intersections for shared neighbours.
+
+
+def _ref_parse_lines(text):
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {lineno}: expected 'u v', got {raw!r}", lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: non-integer vertex id in {raw!r}", lineno)
+        if u < 0 or v < 0:
+            raise GraphFormatError(f"line {lineno}: negative vertex id in {raw!r}", lineno)
+        pairs.append((u, v))
+    if not pairs:
+        raise GraphFormatError("no edges found in input")
+    arr = np.asarray(pairs, dtype=np.int64)
+    original_ids = np.unique(arr)
+    return np.searchsorted(original_ids, arr), original_ids
+
+
+def _ref_graph(text):
+    """(directed_edges, indptr, indices, graph_hash, canonical_text) of the
+    former build, or None where it rejects the input."""
+    dense, _ = _ref_parse_lines(text)
+    arr = dense[dense[:, 0] != dense[:, 1]]
+    if arr.shape[0] == 0:
+        return None
+    arr = np.unique(arr, axis=0)
+    n = int(arr.max()) + 1
+    sym = np.unique(np.concatenate([arr, arr[:, ::-1]]), axis=0)
+    counts = np.bincount(sym[:, 0], minlength=n)
+    if (counts == 0).any():
+        return None
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    canon = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+    h = hashlib.sha256()
+    h.update(str(n).encode())
+    h.update(b"\x00")
+    h.update(np.ascontiguousarray(canon, dtype="<i8").tobytes())
+    text_out = "".join(f"{u} {v}\n" for u, v in canon.tolist())
+    return arr, indptr, sym[:, 1].astype(np.int64), h.hexdigest(), text_out
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """Small edge lists with duplicates, self-loops, one-way edges, sparse
+    ids, comment and blank lines, mixed separators and line ends."""
+    ids = draw(st.lists(st.integers(0, 10 ** 12), min_size=2, max_size=7, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                          min_size=1, max_size=30))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=5))  # duplicates
+    sep = st.sampled_from([" ", "  ", "\t", " \t"])
+    pad = st.sampled_from(["", " ", "\t"])
+    lines = [f"{draw(pad)}{u}{draw(sep)}{v}{draw(pad)}" for u, v in pairs]
+    for _ in range(draw(st.integers(0, 4))):
+        extra = draw(st.sampled_from(["", "   ", "# comment", "  # 1 2", "#"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_list_texts())
+def test_graph_layer_matches_reference(text):
+    ref = _ref_graph(text)
+    if ref is None:
+        with pytest.raises(GraphFormatError):
+            load_graph(text)
+        return
+    g = load_graph(text)
+    edges, indptr, indices, digest, canon = ref
+    assert g.directed_edges.dtype == np.int64 and g.indices.dtype == np.int64
+    assert np.array_equal(g.directed_edges, edges)
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices)
+    assert g.graph_hash == digest
+    assert g.canonical_text() == canon
+    assert np.array_equal(g.original_ids, _ref_parse_lines(text)[1])
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    assert buf.getvalue() == canon
+
+
+@settings(max_examples=100, deadline=None)
+@given(_edge_list_texts(), st.sampled_from([1, 3, 1 << 18]))
+def test_triangles_and_supports_match_set_intersection(text, chunk):
+    try:
+        g = load_graph(text)
+    except GraphFormatError:
+        return
+    nbrs = [set(g.neighbors(v).tolist()) for v in range(g.n_vertices)]
+    tri = [sum(1 for a, b in itertools.combinations(sorted(nbrs[v]), 2) if b in nbrs[a])
+           for v in range(g.n_vertices)]
+    u = np.repeat(np.arange(g.n_vertices), g.deg)
+    v = g.indices
+    shared = [len(nbrs[a] & nbrs[b]) for a, b in zip(u.tolist(), v.tolist())]
+    deg = g.deg[v]
+    active = deg >= 2
+    with mock.patch.object(graphs, "_SUPPORT_CHUNK", chunk):
+        assert triangle_counts(g).tolist() == tri
+        assert graphs._edge_support(g, u, v).tolist() == shared
+        if not active.any():
+            return
+        est = estimate_global_clustering(_closure_trace(g), g)
+    terms = np.zeros(v.size)
+    terms[active] = np.asarray(shared)[active] / (deg[active] * (deg[active] - 1.0))
+    assert est.c_hat == pytest.approx(terms.sum() / (1.0 / deg[active]).sum(), rel=1e-12)
+
+
+def _closure_trace(g):
+    u = np.repeat(np.arange(g.n_vertices, dtype=np.int64), g.deg)
+    n = u.size
+    return SampleTrace(method="fs", m=1, budget=float(n), spent=float(n),
+                       start_vertices=u[:1].copy(), u=u, v=g.indices.copy(),
+                       walker=np.zeros(n, dtype=np.int32), cost=np.ones(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_list_texts(), st.data())
+def test_corrupted_line_reported_like_line_parser(text, data):
+    lines = text.splitlines()
+    edge_lines = [i for i, line in enumerate(lines)
+                  if line.strip() and not line.strip().startswith("#")]
+    i = data.draw(st.sampled_from(edge_lines))
+    u, v = lines[i].split()
+    lines[i] = data.draw(st.sampled_from([
+        f"{u} {v} {u}", f"{u}", f"{u} x{v}", f"{u} -{int(v) + 1}", f"-1 {v}", f"{u} {v} # note",
+        f"{u} {v}#"]))
+    bad = "\n".join(lines) + "\n"
+    with pytest.raises(GraphFormatError) as want:
+        _ref_parse_lines(bad)
+    with pytest.raises(GraphFormatError) as got:
+        parse_edge_list(bad)
+    assert got.value.line_number == want.value.line_number == i + 1
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("text", [
+    "1\x0b2\n", "1\x0c2\n", "0 1\x1c1 2\n", "0 1\r1 2\r", "0 1 2 0\n",
+    "٣ 4\n", "1_0 2\n", "0 1\n\x00\n",
+])
+def test_parse_unusual_text_matches_line_parser(text):
+    try:
+        want = _ref_parse_lines(text)
+    except GraphFormatError as exc:
+        with pytest.raises(GraphFormatError) as got:
+            parse_edge_list(text)
+        assert (got.value.line_number, str(got.value)) == (exc.line_number, str(exc))
+        return
+    got = parse_edge_list(text)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_graph_requires_sorted_unique_edges():
+    with pytest.raises(ValueError):
+        Graph(np.asarray([[1, 0], [0, 1]]), 2)
+    with pytest.raises(ValueError):
+        Graph(np.asarray([[0, 1], [0, 1], [1, 0]]), 2)
+
+
+def test_build_graph_rejects_negative_ids():
+    with pytest.raises(GraphFormatError):
+        build_graph(np.asarray([[0, 1], [1, -1]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_list_texts())
+def test_components_and_bipartiteness_match_bfs(text):
+    try:
+        g = load_graph(text)
+    except GraphFormatError:
+        return
+    cid = [-1] * g.n_vertices
+    color = [-1] * g.n_vertices
+    bipartite = True
+    for root in range(g.n_vertices):  # roots in id order number components
+        if cid[root] >= 0:
+            continue
+        comp = max(cid) + 1
+        cid[root], color[root], queue = comp, 0, [root]
+        while queue:
+            x = queue.pop()
+            for y in g.neighbors(x).tolist():
+                bipartite &= color[y] != color[x]
+                if cid[y] < 0:
+                    cid[y], color[y] = comp, 1 - color[x]
+                    queue.append(y)
+    assert connected_components(g).component_id.tolist() == cid
+    assert is_bipartite(g) == bipartite

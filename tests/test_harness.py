@@ -386,3 +386,34 @@ def test_worker_pool_under_spawn():
     serial, pooled = json.loads(proc.stdout)
     assert "fs[m=3],gamma," in serial
     assert pooled == serial
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"methods": [{"name": "fs", "m": "x"}]}, "m"),
+    ({"methods": [{"name": "fs", "m": True}]}, "m"),
+    ({"methods": [{"name": "fs", "m": 2.5}]}, "m"),
+    ({"methods": [{"name": "dfs", "m": 2, "time_budget": "5"}]}, "time_budget"),
+    ({"methods": [{"name": "dfs", "m": 2, "time_budget": float("inf")}]}, "time_budget"),
+    ({"runs": "many"}, "runs"),
+    ({"burn_in": 1.5}, "burn_in"),
+    ({"seed": None}, "seed"),
+    ({"targets": {"degree_density": ["a"]}}, "degree_density"),
+    ({"targets": {"degree_density": 3}}, "degree_density"),
+    ({"targets": {"labels": "red"}}, "labels"),
+    ({"targets": {"ccdf": "yes"}}, "ccdf"),
+    ({"graph": {"kind": "ba", "n": "60", "attach": 2}}, "n"),
+    ({"graph": {"kind": "gab", "n_each": 60, "attach_a": 1}}, "attach_b"),
+    ({"graph": {"kind": "file", "path": 3}}, "path"),
+    ({"methods": {"name": "fs"}}, "methods"),
+    ({"targets": ["ccdf"]}, "targets"),
+])
+def test_config_rejects_wrong_value_types(overrides, key):
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_dict(_base_config(**overrides))
+
+
+def test_config_accepts_integral_floats():
+    cfg = ExperimentConfig.from_dict(_base_config(
+        methods=[{"name": "fs", "m": 3.0}], runs=4.0, burn_in=0.0, seed=5.0))
+    assert (cfg.methods[0].m, cfg.runs, cfg.burn_in, cfg.seed) == (3, 4, 0, 5)
+    assert all(type(x) is int for x in (cfg.methods[0].m, cfg.runs, cfg.burn_in, cfg.seed))
