@@ -249,6 +249,9 @@ _LOADTXT_UNSAFE = re.compile(r"[^\t\n\r -~]")
 _INLINE_COMMENT = re.compile(r"^[^\S\n]*[^#\s][^\n]*#", re.M)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _loadtxt_edges(text: str) -> np.ndarray | None:
     """Edge array of a plain edge list parsed in C; None for any other input."""
     if _LOADTXT_UNSAFE.search(text) or ("#" in text and _INLINE_COMMENT.search(text)):
@@ -288,6 +291,9 @@ def parse_edge_list(source: "str | bytes | IO") -> tuple[np.ndarray, np.ndarray]
                 raise GraphFormatError(f"line {lineno}: non-integer vertex id in {raw!r}", lineno)
             if u < 0 or v < 0:
                 raise GraphFormatError(f"line {lineno}: negative vertex id in {raw!r}", lineno)
+            if max(u, v) > _INT64_MAX:
+                raise GraphFormatError(
+                    f"line {lineno}: vertex id above {_INT64_MAX} in {raw!r}", lineno)
             pairs.append((u, v))
         if not pairs:
             raise GraphFormatError("no edges found in input")

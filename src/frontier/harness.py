@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -54,6 +55,9 @@ from .samplers import (
     CostModel,
     SampleTrace,
     StartMode,
+    _fs_batch,
+    _mrw_batch,
+    _rw_batch,
     _walk_steps,
     discard_burn_in,
     distributed_fs,
@@ -109,16 +113,29 @@ def nmse(truth: dict, runs: Sequence[dict]) -> tuple[dict, list[str]]:
     """
     if len(runs) < 1:
         raise ValueError("need at least one run")
-    out: dict = {}
-    warnings: list[str] = []
-    for key in truth:
-        t = truth[key]
-        if t <= 0:
-            warnings.append(f"label {key}: zero truth value, NMSE omitted")
-            continue
-        vals = np.asarray([r.get(key, 0.0) for r in runs], dtype=np.float64)
-        out[key] = float(np.sqrt(np.mean((vals - t) ** 2)) / t)
+    vals = np.asarray([[r.get(key, 0.0) for r in runs] for key in truth],
+                      dtype=np.float64).reshape(len(truth), len(runs))
+    out, _, warnings = _key_errors(truth, vals)
     return out, warnings
+
+
+def _key_errors(truth: dict, vals: np.ndarray) -> tuple[dict, dict, list[str]]:
+    """NMSE and mean over runs of each key with a positive truth.
+
+    ``vals`` holds one C-contiguous row of run values per truth key, in
+    truth order.  Reducing it along its last axis sums each row exactly as
+    ``np.mean`` of that row alone does, so the figures do not depend on
+    how many keys share the matrix.
+    """
+    t = np.fromiter(truth.values(), dtype=np.float64, count=len(truth))
+    ok = ~(t <= 0)
+    warnings = [f"label {key}: zero truth value, NMSE omitted"
+                for key, good in zip(truth, ok) if not good]
+    keys = [key for key, good in zip(truth, ok) if good]
+    t, vals = t[ok], vals[ok]
+    err = np.sqrt(((vals - t[:, None]) ** 2).mean(axis=1)) / t
+    return (dict(zip(keys, err.tolist())), dict(zip(keys, vals.mean(axis=1).tolist())),
+            warnings)
 
 
 def cnmse(truth_gamma: dict, runs_gamma: Sequence[dict]) -> tuple[dict, list[str]]:
@@ -398,6 +415,18 @@ def _sample(graph: Graph, method: MethodSpec, budget: float, rng: RngStream):
     raise ConfigError(f"unknown method {method.name!r}")
 
 
+def _sample_runs(graph: Graph, method: MethodSpec, budget: float, rngs: list[RngStream]):
+    """Traces of the runs with streams ``rngs``, in order: each the trace
+    :func:`_sample` gives for its stream; walk runs are stepped in lockstep."""
+    if method.name == "rw":
+        return _rw_batch(graph, method.start, budget, method.cost, rngs)
+    if method.name == "mrw":
+        return _mrw_batch(graph, method.m, method.start, budget, method.cost, rngs)
+    if method.name == "fs":
+        return _fs_batch(graph, method.m, method.start, budget, method.cost, rngs)
+    return (_sample(graph, method, budget, rng) for rng in rngs)
+
+
 def _burn_in(trace: SampleTrace, w: int) -> SampleTrace:
     """Drop each walker's first ``w`` steps of a walk trace; independent
     samples have no transient and pass through."""
@@ -467,28 +496,45 @@ def _estimate_targets(trace: SampleTrace, graph: Graph, labels: LabelStore | Non
 def _estimate_one_run(graph: Graph, labels: LabelStore | None, cfg: ExperimentConfig,
                       method: MethodSpec, budget: float, run_idx: int,
                       method_idx: int) -> dict:
+    """Replay of one run of an experiment on its own."""
     rng = RngStream(cfg.seed).child(method_idx, run_idx)
     trace = _burn_in(_sample(graph, method, budget, rng), cfg.burn_in)
     return _estimate_targets(trace, graph, labels, cfg.targets, cfg.ccdf_mode)
 
 
-# what every run in a pool worker process shares; set there by _init_worker
+def _project(est: dict, families: Sequence[tuple[str, tuple]], targets: TargetSpec):
+    """One run's estimates as one float row per density family, over the
+    family's truth keys, plus the p_edge, r and C values (None if undefined)."""
+    rows = [np.fromiter(map(est[name].get, keys, itertools.repeat(0.0)), dtype=np.float64,
+                        count=len(keys)) for name, keys in families]
+    scalars = [est["p_edge"][name] for name in targets.edge_labels]
+    scalars += [est[kind] for kind, on in (("r", targets.assortativity),
+                                           ("C", targets.clustering)) if on]
+    return rows, scalars
+
+
+# what every chunk in a pool worker process shares; set there by _init_worker
 _worker_state: tuple = ()
 
 
-def _init_worker(graph: Graph, labels: LabelStore | None, cfg: ExperimentConfig,
-                 budget: float) -> None:
+def _init_worker(*state) -> None:
     global _worker_state
-    _worker_state = (graph, labels, cfg, budget)
+    _worker_state = state
 
 
-def _worker_chunk(args) -> list:
-    method_idx, run_indices = args
-    graph, labels, cfg, budget = _worker_state
-    method = cfg.methods[method_idx]
-    return [(method_idx, i,
-             _estimate_one_run(graph, labels, cfg, method, budget, i, method_idx))
-            for i in run_indices]
+def _run_chunk(task, state: tuple = ()) -> list:
+    """Sample and estimate the runs ``task = (method index, run indices)`` in
+    one batch; each run projected as by :func:`_project`.  ``state`` is
+    ``(graph, labels, config, budget, families)``, a pool worker's own by
+    default."""
+    method_idx, run_indices = task
+    graph, labels, cfg, budget, families = state or _worker_state
+    root = RngStream(cfg.seed)
+    traces = _sample_runs(graph, cfg.methods[method_idx], budget,
+                          [root.child(method_idx, i) for i in run_indices])
+    return [_project(_estimate_targets(_burn_in(trace, cfg.burn_in), graph, labels,
+                                       cfg.targets, cfg.ccdf_mode), families, cfg.targets)
+            for trace in traces]
 
 
 # -- report -------------------------------------------------------------------
@@ -614,20 +660,36 @@ def _check_feasible(graph: Graph, method: MethodSpec, budget: float) -> None:
         raise ConfigError(f"budget {budget} infeasible for method {method.key}")
 
 
-def _density_rows(method_key: str, kind: str, tag: str, truth: dict, runs: list[dict],
+def _families(truth: CharacteristicTruth, t: TargetSpec) -> list[tuple]:
+    """``(estimate key, kind, tag, truth dict, report keys, label format)`` of
+    each requested density family, in report order."""
+    out = []
+    if t.ccdf:
+        out.append(("gamma", "gamma", "gamma", truth.gamma, sorted(truth.gamma), "{}"))
+    if t.degree_density:
+        out.append(("theta_degree", "theta", "theta",
+                    {k: truth.theta.get(f"degree={k}", 0.0) for k in t.degree_density},
+                    t.degree_density, "degree={}"))
+    if t.labels:
+        out.append(("theta_label", "theta", "labels",
+                    {name: truth.theta.get(name, 0.0) for name in t.labels}, t.labels, "{}"))
+    return out
+
+
+def _density_rows(method_key: str, kind: str, tag: str, truth: dict, vals: np.ndarray,
                   keys: Sequence, label_fmt: str, warnings: list[str]) -> list[ReportRow]:
     """Report rows of one density family (``gamma`` scores as CNMSE, ``theta``
-    as NMSE); zero-truth keys get a warning instead of a row."""
-    err, warn = nmse(truth, runs)
+    as NMSE) from its truth keys × runs matrix; zero-truth keys get a
+    warning instead of a row."""
+    err, means, warn = _key_errors(truth, vals)
     warnings.extend(f"{method_key}/{tag}: {w}" for w in warn)
     rows = []
     for k in keys:
         if truth[k] <= 0:
             continue
-        mean = float(np.asarray([r.get(k, 0.0) for r in runs]).mean())
         nm, cn = (None, err[k]) if kind == "gamma" else (err[k], None)
-        rows.append(ReportRow(method_key, kind, label_fmt.format(k), truth[k], mean,
-                              mean / truth[k] - 1.0, nm, cn, len(runs)))
+        rows.append(ReportRow(method_key, kind, label_fmt.format(k), truth[k], means[k],
+                              means[k] / truth[k] - 1.0, nm, cn, vals.shape[1]))
     return rows
 
 
@@ -639,6 +701,8 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
 
     Per-run estimates are deterministic in (seed, method index, run
     index); the worker count only changes scheduling, never results.
+    Each task samples a chunk of runs of one method in one batch and keeps
+    per run only its projection onto the truth's keys.
     """
     if graph is None:
         graph, labels = config.resolve_graph()
@@ -650,65 +714,60 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
     warnings: list[str] = []
     truth = _load_truth(graph, labels, config, truth_cache_dir, warnings)
 
-    results: list[list[dict | None]] = [[None] * config.runs for _ in config.methods]
+    t = config.targets
+    families = _families(truth, t)
+    n_scalars = len(t.edge_labels) + t.assortativity + t.clustering
+    # per method: one truth keys x runs matrix per family, one list per scalar
+    dens = [[np.empty((len(truth_f), config.runs)) for _, _, _, truth_f, _, _ in families]
+            for _ in config.methods]
+    scalars = [[[None] * config.runs for _ in range(n_scalars)] for _ in config.methods]
     tasks = []
     chunk = max(1, config.runs // max(1, workers * 8))
     for mi in range(len(config.methods)):
         for lo in range(0, config.runs, chunk):
             tasks.append((mi, range(lo, min(lo + chunk, config.runs))))
+
+    def collect(parts) -> None:
+        for (mi, run_indices), part in zip(tasks, parts):
+            for ri, (run_rows, run_scalars) in zip(run_indices, part):
+                for mat, row in zip(dens[mi], run_rows):
+                    mat[:, ri] = row
+                for values, x in zip(scalars[mi], run_scalars):
+                    values[ri] = x
+
+    state = (graph, labels, config, budget,
+             [(name, tuple(truth_f)) for name, _, _, truth_f, _, _ in families])
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker,
-                initargs=(graph, labels, config, budget)) as pool:
-            for part in pool.map(_worker_chunk, tasks):
-                for mi, ri, est in part:
-                    results[mi][ri] = est
+                max_workers=workers, initializer=_init_worker, initargs=state) as pool:
+            collect(pool.map(_run_chunk, tasks))
     else:
-        for mi, runs in tasks:
-            method = config.methods[mi]
-            for ri in runs:
-                results[mi][ri] = _estimate_one_run(
-                    graph, labels, config, method, budget, ri, mi)
+        collect(_run_chunk(task, state) for task in tasks)
 
     rows: list[ReportRow] = []
-    t = config.targets
     for mi, method in enumerate(config.methods):
-        runs = results[mi]
-        if t.ccdf:
-            rows += _density_rows(method.key, "gamma", "gamma", truth.gamma,
-                                  [r.get("gamma", {}) for r in runs], sorted(truth.gamma),
-                                  "{}", warnings)
-        if t.degree_density:
-            rows += _density_rows(method.key, "theta", "theta",
-                                  {k: truth.theta.get(f"degree={k}", 0.0)
-                                   for k in t.degree_density},
-                                  [r.get("theta_degree", {}) for r in runs],
-                                  t.degree_density, "degree={}", warnings)
-        if t.labels:
-            rows += _density_rows(method.key, "theta", "labels",
-                                  {name: truth.theta.get(name, 0.0) for name in t.labels},
-                                  [r.get("theta_label", {}) for r in runs],
-                                  t.labels, "{}", warnings)
-        if t.edge_labels:
-            for name in t.edge_labels:
-                truth_p = truth.p_edge.get(name, 0.0)
-                vals = [r.get("p_edge", {}).get(name) for r in runs]
-                valid = np.asarray([x for x in vals if x is not None])
-                if valid.size < len(vals):
-                    warnings.append(f"{method.key}/p_edge[{name}]: "
-                                    f"{len(vals) - valid.size} runs undefined")
-                if truth_p <= 0 or valid.size == 0:
-                    warnings.append(f"{method.key}/p_edge[{name}]: omitted")
-                    continue
-                mean = float(valid.mean())
-                rows.append(ReportRow(
-                    method.key, "p_edge", name, truth_p, mean, mean / truth_p - 1.0,
-                    float(np.sqrt(np.mean((valid - truth_p) ** 2)) / truth_p),
-                    None, int(valid.size)))
+        for (_, kind, tag, truth_f, keys, fmt), vals in zip(families, dens[mi]):
+            rows += _density_rows(method.key, kind, tag, truth_f, vals, keys, fmt, warnings)
+        scalar_runs = iter(scalars[mi])
+        for name in t.edge_labels:
+            truth_p = truth.p_edge.get(name, 0.0)
+            vals = next(scalar_runs)
+            valid = np.asarray([x for x in vals if x is not None])
+            if valid.size < len(vals):
+                warnings.append(f"{method.key}/p_edge[{name}]: "
+                                f"{len(vals) - valid.size} runs undefined")
+            if truth_p <= 0 or valid.size == 0:
+                warnings.append(f"{method.key}/p_edge[{name}]: omitted")
+                continue
+            mean = float(valid.mean())
+            rows.append(ReportRow(
+                method.key, "p_edge", name, truth_p, mean, mean / truth_p - 1.0,
+                float(np.sqrt(np.mean((valid - truth_p) ** 2)) / truth_p),
+                None, int(valid.size)))
         for kind, truth_val in (("r", truth.r), ("C", truth.clustering)):
             if (kind == "r" and not t.assortativity) or (kind == "C" and not t.clustering):
                 continue
-            vals = [r.get(kind) for r in runs]
+            vals = next(scalar_runs)
             valid = np.asarray([x for x in vals if x is not None], dtype=np.float64)
             if valid.size < len(vals):
                 warnings.append(f"{method.key}/{kind}: "
@@ -883,9 +942,8 @@ def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "
         start = start_mode or StartMode.uniform()
         start_total = 0.0 if start.kind == "explicit" else m * c
         budget = start_total + steps * cost_model.walk_step_cost
-        for run in range(runs):
-            trace = frontier_sampling(graph, m, start, budget, cost_model,
-                                      rng.child(run))
+        for trace in _fs_batch(graph, m, start, budget, cost_model,
+                               [rng.child(run) for run in range(runs)]):
             k0 = int(member[trace.start_vertices].sum())
             occ = k0 + np.cumsum(member[trace.v] - member[trace.u])
             hist += np.bincount(occ, minlength=m + 1)
@@ -893,8 +951,8 @@ def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "
         start = start_mode or StartMode.degree_proportional()
         per_walker = 0.0 if start.kind == "explicit" else c
         budget = m * (per_walker + steps * cost_model.walk_step_cost)
-        for run in range(runs):
-            trace = multiple_rw(graph, m, start, budget, cost_model, rng.child(run))
+        for trace in _mrw_batch(graph, m, start, budget, cost_model,
+                                [rng.child(run) for run in range(runs)]):
             counts = np.bincount(trace.walker, minlength=m)
             if not np.all(counts == counts[0]):
                 raise ConfigError("occupancy study needs equal-length walks; "

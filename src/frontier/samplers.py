@@ -169,8 +169,9 @@ class SampleTrace:
 def _finish(arrs, **kw) -> SampleTrace:
     u, v, walker, cost = arrs
     return SampleTrace(
-        u=np.asarray(u, dtype=np.int64), v=np.asarray(v, dtype=np.int64),
-        walker=np.asarray(walker, dtype=np.int32), cost=np.asarray(cost, dtype=np.float64),
+        u=np.ascontiguousarray(u, dtype=np.int64), v=np.ascontiguousarray(v, dtype=np.int64),
+        walker=np.ascontiguousarray(walker, dtype=np.int32),
+        cost=np.ascontiguousarray(cost, dtype=np.float64),
         **kw)
 
 
@@ -221,19 +222,128 @@ def random_edge_sample(graph: Graph, budget: float, cost_model: CostModel = DEFA
 
 # -- walk cores --------------------------------------------------------------
 
+# Runs stepped together record at most this many steps (lanes times the
+# longest run); more runs are split into consecutive groups.
+_BATCH_STEPS = 1 << 19
+# Below this many lanes a kernel steps each lane in a Python loop: a lockstep
+# step costs a fixed ~15 numpy calls (fs) or ~7 (simple walks), which only
+# pays off from about 3 fs runs or 8 simple walks on.
+_FS_MIN_LANES = 3
+_PATH_MIN_LANES = 8
 
-def _walk_path(graph: Graph, start: int, n_steps: int, gen: np.random.Generator) -> np.ndarray:
-    """Vertex path of a simple random walk, length n_steps + 1."""
+
+def _walk_path(graph: Graph, start: int, r: np.ndarray) -> np.ndarray:
+    """Vertex path of a simple random walk whose step i takes incident edge
+    ``floor(r[i] * deg)`` of the current vertex; length ``r.size + 1``."""
     ip, ix = graph.adjacency_lists
-    r = gen.random(n_steps).tolist()
     cur = int(start)
     path = [cur]
     append = path.append
-    for i in range(n_steps):
+    for x in r.tolist():
         a = ip[cur]
-        cur = ix[a + int(r[i] * (ip[cur + 1] - a))]
+        cur = ix[a + int(x * (ip[cur + 1] - a))]
         append(cur)
     return np.asarray(path, dtype=np.int64)
+
+
+def _walk_paths(graph: Graph, starts: np.ndarray, rs: list[np.ndarray]) -> np.ndarray:
+    """Paths of independent walks, lane k from ``starts[k]`` with draws
+    ``rs[k]`` as in :func:`_walk_path`, stepped in lockstep.
+
+    Returns ``(K, S + 1)`` for the longest lane's S steps; a shorter lane's
+    row is valid up to its own length.
+    """
+    k_lanes, s_max = len(rs), max(r.size for r in rs)
+    if k_lanes < _PATH_MIN_LANES:
+        out = np.zeros((k_lanes, s_max + 1), dtype=np.int64)
+        for k, (start, r) in enumerate(zip(starts.tolist(), rs)):
+            out[k, :r.size + 1] = _walk_path(graph, start, r)
+        return out
+    deg, indptr, indices = graph.deg, graph.indptr, graph.indices
+    draws = np.zeros((s_max, k_lanes))
+    for k, r in enumerate(rs):
+        draws[:r.size, k] = r
+    paths = np.empty((s_max + 1, k_lanes), dtype=np.int64)
+    pos = paths[0] = starts
+    for i in range(s_max):
+        pos = indices[indptr[pos] + (draws[i] * deg[pos]).astype(np.int64)]
+        paths[i + 1] = pos
+    return paths.T
+
+
+def _fs_path(graph: Graph, starts: np.ndarray, r1: np.ndarray, r2: np.ndarray,
+             u: np.ndarray, v: np.ndarray, wk: np.ndarray) -> None:
+    """One frontier walk from ``starts``, written into ``u``, ``v``, ``wk``.
+
+    Step i picks the walker at ``r1[i]`` of the cumulative degree and moves
+    it along incident edge ``floor(r2[i] * deg)``.
+    """
+    ip, ix = graph.adjacency_lists
+    m = starts.size
+    pos = [int(x) for x in starts]
+    degs = graph.deg[starts].astype(np.float64)
+    r1, r2 = r1.tolist(), r2.tolist()
+    for i in range(len(r1)):
+        cum = degs.cumsum()
+        j = int(np.searchsorted(cum, r1[i] * cum[-1], side="right"))
+        if j >= m:
+            j = m - 1
+        cur = pos[j]
+        a = ip[cur]
+        nxt = ix[a + int(r2[i] * (ip[cur + 1] - a))]
+        u[i] = cur
+        v[i] = nxt
+        wk[i] = j
+        pos[j] = nxt
+        degs[j] = ip[nxt + 1] - ip[nxt]
+
+
+def _fs_walk(graph: Graph, starts: np.ndarray, r1s: list[np.ndarray],
+             r2s: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frontier walks of R runs with m walkers each (``starts`` is (R, m)),
+    run k drawing ``r1s[k]``, ``r2s[k]`` as in :func:`_fs_path`, stepped in
+    lockstep.
+
+    Returns ``u``, ``v`` and ``walker`` as (R, S) for the longest run's S
+    steps; a shorter run's row is valid up to its own length.  Degrees are
+    whole numbers, so the row-wise cumulative sums and the count of sums at
+    most the target equal the single-run ``cumsum`` and ``searchsorted``.
+    """
+    n_runs, m = starts.shape
+    s_max = max(r.size for r in r1s)
+    if n_runs < _FS_MIN_LANES:
+        u = np.zeros((n_runs, s_max), dtype=np.int64)
+        v = np.zeros((n_runs, s_max), dtype=np.int64)
+        wk = np.zeros((n_runs, s_max), dtype=np.int32)
+        for k in range(n_runs):
+            _fs_path(graph, starts[k], r1s[k], r2s[k], u[k], v[k], wk[k])
+        return u, v, wk
+    deg, indptr, indices = graph.deg, graph.indptr, graph.indices
+    d1 = np.zeros((s_max, n_runs))
+    d2 = np.zeros((s_max, n_runs))
+    for k, (a, b) in enumerate(zip(r1s, r2s)):
+        d1[:a.size, k] = a
+        d2[:b.size, k] = b
+    pos = starts.astype(np.int64).ravel()
+    degs = deg[pos].astype(np.float64).reshape(n_runs, m)
+    degs_flat = degs.reshape(-1)
+    row0 = np.arange(n_runs) * m
+    u = np.empty((s_max, n_runs), dtype=np.int64)
+    v = np.empty((s_max, n_runs), dtype=np.int64)
+    wk = np.empty((s_max, n_runs), dtype=np.int32)
+    for i in range(s_max):
+        cum = degs.cumsum(axis=1)
+        j = (cum <= (d1[i] * cum[:, -1])[:, None]).sum(axis=1)
+        np.minimum(j, m - 1, out=j)
+        slot = row0 + j
+        cur = pos[slot]
+        nxt = indices[indptr[cur] + (d2[i] * deg[cur]).astype(np.int64)]
+        pos[slot] = nxt
+        degs_flat[slot] = deg[nxt]
+        u[i] = cur
+        v[i] = nxt
+        wk[i] = j
+    return u.T, v.T, wk.T
 
 
 def _walk_steps(method: str, budget: float, m: int, start_cost: float,
@@ -255,21 +365,137 @@ def _walk_steps(method: str, budget: float, m: int, start_cost: float,
     return steps
 
 
+# -- batches of walk runs ----------------------------------------------------
+#
+# A batch samples many runs, each from its own stream, and yields their
+# traces in order.  Every stream draws exactly what one call of the public
+# sampler draws, in the same order (start costs, starts, then the step
+# draws), so a run's trace does not depend on the batch it is sampled in.
+
+
+def _start_costs(cost_model: CostModel, kind: str, gens: list, m: int) -> np.ndarray:
+    """(lanes, m) start costs; only stochastic starts draw from the lanes."""
+    if cost_model.stochastic_starts and kind != "explicit":
+        return np.stack([cost_model.start_costs(kind, m, g) for g in gens])
+    return np.tile(cost_model.start_costs(kind, m, None), (len(gens), 1))
+
+
+def _draw_starts(graph: Graph, start_mode: StartMode, gens: list, m: int) -> np.ndarray:
+    """(lanes, m) start vertices, each row what ``start_mode.draw`` gives for
+    that lane's generator; degree starts share one ``searchsorted``."""
+    if start_mode.kind not in ("uniform", "degree"):
+        return np.tile(start_mode.draw(graph, m, None), (len(gens), 1))
+    hi = graph.n_vertices if start_mode.kind == "uniform" else graph.vol_total
+    # a scalar draw leaves the value and the stream state of size=1
+    t = np.asarray([g.integers(0, hi) if m == 1 else g.integers(0, hi, size=m)
+                    for g in gens], dtype=np.int64).reshape(len(gens), m)
+    if start_mode.kind == "degree":
+        t = np.searchsorted(graph.indptr, t, side="right") - 1
+    return t
+
+
+def _steps_by_cost(method: str, budget: float, m: int, costs: list[float],
+                   step_cost: float) -> list[int]:
+    """:func:`_walk_steps` of each lane's start cost, computed once per value."""
+    table = {c: _walk_steps(method, budget, m, c, step_cost) for c in set(costs)}
+    return [table[c] for c in costs]
+
+
+def _groups(steps: list[int], lanes: int):
+    """Consecutive runs ``[lo, hi)`` whose lanes times longest run stay within
+    ``_BATCH_STEPS``; a run too long for that forms a group of its own."""
+    lo = 0
+    while lo < len(steps):
+        hi, top = lo + 1, steps[lo]
+        while hi < len(steps) and (hi + 1 - lo) * lanes * max(top, steps[hi]) <= _BATCH_STEPS:
+            top = max(top, steps[hi])
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
+def _rw_batch(graph: Graph, start_mode: StartMode, budget: float, cost_model: CostModel,
+              rngs: list[RngStream]):
+    """:func:`single_rw` traces of the runs with streams ``rngs``."""
+    step = cost_model.walk_step_cost
+    gens = [rng.generator() for rng in rngs]
+    costs = _start_costs(cost_model, start_mode.kind, gens, 1)[:, 0].tolist()
+    starts = _draw_starts(graph, start_mode, gens, 1)[:, 0]
+    steps = _steps_by_cost("rw", budget, 1, costs, step)
+    for lo, hi in _groups(steps, 1):
+        paths = _walk_paths(graph, starts[lo:hi],
+                            [g.random(s) for g, s in zip(gens[lo:hi], steps[lo:hi])])
+        for path, r in zip(paths, range(lo, hi)):
+            s = steps[r]
+            yield _finish(
+                (path[:s], path[1:s + 1], np.zeros(s), np.full(s, step)),
+                method="rw", m=1, budget=float(budget), spent=costs[r] + s * step,
+                start_vertices=starts[r:r + 1].copy(), graph_hash=graph.graph_hash,
+                meta={"start_cost_total": costs[r]})
+
+
+def _mrw_batch(graph: Graph, m: int, start_mode: StartMode, budget: float,
+               cost_model: CostModel, rngs: list[RngStream]):
+    """:func:`multiple_rw` traces of the runs with streams ``rngs``; each of
+    the runs' walkers is one lane."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    step = cost_model.walk_step_cost
+    explicit = start_mode.draw(graph, m, None) if start_mode.kind == "explicit" else None
+    gens = [rng.child(w).generator() for rng in rngs for w in range(m)]
+    costs = _start_costs(cost_model, start_mode.kind, gens, 1)[:, 0].tolist()
+    starts = (np.tile(explicit, len(rngs)) if explicit is not None
+              else _draw_starts(graph, start_mode, gens, 1)[:, 0])
+    steps = _steps_by_cost("mrw", budget, m, costs, step)
+    for lo, hi in _groups([max(steps[r * m:r * m + m]) for r in range(len(rngs))], m):
+        lanes = slice(lo * m, hi * m)
+        paths = _walk_paths(graph, starts[lanes],
+                            [g.random(s) for g, s in zip(gens[lanes], steps[lanes])])
+        for k, r in enumerate(range(lo, hi)):
+            own = paths[k * m:k * m + m]
+            lane_steps = np.asarray(steps[r * m:r * m + m])
+            keep = np.arange(own.shape[1] - 1) < lane_steps[:, None]  # walker-major
+            u = own[:, :-1][keep]
+            start_cost = float(sum(costs[r * m:r * m + m]))
+            yield _finish(
+                (u, own[:, 1:][keep], np.repeat(np.arange(m), lane_steps),
+                 np.full(u.size, step)),
+                method="mrw", m=m, budget=float(budget), spent=start_cost + u.size * step,
+                start_vertices=starts[r * m:r * m + m].astype(np.int64),
+                graph_hash=graph.graph_hash, meta={"start_cost_total": start_cost})
+
+
+def _fs_batch(graph: Graph, m: int, start_mode: StartMode, budget: float,
+              cost_model: CostModel, rngs: list[RngStream]):
+    """:func:`frontier_sampling` traces of the runs with streams ``rngs``."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    step = cost_model.walk_step_cost
+    gens = [rng.generator() for rng in rngs]
+    costs = [float(c.sum()) for c in _start_costs(cost_model, start_mode.kind, gens, m)]
+    starts = _draw_starts(graph, start_mode, gens, m)
+    steps = _steps_by_cost("fs", budget, m, costs, step)
+    for lo, hi in _groups(steps, 1):
+        draws = [(g.random(s), g.random(s)) for g, s in zip(gens[lo:hi], steps[lo:hi])]
+        u, v, wk = _fs_walk(graph, starts[lo:hi], [d[0] for d in draws],
+                            [d[1] for d in draws])
+        for k, r in enumerate(range(lo, hi)):
+            s = steps[r]
+            yield _finish(
+                (u[k, :s], v[k, :s], wk[k, :s], np.full(s, step)),
+                method="fs", m=m, budget=float(budget), spent=costs[r] + s * step,
+                start_vertices=starts[r].astype(np.int64), graph_hash=graph.graph_hash,
+                meta={"start_cost_total": costs[r]})
+
+
+# -- walk samplers -----------------------------------------------------------
+
+
 def single_rw(graph: Graph, start_mode: StartMode = StartMode.uniform(),
               budget: float = 1000, rng: RngStream = RngStream(0),
               cost_model: CostModel = DEFAULT_COST) -> SampleTrace:
     """One random walker spending the whole budget on steps."""
-    gen = rng.generator()
-    start_cost = float(cost_model.start_costs(start_mode.kind, 1, gen)[0])
-    start = int(start_mode.draw(graph, 1, gen)[0])
-    steps = _walk_steps("rw", budget, 1, start_cost, cost_model.walk_step_cost)
-    path = _walk_path(graph, start, steps, gen)
-    return _finish(
-        (path[:-1], path[1:], np.zeros(steps), np.full(steps, cost_model.walk_step_cost)),
-        method="rw", m=1, budget=float(budget),
-        spent=start_cost + steps * cost_model.walk_step_cost,
-        start_vertices=np.asarray([start], dtype=np.int64), graph_hash=graph.graph_hash,
-        meta={"start_cost_total": start_cost})
+    return next(_rw_batch(graph, start_mode, budget, cost_model, [rng]))
 
 
 def multiple_rw(graph: Graph, m: int, start_mode: StartMode = StartMode.uniform(),
@@ -280,29 +506,7 @@ def multiple_rw(graph: Graph, m: int, start_mode: StartMode = StartMode.uniform(
     Walker w draws from the derived stream ``rng.child(w)``; the trace is
     walker-major.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    explicit = start_mode.draw(graph, m, None) if start_mode.kind == "explicit" else None
-    us, vs, ws, start_list, start_costs = [], [], [], [], []
-    for w in range(m):
-        gen = rng.child(w).generator()
-        sc = float(cost_model.start_costs(start_mode.kind, 1, gen)[0])
-        start = int(explicit[w] if explicit is not None else start_mode.draw(graph, 1, gen)[0])
-        steps = _walk_steps("mrw", budget, m, sc, cost_model.walk_step_cost)
-        path = _walk_path(graph, start, steps, gen)
-        us.append(path[:-1])
-        vs.append(path[1:])
-        ws.append(np.full(steps, w, dtype=np.int32))
-        start_list.append(start)
-        start_costs.append(sc)
-    u = np.concatenate(us)
-    cost = np.full(u.size, cost_model.walk_step_cost)
-    return _finish(
-        (u, np.concatenate(vs), np.concatenate(ws), cost),
-        method="mrw", m=m, budget=float(budget),
-        spent=float(sum(start_costs)) + u.size * cost_model.walk_step_cost,
-        start_vertices=np.asarray(start_list, dtype=np.int64), graph_hash=graph.graph_hash,
-        meta={"start_cost_total": float(sum(start_costs))})
+    return next(_mrw_batch(graph, m, start_mode, budget, cost_model, [rng]))
 
 
 def frontier_sampling(graph: Graph, m: int, start_mode: StartMode = StartMode.uniform(),
@@ -316,40 +520,7 @@ def frontier_sampling(graph: Graph, m: int, start_mode: StartMode = StartMode.un
     placed explicitly); the walk then runs until the charged steps cover
     the remaining budget.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    gen = rng.generator()
-    start_cost = float(cost_model.start_costs(start_mode.kind, m, gen).sum())
-    starts = start_mode.draw(graph, m, gen)
-    steps = _walk_steps("fs", budget, m, start_cost, cost_model.walk_step_cost)
-
-    ip, ix = graph.adjacency_lists
-    pos = [int(x) for x in starts]
-    degs = graph.deg[starts].astype(np.float64)
-    r1 = gen.random(steps).tolist()
-    r2 = gen.random(steps).tolist()
-    u = np.empty(steps, dtype=np.int64)
-    v = np.empty(steps, dtype=np.int64)
-    wk = np.empty(steps, dtype=np.int32)
-    for i in range(steps):
-        cum = degs.cumsum()
-        j = int(np.searchsorted(cum, r1[i] * cum[-1], side="right"))
-        if j >= m:
-            j = m - 1
-        cur = pos[j]
-        a = ip[cur]
-        nxt = ix[a + int(r2[i] * (ip[cur + 1] - a))]
-        u[i] = cur
-        v[i] = nxt
-        wk[i] = j
-        pos[j] = nxt
-        degs[j] = ip[nxt + 1] - ip[nxt]
-    return _finish(
-        (u, v, wk, np.full(steps, cost_model.walk_step_cost)),
-        method="fs", m=m, budget=float(budget),
-        spent=start_cost + steps * cost_model.walk_step_cost,
-        start_vertices=starts.astype(np.int64), graph_hash=graph.graph_hash,
-        meta={"start_cost_total": start_cost})
+    return next(_fs_batch(graph, m, start_mode, budget, cost_model, [rng]))
 
 
 def distributed_fs(graph: Graph, m: int, time_budget: float,

@@ -407,3 +407,13 @@ def test_estimate_edge_label_with_labels_file_exit_2(tmp_path, graph_file, trace
                "--targets", "edge-label=red", "--labels-file", labels) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and "only vertex labels" in err["message"]
+
+
+@pytest.mark.parametrize("line", ["99999999999999999999 1", "3 9223372036854775808"])
+def test_sample_rejects_edge_id_above_int64(tmp_path, capsys, line):
+    graph = str(tmp_path / "big.txt")
+    open(graph, "w").write(f"0 1\n1 2\n{line}\n")
+    assert run("sample", "rw", "--graph", graph, "--budget", "10",
+               "--out", str(tmp_path / "t.csv")) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "graph_format" and "line 3" in err["message"]

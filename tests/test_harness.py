@@ -2,11 +2,13 @@ import io
 import json
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from frontier import harness
 from frontier.errors import ConfigError
 from frontier.graphs import _searchsorted_ragged
 from frontier.harness import (
@@ -23,7 +25,7 @@ from frontier.harness import (
     tv_distance,
 )
 from frontier.rng import RngStream
-from frontier.samplers import StartMode, single_rw
+from frontier.samplers import StartMode, frontier_sampling, multiple_rw, single_rw
 
 
 # -- metrics ------------------------------------------------------------------
@@ -417,3 +419,95 @@ def test_config_accepts_integral_floats():
         methods=[{"name": "fs", "m": 3.0}], runs=4.0, burn_in=0.0, seed=5.0))
     assert (cfg.methods[0].m, cfg.runs, cfg.burn_in, cfg.seed) == (3, 4, 0, 5)
     assert all(type(x) is int for x in (cfg.methods[0].m, cfg.runs, cfg.burn_in, cfg.seed))
+
+
+# -- batched runs --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_runs", [1, 2, 3, 8, 37, 300, 1001])
+def test_nmse_matches_per_key_mean_bit_for_bit(n_runs):
+    gen = np.random.default_rng(n_runs)
+    truth = {k: float(x) for k, x in enumerate(gen.random(9) * 1e-2)}
+    truth[3] = 0.0
+    runs = [{k: float(x) for k, x in enumerate(gen.random(9) * 2e-2) if x > 0.3}
+            for _ in range(n_runs)]
+    out, warnings = nmse(truth, runs)
+    assert warnings == ["label 3: zero truth value, NMSE omitted"]
+    assert list(out) == [k for k in truth if k != 3]
+    for k, t in truth.items():
+        if t > 0:
+            vals = np.asarray([r.get(k, 0.0) for r in runs], dtype=np.float64)
+            assert out[k] == float(np.sqrt(np.mean((vals - t) ** 2)) / t)
+
+
+def test_run_projection_counts_absent_keys_as_zero():
+    # as in nmse, a run that never observed a key contributes 0 for it
+    est = {"gamma": {0: 1.0, 2: 0.25}, "theta_degree": {}, "p_edge": {"red": None}, "C": 0.5}
+    families = [("gamma", (0, 1, 2)), ("theta_degree", (3,))]
+    rows, scalars = harness._project(est, families, harness.TargetSpec(
+        ccdf=True, degree_density=(3,), edge_labels=("red",), clustering=True))
+    assert [r.tolist() for r in rows] == [[1.0, 0.0, 0.25], [0.0]]
+    assert scalars == [None, 0.5]
+
+
+def _replayed_runs(graph, method, budget, rngs):
+    return (harness._sample(graph, method, budget, rng) for rng in rngs)
+
+
+def test_report_identical_across_chunkings():
+    cfg = ExperimentConfig.from_dict(_base_config(
+        graph={"kind": "ba", "n": 120, "attach": 2, "seed": 3},
+        methods=[{"name": "fs", "m": 4,
+                  "cost": {"vertex_hit_ratio": 0.4, "stochastic_starts": True}},
+                 {"name": "mrw", "m": 9, "start": "degree",
+                  "cost": {"vertex_hit_ratio": 0.5, "stochastic_starts": True}},
+                 {"name": "mrw", "m": 3},
+                 {"name": "rw", "cost": {"vertex_hit_ratio": 0.3, "stochastic_starts": True}},
+                 {"name": "random_edge"}],
+        budget=180, runs=17, burn_in=2,
+        targets={"ccdf": True, "degree_density": [2, 3, 2], "assortativity": True,
+                 "clustering": True}))
+    reports = []
+    for workers in (1, 2, 3):
+        out = io.StringIO()
+        run_monte_carlo(cfg, workers=workers).to_csv(out)
+        reports.append(out.getvalue())
+    for patch in (mock.patch.object(harness, "_sample_runs", _replayed_runs),
+                  mock.patch("frontier.samplers._BATCH_STEPS", 7)):
+        out = io.StringIO()
+        with patch:
+            run_monte_carlo(cfg).to_csv(out)
+        reports.append(out.getvalue())
+    assert "rw,gamma," in reports[0] and "mrw[m=9,start=degree],theta,degree=2," in reports[0]
+    assert all(r == reports[0] for r in reports[1:])
+    # the gamma rows score the replayed runs' estimate dicts
+    graph = cfg.resolve_graph()[0]
+    report = run_monte_carlo(cfg, graph=graph)
+    budget = resolve_budget(cfg.budget, graph.n_vertices)
+    for mi, method in enumerate(cfg.methods):
+        gammas = [harness._estimate_one_run(graph, None, cfg, method, budget, ri, mi)["gamma"]
+                  for ri in range(cfg.runs)]
+        rows = report.rows_for(method.key, "gamma")
+        err, _ = nmse({int(r.label): r.truth for r in rows}, gammas)
+        for r in rows:
+            k = int(r.label)
+            assert r.cnmse == err[k]
+            assert r.mean_estimate == float(np.mean([g.get(k, 0.0) for g in gammas]))
+
+
+@pytest.mark.parametrize("method, batch, sampler", [
+    ("fs", "_fs_batch", frontier_sampling), ("mrw", "_mrw_batch", multiple_rw)])
+def test_occupancy_study_runs_match_per_run_replay(method, batch, sampler):
+    graph = ExperimentConfig.from_dict(_base_config()).resolve_graph()[0]
+    subset = list(range(0, 60, 4))
+    study = occupancy_study(graph, subset, m=9, method=method, steps=300, runs=5,
+                            rng=RngStream(8))
+
+    def replay(graph, m, start, budget, cost, rngs):
+        return (sampler(graph, m, start, budget, cost, rng) for rng in rngs)
+
+    with mock.patch.object(harness, batch, replay):
+        want = occupancy_study(graph, subset, m=9, method=method, steps=300, runs=5,
+                               rng=RngStream(8))
+    assert study.runs == 5 and np.array_equal(study.pmf, want.pmf)
+    assert (study.mean, study.alpha_empirical) == (want.mean, want.alpha_empirical)

@@ -1,9 +1,12 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from frontier import samplers
 from frontier.errors import BudgetError
 from frontier.graphs import load_graph
 from frontier.rng import RngStream
@@ -11,6 +14,8 @@ from frontier.samplers import (
     DEFAULT_COST,
     CostModel,
     StartMode,
+    _finish,
+    _walk_steps,
     discard_burn_in,
     distributed_fs,
     frontier_sampling,
@@ -326,3 +331,175 @@ def test_trace_arrays_are_frozen(tri_pendant):
     tr = single_rw(tri_pendant, StartMode.uniform(), 30.0, RngStream(27))
     with pytest.raises(ValueError):
         tr.v[0] = 0
+
+
+# -- lockstep batches against the single-run loops ------------------------------------
+#
+# The references below are the per-run step loops the samplers used before
+# runs were batched; every run of a batch must reproduce them exactly.
+
+
+def _ref_walk_path(graph, start, n_steps, gen):
+    ip, ix = graph.adjacency_lists
+    r = gen.random(n_steps).tolist()
+    cur = int(start)
+    path = [cur]
+    for i in range(n_steps):
+        a = ip[cur]
+        cur = ix[a + int(r[i] * (ip[cur + 1] - a))]
+        path.append(cur)
+    return np.asarray(path, dtype=np.int64)
+
+
+def _ref_single_rw(graph, start_mode, budget, rng, cost_model):
+    gen = rng.generator()
+    start_cost = float(cost_model.start_costs(start_mode.kind, 1, gen)[0])
+    start = int(start_mode.draw(graph, 1, gen)[0])
+    steps = _walk_steps("rw", budget, 1, start_cost, cost_model.walk_step_cost)
+    path = _ref_walk_path(graph, start, steps, gen)
+    return _finish(
+        (path[:-1], path[1:], np.zeros(steps), np.full(steps, cost_model.walk_step_cost)),
+        method="rw", m=1, budget=float(budget),
+        spent=start_cost + steps * cost_model.walk_step_cost,
+        start_vertices=np.asarray([start], dtype=np.int64), graph_hash=graph.graph_hash,
+        meta={"start_cost_total": start_cost})
+
+
+def _ref_multiple_rw(graph, m, start_mode, budget, cost_model, rng):
+    explicit = start_mode.draw(graph, m, None) if start_mode.kind == "explicit" else None
+    us, vs, ws, start_list, start_costs = [], [], [], [], []
+    for w in range(m):
+        gen = rng.child(w).generator()
+        sc = float(cost_model.start_costs(start_mode.kind, 1, gen)[0])
+        start = int(explicit[w] if explicit is not None else start_mode.draw(graph, 1, gen)[0])
+        steps = _walk_steps("mrw", budget, m, sc, cost_model.walk_step_cost)
+        path = _ref_walk_path(graph, start, steps, gen)
+        us.append(path[:-1])
+        vs.append(path[1:])
+        ws.append(np.full(steps, w, dtype=np.int32))
+        start_list.append(start)
+        start_costs.append(sc)
+    u = np.concatenate(us)
+    return _finish(
+        (u, np.concatenate(vs), np.concatenate(ws), np.full(u.size, cost_model.walk_step_cost)),
+        method="mrw", m=m, budget=float(budget),
+        spent=float(sum(start_costs)) + u.size * cost_model.walk_step_cost,
+        start_vertices=np.asarray(start_list, dtype=np.int64), graph_hash=graph.graph_hash,
+        meta={"start_cost_total": float(sum(start_costs))})
+
+
+def _ref_frontier_sampling(graph, m, start_mode, budget, cost_model, rng):
+    gen = rng.generator()
+    start_cost = float(cost_model.start_costs(start_mode.kind, m, gen).sum())
+    starts = start_mode.draw(graph, m, gen)
+    steps = _walk_steps("fs", budget, m, start_cost, cost_model.walk_step_cost)
+    ip, ix = graph.adjacency_lists
+    pos = [int(x) for x in starts]
+    degs = graph.deg[starts].astype(np.float64)
+    r1 = gen.random(steps).tolist()
+    r2 = gen.random(steps).tolist()
+    u = np.empty(steps, dtype=np.int64)
+    v = np.empty(steps, dtype=np.int64)
+    wk = np.empty(steps, dtype=np.int32)
+    for i in range(steps):
+        cum = degs.cumsum()
+        j = min(int(np.searchsorted(cum, r1[i] * cum[-1], side="right")), m - 1)
+        cur = pos[j]
+        a = ip[cur]
+        nxt = ix[a + int(r2[i] * (ip[cur + 1] - a))]
+        u[i], v[i], wk[i] = cur, nxt, j
+        pos[j] = nxt
+        degs[j] = ip[nxt + 1] - ip[nxt]
+    return _finish(
+        (u, v, wk, np.full(steps, cost_model.walk_step_cost)),
+        method="fs", m=m, budget=float(budget),
+        spent=start_cost + steps * cost_model.walk_step_cost,
+        start_vertices=starts.astype(np.int64), graph_hash=graph.graph_hash,
+        meta={"start_cost_total": start_cost})
+
+
+def _assert_same_trace(got, want):
+    for name in ("u", "v", "walker", "cost", "start_vertices"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("method", "m", "budget", "spent", "graph_hash"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.meta == want.meta
+    assert all(type(x) is float for x in (got.spent, got.meta["start_cost_total"]))
+
+
+@st.composite
+def _batch_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)),
+                          min_size=1, max_size=30))
+    graph = load_graph("".join(f"{a} {(a + b) % n}\n" for a, b in pairs))
+    method = draw(st.sampled_from(["fs", "mrw", "rw"]))
+    m = 1 if method == "rw" else draw(st.integers(min_value=1, max_value=5))
+    kind = draw(st.sampled_from(["uniform", "degree", "explicit"]))
+    start = (StartMode.explicit(draw(st.lists(st.integers(0, graph.n_vertices - 1),
+                                              min_size=m, max_size=m)))
+             if kind == "explicit" else StartMode(kind))
+    cost = draw(st.sampled_from([
+        DEFAULT_COST,
+        CostModel(vertex_hit_ratio=0.3, stochastic_starts=True),
+        CostModel(walk_step_cost=0.7, vertex_query_cost=1.3, vertex_hit_ratio=0.45),
+        CostModel(walk_step_cost=1.5, vertex_hit_ratio=0.6, stochastic_starts=True)]))
+    budget = m * 12.0 + draw(st.floats(min_value=1.0, max_value=40.0))
+    runs = draw(st.integers(min_value=1, max_value=6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    cap = draw(st.sampled_from([1, 7, samplers._BATCH_STEPS]))
+    lanes = draw(st.sampled_from(["scalar", "lockstep", "default"]))
+    return graph, method, m, start, cost, budget, runs, seed, cap, lanes
+
+
+@given(_batch_cases())
+@settings(max_examples=250, deadline=None)
+def test_batch_runs_match_single_run_loops(case):
+    graph, method, m, start, cost, budget, runs, seed, cap, lanes = case
+    rngs = [RngStream(seed, (3, r)) for r in range(runs)]
+    if method == "fs":
+        batch = lambda: list(samplers._fs_batch(graph, m, start, budget, cost, rngs))
+        ref = lambda rng: _ref_frontier_sampling(graph, m, start, budget, cost, rng)
+    elif method == "mrw":
+        batch = lambda: list(samplers._mrw_batch(graph, m, start, budget, cost, rngs))
+        ref = lambda rng: _ref_multiple_rw(graph, m, start, budget, cost, rng)
+    else:
+        batch = lambda: list(samplers._rw_batch(graph, start, budget, cost, rngs))
+        ref = lambda rng: _ref_single_rw(graph, start, budget, rng, cost)
+    min_lanes = {"scalar": 10 ** 9, "lockstep": 1}.get(lanes)
+    with mock.patch.object(samplers, "_BATCH_STEPS", cap), \
+            mock.patch.object(samplers, "_FS_MIN_LANES", min_lanes or samplers._FS_MIN_LANES), \
+            mock.patch.object(samplers, "_PATH_MIN_LANES",
+                              min_lanes or samplers._PATH_MIN_LANES):
+        try:
+            want = [ref(rng) for rng in rngs]
+        except BudgetError:
+            with pytest.raises(BudgetError):
+                batch()
+            return
+        got = batch()
+    assert len(got) == runs
+    for g, w in zip(got, want):
+        _assert_same_trace(g, w)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "degree"])
+def test_scalar_loops_match_lockstep_bodies(kind):
+    # few lanes step in a Python loop; the lockstep body must give the same
+    graph = load_graph("".join(f"{i} {(i * 7 + 3) % 40}\n{i} {i + 1}\n" for i in range(39)))
+    gen = np.random.default_rng(5)
+    starts = samplers._draw_starts(graph, StartMode(kind), [gen], 6)
+    # dyadic draws put targets exactly on cumulative degrees and edge offsets
+    r1, r2 = [gen.integers(0, 64, 300) / 64], [gen.integers(0, 64, 300) / 64]
+    rs = [gen.integers(0, 64, k) / 64 for k in (50, 9, 1, 50, 7, 3)]
+    assert samplers._FS_MIN_LANES > 1 and samplers._PATH_MIN_LANES > len(rs)
+    scalar = samplers._fs_walk(graph, starts, r1, r2), samplers._walk_paths(graph, starts[0], rs)
+    with mock.patch.object(samplers, "_FS_MIN_LANES", 1), \
+            mock.patch.object(samplers, "_PATH_MIN_LANES", 1):
+        lockstep = samplers._fs_walk(graph, starts, r1, r2), samplers._walk_paths(graph, starts[0], rs)
+    for a, b in zip(scalar[0], lockstep[0]):
+        assert np.array_equal(a, b)
+    assert scalar[1].shape == lockstep[1].shape == (6, 51)
+    for path, locked, r in zip(scalar[1], lockstep[1], rs):
+        assert np.array_equal(path[:r.size + 1], locked[:r.size + 1])
