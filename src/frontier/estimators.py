@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import UndefinedEstimateError
 from .graphs import Graph, LabelStore, _edge_support
-from .oracles import joint_moments
+from .oracles import _joint_density, joint_moments
 from .samplers import SampleTrace
 
 __all__ = [
@@ -96,42 +96,23 @@ def estimate_edge_label_density(trace: SampleTrace, labels: LabelStore,
     _require_edge_trace(trace)
     lid = labels.label_id(label)
     keys = (trace.u.astype(np.int64) << 32) | trace.v
-    labeled_keys = []
-    hit_keys = []
-    for (eu, ev), ls in labels.labeled_edges():
-        k = (int(eu) << 32) | int(ev)
-        labeled_keys.append(k)
-        if lid in ls:
-            hit_keys.append(k)
-    usable = np.isin(keys, np.asarray(labeled_keys, dtype=np.int64))
-    b_star = int(usable.sum())
+    e = labels.edge_pairs
+    labeled = (e[:, 0] << 32) | e[:, 1]
+    b_star = int(np.isin(keys, labeled).sum())
     if b_star == 0:
         raise UndefinedEstimateError("no sampled edge carries any label",
                                      code="no_labeled_samples")
-    hits = int(np.isin(keys, np.asarray(hit_keys, dtype=np.int64)).sum())
+    hits = int(np.isin(keys, labeled[e[:, 2] == lid]).sum())
     return DensityEstimate({label: hits / b_star}, b_star)
-
-
-def _label_member_weight(trace: SampleTrace, graph: Graph, labels: LabelStore,
-                         lid: int, counts: np.ndarray) -> float:
-    total = 0.0
-    for v, ls in labels.labeled_vertices():
-        if lid in ls and counts[v]:
-            total += counts[v] / graph.deg[v]
-    return total
 
 
 def estimate_vertex_label_density(trace: SampleTrace, graph: Graph,
                                   labels: LabelStore, label: str) -> DensityEstimate:
     """Inverse-degree-weighted frequency of ``label`` over terminal vertices."""
     _require_edge_trace(trace)
-    lid = labels.label_id(label)
-    inv = _inverse_degrees(trace, graph)
-    denom = float(inv.sum())
-    counts = np.bincount(trace.v, minlength=graph.n_vertices)
-    num = _label_member_weight(trace, graph, labels, lid, counts)
-    s = denom / trace.n_steps
-    return DensityEstimate({label: num / denom}, trace.n_steps, s)
+    labels.label_id(label)  # an unknown label is a KeyError
+    group = estimate_group_densities(trace, graph, labels)
+    return DensityEstimate({label: group.values[label]}, group.b_star, group.s)
 
 
 def estimate_group_densities(trace: SampleTrace, graph: Graph,
@@ -145,12 +126,9 @@ def estimate_group_densities(trace: SampleTrace, graph: Graph,
     inv = _inverse_degrees(trace, graph)
     denom = float(inv.sum())
     counts = np.bincount(trace.v, minlength=graph.n_vertices)
-    acc = np.zeros(labels.n_labels)
-    for v, ls in labels.labeled_vertices():
-        if counts[v]:
-            w = counts[v] / graph.deg[v]
-            for lid in ls:
-                acc[lid] += w
+    p = labels.vertex_pairs
+    v, ids = p[counts[p[:, 0]] > 0].T  # sampled vertices' rows, first-labelled first
+    acc = np.bincount(ids, weights=counts[v] / graph.deg[v], minlength=labels.n_labels)
     values = {name: acc[lid] / denom for lid, name in enumerate(labels.label_names)}
     return DensityEstimate(values, trace.n_steps, denom / trace.n_steps)
 
@@ -205,10 +183,7 @@ def estimate_assortativity(trace: SampleTrace, graph: Graph) -> AssortativityEst
                                      code="no_directed_samples")
     x = graph.outdeg_d[trace.u[mask]].astype(np.int64)
     y = graph.indeg_d[trace.v[mask]].astype(np.int64)
-    base = int(y.max()) + 1
-    uniq, counts = np.unique(x * base + y, return_counts=True)
-    joint = {(int(k // base), int(k % base)): int(c) / b_star
-             for k, c in zip(uniq.tolist(), counts.tolist())}
+    joint = _joint_density(x, y)
     mean_out, mean_in, var_out, var_in, mean_prod = joint_moments(joint)
     if var_out <= 1e-15 or var_in <= 1e-15:
         raise UndefinedEstimateError(

@@ -21,7 +21,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -344,17 +344,23 @@ def write_edge_list(graph: Graph, path_or_stream: "str | IO") -> None:
 
 
 class LabelStore:
-    """Vertex and edge label sets over one graph's dense id space.
+    """Vertex and edge labels over one graph's dense id space, as pairs.
 
-    Vertices and directed edges map to sets of label ids; anything not
-    present is unlabeled (the empty set).  Label names are interned once.
+    ``vertex_pairs`` has one ``(v, label id)`` row and ``edge_pairs`` one
+    ``(u, v, label id)`` row (a directed edge) per distinct label of an item,
+    grouped by item in the order each item was first labelled, so a
+    per-label sum over the rows adds its terms in a fixed order.  An item
+    without rows is unlabeled.  Label names are interned once.
     """
 
     def __init__(self) -> None:
         self.label_names: list[str] = []
         self._name_to_id: dict[str, int] = {}
-        self._vertex: dict[int, frozenset[int]] = {}
-        self._edge: dict[tuple[int, int], frozenset[int]] = {}
+        self._vertex = _frozen(np.empty((0, 2), dtype=np.int64))
+        self._edge = _frozen(np.empty((0, 3), dtype=np.int64))
+        # flat rows added since the views were last built
+        self._new_vertex: list[int] = []
+        self._new_edge: list[int] = []
 
     @property
     def n_labels(self) -> int:
@@ -375,31 +381,64 @@ class LabelStore:
             raise KeyError(f"unknown label {name!r}") from None
 
     def add_vertex_label(self, v: int, name: str) -> None:
-        lid = self.ensure_label(name)
-        self._vertex[v] = self._vertex.get(v, frozenset()) | {lid}
+        self._new_vertex += (v, self.ensure_label(name))
 
     def add_edge_label(self, u: int, v: int, name: str, symmetric: bool = False) -> None:
         lid = self.ensure_label(name)
-        self._edge[(u, v)] = self._edge.get((u, v), frozenset()) | {lid}
-        if symmetric:
-            self._edge[(v, u)] = self._edge.get((v, u), frozenset()) | {lid}
+        self._new_edge += (u, v, lid, v, u, lid) if symmetric else (u, v, lid)
+
+    @property
+    def vertex_pairs(self) -> np.ndarray:
+        """Read-only ``(k, 2)`` int64 rows ``(vertex, label id)``."""
+        if self._new_vertex:
+            self._vertex, self._new_vertex = _grouped(self._vertex, self._new_vertex), []
+        return self._vertex
+
+    @property
+    def edge_pairs(self) -> np.ndarray:
+        """Read-only ``(k, 3)`` int64 rows ``(u, v, label id)``."""
+        if self._new_edge:
+            self._edge, self._new_edge = _grouped(self._edge, self._new_edge), []
+        return self._edge
 
     def vertex_label_ids(self, v: int) -> frozenset[int]:
-        return self._vertex.get(v, frozenset())
+        return frozenset(self.vertex_pairs[self.vertex_pairs[:, 0] == v, 1].tolist())
 
     def edge_label_ids(self, u: int, v: int) -> frozenset[int]:
-        return self._edge.get((u, v), frozenset())
-
-    def labeled_vertices(self) -> Iterable[tuple[int, frozenset[int]]]:
-        return self._vertex.items()
-
-    def labeled_edges(self) -> Iterable[tuple[tuple[int, int], frozenset[int]]]:
-        return self._edge.items()
+        e = self.edge_pairs
+        return frozenset(e[(e[:, 0] == u) & (e[:, 1] == v), 2].tolist())
 
     def vertices_with_label(self, name: str) -> np.ndarray:
-        lid = self.label_id(name)
-        hits = sorted(v for v, ls in self._vertex.items() if lid in ls)
-        return np.asarray(hits, dtype=np.int64)
+        return np.sort(self.vertex_pairs[self.vertex_pairs[:, 1] == self.label_id(name), 0])
+
+
+def _first_seen(a: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values (rows, with ``axis=0``) of ``a`` in first-seen order,
+    and the index of each element's value in that list."""
+    uniq, first, inv = np.unique(a, return_index=True, return_inverse=True, axis=axis)
+    order = np.argsort(first)
+    return uniq[order], np.argsort(order)[inv.reshape(-1)]
+
+
+def _grouped(pairs: np.ndarray, new: "np.ndarray | list[int]") -> np.ndarray:
+    """``pairs`` plus the flat rows ``new``, without repeated rows and grouped
+    by item (all columns but the last) in first-seen order."""
+    rows = np.concatenate([pairs, np.asarray(new, dtype=np.int64).reshape(-1, pairs.shape[1])])
+    _, group = _first_seen(rows[:, 0]) if rows.shape[1] == 2 else _first_seen(rows[:, :-1], 0)
+    order = np.lexsort((rows[:, -1], group))
+    rows, group = rows[order], group[order]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (np.diff(group) != 0) | (np.diff(rows[:, -1]) != 0)
+    return _frozen(rows[fresh])
+
+
+def _store(names: Sequence[str], vertex_pairs: np.ndarray, edge_pairs=()) -> LabelStore:
+    """A store with ``names`` interned in order, holding the given pairs."""
+    store = LabelStore()
+    store.label_names, store._name_to_id = list(names), {n: i for i, n in enumerate(names)}
+    store._vertex = _grouped(store._vertex, vertex_pairs)
+    store._edge = _grouped(store._edge, edge_pairs)
+    return store
 
 
 def parse_vertex_labels(source: "str | bytes | IO", graph: Graph) -> LabelStore:
@@ -409,7 +448,7 @@ def parse_vertex_labels(source: "str | bytes | IO", graph: Graph) -> LabelStore:
     naming a vertex absent from the graph is an error.
     """
     store = LabelStore()
-    originals = graph.original_ids
+    dense = dict(zip(graph.original_ids.tolist(), range(graph.n_vertices)))
     for lineno, raw in enumerate(_as_text(source).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -421,8 +460,8 @@ def parse_vertex_labels(source: "str | bytes | IO", graph: Graph) -> LabelStore:
             orig = int(parts[0])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer vertex id in {raw!r}", lineno)
-        pos = int(np.searchsorted(originals, orig))
-        if pos >= originals.size or originals[pos] != orig:
+        pos = dense.get(orig)
+        if pos is None:
             raise GraphFormatError(f"line {lineno}: vertex id {orig} not in graph", lineno)
         for name in parts[1:]:
             store.add_vertex_label(pos, name)
@@ -431,10 +470,9 @@ def parse_vertex_labels(source: "str | bytes | IO", graph: Graph) -> LabelStore:
 
 def degree_labels(graph: Graph, mode: str = "symmetric") -> LabelStore:
     """Label every vertex ``degree=k`` under the chosen degree notion."""
-    store = LabelStore()
-    for v, k in enumerate(graph.degrees(mode).tolist()):
-        store.add_vertex_label(v, f"degree={k}")
-    return store
+    values, lid = _first_seen(graph.degrees(mode))
+    return _store([f"degree={k}" for k in values.tolist()],
+                  np.column_stack([np.arange(graph.n_vertices), lid]))
 
 
 # -- components ------------------------------------------------------------
@@ -466,10 +504,7 @@ def connected_components(graph: Graph) -> VertexPartition:
     _, raw = csgraph.connected_components(mat, directed=False)
     # scipy's numbering is an implementation detail; renumber so component k
     # is the one whose smallest vertex is the k-th smallest component leader
-    first = np.unique(raw, return_index=True)[1]
-    remap = np.empty(first.size, dtype=np.int64)
-    remap[np.argsort(first)] = np.arange(first.size)
-    cid = remap[raw]
+    cid = _first_seen(raw)[1]
     sizes = np.bincount(cid)
     volumes = np.bincount(cid, weights=graph.deg).astype(np.int64)
     return VertexPartition(_frozen(cid), _frozen(sizes), _frozen(volumes))
@@ -496,16 +531,15 @@ def restrict_to_lcc(graph: Graph, labels: LabelStore | None = None
     sub = Graph(sub_edges, int(keep.sum()), graph.original_ids[keep])
     if labels is None:
         return sub, None
-    out = LabelStore()
-    for v, ls in sorted(labels.labeled_vertices()):
-        if keep[v]:
-            for lid in sorted(ls):
-                out.add_vertex_label(int(new_id[v]), labels.label_names[lid])
-    for (u, v), ls in sorted(labels.labeled_edges()):
-        if keep[u] and keep[v]:
-            for lid in sorted(ls):
-                out.add_edge_label(int(new_id[u]), int(new_id[v]), labels.label_names[lid])
-    return sub, out
+    # the old ids' sorted sweep (vertex rows, then edge rows) interns the
+    # surviving names in the order it first meets them
+    vp, ep = labels.vertex_pairs, labels.edge_pairs
+    vp, ep = vp[keep[vp[:, 0]]], ep[keep[ep[:, 0]] & keep[ep[:, 1]]]
+    vp, ep = vp[np.lexsort(vp.T[::-1])], ep[np.lexsort(ep.T[::-1])]
+    used, lid = _first_seen(np.r_[vp[:, 1], ep[:, 2]])
+    return sub, _store([labels.label_names[i] for i in used.tolist()],
+                       np.column_stack([new_id[vp[:, 0]], lid[:len(vp)]]),
+                       np.column_stack([new_id[ep[:, 0]], new_id[ep[:, 1]], lid[len(vp):]]))
 
 
 def is_bipartite(graph: Graph) -> bool:

@@ -440,7 +440,7 @@ def _check_labels(targets: TargetSpec, labels: LabelStore | None) -> None:
     unknown = sorted(set(wanted) - set(labels.label_names)) if wanted else []
     if unknown:
         raise ConfigError(f"unknown label target(s) {unknown}")
-    if targets.edge_labels and not any(True for _ in labels.labeled_edges()):
+    if targets.edge_labels and not labels.edge_pairs.size:
         raise ConfigError("edge label targets need edge labels; a labels file "
                           "carries only vertex labels")
 
@@ -748,42 +748,29 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
     for mi, method in enumerate(config.methods):
         for (_, kind, tag, truth_f, keys, fmt), vals in zip(families, dens[mi]):
             rows += _density_rows(method.key, kind, tag, truth_f, vals, keys, fmt, warnings)
-        scalar_runs = iter(scalars[mi])
-        for name in t.edge_labels:
-            truth_p = truth.p_edge.get(name, 0.0)
-            vals = next(scalar_runs)
-            valid = np.asarray([x for x in vals if x is not None])
-            if valid.size < len(vals):
-                warnings.append(f"{method.key}/p_edge[{name}]: "
-                                f"{len(vals) - valid.size} runs undefined")
-            if truth_p <= 0 or valid.size == 0:
-                warnings.append(f"{method.key}/p_edge[{name}]: omitted")
-                continue
-            mean = float(valid.mean())
-            rows.append(ReportRow(
-                method.key, "p_edge", name, truth_p, mean, mean / truth_p - 1.0,
-                float(np.sqrt(np.mean((valid - truth_p) ** 2)) / truth_p),
-                None, int(valid.size)))
-        for kind, truth_val in (("r", truth.r), ("C", truth.clustering)):
-            if (kind == "r" and not t.assortativity) or (kind == "C" and not t.clustering):
-                continue
-            vals = next(scalar_runs)
+        # edge-label rows need a positive truth; r and C keep a zero truth, without NMSE
+        named = [(f"p_edge[{name}]", "p_edge", name, truth.p_edge.get(name, 0.0))
+                 for name in t.edge_labels]
+        named += [(kind, kind, kind, value) for kind, value, on in (
+            ("r", truth.r, t.assortativity), ("C", truth.clustering, t.clustering)) if on]
+        for (tag, kind, label, truth_val), vals in zip(named, scalars[mi]):
             valid = np.asarray([x for x in vals if x is not None], dtype=np.float64)
             if valid.size < len(vals):
-                warnings.append(f"{method.key}/{kind}: "
-                                f"{len(vals) - valid.size} runs undefined")
+                warnings.append(f"{method.key}/{tag}: {len(vals) - valid.size} runs undefined")
+            if kind == "p_edge" and (truth_val <= 0 or valid.size == 0):
+                warnings.append(f"{method.key}/{tag}: omitted")
+                continue
             if valid.size == 0:
-                warnings.append(f"{method.key}/{kind}: no valid runs")
+                warnings.append(f"{method.key}/{tag}: no valid runs")
                 continue
             mean = float(valid.mean())
+            bias, nm_val = math.nan, None
             if truth_val == 0:
-                bias = math.nan
-                nm_val = None
-                warnings.append(f"{method.key}/{kind}: zero truth value, NMSE omitted")
+                warnings.append(f"{method.key}/{tag}: zero truth value, NMSE omitted")
             else:
                 bias = mean / truth_val - 1.0
                 nm_val = float(np.sqrt(np.mean((valid - truth_val) ** 2)) / abs(truth_val))
-            rows.append(ReportRow(method.key, kind, kind, float(truth_val), mean,
+            rows.append(ReportRow(method.key, kind, label, float(truth_val), mean,
                                   bias, nm_val, None, int(valid.size)))
 
     metadata = {
@@ -800,6 +787,8 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
 
 
 # -- convergence diagnostic ----------------------------------------------------
+
+_DIAGNOSTIC_BLOCK = 200_000  # runs per vectorized block; fixes the draw order
 
 
 @dataclass(frozen=True)
@@ -832,8 +821,7 @@ class FinalEdgeDiagnostic:
 def convergence_diagnostic(graph: Graph, method: str, budget: float, runs: int,
                            rng: RngStream, m: int = 1,
                            start: StartMode | None = None,
-                           cost_model: CostModel = DEFAULT_COST,
-                           block_size: int = 200_000) -> FinalEdgeDiagnostic:
+                           cost_model: CostModel = DEFAULT_COST) -> FinalEdgeDiagnostic:
     """Monte Carlo distribution of the final sampled edge.
 
     Exact computation would need the m-walker product chain, so the
@@ -862,7 +850,7 @@ def convergence_diagnostic(graph: Graph, method: str, budget: float, runs: int,
     done = 0
     while done < runs:
         # blocks never straddle the selection/estimation boundary
-        r = min(block_size, (runs_sel if done < runs_sel else runs) - done)
+        r = min(_DIAGNOSTIC_BLOCK, (runs_sel if done < runs_sel else runs) - done)
         if sim_m == 1:
             pos = start.draw(graph, r, gen)
             for _ in range(steps - 1):

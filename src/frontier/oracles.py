@@ -21,8 +21,8 @@ import scipy.sparse as sp
 from scipy import stats
 
 from .errors import StationarityError, UndefinedEstimateError
-from .graphs import (Graph, LabelStore, _edge_support, _neighbor_blocks, connected_components,
-                     is_bipartite)
+from .graphs import (Graph, LabelStore, _csr_edge_mask, _edge_support, _neighbor_blocks,
+                     connected_components, is_bipartite)
 
 __all__ = [
     "exact_vertex_label_density",
@@ -53,9 +53,10 @@ def exact_vertex_label_density(graph: Graph, labels: LabelStore, label: str) -> 
     quantity the walk estimators actually target.
     """
     lid = labels.label_id(label)
-    hits = [v for v, ls in labels.labeled_vertices() if lid in ls]
-    density = len(hits) / graph.n_vertices
-    edge_sum = math.fsum(graph.deg[v] * (1.0 / graph.deg[v]) for v in hits)
+    hits = labels.vertex_pairs[labels.vertex_pairs[:, 1] == lid, 0]
+    density = hits.size / graph.n_vertices
+    deg = graph.deg[hits]
+    edge_sum = math.fsum((deg * (1.0 / deg)).tolist())
     if abs(edge_sum / graph.n_vertices - density) > 1e-9:
         raise AssertionError("edge-sum cross-check failed for vertex label density")
     return density
@@ -64,11 +65,12 @@ def exact_vertex_label_density(graph: Graph, labels: LabelStore, label: str) -> 
 def exact_edge_label_density(graph: Graph, labels: LabelStore, label: str) -> float:
     """Fraction of labeled directed edges (in the symmetric closure) carrying ``label``."""
     lid = labels.label_id(label)
-    present = [lid in ls for edge, ls in labels.labeled_edges() if graph.has_edge(*edge)]
-    total, hits = len(present), sum(present)
+    e = labels.edge_pairs
+    e = e[_csr_edge_mask(graph.indptr, graph.indices, e[:, 0], e[:, 1])]
+    total = np.unique((e[:, 0] << 32) | e[:, 1]).size
     if total == 0:
         raise UndefinedEstimateError("no labeled edges in graph", code="no_labeled_edges")
-    return hits / total
+    return int((e[:, 2] == lid).sum()) / total
 
 
 def exact_degree_density(graph: Graph, mode: str = "symmetric") -> dict[int, float]:
@@ -92,15 +94,18 @@ def _degree_pairs(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     return graph.outdeg_d[e[:, 0]], graph.indeg_d[e[:, 1]]
 
 
+def _joint_density(x: np.ndarray, y: np.ndarray) -> dict[tuple[int, int], float]:
+    """Empirical joint density of the integer pairs (x[k], y[k]), in
+    ascending (x, y) order."""
+    base = int(y.max()) + 1
+    uniq, counts = np.unique(x.astype(np.int64) * base + y, return_counts=True)
+    return {(int(k // base), int(k % base)): int(c) / x.size
+            for k, c in zip(uniq.tolist(), counts.tolist())}
+
+
 def exact_degree_pair_joint(graph: Graph) -> dict[tuple[int, int], float]:
     """Joint density of (source out-degree, target in-degree) over directed edges."""
-    x, y = _degree_pairs(graph)
-    key = x.astype(np.int64) * (int(y.max()) + 1) + y
-    uniq, counts = np.unique(key, return_counts=True)
-    base = int(y.max()) + 1
-    total = x.size
-    return {(int(k // base), int(k % base)): int(c) / total
-            for k, c in zip(uniq.tolist(), counts.tolist())}
+    return _joint_density(*_degree_pairs(graph))
 
 
 def joint_moments(joint: dict[tuple[int, int], float]
@@ -406,21 +411,18 @@ def compute_truth(graph: Graph, labels: LabelStore | None = None,
         elif target == "degree_density":
             for k, val in exact_degree_density(graph, ccdf_mode).items():
                 theta[f"degree={k}"] = val
-        elif target == "labels":
+        elif target in ("labels", "edge_labels"):
             if labels is None:
-                raise ValueError("'labels' target needs a LabelStore")
-            for name in labels.label_names:
-                if any(labels.label_id(name) in ls for _, ls in labels.labeled_vertices()):
-                    theta[name] = exact_vertex_label_density(graph, labels, name)
-        elif target == "edge_labels":
-            if labels is None:
-                raise ValueError("'edge_labels' target needs a LabelStore")
-            p_edge = {}
-            for name in labels.label_names:
-                lid = labels.label_id(name)
-                if any(lid in ls for _, ls in labels.labeled_edges()):
-                    p_edge[name] = exact_edge_label_density(graph, labels, name)
-            truth.p_edge = p_edge or None
+                raise ValueError(f"{target!r} target needs a LabelStore")
+            pairs, exact = ((labels.vertex_pairs, exact_vertex_label_density) if target == "labels"
+                            else (labels.edge_pairs, exact_edge_label_density))
+            counts = np.bincount(pairs[:, -1], minlength=labels.n_labels).tolist()
+            found = {name: exact(graph, labels, name)
+                     for name, count in zip(labels.label_names, counts) if count}
+            if target == "labels":
+                theta.update(found)
+            else:
+                truth.p_edge = found or None
         elif target == "assortativity":
             truth.r = exact_assortativity(graph)
         elif target == "clustering":

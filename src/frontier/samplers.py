@@ -580,20 +580,19 @@ def distributed_fs(graph: Graph, m: int, time_budget: float,
 def discard_burn_in(trace: SampleTrace, w: int) -> SampleTrace:
     """Drop each walker's first ``w`` recorded steps; budget metadata stays."""
     if w < 0:
-        raise ValueError("burn-in must be non-negative")
+        raise ConfigError("burn-in must be non-negative")
     if w == 0:
         return trace
-    per_walker = trace.walker_steps()
-    active = per_walker[np.unique(trace.walker)]
-    if w >= int(active.min()):
-        raise ValueError(f"burn-in {w} >= steps of some walker (min {int(active.min())})")
-    order = np.argsort(trace.walker, kind="stable")
-    sorted_w = trace.walker[order]
-    group_start = np.flatnonzero(np.r_[True, sorted_w[1:] != sorted_w[:-1]])
-    counts = np.diff(np.r_[group_start, sorted_w.size])
-    rank_sorted = np.arange(sorted_w.size) - np.repeat(group_start, counts)
-    rank = np.empty_like(rank_sorted)
-    rank[order] = rank_sorted
+    if trace.n_steps == 0:
+        raise ConfigError(f"burn-in {w} needs recorded steps; the trace has none")
+    per = trace.walker_steps()
+    shortest = int(per[per > 0].min())
+    if w >= shortest:
+        raise ConfigError(f"burn-in {w} >= steps of some walker (min {shortest})")
+    # rank of each record among its walker's records, in trace order
+    rank = np.empty(trace.n_steps, dtype=np.int64)
+    rank[np.argsort(trace.walker, kind="stable")] = (np.arange(trace.n_steps)
+                                                     - np.repeat(np.cumsum(per) - per, per))
     keep = rank >= w
     meta = dict(trace.meta)
     meta["burn_in"] = w

@@ -417,3 +417,43 @@ def test_sample_rejects_edge_id_above_int64(tmp_path, capsys, line):
                "--out", str(tmp_path / "t.csv")) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "graph_format" and "line 3" in err["message"]
+
+
+# -- burn-in errors ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("extra", [
+    ["mrw", "--m", "2", "--budget", "6", "--burn-in", "5"],
+    ["rw", "--budget", "40", "--burn-in", "-1"],
+    ["dfs", "--time-budget", "1e-9", "--burn-in", "1"],
+], ids=["longer_than_walks", "negative", "empty_trace"])
+def test_sample_bad_burn_in_exit_2(tmp_path, graph_file, capsys, extra):
+    assert run("sample", extra[0], "--graph", graph_file, *extra[1:],
+               "--out", str(tmp_path / "t.csv")) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "config" and "burn-in" in err
+
+
+def test_estimate_burn_in_longer_than_trace_exit_2(tmp_path, graph_file, capsys):
+    trace = str(tmp_path / "t.csv")
+    assert run("sample", "rw", "--graph", graph_file, "--budget", "10",
+               "--out", trace) == 0
+    assert read_trace_csv(trace).n_steps == 9
+    capsys.readouterr()
+    assert run("estimate", "--graph", graph_file, "--trace", trace,
+               "--targets", "ccdf", "--burn-in", "50") == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "config" and "burn-in 50" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_experiment_burn_in_longer_than_walks_exit_2(tmp_path, capsys, workers):
+    path = str(tmp_path / "cfg.json")
+    open(path, "w").write(json.dumps(dict(
+        graph={"kind": "ba", "n": 100, "attach": 2, "seed": 3},
+        methods=[{"name": "mrw", "m": 10}], budget=60, burn_in=5,
+        targets={"ccdf": True}, runs=4)))
+    assert run("experiment", "--config", path, "--out", str(tmp_path / "r.csv"),
+               "--workers", workers) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "config" and "burn-in 5" in err
