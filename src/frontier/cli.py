@@ -50,7 +50,7 @@ from .harness import (
     run_monte_carlo,
 )
 from .rng import RngStream
-from .samplers import _check_trace, discard_burn_in, read_trace_csv, write_trace_csv
+from .samplers import _check_trace, read_trace_csv, write_trace_csv
 
 __all__ = ["main"]
 
@@ -135,8 +135,7 @@ def _cmd_sample(args) -> int:
         raise ConfigError(f"{args.method} needs --budget")
     budget = None if name == "dfs" else resolve_budget(args.budget, graph.n_vertices)
     trace = _sample(graph, method, budget, RngStream(args.seed))
-    if args.burn_in:
-        trace = discard_burn_in(trace, args.burn_in)
+    trace = _burn_in(trace, args.burn_in)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_trace_csv(trace, fh)
     print(f"wrote {args.out} ({trace.n_steps} records, spent {trace.spent!r})")

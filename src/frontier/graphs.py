@@ -381,9 +381,13 @@ class LabelStore:
             raise KeyError(f"unknown label {name!r}") from None
 
     def add_vertex_label(self, v: int, name: str) -> None:
+        if v < 0:
+            raise ValueError(f"vertex id must be non-negative, got {v}")
         self._new_vertex += (v, self.ensure_label(name))
 
     def add_edge_label(self, u: int, v: int, name: str, symmetric: bool = False) -> None:
+        if min(u, v) < 0:
+            raise ValueError(f"edge ids must be non-negative, got ({u}, {v})")
         lid = self.ensure_label(name)
         self._new_edge += (u, v, lid, v, u, lid) if symmetric else (u, v, lid)
 

@@ -51,13 +51,16 @@ from .oracles import (
 )
 from .rng import RngStream
 from .samplers import (
+    _BATCH_STEPS,
     DEFAULT_COST,
     CostModel,
     SampleTrace,
     StartMode,
     _fs_batch,
+    _fs_steps,
     _mrw_batch,
     _rw_batch,
+    _step_paths,
     _walk_steps,
     discard_burn_in,
     distributed_fs,
@@ -429,8 +432,8 @@ def _sample_runs(graph: Graph, method: MethodSpec, budget: float, rngs: list[Rng
 
 def _burn_in(trace: SampleTrace, w: int) -> SampleTrace:
     """Drop each walker's first ``w`` steps of a walk trace; independent
-    samples have no transient and pass through."""
-    return discard_burn_in(trace, w) if w and trace.method in _WALK_METHODS else trace
+    samples have no transient and pass through, but a negative ``w`` fails."""
+    return discard_burn_in(trace, w) if w < 0 or (w and trace.method in _WALK_METHODS) else trace
 
 
 def _check_labels(targets: TargetSpec, labels: LabelStore | None) -> None:
@@ -825,10 +828,10 @@ def convergence_diagnostic(graph: Graph, method: str, budget: float, runs: int,
     """Monte Carlo distribution of the final sampled edge.
 
     Exact computation would need the m-walker product chain, so the
-    distribution is estimated from many short independent runs executed
-    in vectorized blocks.  Starts default to uniform; explicit start
-    lists are rejected because the diagnostic is about random-start
-    transients.
+    distribution is estimated from many short independent runs, stepped in
+    blocks on the samplers' lockstep kernels (sharing their fs tie rule).
+    Starts default to uniform; explicit start lists are rejected because
+    the diagnostic is about random-start transients.
     """
     if method not in ("rw", "mrw", "fs"):
         raise ConfigError(f"diagnostic supports rw, mrw, fs; got {method!r}")
@@ -843,7 +846,6 @@ def convergence_diagnostic(graph: Graph, method: str, budget: float, runs: int,
     sim_m = m if method == "fs" else 1
 
     gen = rng.generator()
-    deg, indptr, indices = graph.deg, graph.indptr, graph.indices
     sel_counts = np.zeros(graph.vol_total, dtype=np.int64)
     est_counts = np.zeros(graph.vol_total, dtype=np.int64)
     runs_sel = runs // 2
@@ -851,30 +853,9 @@ def convergence_diagnostic(graph: Graph, method: str, budget: float, runs: int,
     while done < runs:
         # blocks never straddle the selection/estimation boundary
         r = min(_DIAGNOSTIC_BLOCK, (runs_sel if done < runs_sel else runs) - done)
-        if sim_m == 1:
-            pos = start.draw(graph, r, gen)
-            for _ in range(steps - 1):
-                off = (gen.random(r) * deg[pos]).astype(np.int64)
-                pos = indices[indptr[pos] + off]
-            off = (gen.random(r) * deg[pos]).astype(np.int64)
-            eid = indptr[pos] + off
-        else:
-            pos = start.draw(graph, r * sim_m, gen).reshape(r, sim_m)
-            rows = np.arange(r)
-            eid = np.empty(r, dtype=np.int64)
-            for k in range(steps):
-                degs = deg[pos]
-                target = gen.random(r) * degs.sum(axis=1)
-                j = np.minimum((degs.cumsum(axis=1) < target[:, None]).sum(axis=1),
-                               sim_m - 1)
-                cur = pos[rows, j]
-                off = (gen.random(r) * deg[cur]).astype(np.int64)
-                nxt_eid = indptr[cur] + off
-                pos[rows, j] = indices[nxt_eid]
-                if k == steps - 1:
-                    eid = nxt_eid
         counts = sel_counts if done < runs_sel else est_counts
-        counts += np.bincount(eid, minlength=graph.vol_total)
+        counts += np.bincount(_final_slots(graph, start, gen, r, steps, sim_m),
+                              minlength=graph.vol_total)
         done += r
 
     amin = int(sel_counts.argmin())
@@ -885,10 +866,26 @@ def convergence_diagnostic(graph: Graph, method: str, budget: float, runs: int,
     deviation = 1.0 - vol * p_min
     p_tilde = max(p_min, (c_est + 0.5) / runs_est)
     ci95 = 1.96 * vol * math.sqrt(p_tilde * (1.0 - p_tilde) / runs_est)
-    u_min = int(np.searchsorted(indptr, amin, side="right") - 1)
+    u_min = int(np.searchsorted(graph.indptr, amin, side="right") - 1)
     return FinalEdgeDiagnostic(method, m, float(budget), steps, runs, deviation,
-                               ci95, p_min, (u_min, int(indices[amin])), start.kind,
+                               ci95, p_min, (u_min, int(graph.indices[amin])), start.kind,
                                sel_counts + est_counts)
+
+
+def _final_slots(graph: Graph, start: StartMode, gen: np.random.Generator, r: int,
+                 steps: int, sim_m: int) -> np.ndarray:
+    """Closure slots of the last edges of ``r`` runs of ``sim_m`` walkers, stepped on
+    the samplers' kernels in lane groups within ``_BATCH_STEPS``.  ``gen`` draws
+    the starts, then per step the fs walker targets (if ``sim_m > 1``) and offsets."""
+    starts = start.draw(graph, r * sim_m, gen).reshape(r, sim_m)
+    draws = gen.random((steps, 2 if sim_m > 1 else 1, r))
+    group = max(1, _BATCH_STEPS // (steps * sim_m))
+    u = np.empty(r, dtype=np.int64)
+    for lo in range(0, r, group):
+        lanes, d = slice(lo, lo + group), draws[:, :, lo:lo + group]
+        u[lanes] = (_fs_steps(graph, starts[lanes], d[:, 0], d[:, 1])[0][-1] if sim_m > 1
+                    else _step_paths(graph, starts[lanes, 0], d[:, 0])[-2])
+    return graph.indptr[u] + (draws[-1, -1] * graph.deg[u]).astype(np.int64)
 
 
 # -- occupancy study -------------------------------------------------------------

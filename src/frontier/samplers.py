@@ -259,16 +259,22 @@ def _walk_paths(graph: Graph, starts: np.ndarray, rs: list[np.ndarray]) -> np.nd
         for k, (start, r) in enumerate(zip(starts.tolist(), rs)):
             out[k, :r.size + 1] = _walk_path(graph, start, r)
         return out
-    deg, indptr, indices = graph.deg, graph.indptr, graph.indices
     draws = np.zeros((s_max, k_lanes))
     for k, r in enumerate(rs):
         draws[:r.size, k] = r
-    paths = np.empty((s_max + 1, k_lanes), dtype=np.int64)
+    return _step_paths(graph, starts, draws).T
+
+
+def _step_paths(graph: Graph, starts: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Lockstep core of :func:`_walk_paths`: (S + 1, K) paths of lanes from
+    ``starts``, lane k's step i drawing ``draws[i, k]`` of (S, K)."""
+    deg, indptr, indices = graph.deg, graph.indptr, graph.indices
+    paths = np.empty((draws.shape[0] + 1, draws.shape[1]), dtype=np.int64)
     pos = paths[0] = starts
-    for i in range(s_max):
-        pos = indices[indptr[pos] + (draws[i] * deg[pos]).astype(np.int64)]
+    for i, d in enumerate(draws):
+        pos = indices[indptr[pos] + (d * deg[pos]).astype(np.int64)]
         paths[i + 1] = pos
-    return paths.T
+    return paths
 
 
 def _fs_path(graph: Graph, starts: np.ndarray, r1: np.ndarray, r2: np.ndarray,
@@ -318,20 +324,28 @@ def _fs_walk(graph: Graph, starts: np.ndarray, r1s: list[np.ndarray],
         for k in range(n_runs):
             _fs_path(graph, starts[k], r1s[k], r2s[k], u[k], v[k], wk[k])
         return u, v, wk
-    deg, indptr, indices = graph.deg, graph.indptr, graph.indices
     d1 = np.zeros((s_max, n_runs))
     d2 = np.zeros((s_max, n_runs))
     for k, (a, b) in enumerate(zip(r1s, r2s)):
         d1[:a.size, k] = a
         d2[:b.size, k] = b
+    return tuple(a.T for a in _fs_steps(graph, starts, d1, d2))
+
+
+def _fs_steps(graph: Graph, starts: np.ndarray, d1: np.ndarray,
+              d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lockstep core of :func:`_fs_walk`: (S, R) ``u``, ``v`` and ``walker`` of
+    runs from ``starts`` (R, m), run k's step i drawing ``d1[i, k]``, ``d2[i, k]``."""
+    n_runs, m = starts.shape
+    deg, indptr, indices = graph.deg, graph.indptr, graph.indices
     pos = starts.astype(np.int64).ravel()
     degs = deg[pos].astype(np.float64).reshape(n_runs, m)
     degs_flat = degs.reshape(-1)
     row0 = np.arange(n_runs) * m
-    u = np.empty((s_max, n_runs), dtype=np.int64)
-    v = np.empty((s_max, n_runs), dtype=np.int64)
-    wk = np.empty((s_max, n_runs), dtype=np.int32)
-    for i in range(s_max):
+    u = np.empty(d1.shape, dtype=np.int64)
+    v = np.empty(d1.shape, dtype=np.int64)
+    wk = np.empty(d1.shape, dtype=np.int32)
+    for i in range(d1.shape[0]):
         cum = degs.cumsum(axis=1)
         j = (cum <= (d1[i] * cum[:, -1])[:, None]).sum(axis=1)
         np.minimum(j, m - 1, out=j)
@@ -343,7 +357,7 @@ def _fs_walk(graph: Graph, starts: np.ndarray, r1s: list[np.ndarray],
         u[i] = cur
         v[i] = nxt
         wk[i] = j
-    return u.T, v.T, wk.T
+    return u, v, wk
 
 
 def _walk_steps(method: str, budget: float, m: int, start_cost: float,

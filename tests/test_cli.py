@@ -457,3 +457,29 @@ def test_experiment_burn_in_longer_than_walks_exit_2(tmp_path, capsys, workers):
                "--workers", workers) == 2
     err = capsys.readouterr().err
     assert json.loads(err)["error"] == "config" and "burn-in 5" in err
+
+
+@pytest.mark.parametrize("method", ["vertex", "edge"])
+def test_sample_burn_in_keeps_independent_samples(tmp_path, graph_file, method):
+    # independent samples have no transient: burn-in applies to walks only
+    plain, burnt = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    for out, extra in ((plain, []), (burnt, ["--burn-in", "5"])):
+        assert run("sample", method, "--graph", graph_file, "--budget", "40",
+                   "--out", out, *extra) == 0
+    assert read_trace_csv(plain).n_steps > 5
+    assert read(burnt) == read(plain)
+
+
+def test_negative_burn_in_on_vertex_trace_exit_2(tmp_path, graph_file, capsys):
+    trace = str(tmp_path / "t.csv")
+    assert run("sample", "vertex", "--graph", graph_file, "--budget", "40",
+               "--burn-in", "-1", "--out", trace) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "config" and "burn-in" in err
+    assert run("sample", "vertex", "--graph", graph_file, "--budget", "40",
+               "--out", trace) == 0
+    capsys.readouterr()
+    assert run("estimate", "--graph", graph_file, "--trace", trace,
+               "--targets", "ccdf", "--burn-in", "-1") == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "config" and "burn-in" in err

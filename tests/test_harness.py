@@ -6,11 +6,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from frontier import harness
 from frontier.errors import ConfigError
-from frontier.graphs import _searchsorted_ragged
+from frontier.graphs import _searchsorted_ragged, load_graph
 from frontier.harness import (
     ExperimentConfig,
     MethodSpec,
@@ -322,6 +323,102 @@ def test_diagnostic_rejects_unknown_method(tri_pendant):
     with pytest.raises(ConfigError):
         convergence_diagnostic(tri_pendant, "rw", 10.0, 10, RngStream(0),
                                start=StartMode.explicit([0]))
+
+
+def _ref_convergence_diagnostic(graph, method, budget, runs, rng, m, start):
+    # the diagnostic's own step loops before it stepped on the samplers'
+    # kernels, kept verbatim; the fs walker choice counts ``cumsum < target``
+    steps = harness._planned_steps(method, budget, m, start, harness.DEFAULT_COST)
+    sim_m = m if method == "fs" else 1
+
+    gen = rng.generator()
+    deg, indptr, indices = graph.deg, graph.indptr, graph.indices
+    sel_counts = np.zeros(graph.vol_total, dtype=np.int64)
+    est_counts = np.zeros(graph.vol_total, dtype=np.int64)
+    runs_sel = runs // 2
+    done = 0
+    while done < runs:
+        # blocks never straddle the selection/estimation boundary
+        r = min(harness._DIAGNOSTIC_BLOCK, (runs_sel if done < runs_sel else runs) - done)
+        if sim_m == 1:
+            pos = start.draw(graph, r, gen)
+            for _ in range(steps - 1):
+                off = (gen.random(r) * deg[pos]).astype(np.int64)
+                pos = indices[indptr[pos] + off]
+            off = (gen.random(r) * deg[pos]).astype(np.int64)
+            eid = indptr[pos] + off
+        else:
+            pos = start.draw(graph, r * sim_m, gen).reshape(r, sim_m)
+            rows = np.arange(r)
+            eid = np.empty(r, dtype=np.int64)
+            for k in range(steps):
+                degs = deg[pos]
+                target = gen.random(r) * degs.sum(axis=1)
+                j = np.minimum((degs.cumsum(axis=1) < target[:, None]).sum(axis=1),
+                               sim_m - 1)
+                cur = pos[rows, j]
+                off = (gen.random(r) * deg[cur]).astype(np.int64)
+                nxt_eid = indptr[cur] + off
+                pos[rows, j] = indices[nxt_eid]
+                if k == steps - 1:
+                    eid = nxt_eid
+        counts = sel_counts if done < runs_sel else est_counts
+        counts += np.bincount(eid, minlength=graph.vol_total)
+        done += r
+
+    amin = int(sel_counts.argmin())
+    runs_est = runs - runs_sel
+    c_est = int(est_counts[amin])
+    p_min = c_est / runs_est
+    vol = graph.vol_total
+    deviation = 1.0 - vol * p_min
+    p_tilde = max(p_min, (c_est + 0.5) / runs_est)
+    ci95 = 1.96 * vol * math.sqrt(p_tilde * (1.0 - p_tilde) / runs_est)
+    u_min = int(np.searchsorted(indptr, amin, side="right") - 1)
+    return harness.FinalEdgeDiagnostic(method, m, float(budget), steps, runs, deviation,
+                                       ci95, p_min, (u_min, int(indices[amin])), start.kind,
+                                       sel_counts + est_counts)
+
+
+@st.composite
+def _diagnostic_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)),
+                          min_size=1, max_size=30))
+    graph = load_graph("".join(f"{a} {(a + b) % n}\n" for a, b in pairs))
+    method = draw(st.sampled_from(["fs", "mrw", "rw"]))
+    m = 1 if method == "rw" else draw(st.integers(min_value=1, max_value=4))
+    budget = 2.0 * m + draw(st.integers(min_value=0, max_value=10))
+    start = StartMode(draw(st.sampled_from(["uniform", "degree"])))
+    runs = draw(st.integers(min_value=2, max_value=60))
+    # block and lane-group edges before, at and after the runs // 2 split
+    block = draw(st.sampled_from([1, 2, 3, 7, runs // 2, runs // 2 + 1,
+                                  harness._DIAGNOSTIC_BLOCK]))
+    cap = draw(st.sampled_from([1, 5, 16, 40, 150, harness._BATCH_STEPS]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return graph, method, m, budget, start, runs, block, cap, seed
+
+
+@given(_diagnostic_cases())
+@settings(max_examples=200, deadline=None)
+def test_diagnostic_matches_own_loop_reference(case):
+    graph, method, m, budget, start, runs, block, cap, seed = case
+    with mock.patch.object(harness, "_DIAGNOSTIC_BLOCK", block), \
+            mock.patch.object(harness, "_BATCH_STEPS", cap):
+        try:
+            want = _ref_convergence_diagnostic(graph, method, budget, runs,
+                                               RngStream(seed), m, start)
+        except ValueError as exc:  # all estimation runs on the located slot
+            with pytest.raises(type(exc)):
+                convergence_diagnostic(graph, method, budget, runs, RngStream(seed),
+                                       m=m, start=start)
+            return
+        got = convergence_diagnostic(graph, method, budget, runs, RngStream(seed),
+                                     m=m, start=start)
+    for name in ("method", "m", "budget", "steps", "runs", "deviation", "ci95",
+                 "p_min", "edge_min", "start"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert np.array_equal(got.counts, want.counts)
 
 
 # -- occupancy study -----------------------------------------------------------------

@@ -16,6 +16,7 @@ from frontier.estimators import (
     vertex_density_from_vertex_samples,
 )
 from frontier.graphs import (
+    LabelStore,
     connected_components,
     degree_labels,
     generate_barabasi_albert,
@@ -367,3 +368,16 @@ def test_degree_labels_match_reference(tri_pendant, k5):
         trace = walk_like_trace(graph, np.random.default_rng(3), 500)
         group = estimate_group_densities(trace, graph, store)
         assert math.isclose(sum(group.values.values()), 1.0, rel_tol=1e-12)
+
+
+def test_label_store_rejects_negative_ids(tri_pendant):
+    # a negative id would wrap in numpy indexing and give a wrong density
+    store = LabelStore()
+    with pytest.raises(ValueError):
+        store.add_vertex_label(-1, "x")
+    for u, v in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            store.add_edge_label(u, v, "x", symmetric=True)
+    assert store.vertex_pairs.size == 0 and store.edge_pairs.size == 0
+    store.add_vertex_label(3, "x")
+    assert exact_vertex_label_density(tri_pendant, store, "x") == 0.25
