@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .harness import (
     run_monte_carlo,
 )
 from .rng import RngStream
-from .samplers import _check_trace, read_trace_csv, write_trace_csv
+from .samplers import CostModel, _check_trace, read_trace_csv, write_trace_csv
 
 __all__ = ["main"]
 
@@ -124,13 +125,14 @@ def _cmd_sample(args) -> int:
             raise ConfigError("--start explicit needs --start-vertices")
         start = {"kind": "explicit",
                  "vertices": _resolve_vertices(graph, args.start_vertices)}
-    cost = {k: getattr(args, k) for k in (
-        "walk_step_cost", "vertex_query_cost", "vertex_hit_ratio",
-        "edge_sample_cost", "edge_hit_ratio", "stochastic_starts")}
+    # only the cost flags given, so that one given to dfs is refused
+    cost = {f.name: getattr(args, f.name) for f in fields(CostModel) if hasattr(args, f.name)}
     name = {"vertex": "random_vertex", "edge": "random_edge"}.get(args.method, args.method)
     method = MethodSpec.from_config(
         {"name": name, "m": args.m, "start": start, "cost": cost,
          "time_budget": args.time_budget}, "sample")
+    if name == "dfs" and args.budget is not None:
+        raise ConfigError("dfs takes --time-budget, not --budget")
     if args.budget is None and name != "dfs":
         raise ConfigError(f"{args.method} needs --budget")
     budget = None if name == "dfs" else resolve_budget(args.budget, graph.n_vertices)
@@ -252,12 +254,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      default="uniform")
     smp.add_argument("--start-vertices", help="comma separated, with --start explicit")
     smp.add_argument("--burn-in", type=int, default=0)
-    smp.add_argument("--walk-step-cost", type=float, default=1.0)
-    smp.add_argument("--vertex-query-cost", type=float, default=1.0)
-    smp.add_argument("--vertex-hit-ratio", type=float, default=1.0)
-    smp.add_argument("--edge-sample-cost", type=float, default=2.0)
-    smp.add_argument("--edge-hit-ratio", type=float, default=1.0)
-    smp.add_argument("--stochastic-starts", action="store_true")
+    # cost flags left out are absent from args and keep CostModel's defaults
+    for flag in ("--walk-step-cost", "--vertex-query-cost", "--vertex-hit-ratio",
+                 "--edge-sample-cost", "--edge-hit-ratio"):
+        smp.add_argument(flag, type=float, default=argparse.SUPPRESS)
+    smp.add_argument("--stochastic-starts", action="store_true", default=argparse.SUPPRESS)
     smp.add_argument("--out", required=True)
     smp.add_argument("--force", action="store_true")
     smp.set_defaults(func=_cmd_sample)

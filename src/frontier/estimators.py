@@ -149,15 +149,14 @@ def estimate_degree_density(trace: SampleTrace, graph: Graph,
 
 
 def _ccdf_from_density(theta: dict) -> dict[int, float]:
+    """Fraction strictly above each degree l up to the largest, summed top down."""
     if not theta:
         return {}
-    top = max(theta)
-    out: dict[int, float] = {}
-    tail = 0.0
-    for l in range(top, -1, -1):
-        out[l] = tail  # fraction strictly above l
-        tail += theta.get(l, 0.0)
-    return dict(sorted(out.items()))
+    dens = np.zeros(max(theta) + 1)
+    dens[list(theta)] = list(theta.values())
+    tail = np.zeros(dens.size)
+    tail[:-1] = np.cumsum(dens[:0:-1])[::-1]
+    return dict(enumerate(tail.tolist()))
 
 
 def estimate_degree_ccdf(trace: SampleTrace, graph: Graph,

@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import IO, Sequence
 
 import numpy as np
@@ -64,11 +64,8 @@ from .samplers import (
     _walk_steps,
     discard_burn_in,
     distributed_fs,
-    frontier_sampling,
-    multiple_rw,
     random_edge_sample,
     random_vertex_sample,
-    single_rw,
 )
 
 __all__ = [
@@ -200,8 +197,7 @@ def _parse_start(raw, where: str) -> StartMode:
 def _parse_cost(raw, where: str) -> CostModel:
     if raw is None:
         return DEFAULT_COST
-    _check_keys(raw, ("walk_step_cost", "vertex_query_cost", "vertex_hit_ratio",
-                      "edge_sample_cost", "edge_hit_ratio", "stochastic_starts"), where)
+    _check_keys(raw, [f.name for f in fields(CostModel)], where)
     try:
         return CostModel(**raw)
     except (TypeError, ValueError) as exc:
@@ -227,7 +223,13 @@ class MethodSpec:
         m = _as_int(raw.get("m", 1), f"{where}: m")
         if m < 1:
             raise ConfigError(f"{where}: m must be >= 1")
+        if m != 1 and name in ("rw", "random_vertex", "random_edge"):
+            raise ConfigError(f"{where}: m must be 1 for {name}, got {m}")
         time_budget = raw.get("time_budget")
+        if time_budget is not None and name != "dfs":
+            raise ConfigError(f"{where}: time_budget applies to dfs only, not {name}")
+        if raw.get("cost") and name == "dfs":
+            raise ConfigError(f"{where}: cost does not apply to dfs, which spends time")
         if time_budget is not None and (isinstance(time_budget, bool) or not isinstance(
                 time_budget, (int, float)) or not math.isfinite(time_budget)):
             raise ConfigError(f"{where}: time_budget must be a finite number, got {time_budget!r}")
@@ -235,6 +237,8 @@ class MethodSpec:
                    cost=_parse_cost(raw.get("cost"), where), time_budget=time_budget)
         if name == "dfs" and spec.time_budget is None:
             raise ConfigError(f"{where}: dfs needs a time_budget")
+        if name in ("random_vertex", "random_edge") and spec.start.kind != "uniform":
+            raise ConfigError(f"{where}: start must be uniform for {name}")
         return spec
 
     @property
@@ -401,13 +405,21 @@ class ExperimentConfig:
 # -- single-run sampling + estimation ----------------------------------------
 
 
-def _sample(graph: Graph, method: MethodSpec, budget: float, rng: RngStream):
+def _walk_batch(graph: Graph, method: MethodSpec, budget: float, rngs: list[RngStream]):
+    """The lockstep batch of rw, mrw or fs runs with streams ``rngs``; None otherwise."""
     if method.name == "rw":
-        return single_rw(graph, method.start, budget, rng, method.cost)
+        return _rw_batch(graph, method.start, budget, method.cost, rngs)
     if method.name == "mrw":
-        return multiple_rw(graph, method.m, method.start, budget, method.cost, rng)
+        return _mrw_batch(graph, method.m, method.start, budget, method.cost, rngs)
     if method.name == "fs":
-        return frontier_sampling(graph, method.m, method.start, budget, method.cost, rng)
+        return _fs_batch(graph, method.m, method.start, budget, method.cost, rngs)
+    return None
+
+
+def _sample(graph: Graph, method: MethodSpec, budget: float, rng: RngStream):
+    batch = _walk_batch(graph, method, budget, [rng])
+    if batch is not None:
+        return next(batch)
     if method.name == "dfs":
         return distributed_fs(graph, method.m, float(method.time_budget),
                               method.start, rng)
@@ -420,14 +432,9 @@ def _sample(graph: Graph, method: MethodSpec, budget: float, rng: RngStream):
 
 def _sample_runs(graph: Graph, method: MethodSpec, budget: float, rngs: list[RngStream]):
     """Traces of the runs with streams ``rngs``, in order: each the trace
-    :func:`_sample` gives for its stream; walk runs are stepped in lockstep."""
-    if method.name == "rw":
-        return _rw_batch(graph, method.start, budget, method.cost, rngs)
-    if method.name == "mrw":
-        return _mrw_batch(graph, method.m, method.start, budget, method.cost, rngs)
-    if method.name == "fs":
-        return _fs_batch(graph, method.m, method.start, budget, method.cost, rngs)
-    return (_sample(graph, method, budget, rng) for rng in rngs)
+    :func:`_sample` gives for its stream."""
+    return _walk_batch(graph, method, budget, rngs) or (
+        _sample(graph, method, budget, rng) for rng in rngs)
 
 
 def _burn_in(trace: SampleTrace, w: int) -> SampleTrace:
@@ -647,7 +654,7 @@ def _check_feasible(graph: Graph, method: MethodSpec, budget: float) -> None:
     budgets the sampler would refuse."""
     c = method.cost
     if method.name in _WALK_METHODS and method.start.kind == "explicit":
-        method.start.draw(graph, 1 if method.name == "rw" else method.m, None)
+        method.start.draw(graph, method.m, None)
     if method.name == "dfs":
         ok = method.time_budget is not None and method.time_budget > 0
     elif method.name == "random_vertex":
@@ -864,6 +871,8 @@ def convergence_diagnostic(graph: Graph, method: str, budget: float, runs: int,
     p_min = c_est / runs_est
     vol = graph.vol_total
     deviation = 1.0 - vol * p_min
+    if c_est == runs_est:  # p_tilde would exceed 1
+        raise ValueError(f"all {runs_est} estimation runs hit the located slot; use more runs")
     p_tilde = max(p_min, (c_est + 0.5) / runs_est)
     ci95 = 1.96 * vol * math.sqrt(p_tilde * (1.0 - p_tilde) / runs_est)
     u_min = int(np.searchsorted(graph.indptr, amin, side="right") - 1)
@@ -926,7 +935,8 @@ def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "
     if method == "fs":
         start = start_mode or StartMode.uniform()
         start_total = 0.0 if start.kind == "explicit" else m * c
-        budget = start_total + steps * cost_model.walk_step_cost
+        # half a step short, so the ceil rule maps the budget back to ``steps``
+        budget = start_total + (steps - 0.5) * cost_model.walk_step_cost
         for trace in _fs_batch(graph, m, start, budget, cost_model,
                                [rng.child(run) for run in range(runs)]):
             k0 = int(member[trace.start_vertices].sum())
@@ -935,7 +945,8 @@ def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "
     elif method == "mrw":
         start = start_mode or StartMode.degree_proportional()
         per_walker = 0.0 if start.kind == "explicit" else c
-        budget = m * (per_walker + steps * cost_model.walk_step_cost)
+        # half a step past, so the floor rule maps each share back to ``steps``
+        budget = m * (per_walker + (steps + 0.5) * cost_model.walk_step_cost)
         for trace in _mrw_batch(graph, m, start, budget, cost_model,
                                 [rng.child(run) for run in range(runs)]):
             counts = np.bincount(trace.walker, minlength=m)

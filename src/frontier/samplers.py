@@ -428,40 +428,17 @@ def _groups(steps: list[int], lanes: int):
         lo = hi
 
 
-def _rw_batch(graph: Graph, start_mode: StartMode, budget: float, cost_model: CostModel,
-              rngs: list[RngStream]):
-    """:func:`single_rw` traces of the runs with streams ``rngs``."""
+def _paths_batch(method: str, graph: Graph, m: int, start_mode: StartMode, budget: float,
+                 cost_model: CostModel, gens: list):
+    """Traces of rw or mrw runs of m independent walkers; lane ``r * m + w``
+    is walker w of run r and draws from ``gens[r * m + w]``."""
     step = cost_model.walk_step_cost
-    gens = [rng.generator() for rng in rngs]
+    n_runs = len(gens) // m
     costs = _start_costs(cost_model, start_mode.kind, gens, 1)[:, 0].tolist()
-    starts = _draw_starts(graph, start_mode, gens, 1)[:, 0]
-    steps = _steps_by_cost("rw", budget, 1, costs, step)
-    for lo, hi in _groups(steps, 1):
-        paths = _walk_paths(graph, starts[lo:hi],
-                            [g.random(s) for g, s in zip(gens[lo:hi], steps[lo:hi])])
-        for path, r in zip(paths, range(lo, hi)):
-            s = steps[r]
-            yield _finish(
-                (path[:s], path[1:s + 1], np.zeros(s), np.full(s, step)),
-                method="rw", m=1, budget=float(budget), spent=costs[r] + s * step,
-                start_vertices=starts[r:r + 1].copy(), graph_hash=graph.graph_hash,
-                meta={"start_cost_total": costs[r]})
-
-
-def _mrw_batch(graph: Graph, m: int, start_mode: StartMode, budget: float,
-               cost_model: CostModel, rngs: list[RngStream]):
-    """:func:`multiple_rw` traces of the runs with streams ``rngs``; each of
-    the runs' walkers is one lane."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    step = cost_model.walk_step_cost
-    explicit = start_mode.draw(graph, m, None) if start_mode.kind == "explicit" else None
-    gens = [rng.child(w).generator() for rng in rngs for w in range(m)]
-    costs = _start_costs(cost_model, start_mode.kind, gens, 1)[:, 0].tolist()
-    starts = (np.tile(explicit, len(rngs)) if explicit is not None
+    starts = (np.tile(start_mode.draw(graph, m, None), n_runs) if start_mode.kind == "explicit"
               else _draw_starts(graph, start_mode, gens, 1)[:, 0])
-    steps = _steps_by_cost("mrw", budget, m, costs, step)
-    for lo, hi in _groups([max(steps[r * m:r * m + m]) for r in range(len(rngs))], m):
+    steps = _steps_by_cost(method, budget, m, costs, step)
+    for lo, hi in _groups([max(steps[r * m:r * m + m]) for r in range(n_runs)], m):
         lanes = slice(lo * m, hi * m)
         paths = _walk_paths(graph, starts[lanes],
                             [g.random(s) for g, s in zip(gens[lanes], steps[lanes])])
@@ -474,9 +451,26 @@ def _mrw_batch(graph: Graph, m: int, start_mode: StartMode, budget: float,
             yield _finish(
                 (u, own[:, 1:][keep], np.repeat(np.arange(m), lane_steps),
                  np.full(u.size, step)),
-                method="mrw", m=m, budget=float(budget), spent=start_cost + u.size * step,
+                method=method, m=m, budget=float(budget), spent=start_cost + u.size * step,
                 start_vertices=starts[r * m:r * m + m].astype(np.int64),
                 graph_hash=graph.graph_hash, meta={"start_cost_total": start_cost})
+
+
+def _rw_batch(graph: Graph, start_mode: StartMode, budget: float, cost_model: CostModel,
+              rngs: list[RngStream]):
+    """:func:`single_rw` traces of the runs with streams ``rngs``."""
+    return _paths_batch("rw", graph, 1, start_mode, budget, cost_model,
+                        [rng.generator() for rng in rngs])
+
+
+def _mrw_batch(graph: Graph, m: int, start_mode: StartMode, budget: float,
+               cost_model: CostModel, rngs: list[RngStream]):
+    """:func:`multiple_rw` traces of the runs with streams ``rngs``; each of
+    the runs' walkers is one lane."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return _paths_batch("mrw", graph, m, start_mode, budget, cost_model,
+                        [rng.child(w).generator() for rng in rngs for w in range(m)])
 
 
 def _fs_batch(graph: Graph, m: int, start_mode: StartMode, budget: float,

@@ -271,6 +271,22 @@ def test_sample_bad_method_flags_exit_2(tmp_path, graph_file, capsys, extra):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+@pytest.mark.parametrize("extra", [
+    ["rw", "--m", "5", "--budget", "50"],
+    ["edge", "--m", "4", "--budget", "50"],
+    ["vertex", "--start", "degree", "--budget", "50"],
+    ["fs", "--m", "2", "--budget", "50", "--time-budget", "5"],
+    ["dfs", "--time-budget", "5", "--budget", "100", "--walk-step-cost", "4"],
+    ["dfs", "--time-budget", "5", "--budget", "100"],
+], ids=["rw_m", "edge_m", "vertex_start", "fs_time_budget", "dfs_cost", "dfs_budget"])
+def test_sample_flag_the_method_ignores_exit_2(tmp_path, graph_file, capsys, extra):
+    out = tmp_path / "t.csv"
+    assert run("sample", extra[0], "--graph", graph_file, *extra[1:], "--out", str(out)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["label=Z", "edge-label=Z"])
 def test_estimate_unknown_label_exit_2(tmp_path, graph_file, trace_file, capsys, target):
     labels = str(tmp_path / "labels.txt")

@@ -16,6 +16,7 @@ from frontier.estimators import (
     estimate_group_densities,
     estimate_vertex_label_density,
     vertex_density_from_vertex_samples,
+    _ccdf_from_density,
 )
 from frontier.graphs import LabelStore, build_graph, generate_barabasi_albert, load_graph
 from frontier.oracles import (
@@ -260,3 +261,25 @@ def test_larger_graph_enumeration_identity():
     assert abs(estimate_global_clustering(tr, g).c_hat
                - exact_global_clustering(g)) < 1e-9
     assert abs(estimate_assortativity(tr, g).r_hat - exact_assortativity(g)) < 1e-9
+
+
+def _ref_ccdf_from_density(theta):
+    # the per-degree loop the vectorized tail replaced
+    if not theta:
+        return {}
+    top = max(theta)
+    out = {}
+    tail = 0.0
+    for l in range(top, -1, -1):
+        out[l] = tail
+        tail += theta.get(l, 0.0)
+    return dict(sorted(out.items()))
+
+
+@given(st.dictionaries(st.integers(0, 400), st.floats(0.0, 1.0), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_ccdf_from_density_matches_loop(theta):
+    got, want = _ccdf_from_density(theta), _ref_ccdf_from_density(theta)
+    assert list(got) == list(want)
+    assert [type(x) for x in got.values()] == [float] * len(want)
+    assert [x.hex() for x in got.values()] == [x.hex() for x in want.values()]

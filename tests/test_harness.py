@@ -26,7 +26,13 @@ from frontier.harness import (
     tv_distance,
 )
 from frontier.rng import RngStream
-from frontier.samplers import StartMode, frontier_sampling, multiple_rw, single_rw
+from frontier.samplers import (
+    CostModel,
+    StartMode,
+    frontier_sampling,
+    multiple_rw,
+    single_rw,
+)
 
 
 # -- metrics ------------------------------------------------------------------
@@ -421,6 +427,14 @@ def test_diagnostic_matches_own_loop_reference(case):
     assert np.array_equal(got.counts, want.counts)
 
 
+@pytest.mark.parametrize("start", [StartMode.uniform(), StartMode.degree_proportional()])
+def test_diagnostic_asks_for_more_runs_when_every_run_hits_the_slot(tri_pendant, start):
+    # the single estimation run lands on the slot the selection run located
+    with pytest.raises(ValueError, match="all 1 estimation runs hit the located "
+                                         "slot; use more runs"):
+        convergence_diagnostic(tri_pendant, "fs", 9.0, 2, RngStream(5), m=3, start=start)
+
+
 # -- occupancy study -----------------------------------------------------------------
 
 
@@ -447,6 +461,30 @@ def test_occupancy_study_rejects_other_methods(tri_pendant):
         occupancy_study(tri_pendant, [3], m=2, method="rw", rng=RngStream(0))
 
 
+@pytest.mark.parametrize("method, batch, steps, step_cost", [
+    ("mrw", "_mrw_batch", 3, 0.7), ("mrw", "_mrw_batch", 23, 0.7),
+    ("fs", "_fs_batch", 3, 0.7), ("fs", "_fs_batch", 18209, 0.9)])
+def test_occupancy_study_walks_exactly_steps(tri_pendant, method, batch, steps, step_cost):
+    # float budgets must map back to ``steps`` under each sampler's rounding
+    traces = []
+    real = getattr(harness, batch)
+
+    def recording(*args):
+        for trace in real(*args):
+            traces.append(trace)
+            yield trace
+
+    with mock.patch.object(harness, batch, recording):
+        study = occupancy_study(tri_pendant, [3], m=2, method=method, steps=steps, runs=2,
+                                rng=RngStream(4), cost_model=CostModel(walk_step_cost=step_cost))
+    assert study.steps == steps and len(traces) == 2
+    for trace in traces:
+        if method == "mrw":
+            assert trace.walker_steps().tolist() == [steps, steps]
+        else:
+            assert trace.n_steps == steps
+
+
 def test_method_spec_keys():
     assert MethodSpec("rw").key == "rw"
     assert MethodSpec("fs", m=7).key == "fs[m=7]"
@@ -456,6 +494,24 @@ def test_method_spec_keys():
     spec2 = MethodSpec.from_config(
         {"name": "fs", "cost": {"vertex_hit_ratio": 0.5}}, "methods[0]")
     assert spec2.cost.effective_start_cost == 2.0
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"name": "rw", "m": 5}, "m"),
+    ({"name": "random_vertex", "m": 2}, "m"),
+    ({"name": "random_edge", "m": 4}, "m"),
+    ({"name": "random_vertex", "start": "degree"}, "start"),
+    ({"name": "random_edge", "start": {"kind": "explicit", "vertices": [1]}}, "start"),
+    ({"name": "fs", "m": 2, "time_budget": 5}, "time_budget"),
+    ({"name": "rw", "time_budget": 5}, "time_budget"),
+    ({"name": "dfs", "m": 2, "time_budget": 5, "cost": {"walk_step_cost": 4}}, "cost"),
+], ids=["rw_m", "vertex_m", "edge_m", "vertex_start", "edge_start", "fs_time_budget",
+        "rw_time_budget", "dfs_cost"])
+def test_method_spec_rejects_settings_the_sampler_ignores(raw, key):
+    with pytest.raises(ConfigError, match=rf"^methods\[0\]: {key} "):
+        MethodSpec.from_config(raw, "methods[0]")
+    # the same method without the setting is accepted
+    MethodSpec.from_config({k: v for k, v in raw.items() if k != key}, "methods[0]")
 
 
 def test_worker_pool_under_spawn():
