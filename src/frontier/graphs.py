@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .errors import GraphFormatError
+from .errors import ConfigError, GraphFormatError
 from .rng import RngStream, as_stream
 
 __all__ = [
@@ -571,9 +571,9 @@ def generate_barabasi_albert(n: int, attach_m: int, seed: "int | RngStream") -> 
     The result is undirected: both orientations enter the directed set.
     """
     if attach_m < 1:
-        raise ValueError("attach_m must be >= 1")
+        raise ConfigError("attach_m must be >= 1")
     if n < attach_m + 2:
-        raise ValueError("n must be at least attach_m + 2")
+        raise ConfigError("n must be at least attach_m + 2")
     rng = as_stream(seed).generator()
 
     srcs: list[int] = []

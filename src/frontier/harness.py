@@ -177,6 +177,13 @@ def _as_int(value, what: str) -> int:
     return int(value)
 
 
+def _check_seed(value, what: str) -> int:
+    seed = _as_int(value, what)
+    if seed < 0:
+        raise ConfigError(f"{what} must be >= 0, got {seed}")
+    return seed
+
+
 def _parse_start(raw, where: str) -> StartMode:
     if raw is None:
         return StartMode.uniform()
@@ -348,7 +355,8 @@ class ExperimentConfig:
         _check_keys(graph_raw, ("kind",) + _GRAPH_KEYS[kind], "graph")
         if kind != "file":  # generator parameters; only the seed is optional
             for key in _GRAPH_KEYS[kind]:
-                _as_int(graph_raw.get(key, 0 if key == "seed" else None), f"graph: {key}")
+                check = _check_seed if key == "seed" else _as_int
+                check(graph_raw.get(key, 0 if key == "seed" else None), f"graph: {key}")
         elif not (isinstance(graph_raw.get("path"), str)
                   and isinstance(graph_raw.get("labels_path") or "", str)):
             raise ConfigError("graph: path and labels_path must be strings")
@@ -373,7 +381,7 @@ class ExperimentConfig:
                 f"targets needing sampled edges are incompatible with {vertex_only}")
         return cls(graph=graph_raw, methods=methods, budget=raw["budget"],
                    targets=targets, runs=runs, burn_in=burn_in,
-                   seed=_as_int(raw.get("seed", 0), "config: seed"), ccdf_mode=mode)
+                   seed=_check_seed(raw.get("seed", 0), "config: seed"), ccdf_mode=mode)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -917,6 +925,9 @@ class OccupancyStudy:
     tv_binomial: float | None = None
 
 
+_UNEQUAL_WALKS = "occupancy study needs equal-length walks; use a deterministic cost model"
+
+
 def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "fs",
                     steps: int = 10 ** 5, runs: int = 1,
                     rng: RngStream = RngStream(0),
@@ -927,6 +938,8 @@ def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "
     Frontier sampling is compared against its stationary occupancy law
     and the binomial that m independent uniform walkers would give;
     independent walkers (mrw) are compared against the degree-share mean.
+    Every walk must take exactly ``steps`` steps; a ConfigError is raised
+    when drawn start costs change that.
     """
     member = np.zeros(graph.n_vertices, dtype=np.int64)
     member[np.asarray(list(subset), dtype=np.int64)] = 1
@@ -939,6 +952,8 @@ def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "
         budget = start_total + (steps - 0.5) * cost_model.walk_step_cost
         for trace in _fs_batch(graph, m, start, budget, cost_model,
                                [rng.child(run) for run in range(runs)]):
+            if trace.n_steps != steps:
+                raise ConfigError(_UNEQUAL_WALKS)
             k0 = int(member[trace.start_vertices].sum())
             occ = k0 + np.cumsum(member[trace.v] - member[trace.u])
             hist += np.bincount(occ, minlength=m + 1)
@@ -949,11 +964,9 @@ def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "
         budget = m * (per_walker + (steps + 0.5) * cost_model.walk_step_cost)
         for trace in _mrw_batch(graph, m, start, budget, cost_model,
                                 [rng.child(run) for run in range(runs)]):
-            counts = np.bincount(trace.walker, minlength=m)
-            if not np.all(counts == counts[0]):
-                raise ConfigError("occupancy study needs equal-length walks; "
-                                  "use a deterministic cost model")
-            vmat = trace.v.reshape(m, int(counts[0]))
+            if not np.all(np.bincount(trace.walker, minlength=m) == steps):
+                raise ConfigError(_UNEQUAL_WALKS)
+            vmat = trace.v.reshape(m, steps)
             occ = member[vmat].sum(axis=0)
             hist += np.bincount(occ, minlength=m + 1)
     else:

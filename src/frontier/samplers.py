@@ -14,16 +14,17 @@ estimators rely on exactly that property.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import IO
+from typing import IO, NamedTuple
 
 import numpy as np
 
 from .errors import BudgetError, ConfigError, GraphFormatError
 from .graphs import Graph, _csr_edge_mask
-from .rng import RngStream
+from .rng import RngStream, _lane_generators, _lane_keys
 
 __all__ = [
     "CostModel",
@@ -385,92 +386,125 @@ def _walk_steps(method: str, budget: float, m: int, start_cost: float,
 # traces in order.  Every stream draws exactly what one call of the public
 # sampler draws, in the same order (start costs, starts, then the step
 # draws), so a run's trace does not depend on the batch it is sampled in.
+# A batch derives all its lanes' stream keys at once and draws lane by lane
+# on one re-keyed generator; lanes are stepped in groups as they are drawn.
 
 
-def _start_costs(cost_model: CostModel, kind: str, gens: list, m: int) -> np.ndarray:
-    """(lanes, m) start costs; only stochastic starts draw from the lanes."""
-    if cost_model.stochastic_starts and kind != "explicit":
-        return np.stack([cost_model.start_costs(kind, m, g) for g in gens])
-    return np.tile(cost_model.start_costs(kind, m, None), (len(gens), 1))
+def _fixed_starts(graph: Graph, start_mode: StartMode, m: int) -> np.ndarray | None:
+    """The checked start vertices of m walkers placed without draws; None
+    for uniform and degree starts."""
+    return None if start_mode.kind in ("uniform", "degree") else start_mode.draw(graph, m, None)
+
+
+def _start_draw(graph: Graph, start_mode: StartMode, m: int, gen: np.random.Generator):
+    """What ``start_mode.draw`` draws from ``gen`` for m walkers: vertex ids
+    (uniform) or directed-edge ids (degree)."""
+    hi = graph.n_vertices if start_mode.kind == "uniform" else graph.vol_total
+    # a scalar draw leaves the value and the stream state of size=1
+    return gen.integers(0, hi) if m == 1 else gen.integers(0, hi, size=m)
+
+
+def _run_starts(graph: Graph, start_mode: StartMode, fixed: np.ndarray | None, draws,
+                n_runs: int) -> np.ndarray:
+    """(runs, m) start vertices: ``fixed`` for every run, or those of the
+    runs' :func:`_start_draw` values ``draws``; degree starts share one
+    ``searchsorted``."""
+    if fixed is not None:
+        return np.tile(fixed, (n_runs, 1))
+    t = np.asarray(draws, dtype=np.int64).reshape(n_runs, -1)
+    return np.searchsorted(graph.indptr, t, side="right") - 1 if start_mode.kind == "degree" else t
 
 
 def _draw_starts(graph: Graph, start_mode: StartMode, gens: list, m: int) -> np.ndarray:
     """(lanes, m) start vertices, each row what ``start_mode.draw`` gives for
-    that lane's generator; degree starts share one ``searchsorted``."""
-    if start_mode.kind not in ("uniform", "degree"):
-        return np.tile(start_mode.draw(graph, m, None), (len(gens), 1))
-    hi = graph.n_vertices if start_mode.kind == "uniform" else graph.vol_total
-    # a scalar draw leaves the value and the stream state of size=1
-    t = np.asarray([g.integers(0, hi) if m == 1 else g.integers(0, hi, size=m)
-                    for g in gens], dtype=np.int64).reshape(len(gens), m)
-    if start_mode.kind == "degree":
-        t = np.searchsorted(graph.indptr, t, side="right") - 1
-    return t
+    that lane's generator."""
+    fixed = _fixed_starts(graph, start_mode, m)
+    draws = None if fixed is not None else [_start_draw(graph, start_mode, m, g) for g in gens]
+    return _run_starts(graph, start_mode, fixed, draws, len(gens))
 
 
-def _steps_by_cost(method: str, budget: float, m: int, costs: list[float],
-                   step_cost: float) -> list[int]:
-    """:func:`_walk_steps` of each lane's start cost, computed once per value."""
-    table = {c: _walk_steps(method, budget, m, c, step_cost) for c in set(costs)}
-    return [table[c] for c in costs]
+class _Lane(NamedTuple):
+    """One lane's draws: its walkers' total start cost, their start draw
+    (None for fixed starts), its step count and its arrays of step draws."""
+
+    cost: float
+    start: "int | np.ndarray | None"
+    steps: int
+    draws: list
 
 
-def _groups(steps: list[int], lanes: int):
-    """Consecutive runs ``[lo, hi)`` whose lanes times longest run stay within
-    ``_BATCH_STEPS``; a run too long for that forms a group of its own."""
-    lo = 0
-    while lo < len(steps):
-        hi, top = lo + 1, steps[lo]
-        while hi < len(steps) and (hi + 1 - lo) * lanes * max(top, steps[hi]) <= _BATCH_STEPS:
-            top = max(top, steps[hi])
-            hi += 1
-        yield lo, hi
-        lo = hi
+def _lanes(graph: Graph, start_mode: StartMode, cost_model: CostModel, keys: np.ndarray,
+           m: int, steps_of, n_draws: int):
+    """The draws of each lane of the Philox ``keys``, lane by lane, in the
+    order of the public sampler: the start costs of its m walkers, their
+    start draw, then ``n_draws`` arrays of ``steps_of(start cost)`` draws."""
+    kind = start_mode.kind
+    drawn = kind in ("uniform", "degree")
+    stochastic = cost_model.stochastic_starts and kind != "explicit"
+    cost = None if stochastic else float(cost_model.start_costs(kind, m, None).sum())
+    for gen in _lane_generators(keys):
+        if stochastic:
+            cost = float(cost_model.start_costs(kind, m, gen).sum())
+        start = _start_draw(graph, start_mode, m, gen) if drawn else None
+        steps = steps_of(cost)
+        yield _Lane(cost, start, steps, [gen.random(steps) for _ in range(n_draws)])
+
+
+def _groups(runs, lanes: int):
+    """Consecutive ``(steps, run)`` pairs of ``runs`` in lists whose lanes
+    times longest run stay within ``_BATCH_STEPS``; a run too long for that
+    forms a list of its own."""
+    group, top = [], 0
+    for steps, run in runs:
+        if group and (len(group) + 1) * lanes * max(top, steps) > _BATCH_STEPS:
+            yield group
+            group, top = [], 0
+        group.append(run)
+        top = max(top, steps)
+    if group:
+        yield group
 
 
 def _paths_batch(method: str, graph: Graph, m: int, start_mode: StartMode, budget: float,
-                 cost_model: CostModel, gens: list):
+                 cost_model: CostModel, keys: np.ndarray):
     """Traces of rw or mrw runs of m independent walkers; lane ``r * m + w``
-    is walker w of run r and draws from ``gens[r * m + w]``."""
+    is walker w of run r and draws from the stream of ``keys[r * m + w]``."""
     step = cost_model.walk_step_cost
-    n_runs = len(gens) // m
-    costs = _start_costs(cost_model, start_mode.kind, gens, 1)[:, 0].tolist()
-    starts = (np.tile(start_mode.draw(graph, m, None), n_runs) if start_mode.kind == "explicit"
-              else _draw_starts(graph, start_mode, gens, 1)[:, 0])
-    steps = _steps_by_cost(method, budget, m, costs, step)
-    for lo, hi in _groups([max(steps[r * m:r * m + m]) for r in range(n_runs)], m):
-        lanes = slice(lo * m, hi * m)
-        paths = _walk_paths(graph, starts[lanes],
-                            [g.random(s) for g, s in zip(gens[lanes], steps[lanes])])
-        for k, r in enumerate(range(lo, hi)):
+    fixed = _fixed_starts(graph, start_mode, m)
+    lanes = _lanes(graph, start_mode, cost_model, keys, 1,
+                   functools.cache(lambda c: _walk_steps(method, budget, m, c, step)), 1)
+    runs = zip(*[lanes] * m)  # each run's m walker lanes
+    for group in _groups(((max(w.steps for w in run), run) for run in runs), m):
+        walkers = [w for run in group for w in run]
+        starts = _run_starts(graph, start_mode, fixed, [w.start for w in walkers], len(group))
+        paths = _walk_paths(graph, starts.ravel(), [w.draws[0] for w in walkers])
+        for k, run in enumerate(group):
             own = paths[k * m:k * m + m]
-            lane_steps = np.asarray(steps[r * m:r * m + m])
+            lane_steps = np.asarray([w.steps for w in run])
             keep = np.arange(own.shape[1] - 1) < lane_steps[:, None]  # walker-major
             u = own[:, :-1][keep]
-            start_cost = float(sum(costs[r * m:r * m + m]))
+            start_cost = float(sum(w.cost for w in run))
             yield _finish(
                 (u, own[:, 1:][keep], np.repeat(np.arange(m), lane_steps),
                  np.full(u.size, step)),
                 method=method, m=m, budget=float(budget), spent=start_cost + u.size * step,
-                start_vertices=starts[r * m:r * m + m].astype(np.int64),
+                start_vertices=starts[k].astype(np.int64),
                 graph_hash=graph.graph_hash, meta={"start_cost_total": start_cost})
 
 
 def _rw_batch(graph: Graph, start_mode: StartMode, budget: float, cost_model: CostModel,
               rngs: list[RngStream]):
     """:func:`single_rw` traces of the runs with streams ``rngs``."""
-    return _paths_batch("rw", graph, 1, start_mode, budget, cost_model,
-                        [rng.generator() for rng in rngs])
+    return _paths_batch("rw", graph, 1, start_mode, budget, cost_model, _lane_keys(rngs))
 
 
 def _mrw_batch(graph: Graph, m: int, start_mode: StartMode, budget: float,
                cost_model: CostModel, rngs: list[RngStream]):
-    """:func:`multiple_rw` traces of the runs with streams ``rngs``; each of
-    the runs' walkers is one lane."""
+    """:func:`multiple_rw` traces of the runs with streams ``rngs``; walker w
+    of a run is one lane, with the stream of ``child(w)``."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _paths_batch("mrw", graph, m, start_mode, budget, cost_model,
-                        [rng.child(w).generator() for rng in rngs for w in range(m)])
+    return _paths_batch("mrw", graph, m, start_mode, budget, cost_model, _lane_keys(rngs, m))
 
 
 def _fs_batch(graph: Graph, m: int, start_mode: StartMode, budget: float,
@@ -479,21 +513,21 @@ def _fs_batch(graph: Graph, m: int, start_mode: StartMode, budget: float,
     if m < 1:
         raise ValueError("m must be >= 1")
     step = cost_model.walk_step_cost
-    gens = [rng.generator() for rng in rngs]
-    costs = [float(c.sum()) for c in _start_costs(cost_model, start_mode.kind, gens, m)]
-    starts = _draw_starts(graph, start_mode, gens, m)
-    steps = _steps_by_cost("fs", budget, m, costs, step)
-    for lo, hi in _groups(steps, 1):
-        draws = [(g.random(s), g.random(s)) for g, s in zip(gens[lo:hi], steps[lo:hi])]
-        u, v, wk = _fs_walk(graph, starts[lo:hi], [d[0] for d in draws],
-                            [d[1] for d in draws])
-        for k, r in enumerate(range(lo, hi)):
-            s = steps[r]
+    fixed = _fixed_starts(graph, start_mode, m)
+    lanes = _lanes(graph, start_mode, cost_model, _lane_keys(rngs), m,
+                   functools.cache(lambda c: _walk_steps("fs", budget, m, c, step)), 2)
+    for group in _groups(((lane.steps, lane) for lane in lanes), 1):
+        starts = _run_starts(graph, start_mode, fixed, [lane.start for lane in group],
+                             len(group))
+        u, v, wk = _fs_walk(graph, starts, [lane.draws[0] for lane in group],
+                            [lane.draws[1] for lane in group])
+        for k, lane in enumerate(group):
+            s = lane.steps
             yield _finish(
                 (u[k, :s], v[k, :s], wk[k, :s], np.full(s, step)),
-                method="fs", m=m, budget=float(budget), spent=costs[r] + s * step,
-                start_vertices=starts[r].astype(np.int64), graph_hash=graph.graph_hash,
-                meta={"start_cost_total": costs[r]})
+                method="fs", m=m, budget=float(budget), spent=lane.cost + s * step,
+                start_vertices=starts[k].astype(np.int64), graph_hash=graph.graph_hash,
+                meta={"start_cost_total": lane.cost})
 
 
 # -- walk samplers -----------------------------------------------------------
@@ -552,7 +586,7 @@ def distributed_fs(graph: Graph, m: int, time_budget: float,
     if start_mode.kind == "explicit":
         starts = start_mode.draw(graph, m, None)
     else:
-        starts = np.asarray([start_mode.draw(graph, 1, g)[0] for g in gens], dtype=np.int64)
+        starts = _draw_starts(graph, start_mode, gens, 1)[:, 0]
     ip, ix = graph.adjacency_lists
     pos = starts.tolist()
     heap = []

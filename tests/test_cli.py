@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -499,3 +500,43 @@ def test_negative_burn_in_on_vertex_trace_exit_2(tmp_path, graph_file, capsys):
                "--targets", "ccdf", "--burn-in", "-1") == 2
     err = capsys.readouterr().err
     assert json.loads(err)["error"] == "config" and "burn-in" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "ba", "--n", "50", "--attach", "2"),
+    ("generate", "gab", "--n-each", "50"),
+    ("sample", "rw", "--budget", "20"),
+    ("sample", "mrw", "--m", "3", "--budget", "20"),
+    ("sample", "fs", "--m", "3", "--budget", "20"),
+], ids=["ba", "gab", "rw", "mrw", "fs"])
+def test_negative_seed_exit_2(tmp_path, graph_file, capsys, argv):
+    graph = ("--graph", graph_file) if argv[0] == "sample" else ()
+    assert run(*argv, *graph, "--seed", "-1", "--out", str(tmp_path / "o.txt")) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "--seed" in err["message"]
+    assert not os.path.exists(tmp_path / "o.txt")
+
+
+@pytest.mark.parametrize("change, what", [
+    ({"seed": -2}, "config: seed"),
+    ({"graph": {"kind": "ba", "n": 80, "attach": 2, "seed": -1}}, "graph: seed"),
+    ({"graph": {"kind": "gab", "n_each": 40, "attach_a": 1, "attach_b": 2, "seed": -1}},
+     "graph: seed"),
+], ids=["config", "ba", "gab"])
+def test_experiment_negative_seed_exit_2(tmp_path, capsys, change, what):
+    cfg = dict(graph={"kind": "ba", "n": 80, "attach": 2, "seed": 3},
+               methods=[{"name": "fs", "m": 2}], budget=40, targets={"ccdf": True}, runs=2)
+    cfg.update(change)
+    assert _experiment(tmp_path, **cfg) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and what in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("ba", "--n", "5", "--attach", "0"),
+    ("ba", "--n", "3", "--attach", "2"),
+    ("gab", "--n-each", "3", "--attach-a", "5"),
+], ids=["attach_zero", "n_small", "gab_n_small"])
+def test_generate_bad_parameters_exit_2(tmp_path, capsys, argv):
+    assert run("generate", *argv, "--out", str(tmp_path / "g.txt")) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"

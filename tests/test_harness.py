@@ -485,6 +485,15 @@ def test_occupancy_study_walks_exactly_steps(tri_pendant, method, batch, steps, 
             assert trace.n_steps == steps
 
 
+@pytest.mark.parametrize("method, m", [("fs", 3), ("mrw", 3), ("mrw", 1)])
+def test_occupancy_study_refuses_drawn_start_costs(tri_pendant, method, m):
+    # drawn start costs leave fs runs of 52, 50, 50, 37, 50 and 55 steps
+    with pytest.raises(ConfigError, match="equal-length walks"):
+        occupancy_study(tri_pendant, [3], m=m, method=method, steps=50, runs=6,
+                        rng=RngStream(0),
+                        cost_model=CostModel(vertex_hit_ratio=0.3, stochastic_starts=True))
+
+
 def test_method_spec_keys():
     assert MethodSpec("rw").key == "rw"
     assert MethodSpec("fs", m=7).key == "fs[m=7]"
