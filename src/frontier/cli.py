@@ -179,7 +179,7 @@ def _cmd_estimate(args) -> int:
         with open(args.labels_file, "r", encoding="utf-8") as fh:
             labels = parse_vertex_labels(fh, graph)
     targets = _parse_targets(args.targets)
-    _check_labels(targets, labels)
+    _check_labels(targets, labels, graph)
     trace = _burn_in(trace, args.burn_in)
 
     raw = _estimate_targets(trace, graph, labels, targets, args.ccdf_mode, strict=True)

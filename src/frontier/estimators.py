@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedEstimateError
+from .errors import ConfigError, UndefinedEstimateError
 from .graphs import Graph, LabelStore, _edge_support
 from .oracles import _joint_density, joint_moments
 from .samplers import SampleTrace
@@ -218,9 +218,10 @@ def estimate_global_clustering(trace: SampleTrace, graph: Graph,
             "no sampled endpoint has degree >= 2", code="no_active_vertices")
 
     # shared-neighbor counts are computed once per distinct sampled edge
-    keys = (trace.u.astype(np.int64) << 32) | trace.v
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    f = _edge_support(graph, uniq >> 32, uniq & 0xFFFFFFFF).astype(np.float64)[inverse]
+    uniq, inverse = np.unique(graph._slot(trace.u, trace.v), return_inverse=True)
+    if uniq[0] < 0:
+        raise ConfigError("trace has a record that is not an edge of the graph")
+    f = _edge_support(graph, graph._source[uniq], graph.indices[uniq]).astype(np.float64)[inverse]
 
     terms = np.zeros(trace.n_steps)
     pairs = deg_v[active] * (deg_v[active] - 1) / 2.0

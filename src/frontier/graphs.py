@@ -8,6 +8,11 @@ A :class:`Graph` keeps two views of one vertex set:
   undirected graph is a symmetric directed graph, so each undirected
   adjacency appears as both orientations).
 
+A closure edge's id is its CSR slot ``k``, the edge ``(row of k,
+indices[k])``.  Every membership or endpoint question goes through one
+sorted-key search on :class:`Graph` (keys ``u * n + v``); ids outside
+``[0, n)`` are never edges.
+
 Vertex ids are dense ``0..n-1``.  Instances are immutable after
 construction: all arrays are frozen, so graphs can be shared freely
 across threads and forked worker processes.
@@ -121,27 +126,34 @@ class Graph:
             raise ValueError(f"unknown degree mode {mode!r}")
         return modes[mode]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Membership in the symmetric closure."""
-        nbrs = self.neighbors(u)
-        i = np.searchsorted(nbrs, v)
-        return bool(i < nbrs.size and nbrs[i] == v)
+    @cached_property
+    def _source(self) -> np.ndarray:
+        """Source vertex of each closure slot: slot k is the edge (_source[k], indices[k])."""
+        return _frozen(np.repeat(np.arange(self.n_vertices), self.deg))
 
     @cached_property
-    def _directed_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        ptr = np.concatenate([[0], np.cumsum(self.outdeg_d)]).astype(np.int64)
-        return ptr, np.ascontiguousarray(self.directed_edges[:, 1])
+    def _slot_keys(self) -> np.ndarray:
+        return _frozen(self._source * self.n_vertices + self.indices)  # rows ascend, each sorted
+
+    @cached_property
+    def _directed_keys(self) -> np.ndarray:
+        return _frozen(self.directed_edges[:, 0] * self.n_vertices + self.directed_edges[:, 1])
+
+    def _slot(self, u, v) -> np.ndarray:
+        """Closure slot of each pair (u[k], v[k]), or -1 where it is no edge."""
+        return _key_search(self._slot_keys, self.n_vertices, u, v)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Membership in the symmetric closure."""
+        return bool(self._slot(u, v) >= 0)
 
     def has_directed_edge(self, u: int, v: int) -> bool:
         """Membership in the ingested directed edge set."""
-        ptr, tgt = self._directed_csr
-        lo, hi = ptr[u], ptr[u + 1]
-        i = lo + np.searchsorted(tgt[lo:hi], v)
-        return bool(i < hi and tgt[i] == v)
+        return bool(self.directed_edge_mask(u, v))
 
     def directed_edge_mask(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Vectorized membership test of (u[k], v[k]) in the directed edge set."""
-        return _csr_edge_mask(*self._directed_csr, u, v)
+        return _key_search(self._directed_keys, self.n_vertices, u, v) >= 0
 
     @cached_property
     def adjacency_lists(self) -> tuple[list[int], list[int]]:
@@ -168,14 +180,13 @@ class Graph:
         return h.hexdigest()
 
 
-def _csr_edge_mask(ptr: np.ndarray, tgt: np.ndarray, u: np.ndarray,
-                   v: np.ndarray) -> np.ndarray:
-    """Membership of (u[k], v[k]) in a CSR edge set whose rows are sorted."""
-    pos = _searchsorted_ragged(tgt, ptr[u], ptr[u + 1], v)
-    ok = pos < ptr[u + 1]
-    res = np.zeros(u.shape, dtype=bool)
-    res[ok] = tgt[pos[ok]] == v[ok]
-    return res
+def _key_search(keys: np.ndarray, n: int, u, v) -> np.ndarray:
+    """Position of each key ``u[k] * n + v[k]`` in the sorted array ``keys``, or -1
+    where absent; an id outside [0, n) is absent, as its key would alias another pair's."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    want = np.where((u >= 0) & (u < n) & (v >= 0) & (v < n), u * n + v, -1)
+    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    return np.where(keys[pos] == want, pos, -1)
 
 
 def _searchsorted_ragged(sorted_flat: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -224,7 +235,7 @@ def _edge_support(graph: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = np.zeros(u.size, dtype=np.int64)
     for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, u.size]):
         k, w = _neighbor_blocks(graph, a[lo:hi])
-        hit = _csr_edge_mask(graph.indptr, graph.indices, b[lo:hi][k], w)
+        hit = graph._slot(b[lo:hi][k], w) >= 0
         out[lo:hi] = np.bincount(k[hit], minlength=hi - lo)
     return out
 
@@ -549,8 +560,7 @@ def restrict_to_lcc(graph: Graph, labels: LabelStore | None = None
 def is_bipartite(graph: Graph) -> bool:
     """Two-colorability of the symmetric closure: a component is bipartite
     exactly when its bipartite double cover splits into two components."""
-    n = graph.n_vertices
-    src = np.repeat(np.arange(n), graph.deg)
+    n, src = graph.n_vertices, graph._source
     cover = sp.csr_matrix((np.ones(2 * graph.vol_total, dtype=np.int8),
                            (np.r_[src, src + n], np.r_[graph.indices + n, graph.indices])),
                           shape=(2 * n, 2 * n))

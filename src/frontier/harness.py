@@ -451,7 +451,11 @@ def _burn_in(trace: SampleTrace, w: int) -> SampleTrace:
     return discard_burn_in(trace, w) if w < 0 or (w and trace.method in _WALK_METHODS) else trace
 
 
-def _check_labels(targets: TargetSpec, labels: LabelStore | None) -> None:
+def _check_labels(targets: TargetSpec, labels: LabelStore | None, graph: Graph) -> None:
+    if labels is not None:
+        ids = np.r_[labels.vertex_pairs[:, 0], labels.edge_pairs[:, :2].ravel()]
+        if ids.size and (ids.min() < 0 or ids.max() >= graph.n_vertices):
+            raise ConfigError(f"label vertex ids must lie in [0, {graph.n_vertices})")
     wanted = targets.labels + targets.edge_labels
     if wanted and labels is None:
         raise ConfigError("label targets need a labels file")
@@ -724,7 +728,7 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
     """
     if graph is None:
         graph, labels = config.resolve_graph()
-    _check_labels(config.targets, labels)
+    _check_labels(config.targets, labels, graph)
     budget = resolve_budget(config.budget, graph.n_vertices)
     for method in config.methods:
         _check_feasible(graph, method, budget)
@@ -883,9 +887,8 @@ def convergence_diagnostic(graph: Graph, method: str, budget: float, runs: int,
         raise ValueError(f"all {runs_est} estimation runs hit the located slot; use more runs")
     p_tilde = max(p_min, (c_est + 0.5) / runs_est)
     ci95 = 1.96 * vol * math.sqrt(p_tilde * (1.0 - p_tilde) / runs_est)
-    u_min = int(np.searchsorted(graph.indptr, amin, side="right") - 1)
-    return FinalEdgeDiagnostic(method, m, float(budget), steps, runs, deviation,
-                               ci95, p_min, (u_min, int(graph.indices[amin])), start.kind,
+    return FinalEdgeDiagnostic(method, m, float(budget), steps, runs, deviation, ci95, p_min,
+                               (int(graph._source[amin]), int(graph.indices[amin])), start.kind,
                                sel_counts + est_counts)
 
 

@@ -21,8 +21,8 @@ import scipy.sparse as sp
 from scipy import stats
 
 from .errors import StationarityError, UndefinedEstimateError
-from .graphs import (Graph, LabelStore, _csr_edge_mask, _edge_support, _neighbor_blocks,
-                     connected_components, is_bipartite)
+from .graphs import (Graph, LabelStore, _edge_support, _neighbor_blocks, connected_components,
+                     is_bipartite)
 
 __all__ = [
     "exact_vertex_label_density",
@@ -66,11 +66,11 @@ def exact_edge_label_density(graph: Graph, labels: LabelStore, label: str) -> fl
     """Fraction of labeled directed edges (in the symmetric closure) carrying ``label``."""
     lid = labels.label_id(label)
     e = labels.edge_pairs
-    e = e[_csr_edge_mask(graph.indptr, graph.indices, e[:, 0], e[:, 1])]
-    total = np.unique((e[:, 0] << 32) | e[:, 1]).size
+    slot = graph._slot(e[:, 0], e[:, 1])
+    total = np.unique(slot[slot >= 0]).size
     if total == 0:
         raise UndefinedEstimateError("no labeled edges in graph", code="no_labeled_edges")
-    return int((e[:, 2] == lid).sum()) / total
+    return int((e[slot >= 0, 2] == lid).sum()) / total
 
 
 def exact_degree_density(graph: Graph, mode: str = "symmetric") -> dict[int, float]:
@@ -155,8 +155,7 @@ def triangle_counts(graph: Graph) -> np.ndarray:
     endpoints; every triangle at v is then counted twice (once per
     incident edge of the triangle), hence the final halving.
     """
-    n = graph.n_vertices
-    src = np.repeat(np.arange(n), graph.deg)
+    n, src = graph.n_vertices, graph._source
     fwd = src < graph.indices
     u, v = src[fwd], graph.indices[fwd]
     f = _edge_support(graph, u, v)

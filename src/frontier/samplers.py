@@ -23,7 +23,7 @@ from typing import IO, NamedTuple
 import numpy as np
 
 from .errors import BudgetError, ConfigError, GraphFormatError
-from .graphs import Graph, _csr_edge_mask
+from .graphs import Graph
 from .rng import RngStream, _lane_generators, _lane_keys
 
 __all__ = [
@@ -113,8 +113,7 @@ class StartMode:
             return gen.integers(0, graph.n_vertices, size=m)
         if self.kind == "degree":
             # landing on a uniform directed edge's source is the degree law
-            t = gen.integers(0, graph.vol_total, size=m)
-            return np.searchsorted(graph.indptr, t, side="right") - 1
+            return graph._source[gen.integers(0, graph.vol_total, size=m)]
         if self.kind == "explicit":
             if self.vertices is None or len(self.vertices) != m:
                 raise ConfigError(f"explicit start needs exactly {m} vertices")
@@ -212,8 +211,7 @@ def random_edge_sample(graph: Graph, budget: float, cost_model: CostModel = DEFA
     t = gen.integers(0, graph.vol_total, size=queries)
     hit = gen.random(queries) < cost_model.edge_hit_ratio
     t = t[hit]
-    u = np.searchsorted(graph.indptr, t, side="right") - 1
-    v = graph.indices[t]
+    u, v = graph._source[t], graph.indices[t]
     n = v.size
     return _finish(
         (u, v, np.zeros(n), np.full(n, float(c))),
@@ -407,12 +405,11 @@ def _start_draw(graph: Graph, start_mode: StartMode, m: int, gen: np.random.Gene
 def _run_starts(graph: Graph, start_mode: StartMode, fixed: np.ndarray | None, draws,
                 n_runs: int) -> np.ndarray:
     """(runs, m) start vertices: ``fixed`` for every run, or those of the
-    runs' :func:`_start_draw` values ``draws``; degree starts share one
-    ``searchsorted``."""
+    runs' :func:`_start_draw` values ``draws``."""
     if fixed is not None:
         return np.tile(fixed, (n_runs, 1))
     t = np.asarray(draws, dtype=np.int64).reshape(n_runs, -1)
-    return np.searchsorted(graph.indptr, t, side="right") - 1 if start_mode.kind == "degree" else t
+    return graph._source[t] if start_mode.kind == "degree" else t
 
 
 def _draw_starts(graph: Graph, start_mode: StartMode, gens: list, m: int) -> np.ndarray:
@@ -720,21 +717,31 @@ def read_trace_csv(source: "str | IO") -> SampleTrace:
         if len(parts) != len(cols):
             raise GraphFormatError(f"trace row {i + 1} has {len(parts)} fields, "
                                    f"expected {len(cols)}")
-        walker[i] = int(parts[1])
-        u[i] = int(parts[2])
-        v[i] = int(parts[3])
-        cost[i] = float(parts[4])
-        if has_time:
-            time[i] = float(parts[5])
-    starts = meta.pop("start_vertices", "")
-    start_vertices = np.asarray([int(x) for x in starts.split(",") if x], dtype=np.int64)
-    known = {k: meta.pop(k) for k in ("method", "m", "budget", "spent", "graph_hash")
-             if k in meta}
+        try:
+            walker[i] = int(parts[1])
+            u[i] = int(parts[2])
+            v[i] = int(parts[3])
+            cost[i] = float(parts[4])
+            if has_time:
+                time[i] = float(parts[5])
+        except (ValueError, OverflowError):
+            raise GraphFormatError(f"trace row {i + 1}: non-numeric field in {line!r}") from None
+    known = {k: meta.pop(k) for k in ("method", "m", "budget", "spent", "graph_hash",
+                                      "start_vertices") if k in meta}
     extra = {k: _parse_meta_value(val) for k, val in meta.items()}
+
+    def header(key: str, cast, default: str):
+        try:
+            return cast(known.get(key, default))
+        except (ValueError, OverflowError):
+            raise GraphFormatError(f"trace header {key}={known[key]!r} is not numeric") from None
+
+    starts = header("start_vertices", lambda text: np.asarray(
+        [int(x) for x in text.split(",") if x], dtype=np.int64), "")
     return SampleTrace(
-        method=known.get("method", "unknown"), m=int(known.get("m", 1)),
-        budget=float(known.get("budget", "nan")), spent=float(known.get("spent", "nan")),
-        start_vertices=start_vertices, u=u, v=v, walker=walker, cost=cost, time=time,
+        method=known.get("method", "unknown"), m=header("m", int, "1"),
+        budget=header("budget", float, "nan"), spent=header("spent", float, "nan"),
+        start_vertices=starts, u=u, v=v, walker=walker, cost=cost, time=time,
         graph_hash=known.get("graph_hash"), meta=extra)
 
 
@@ -756,7 +763,7 @@ def _check_trace(trace: SampleTrace, graph: Graph) -> None:
     if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= n):
         raise ConfigError(f"trace vertex ids must lie in [0, {n}), or u be -1 throughout")
     if edges:
-        missing = np.flatnonzero(~_csr_edge_mask(graph.indptr, graph.indices, u, v))
+        missing = np.flatnonzero(graph._slot(u, v) < 0)
         if missing.size:
             k = int(missing[0])
             raise ConfigError(f"trace record {k + 1}: ({u[k]}, {v[k]}) is not an edge of the graph")

@@ -312,6 +312,23 @@ def test_estimate_rejects_trace_outside_graph(tmp_path, graph_file, capsys, head
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+@pytest.mark.parametrize("header,row,where", [
+    ("# method=rw\n# m=abc\n", "1,0,0,1,1.0", "m="),
+    ("# method=rw\n# m=1\n# budget=abc\n", "1,0,0,1,1.0", "budget="),
+    ("# method=rw\n# m=1\n# start_vertices=a,1\n", "1,0,0,1,1.0", "start_vertices="),
+    ("# method=rw\n# m=1\n", "1,0,0.5,1,1.0", "row 1"),
+    ("# method=rw\n# m=1\n", "1,0,0,1,abc", "row 1"),
+], ids=["m", "budget", "start_vertices", "u_float", "cost"])
+def test_estimate_rejects_non_numeric_trace_fields(tmp_path, graph_file, capsys,
+                                                   header, row, where):
+    trace = str(tmp_path / "bad.csv")
+    open(trace, "w").write(header + "step,walker,u,v,cost\n" + row + "\n")
+    assert run("estimate", "--graph", graph_file, "--trace", trace,
+               "--targets", "ccdf") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "graph_format" and where in err["message"]
+
+
 def test_estimate_rejects_non_edge_records(tmp_path, graph_file, capsys):
     g = load_graph(open(graph_file).read())
     u = 0

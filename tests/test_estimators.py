@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frontier.errors import UndefinedEstimateError
+from frontier.errors import ConfigError, UndefinedEstimateError
 from frontier.estimators import (
     degree_density_from_edge_samples,
     degree_density_from_vertex_samples,
@@ -235,6 +236,15 @@ def test_assortativity_needs_degree_variance():
     with pytest.raises(UndefinedEstimateError) as err:
         estimate_assortativity(full_closure_trace(cycle), cycle)
     assert err.value.code == "zero_degree_variance"
+
+
+def test_clustering_rejects_records_that_are_not_edges(tri_pendant):
+    # tri_pendant: triangle 0-1-2 with the pendant 3 on 2, so (3, 0) is no edge
+    tr = full_closure_trace(tri_pendant)
+    tr = replace(tr, u=np.r_[tr.u, 3], v=np.r_[tr.v, 0], walker=np.r_[tr.walker, 0],
+                 cost=np.r_[tr.cost, 1.0])
+    with pytest.raises(ConfigError, match="not an edge"):
+        estimate_global_clustering(tr, tri_pendant)
 
 
 def test_clustering_needs_active_endpoint():

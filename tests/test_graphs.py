@@ -24,6 +24,7 @@ from frontier.graphs import (
     restrict_to_lcc,
     write_edge_list,
     LabelStore,
+    _searchsorted_ragged,
 )
 from frontier.oracles import triangle_counts
 from frontier.samplers import SampleTrace
@@ -403,6 +404,33 @@ def test_triangles_and_supports_match_set_intersection(text, chunk):
     terms = np.zeros(v.size)
     terms[active] = np.asarray(shared)[active] / (deg[active] * (deg[active] - 1.0))
     assert est.c_hat == pytest.approx(terms.sum() / (1.0 / deg[active]).sum(), rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_list_texts(), st.data())
+def test_edge_index_matches_ragged_search_and_pair_sets(text, data):
+    try:
+        g = load_graph(text)
+    except GraphFormatError:
+        return
+    n = g.n_vertices
+    closure = {(a, b) for a in range(n) for b in g.neighbors(a).tolist()}
+    directed = set(map(tuple, g.directed_edges.tolist()))
+    ids = st.integers(-2, n + 1)
+    pairs = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=40))
+    # without a range guard these alias (a + 1, b) and the edge (a, b) itself
+    pairs += [(a, b + n) for a, b in closure] + [(a - 1, b + n) for a, b in closure]
+    u, v = np.asarray(pairs, dtype=np.int64).T
+    slot = g._slot(u, v)
+    assert (slot >= 0).tolist() == [p in closure for p in pairs]
+    assert [g.has_edge(a, b) for a, b in pairs] == [p in closure for p in pairs]
+    hit = slot >= 0
+    ragged = _searchsorted_ragged(g.indices, g.indptr[u[hit]], g.indptr[u[hit] + 1], v[hit])
+    assert slot[hit].tolist() == ragged.tolist()
+    assert g.directed_edge_mask(u, v).tolist() == [p in directed for p in pairs]
+    assert [g.has_directed_edge(a, b) for a, b in pairs] == [p in directed for p in pairs]
+    t = np.arange(g.vol_total)
+    assert g._source.tolist() == (np.searchsorted(g.indptr, t, side="right") - 1).tolist()
 
 
 def _closure_trace(g):

@@ -11,7 +11,7 @@ from scipy import stats
 
 from frontier import harness
 from frontier.errors import ConfigError
-from frontier.graphs import _searchsorted_ragged, load_graph
+from frontier.graphs import LabelStore, _searchsorted_ragged, load_graph
 from frontier.harness import (
     ExperimentConfig,
     MethodSpec,
@@ -171,6 +171,17 @@ def test_infeasible_budget_rejected_before_running():
         budget=5, methods=[{"name": "mrw", "m": 5}]))
     with pytest.raises(ConfigError):
         run_monte_carlo(cfg)
+
+
+def test_label_ids_outside_graph_rejected_before_any_run():
+    g = load_graph("0 1\n1 2\n2 0\n2 3\n")
+    vertex, edge = LabelStore(), LabelStore()
+    vertex.add_vertex_label(7, "a")
+    edge.add_edge_label(9, 1, "a")
+    for labels, targets in ((vertex, {"labels": ["a"]}), (edge, {"edge_labels": ["a"]})):
+        cfg = ExperimentConfig.from_dict(_base_config(targets=targets))
+        with pytest.raises(ConfigError, match=r"label vertex ids must lie in \[0, 4\)"):
+            run_monte_carlo(cfg, graph=g, labels=labels)
 
 
 # -- Monte Carlo driver -----------------------------------------------------------
