@@ -118,6 +118,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_sample(args) -> int:
     _check_out(args.out, args.force)
+    if args.start_vertices is not None and args.start != "explicit":
+        raise ConfigError("--start-vertices applies to --start explicit only")
     graph = _load_graph_file(args.graph)
     start = args.start
     if start == "explicit":

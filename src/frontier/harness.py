@@ -195,9 +195,17 @@ def _parse_start(raw, where: str) -> StartMode:
         raise ConfigError(f"{where}: unknown start mode {raw!r}")
     if isinstance(raw, dict):
         _check_keys(raw, ("kind", "vertices"), where)
-        if raw.get("kind") == "explicit":
-            return StartMode.explicit(raw.get("vertices", ()))
-        return _parse_start(raw.get("kind"), where)
+        if raw.get("kind") != "explicit":
+            mode = _parse_start(raw.get("kind"), where)
+            if "vertices" in raw:
+                raise ConfigError(f"{where}: start vertices apply to kind explicit only, "
+                                  f"not {mode.kind}")
+            return mode
+        vertices = raw.get("vertices", ())
+        if not isinstance(vertices, (list, tuple)):
+            raise ConfigError(f"{where}: start vertices must be a list of integers, "
+                              f"got {vertices!r}")
+        return StartMode.explicit(_as_int(v, f"{where}: start vertex") for v in vertices)
     raise ConfigError(f"{where}: invalid start mode {raw!r}")
 
 
@@ -319,6 +327,8 @@ def resolve_budget(raw, n_vertices: int) -> float:
                 raise ConfigError(f"bad budget expression {raw!r}") from None
     else:
         raise ConfigError(f"bad budget value {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"budget must be finite, got {raw!r}")
     if value <= 0:
         raise ConfigError(f"budget must resolve to a positive value, got {value}")
     return value
@@ -655,10 +665,9 @@ def _load_truth(graph: Graph, labels: LabelStore | None, cfg: ExperimentConfig,
 def _planned_steps(method: str, budget: float, m: int, start: StartMode,
                    cost: CostModel) -> int:
     """Steps per run of walk ``method`` when every start costs its expected
-    price (explicit starts are free)."""
-    per_walker = 0.0 if start.kind == "explicit" else cost.effective_start_cost
-    return _walk_steps(method, budget, m, per_walker * m if method == "fs" else per_walker,
-                       cost.walk_step_cost)
+    price, summed over the walkers one budget pays for as the samplers do."""
+    start_cost = float(cost.start_costs(start.kind, m if method == "fs" else 1, None).sum())
+    return _walk_steps(method, budget, m, start_cost, cost.walk_step_cost)
 
 
 def _check_feasible(graph: Graph, method: MethodSpec, budget: float) -> None:
@@ -947,10 +956,9 @@ def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "
     member = np.zeros(graph.n_vertices, dtype=np.int64)
     member[np.asarray(list(subset), dtype=np.int64)] = 1
     hist = np.zeros(m + 1, dtype=np.int64)
-    c = cost_model.effective_start_cost
     if method == "fs":
         start = start_mode or StartMode.uniform()
-        start_total = 0.0 if start.kind == "explicit" else m * c
+        start_total = float(cost_model.start_costs(start.kind, m, None).sum())
         # half a step short, so the ceil rule maps the budget back to ``steps``
         budget = start_total + (steps - 0.5) * cost_model.walk_step_cost
         for trace in _fs_batch(graph, m, start, budget, cost_model,
@@ -962,7 +970,7 @@ def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "
             hist += np.bincount(occ, minlength=m + 1)
     elif method == "mrw":
         start = start_mode or StartMode.degree_proportional()
-        per_walker = 0.0 if start.kind == "explicit" else c
+        per_walker = float(cost_model.start_costs(start.kind, 1, None)[0])
         # half a step past, so the floor rule maps each share back to ``steps``
         budget = m * (per_walker + (steps + 0.5) * cost_model.walk_step_cost)
         for trace in _mrw_batch(graph, m, start, budget, cost_model,

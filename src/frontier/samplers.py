@@ -72,11 +72,12 @@ class CostModel:
     def effective_start_cost(self) -> float:
         return self.vertex_query_cost / self.vertex_hit_ratio
 
-    def start_costs(self, kind: str, m: int, gen: np.random.Generator) -> np.ndarray:
-        """Per-walker start cost; explicit placements are free."""
+    def start_costs(self, kind: str, m: int, gen: np.random.Generator | None) -> np.ndarray:
+        """Per-walker start cost; explicit placements are free.  With ``gen``
+        None every start costs its expected price, even on a stochastic model."""
         if kind == "explicit":
             return np.zeros(m)
-        if self.stochastic_starts:
+        if self.stochastic_starts and gen is not None:
             attempts = gen.geometric(self.vertex_hit_ratio, size=m)
             return attempts * float(self.vertex_query_cost)
         return np.full(m, self.effective_start_cost)
@@ -87,10 +88,19 @@ DEFAULT_COST = CostModel()
 
 @dataclass(frozen=True)
 class StartMode:
-    """Where walkers begin: uniform vertices, degree-proportional, or explicit."""
+    """Where walkers begin: uniform vertices, degree-proportional, or explicit.
+
+    A drawn start (uniform or degree) takes one id per walker from the run's
+    stream: a vertex id, or a closure slot whose source vertex follows the
+    degree law.  Explicit starts draw nothing and are free.
+    """
 
     kind: str
     vertices: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("uniform", "degree", "explicit"):
+            raise ConfigError(f"unknown start mode {self.kind!r}")
 
     @staticmethod
     def uniform() -> "StartMode":
@@ -108,20 +118,30 @@ class StartMode:
         """Start vertices of ``m`` walkers.  Explicit starts are checked
         against the graph here and draw no random numbers (``gen`` may be
         None)."""
-        if self.kind == "uniform":
-            # with replacement: walkers may share a start vertex
-            return gen.integers(0, graph.n_vertices, size=m)
-        if self.kind == "degree":
-            # landing on a uniform directed edge's source is the degree law
-            return graph._source[gen.integers(0, graph.vol_total, size=m)]
+        return self._place(graph, m, self._ids(graph, m, gen))[0]
+
+    def _ids(self, graph: Graph, m: int, gen: np.random.Generator | None):
+        """What a start of m walkers takes from ``gen``: vertex ids (uniform),
+        closure-slot ids (degree) or None (explicit)."""
+        if self.kind == "explicit":
+            return None
+        hi = graph.n_vertices if self.kind == "uniform" else graph.vol_total
+        # a scalar draw leaves the value and the stream state of size=1
+        return gen.integers(0, hi) if m == 1 else gen.integers(0, hi, size=m)
+
+    def _place(self, graph: Graph, m: int, ids, runs: int = 1) -> np.ndarray:
+        """(runs, m) start vertices: the checked explicit vertices in every
+        row, or those of the runs' :meth:`_ids` values ``ids``."""
         if self.kind == "explicit":
             if self.vertices is None or len(self.vertices) != m:
                 raise ConfigError(f"explicit start needs exactly {m} vertices")
             arr = np.asarray(self.vertices, dtype=np.int64)
             if arr.min() < 0 or arr.max() >= graph.n_vertices:
                 raise ConfigError("explicit start vertex out of range")
-            return arr
-        raise ConfigError(f"unknown start mode {self.kind!r}")
+            return np.tile(arr, (runs, 1))
+        t = np.asarray(ids, dtype=np.int64).reshape(runs, m)
+        # landing on a uniform directed edge's source is the degree law
+        return graph._source[t] if self.kind == "degree" else t
 
 
 @dataclass(frozen=True)
@@ -178,6 +198,19 @@ def _finish(arrs, **kw) -> SampleTrace:
 # -- independent sampling ----------------------------------------------------
 
 
+def _queries(budget: float, price: float, hit_ratio: float, hi: int, what: str,
+             rng: RngStream) -> tuple[np.ndarray, float]:
+    """The ids below ``hi`` that the ``price`` queries ``budget`` buys draw,
+    kept where a query hits (probability ``hit_ratio``), and the amount spent."""
+    if budget < price / hit_ratio:
+        raise BudgetError(f"budget below the expected cost of one valid {what} sample")
+    queries = int(budget // price)
+    gen = rng.generator()
+    ids = gen.integers(0, hi, size=queries)
+    hit = gen.random(queries) < hit_ratio
+    return ids[hit], queries * float(price)
+
+
 def random_vertex_sample(graph: Graph, budget: float, cost_model: CostModel = DEFAULT_COST,
                          rng: RngStream = RngStream(0)) -> SampleTrace:
     """Uniform vertex queries under the budget; misses cost but record nothing.
@@ -186,17 +219,10 @@ def random_vertex_sample(graph: Graph, budget: float, cost_model: CostModel = DE
     with probability ``vertex_hit_ratio``.
     """
     c = cost_model.vertex_query_cost
-    if budget < c / cost_model.vertex_hit_ratio:
-        raise BudgetError("budget below the expected cost of one valid vertex sample")
-    queries = int(budget // c)
-    gen = rng.generator()
-    drawn = gen.integers(0, graph.n_vertices, size=queries)
-    hit = gen.random(queries) < cost_model.vertex_hit_ratio
-    v = drawn[hit]
-    n = v.size
+    v, spent = _queries(budget, c, cost_model.vertex_hit_ratio, graph.n_vertices, "vertex", rng)
     return _finish(
-        (np.full(n, -1), v, np.zeros(n), np.full(n, float(c))),
-        method="random_vertex", m=1, budget=float(budget), spent=queries * float(c),
+        (np.full(v.size, -1), v, np.zeros(v.size), np.full(v.size, float(c))),
+        method="random_vertex", m=1, budget=float(budget), spent=spent,
         start_vertices=np.empty(0, dtype=np.int64), graph_hash=graph.graph_hash)
 
 
@@ -204,18 +230,10 @@ def random_edge_sample(graph: Graph, budget: float, cost_model: CostModel = DEFA
                        rng: RngStream = RngStream(0)) -> SampleTrace:
     """Uniform directed-edge queries from the symmetric closure."""
     c = cost_model.edge_sample_cost
-    if budget < c / cost_model.edge_hit_ratio:
-        raise BudgetError("budget below the expected cost of one valid edge sample")
-    queries = int(budget // c)
-    gen = rng.generator()
-    t = gen.integers(0, graph.vol_total, size=queries)
-    hit = gen.random(queries) < cost_model.edge_hit_ratio
-    t = t[hit]
-    u, v = graph._source[t], graph.indices[t]
-    n = v.size
+    t, spent = _queries(budget, c, cost_model.edge_hit_ratio, graph.vol_total, "edge", rng)
     return _finish(
-        (u, v, np.zeros(n), np.full(n, float(c))),
-        method="random_edge", m=1, budget=float(budget), spent=queries * float(c),
+        (graph._source[t], graph.indices[t], np.zeros(t.size), np.full(t.size, float(c))),
+        method="random_edge", m=1, budget=float(budget), spent=spent,
         start_vertices=np.empty(0, dtype=np.int64), graph_hash=graph.graph_hash)
 
 
@@ -388,41 +406,15 @@ def _walk_steps(method: str, budget: float, m: int, start_cost: float,
 # on one re-keyed generator; lanes are stepped in groups as they are drawn.
 
 
-def _fixed_starts(graph: Graph, start_mode: StartMode, m: int) -> np.ndarray | None:
-    """The checked start vertices of m walkers placed without draws; None
-    for uniform and degree starts."""
-    return None if start_mode.kind in ("uniform", "degree") else start_mode.draw(graph, m, None)
-
-
-def _start_draw(graph: Graph, start_mode: StartMode, m: int, gen: np.random.Generator):
-    """What ``start_mode.draw`` draws from ``gen`` for m walkers: vertex ids
-    (uniform) or directed-edge ids (degree)."""
-    hi = graph.n_vertices if start_mode.kind == "uniform" else graph.vol_total
-    # a scalar draw leaves the value and the stream state of size=1
-    return gen.integers(0, hi) if m == 1 else gen.integers(0, hi, size=m)
-
-
-def _run_starts(graph: Graph, start_mode: StartMode, fixed: np.ndarray | None, draws,
-                n_runs: int) -> np.ndarray:
-    """(runs, m) start vertices: ``fixed`` for every run, or those of the
-    runs' :func:`_start_draw` values ``draws``."""
-    if fixed is not None:
-        return np.tile(fixed, (n_runs, 1))
-    t = np.asarray(draws, dtype=np.int64).reshape(n_runs, -1)
-    return graph._source[t] if start_mode.kind == "degree" else t
-
-
 def _draw_starts(graph: Graph, start_mode: StartMode, gens: list, m: int) -> np.ndarray:
     """(lanes, m) start vertices, each row what ``start_mode.draw`` gives for
     that lane's generator."""
-    fixed = _fixed_starts(graph, start_mode, m)
-    draws = None if fixed is not None else [_start_draw(graph, start_mode, m, g) for g in gens]
-    return _run_starts(graph, start_mode, fixed, draws, len(gens))
+    return start_mode._place(graph, m, [start_mode._ids(graph, m, g) for g in gens], len(gens))
 
 
 class _Lane(NamedTuple):
     """One lane's draws: its walkers' total start cost, their start draw
-    (None for fixed starts), its step count and its arrays of step draws."""
+    (None for explicit starts), its step count and its arrays of step draws."""
 
     cost: float
     start: "int | np.ndarray | None"
@@ -436,13 +428,12 @@ def _lanes(graph: Graph, start_mode: StartMode, cost_model: CostModel, keys: np.
     order of the public sampler: the start costs of its m walkers, their
     start draw, then ``n_draws`` arrays of ``steps_of(start cost)`` draws."""
     kind = start_mode.kind
-    drawn = kind in ("uniform", "degree")
     stochastic = cost_model.stochastic_starts and kind != "explicit"
     cost = None if stochastic else float(cost_model.start_costs(kind, m, None).sum())
     for gen in _lane_generators(keys):
         if stochastic:
             cost = float(cost_model.start_costs(kind, m, gen).sum())
-        start = _start_draw(graph, start_mode, m, gen) if drawn else None
+        start = start_mode._ids(graph, m, gen)
         steps = steps_of(cost)
         yield _Lane(cost, start, steps, [gen.random(steps) for _ in range(n_draws)])
 
@@ -467,13 +458,12 @@ def _paths_batch(method: str, graph: Graph, m: int, start_mode: StartMode, budge
     """Traces of rw or mrw runs of m independent walkers; lane ``r * m + w``
     is walker w of run r and draws from the stream of ``keys[r * m + w]``."""
     step = cost_model.walk_step_cost
-    fixed = _fixed_starts(graph, start_mode, m)
     lanes = _lanes(graph, start_mode, cost_model, keys, 1,
                    functools.cache(lambda c: _walk_steps(method, budget, m, c, step)), 1)
     runs = zip(*[lanes] * m)  # each run's m walker lanes
     for group in _groups(((max(w.steps for w in run), run) for run in runs), m):
         walkers = [w for run in group for w in run]
-        starts = _run_starts(graph, start_mode, fixed, [w.start for w in walkers], len(group))
+        starts = start_mode._place(graph, m, [w.start for w in walkers], len(group))
         paths = _walk_paths(graph, starts.ravel(), [w.draws[0] for w in walkers])
         for k, run in enumerate(group):
             own = paths[k * m:k * m + m]
@@ -510,12 +500,10 @@ def _fs_batch(graph: Graph, m: int, start_mode: StartMode, budget: float,
     if m < 1:
         raise ValueError("m must be >= 1")
     step = cost_model.walk_step_cost
-    fixed = _fixed_starts(graph, start_mode, m)
     lanes = _lanes(graph, start_mode, cost_model, _lane_keys(rngs), m,
                    functools.cache(lambda c: _walk_steps("fs", budget, m, c, step)), 2)
     for group in _groups(((lane.steps, lane) for lane in lanes), 1):
-        starts = _run_starts(graph, start_mode, fixed, [lane.start for lane in group],
-                             len(group))
+        starts = start_mode._place(graph, m, [lane.start for lane in group], len(group))
         u, v, wk = _fs_walk(graph, starts, [lane.draws[0] for lane in group],
                             [lane.draws[1] for lane in group])
         for k, lane in enumerate(group):
@@ -580,10 +568,7 @@ def distributed_fs(graph: Graph, m: int, time_budget: float,
     if time_budget <= 0:
         raise BudgetError("time budget must be positive")
     gens = [rng.child(w).generator() for w in range(m)]
-    if start_mode.kind == "explicit":
-        starts = start_mode.draw(graph, m, None)
-    else:
-        starts = _draw_starts(graph, start_mode, gens, 1)[:, 0]
+    starts = start_mode._place(graph, m, [start_mode._ids(graph, 1, g) for g in gens])[0]
     ip, ix = graph.adjacency_lists
     pos = starts.tolist()
     heap = []

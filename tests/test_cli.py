@@ -557,3 +557,77 @@ def test_experiment_negative_seed_exit_2(tmp_path, capsys, change, what):
 def test_generate_bad_parameters_exit_2(tmp_path, capsys, argv):
     assert run("generate", *argv, "--out", str(tmp_path / "g.txt")) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+# -- budgets and start settings that cannot run ------------------------------------
+
+
+@pytest.mark.parametrize("extra", [
+    ["fs", "--m", "2", "--budget", "inf"],
+    ["fs", "--m", "2", "--budget", "nan"],
+    ["vertex", "--budget", "inf"],
+    ["rw", "--budget", "1e400"],
+], ids=["fs_inf", "fs_nan", "vertex_inf", "rw_1e400"])
+def test_sample_non_finite_budget_exit_2(tmp_path, graph_file, capsys, extra):
+    out = tmp_path / "t.csv"
+    assert run("sample", extra[0], "--graph", graph_file, *extra[1:], "--out", str(out)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config" and "finite" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("budget", ["1e999", "-1e999", "NaN", '"inf"'])
+def test_experiment_non_finite_budget_exit_2(tmp_path, capsys, budget):
+    path = tmp_path / "cfg.json"
+    # written by hand: json.dumps has no spelling for 1e999
+    path.write_text('{"graph": {"kind": "ba", "n": 80, "attach": 2, "seed": 3}, '
+                    '"methods": [{"name": "fs", "m": 2}], "budget": %s, '
+                    '"targets": {"ccdf": true}, "runs": 2}' % budget)
+    assert run("experiment", "--config", str(path), "--out", str(tmp_path / "r.csv")) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config" and "finite" in err["message"]
+
+
+@pytest.mark.parametrize("start", [
+    {"kind": "explicit", "vertices": "ab"},
+    {"kind": "explicit", "vertices": [None, 2]},
+    {"kind": "explicit", "vertices": 5},
+    {"kind": "explicit", "vertices": [1.5, 2]},
+    {"kind": "explicit", "vertices": [True, 2]},
+    {"kind": "degree", "vertices": [1, 2]},
+    {"vertices": [1, 2]},
+], ids=["string", "null_entry", "number", "fraction", "bool", "degree_kind", "no_kind"])
+def test_experiment_unreadable_or_ignored_start_vertices_exit_2(tmp_path, capsys, start):
+    assert _experiment(tmp_path, graph={"kind": "ba", "n": 80, "attach": 2, "seed": 3},
+                       methods=[{"name": "mrw", "m": 2, "start": start}], budget=40,
+                       targets={"ccdf": True}, runs=2) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config" and "start vert" in err["message"]
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_experiment_whole_float_start_vertices_accepted(tmp_path):
+    # integers under the config rule: a whole float such as 2.0 is one
+    assert _experiment(tmp_path, graph={"kind": "ba", "n": 80, "attach": 2, "seed": 3},
+                       methods=[{"name": "mrw", "m": 2,
+                                 "start": {"kind": "explicit", "vertices": [1.0, 2]}}],
+                       budget=40, targets={"ccdf": True}, runs=2) == 0
+
+
+@pytest.mark.parametrize("start", ["uniform", "degree"])
+def test_sample_start_vertices_without_explicit_start_exit_2(tmp_path, graph_file, capsys,
+                                                            start):
+    out = tmp_path / "t.csv"
+    assert run("sample", "fs", "--graph", graph_file, "--m", "2", "--budget", "20",
+               "--start", start, "--start-vertices", "1,2", "--out", str(out)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config" and "--start-vertices" in err["message"]
+    assert not out.exists()

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frontier import samplers
-from frontier.errors import BudgetError
+from frontier import harness, samplers
+from frontier.errors import BudgetError, ConfigError
 from frontier.graphs import load_graph
 from frontier.rng import RngStream
 from frontier.samplers import (
@@ -503,3 +503,229 @@ def test_scalar_loops_match_lockstep_bodies(kind):
     assert scalar[1].shape == lockstep[1].shape == (6, 51)
     for path, locked, r in zip(scalar[1], lockstep[1], rs):
         assert np.array_equal(path[:r.size + 1], locked[:r.size + 1])
+
+
+# -- the start and query layer against the code before it -------------------------
+#
+# References, verbatim but for their names: ``StartMode.draw``, the three batch
+# start helpers, both independent samplers and ``harness._planned_steps`` as
+# they were before ``StartMode`` placed every walker, ``CostModel`` priced
+# every start and one query helper drew both independent samplers.
+
+
+def _ref_draw(self, graph, m, gen):
+    if self.kind == "uniform":
+        # with replacement: walkers may share a start vertex
+        return gen.integers(0, graph.n_vertices, size=m)
+    if self.kind == "degree":
+        # landing on a uniform directed edge's source is the degree law
+        return graph._source[gen.integers(0, graph.vol_total, size=m)]
+    if self.kind == "explicit":
+        if self.vertices is None or len(self.vertices) != m:
+            raise ConfigError(f"explicit start needs exactly {m} vertices")
+        arr = np.asarray(self.vertices, dtype=np.int64)
+        if arr.min() < 0 or arr.max() >= graph.n_vertices:
+            raise ConfigError("explicit start vertex out of range")
+        return arr
+    raise ConfigError(f"unknown start mode {self.kind!r}")
+
+
+def _ref_fixed_starts(graph, start_mode, m):
+    return None if start_mode.kind in ("uniform", "degree") else _ref_draw(start_mode, graph, m,
+                                                                          None)
+
+
+def _ref_start_draw(graph, start_mode, m, gen):
+    hi = graph.n_vertices if start_mode.kind == "uniform" else graph.vol_total
+    # a scalar draw leaves the value and the stream state of size=1
+    return gen.integers(0, hi) if m == 1 else gen.integers(0, hi, size=m)
+
+
+def _ref_run_starts(graph, start_mode, fixed, draws, n_runs):
+    if fixed is not None:
+        return np.tile(fixed, (n_runs, 1))
+    t = np.asarray(draws, dtype=np.int64).reshape(n_runs, -1)
+    return graph._source[t] if start_mode.kind == "degree" else t
+
+
+def _ref_draw_starts(graph, start_mode, gens, m):
+    fixed = _ref_fixed_starts(graph, start_mode, m)
+    draws = None if fixed is not None else [_ref_start_draw(graph, start_mode, m, g) for g in gens]
+    return _ref_run_starts(graph, start_mode, fixed, draws, len(gens))
+
+
+def _ref_random_vertex_sample(graph, budget, cost_model=DEFAULT_COST, rng=RngStream(0)):
+    c = cost_model.vertex_query_cost
+    if budget < c / cost_model.vertex_hit_ratio:
+        raise BudgetError("budget below the expected cost of one valid vertex sample")
+    queries = int(budget // c)
+    gen = rng.generator()
+    drawn = gen.integers(0, graph.n_vertices, size=queries)
+    hit = gen.random(queries) < cost_model.vertex_hit_ratio
+    v = drawn[hit]
+    n = v.size
+    return _finish(
+        (np.full(n, -1), v, np.zeros(n), np.full(n, float(c))),
+        method="random_vertex", m=1, budget=float(budget), spent=queries * float(c),
+        start_vertices=np.empty(0, dtype=np.int64), graph_hash=graph.graph_hash)
+
+
+def _ref_random_edge_sample(graph, budget, cost_model=DEFAULT_COST, rng=RngStream(0)):
+    c = cost_model.edge_sample_cost
+    if budget < c / cost_model.edge_hit_ratio:
+        raise BudgetError("budget below the expected cost of one valid edge sample")
+    queries = int(budget // c)
+    gen = rng.generator()
+    t = gen.integers(0, graph.vol_total, size=queries)
+    hit = gen.random(queries) < cost_model.edge_hit_ratio
+    t = t[hit]
+    u, v = graph._source[t], graph.indices[t]
+    n = v.size
+    return _finish(
+        (u, v, np.zeros(n), np.full(n, float(c))),
+        method="random_edge", m=1, budget=float(budget), spent=queries * float(c),
+        start_vertices=np.empty(0, dtype=np.int64), graph_hash=graph.graph_hash)
+
+
+def _ref_planned_steps(method, budget, m, start, cost):
+    per_walker = 0.0 if start.kind == "explicit" else cost.effective_start_cost
+    return _walk_steps(method, budget, m, per_walker * m if method == "fs" else per_walker,
+                       cost.walk_step_cost)
+
+
+class _HeldStream:
+    """A stand-in stream whose generator the test keeps, to read its state."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def generator(self):
+        return self.gen
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type and message of the error it raises."""
+    try:
+        return call()
+    except (BudgetError, ConfigError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype and np.array_equal(got, want)
+
+
+def _state(gen):
+    """The generator's bit state with its arrays as lists, so ``==`` compares it."""
+    def plain(x):
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        return x.tolist() if isinstance(x, np.ndarray) else x
+    return plain(gen.bit_generator.state)
+
+
+def _gens(seed, k):
+    return [RngStream(seed, (k, r)).generator() for r in range(k)]
+
+
+@st.composite
+def _start_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)),
+                          min_size=1, max_size=30))
+    graph = load_graph("".join(f"{a} {(a + b) % n}\n" for a, b in pairs))
+    m = draw(st.integers(min_value=1, max_value=6))
+    runs = draw(st.integers(min_value=1, max_value=5))
+    kind = draw(st.sampled_from(["uniform", "degree", "explicit"]))
+    # explicit lists are mostly valid; some are short, long or out of range
+    size = draw(st.sampled_from([m, m, m, m - 1, m + 1]))
+    start = (StartMode.explicit(draw(st.lists(st.integers(-1, graph.n_vertices),
+                                              min_size=size, max_size=size)))
+             if kind == "explicit" else StartMode(kind))
+    return graph, m, runs, start, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@given(_start_cases())
+@settings(max_examples=300, deadline=None)
+def test_start_placement_matches_the_code_before(case):
+    graph, m, runs, start, seed = case
+    # one walker set: draw, and for drawn kinds the ids a lane takes
+    (ref_gen,), (gen,) = _gens(seed, 1), _gens(seed, 1)
+    _assert_same(_outcome(lambda: start.draw(graph, m, gen)),
+                 _outcome(lambda: _ref_draw(start, graph, m, ref_gen)))
+    assert _state(gen) == _state(ref_gen)
+    if start.kind == "explicit":
+        assert start._ids(graph, m, gen) is None
+    else:
+        _assert_same(start._ids(graph, m, gen), _ref_start_draw(graph, start, m, ref_gen))
+    assert _state(gen) == _state(ref_gen)
+    # a batch of runs, as the lanes and the kernels' groups place them
+    ref_gens, gens = _gens(seed, runs), _gens(seed, runs)
+    _assert_same(_outcome(lambda: samplers._draw_starts(graph, start, gens, m)),
+                 _outcome(lambda: _ref_draw_starts(graph, start, ref_gens, m)))
+    for g, r in zip(gens, ref_gens, strict=True):
+        assert _state(g) == _state(r)
+    # distributed_fs: walker w's start from the stream of child(w)
+    rng = RngStream(seed)
+
+    def ref_dfs_starts():
+        ref_gens = [rng.child(w).generator() for w in range(m)]
+        if start.kind == "explicit":
+            return _ref_draw(start, graph, m, None)
+        return _ref_draw_starts(graph, start, ref_gens, 1)[:, 0]
+
+    _assert_same(_outcome(lambda: distributed_fs(graph, m, 0.5, start, rng).start_vertices),
+                 _outcome(ref_dfs_starts))
+
+
+_RATIOS = st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=0.999))
+_PRICES = st.floats(min_value=0.1, max_value=3.0)
+
+
+@given(_start_cases(), st.sampled_from(["vertex", "edge"]), _PRICES, _RATIOS,
+       st.floats(min_value=0.0, max_value=60.0))
+@settings(max_examples=200, deadline=None)
+def test_independent_queries_match_the_code_before(case, what, price, ratio, budget):
+    graph, _, _, _, seed = case
+    if what == "vertex":
+        cost = CostModel(vertex_query_cost=price, vertex_hit_ratio=ratio)
+        new, ref = random_vertex_sample, _ref_random_vertex_sample
+    else:
+        cost = CostModel(edge_sample_cost=price, edge_hit_ratio=ratio)
+        new, ref = random_edge_sample, _ref_random_edge_sample
+    (ref_gen,), (gen,) = _gens(seed, 1), _gens(seed, 1)
+    got = _outcome(lambda: new(graph, budget, cost, _HeldStream(gen)))
+    want = _outcome(lambda: ref(graph, budget, cost, _HeldStream(ref_gen)))
+    assert _state(gen) == _state(ref_gen)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    for name in ("u", "v", "walker", "cost", "start_vertices"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("method", "m", "budget", "spent", "graph_hash", "meta", "time"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert type(got.spent) is type(want.spent)
+
+
+@given(st.sampled_from(["rw", "mrw", "fs"]), st.integers(min_value=1, max_value=6),
+       st.sampled_from(["uniform", "degree", "explicit"]), _PRICES, _PRICES, _RATIOS,
+       st.booleans(), st.integers(min_value=-1, max_value=40),
+       st.sampled_from([0.0, 0.0, 1e-13, -1e-13, 0.3]))
+@settings(max_examples=400, deadline=None)
+def test_planned_steps_match_the_code_before(method, m, kind, step, query, ratio, stochastic,
+                                             k, nudge):
+    m = 1 if method == "rw" else m
+    start = StartMode.explicit(range(m)) if kind == "explicit" else StartMode(kind)
+    cost = CostModel(walk_step_cost=step, vertex_query_cost=query, vertex_hit_ratio=ratio,
+                     stochastic_starts=stochastic)
+    # budgets on (or a hair off) the step boundaries of the expected start price
+    per_walker = 0.0 if kind == "explicit" else cost.effective_start_cost
+    budget = (m * (per_walker + k * step) if method == "mrw"
+              else per_walker * m + k * step) + nudge
+    assert (_outcome(lambda: harness._planned_steps(method, budget, m, start, cost))
+            == _outcome(lambda: _ref_planned_steps(method, budget, m, start, cost)))
