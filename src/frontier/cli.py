@@ -33,6 +33,7 @@ from .errors import (
     UndefinedEstimateError,
 )
 from .graphs import (
+    DEGREE_MODES,
     generate_barabasi_albert,
     generate_joined_ba,
     load_graph,
@@ -60,6 +61,14 @@ def _fail(code: int, error: str, message: str) -> int:
     sys.stderr.write(json.dumps({"error": error, "message": message},
                                 sort_keys=True) + "\n")
     return code
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (subparsers too) whose usage errors exit 2 with one
+    JSON object on stderr, like every other input error."""
+
+    def error(self, message: str):
+        sys.exit(_fail(2, "usage", f"{self.prog}: {message}"))
 
 
 def _check_out(path: str, force: bool) -> None:
@@ -224,7 +233,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frontier",
         description="Graph sampling and characteristic estimation toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -271,9 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--targets", required=True,
                      help="comma list: ccdf, degree=K, label=NAME, "
                           "edge-label=NAME, assortativity, clustering")
-    est.add_argument("--ccdf-mode",
-                     choices=("symmetric", "in_directed", "out_directed"),
-                     default="symmetric")
+    est.add_argument("--ccdf-mode", choices=DEGREE_MODES, default="symmetric")
     est.add_argument("--burn-in", type=int, default=0)
     est.add_argument("--labels-file")
     est.add_argument("--out", default="-")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, UndefinedEstimateError
 from .graphs import Graph, LabelStore, _edge_support
-from .oracles import _joint_density, joint_moments
+from .oracles import _ccdf, _joint_density, _nonzero, joint_moments
 from .samplers import SampleTrace
 
 __all__ = [
@@ -133,6 +133,25 @@ def estimate_group_densities(trace: SampleTrace, graph: Graph,
     return DensityEstimate(values, trace.n_steps, denom / trace.n_steps)
 
 
+def _degree_density(trace: SampleTrace, graph: Graph, mode: str, sampler: str) -> np.ndarray:
+    """Density of each degree class k at index k, up to the largest sampled
+    class and zero where no record has it.  ``sampler`` sets the weighting:
+    plain frequency (random_vertex), tilt-corrected frequency (random_edge;
+    class 0 left out) or inverse symmetric degree (any walk)."""
+    if sampler == "random_vertex":
+        if trace.n_steps == 0:
+            raise UndefinedEstimateError("empty trace", code="empty_trace")
+        return np.bincount(graph.degrees(mode)[trace.v]) / trace.n_steps
+    _require_edge_trace(trace)
+    if sampler == "random_edge":
+        counts = np.bincount(graph.degrees(mode)[trace.u])
+        counts[0] = 0
+        return np.trim_zeros(counts / trace.n_steps * (graph.vol_total / graph.n_vertices)
+                             / np.arange(counts.size).clip(1), "b")
+    inv = _inverse_degrees(trace, graph)
+    return np.bincount(graph.degrees(mode)[trace.v], weights=inv) / float(inv.sum())
+
+
 def estimate_degree_density(trace: SampleTrace, graph: Graph,
                             mode: str = "symmetric") -> DensityEstimate:
     """Density of each observed degree class among terminal vertices.
@@ -140,30 +159,23 @@ def estimate_degree_density(trace: SampleTrace, graph: Graph,
     The class label is the chosen degree notion; the reweighting always
     uses the symmetric degree, which is what governs visit rates.
     """
-    _require_edge_trace(trace)
-    inv = _inverse_degrees(trace, graph)
-    denom = float(inv.sum())
-    num = np.bincount(graph.degrees(mode)[trace.v], weights=inv)
-    values = {k: float(x) / denom for k, x in enumerate(num.tolist()) if x}
-    return DensityEstimate(values, trace.n_steps, denom / trace.n_steps)
+    values = _nonzero(_degree_density(trace, graph, mode, "walk"))
+    return DensityEstimate(values, trace.n_steps,
+                           float(_inverse_degrees(trace, graph).sum()) / trace.n_steps)
 
 
 def _ccdf_from_density(theta: dict) -> dict[int, float]:
-    """Fraction strictly above each degree l up to the largest, summed top down."""
-    if not theta:
-        return {}
-    dens = np.zeros(max(theta) + 1)
+    """:func:`_ccdf` of a degree-keyed density."""
+    dens = np.zeros(max(theta, default=-1) + 1)
     dens[list(theta)] = list(theta.values())
-    tail = np.zeros(dens.size)
-    tail[:-1] = np.cumsum(dens[:0:-1])[::-1]
-    return dict(enumerate(tail.tolist()))
+    return _ccdf(dens)
 
 
 def estimate_degree_ccdf(trace: SampleTrace, graph: Graph,
                          mode: str = "symmetric") -> dict[int, float]:
     """Estimated fraction of vertices with degree > l, for l up to the
     largest degree observed in the trace."""
-    return _ccdf_from_density(estimate_degree_density(trace, graph, mode).values)
+    return _ccdf(_degree_density(trace, graph, mode, "walk"))
 
 
 def estimate_assortativity(trace: SampleTrace, graph: Graph) -> AssortativityEstimate:
@@ -250,11 +262,8 @@ def vertex_density_from_vertex_samples(trace: SampleTrace, labels: LabelStore,
 def degree_density_from_vertex_samples(trace: SampleTrace, graph: Graph,
                                        mode: str = "symmetric") -> DensityEstimate:
     """Degree-class frequencies among uniformly sampled vertices."""
-    if trace.n_steps == 0:
-        raise UndefinedEstimateError("empty trace", code="empty_trace")
-    counts = np.bincount(graph.degrees(mode)[trace.v])
-    values = {k: c / trace.n_steps for k, c in enumerate(counts.tolist()) if c}
-    return DensityEstimate(values, trace.n_steps)
+    return DensityEstimate(_nonzero(_degree_density(trace, graph, mode, "random_vertex")),
+                           trace.n_steps)
 
 
 def degree_density_from_edge_samples(trace: SampleTrace, graph: Graph,
@@ -266,9 +275,5 @@ def degree_density_from_edge_samples(trace: SampleTrace, graph: Graph,
     so the observed frequency is tilted by i/d; dividing it out recovers
     theta_i.
     """
-    _require_edge_trace(trace)
-    d = graph.vol_total / graph.n_vertices
-    counts = np.bincount(graph.degrees(mode)[trace.u])
-    values = {k: (c / trace.n_steps) * d / k
-              for k, c in enumerate(counts.tolist()) if c and k > 0}
-    return DensityEstimate(values, trace.n_steps)
+    return DensityEstimate(_nonzero(_degree_density(trace, graph, mode, "random_edge")),
+                           trace.n_steps)

@@ -36,6 +36,7 @@ from .errors import ConfigError, GraphFormatError
 from .rng import RngStream, as_stream
 
 __all__ = [
+    "DEGREE_MODES",
     "Graph",
     "LabelStore",
     "VertexPartition",
@@ -56,6 +57,10 @@ __all__ = [
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+# the degree notions that classify vertices: closure degree, directed in- and out-degree
+DEGREE_MODES = ("symmetric", "in_directed", "out_directed")
 
 
 class Graph:
@@ -120,11 +125,9 @@ class Graph:
     def degrees(self, mode: str = "symmetric") -> np.ndarray:
         """Per-vertex degrees in the symmetric closure, or in/out degrees of
         the directed edge set (``in_directed`` / ``out_directed``)."""
-        modes = {"symmetric": self.deg, "in_directed": self.indeg_d,
-                 "out_directed": self.outdeg_d}
-        if mode not in modes:
+        if mode not in DEGREE_MODES:
             raise ValueError(f"unknown degree mode {mode!r}")
-        return modes[mode]
+        return (self.deg, self.indeg_d, self.outdeg_d)[DEGREE_MODES.index(mode)]
 
     @cached_property
     def _source(self) -> np.ndarray:

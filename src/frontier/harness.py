@@ -32,19 +32,18 @@ from scipy import stats
 
 from .errors import BudgetError, ConfigError, UndefinedEstimateError
 from .estimators import (
-    degree_density_from_edge_samples,
-    degree_density_from_vertex_samples,
     estimate_assortativity,
-    estimate_degree_density,
     estimate_edge_label_density,
     estimate_global_clustering,
     estimate_group_densities,
     vertex_density_from_vertex_samples,
-    _ccdf_from_density,
+    _degree_density,
 )
-from .graphs import Graph, LabelStore, generate_barabasi_albert, generate_joined_ba, load_graph, parse_vertex_labels
+from .graphs import (DEGREE_MODES, Graph, LabelStore, generate_barabasi_albert, generate_joined_ba,
+                     load_graph, parse_vertex_labels)
 from .oracles import (
     CharacteristicTruth,
+    _ccdf,
     compute_truth,
     stationary_occupancy_ratio,
     stationary_subset_occupancy,
@@ -59,6 +58,7 @@ from .samplers import (
     _fs_batch,
     _fs_steps,
     _mrw_batch,
+    _query_count,
     _rw_batch,
     _step_paths,
     _walk_steps,
@@ -286,10 +286,13 @@ class TargetSpec:
             if (not isinstance(value, bool if key in _TARGET_FLAGS else (list, tuple))
                     or ("labels" in key and not all(isinstance(x, str) for x in value))):
                 raise ConfigError(f"targets: {key} has the wrong type: {value!r}")
+        degrees = tuple(_as_int(k, "targets: degree_density entry")
+                        for k in raw.get("degree_density", ()))
+        if any(k < 0 for k in degrees):
+            raise ConfigError(f"targets: degree_density entries must be >= 0, got {list(degrees)}")
         spec = cls(
             ccdf=raw.get("ccdf", False),
-            degree_density=tuple(_as_int(k, "targets: degree_density entry")
-                                 for k in raw.get("degree_density", ())),
+            degree_density=degrees,
             labels=tuple(raw.get("labels", ())),
             edge_labels=tuple(raw.get("edge_labels", ())),
             assortativity=raw.get("assortativity", False),
@@ -382,7 +385,7 @@ class ExperimentConfig:
         if burn_in < 0:
             raise ConfigError("config: burn_in must be >= 0")
         mode = raw.get("ccdf_mode", "symmetric")
-        if mode not in ("symmetric", "in_directed", "out_directed"):
+        if mode not in DEGREE_MODES:
             raise ConfigError(f"config: unknown ccdf_mode {mode!r}")
         vertex_only = [m.key for m in methods if m.name == "random_vertex"]
         if vertex_only and (targets.edge_labels or targets.assortativity
@@ -496,16 +499,12 @@ def _estimate_targets(trace: SampleTrace, graph: Graph, labels: LabelStore | Non
     t = targets
     out: dict = {}
     if t.ccdf or t.degree_density:
-        if trace.method == "random_vertex":
-            dens = degree_density_from_vertex_samples(trace, graph, ccdf_mode)
-        elif trace.method == "random_edge":
-            dens = degree_density_from_edge_samples(trace, graph, ccdf_mode)
-        else:
-            dens = estimate_degree_density(trace, graph, ccdf_mode)
+        dens = _degree_density(trace, graph, ccdf_mode, trace.method)
         if t.degree_density:
-            out["theta_degree"] = {k: dens.values.get(k, 0.0) for k in t.degree_density}
+            out["theta_degree"] = {k: float(dens[k]) if k < dens.size else 0.0
+                                   for k in t.degree_density}
         if t.ccdf:
-            out["gamma"] = _ccdf_from_density(dens.values)
+            out["gamma"] = _ccdf(dens)
     if t.labels:
         if trace.method == "random_vertex":
             out["theta_label"] = {
@@ -676,19 +675,17 @@ def _check_feasible(graph: Graph, method: MethodSpec, budget: float) -> None:
     c = method.cost
     if method.name in _WALK_METHODS and method.start.kind == "explicit":
         method.start.draw(graph, method.m, None)
-    if method.name == "dfs":
-        ok = method.time_budget is not None and method.time_budget > 0
-    elif method.name == "random_vertex":
-        ok = budget >= c.vertex_query_cost / c.vertex_hit_ratio
-    elif method.name == "random_edge":
-        ok = budget >= c.edge_sample_cost / c.edge_hit_ratio
-    else:
-        try:
-            ok = _planned_steps(method.name, budget, method.m, method.start, c) >= 1
-        except BudgetError:
-            ok = False
-    if not ok:
-        raise ConfigError(f"budget {budget} infeasible for method {method.key}")
+    try:
+        if method.name == "random_vertex":
+            _query_count(budget, c.vertex_query_cost, c.vertex_hit_ratio, "vertex")
+        elif method.name == "random_edge":
+            _query_count(budget, c.edge_sample_cost, c.edge_hit_ratio, "edge")
+        elif method.name != "dfs":
+            _planned_steps(method.name, budget, method.m, method.start, c)
+        elif not (method.time_budget is not None and method.time_budget > 0):
+            raise BudgetError("time budget must be positive")
+    except BudgetError as exc:
+        raise ConfigError(f"budget {budget} infeasible for method {method.key}: {exc}") from None
 
 
 def _families(truth: CharacteristicTruth, t: TargetSpec) -> list[tuple]:
@@ -748,10 +745,9 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
     t = config.targets
     families = _families(truth, t)
     n_scalars = len(t.edge_labels) + t.assortativity + t.clustering
-    # per method: one truth keys x runs matrix per family, one list per scalar
-    dens = [[np.empty((len(truth_f), config.runs)) for _, _, _, truth_f, _, _ in families]
-            for _ in config.methods]
-    scalars = [[[None] * config.runs for _ in range(n_scalars)] for _ in config.methods]
+    # per method: one truth keys x runs matrix per family, then one of the scalars (NaN: undefined)
+    mats = [[np.empty((len(truth_f), config.runs)) for _, _, _, truth_f, _, _ in families]
+            + [np.empty((n_scalars, config.runs))] for _ in config.methods]
     tasks = []
     chunk = max(1, config.runs // max(1, workers * 8))
     for mi in range(len(config.methods)):
@@ -761,10 +757,8 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
     def collect(parts) -> None:
         for (mi, run_indices), part in zip(tasks, parts):
             for ri, (run_rows, run_scalars) in zip(run_indices, part):
-                for mat, row in zip(dens[mi], run_rows):
+                for mat, row in zip(mats[mi], [*run_rows, run_scalars]):
                     mat[:, ri] = row
-                for values, x in zip(scalars[mi], run_scalars):
-                    values[ri] = x
 
     state = (graph, labels, config, budget,
              [(name, tuple(truth_f)) for name, _, _, truth_f, _, _ in families])
@@ -777,17 +771,17 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
 
     rows: list[ReportRow] = []
     for mi, method in enumerate(config.methods):
-        for (_, kind, tag, truth_f, keys, fmt), vals in zip(families, dens[mi]):
+        for (_, kind, tag, truth_f, keys, fmt), vals in zip(families, mats[mi]):
             rows += _density_rows(method.key, kind, tag, truth_f, vals, keys, fmt, warnings)
         # edge-label rows need a positive truth; r and C keep a zero truth, without NMSE
         named = [(f"p_edge[{name}]", "p_edge", name, truth.p_edge.get(name, 0.0))
                  for name in t.edge_labels]
         named += [(kind, kind, kind, value) for kind, value, on in (
             ("r", truth.r, t.assortativity), ("C", truth.clustering, t.clustering)) if on]
-        for (tag, kind, label, truth_val), vals in zip(named, scalars[mi]):
-            valid = np.asarray([x for x in vals if x is not None], dtype=np.float64)
-            if valid.size < len(vals):
-                warnings.append(f"{method.key}/{tag}: {len(vals) - valid.size} runs undefined")
+        for (tag, kind, label, truth_val), vals in zip(named, mats[mi][-1]):
+            valid = vals[~np.isnan(vals)]
+            if valid.size < vals.size:
+                warnings.append(f"{method.key}/{tag}: {vals.size - valid.size} runs undefined")
             if kind == "p_edge" and (truth_val <= 0 or valid.size == 0):
                 warnings.append(f"{method.key}/{tag}: omitted")
                 continue

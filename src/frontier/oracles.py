@@ -73,20 +73,26 @@ def exact_edge_label_density(graph: Graph, labels: LabelStore, label: str) -> fl
     return int((e[slot >= 0, 2] == lid).sum()) / total
 
 
+def _nonzero(dens: np.ndarray) -> dict[int, float]:
+    """The nonzero entries of a per-degree array, keyed by degree."""
+    return {k: x for k, x in enumerate(dens.tolist()) if x}
+
+
+def _ccdf(weights: np.ndarray, total: float = 1) -> dict[int, float]:
+    """Share of ``total`` above each degree l of per-degree ``weights``, summed top down."""
+    tail = np.zeros(weights.size)
+    tail[:-1] = np.cumsum(weights[:0:-1])[::-1] / total
+    return dict(enumerate(tail.tolist()))
+
+
 def exact_degree_density(graph: Graph, mode: str = "symmetric") -> dict[int, float]:
     """theta_k: fraction of vertices with degree k, for every observed k."""
-    counts = np.bincount(graph.degrees(mode))
-    n = graph.n_vertices
-    return {k: c / n for k, c in enumerate(counts.tolist()) if c}
+    return _nonzero(np.bincount(graph.degrees(mode)) / graph.n_vertices)
 
 
 def exact_degree_ccdf(graph: Graph, mode: str = "symmetric") -> dict[int, float]:
     """gamma_l = fraction of vertices with degree > l, for l = 0..max degree."""
-    degs = graph.degrees(mode)
-    counts = np.bincount(degs)
-    tail = counts[::-1].cumsum()[::-1]  # tail[l] = #vertices with degree >= l
-    n = graph.n_vertices
-    return {l: float(tail[l + 1]) / n if l + 1 < tail.size else 0.0 for l in range(counts.size)}
+    return _ccdf(np.bincount(graph.degrees(mode)), graph.n_vertices)
 
 
 def _degree_pairs(graph: Graph) -> tuple[np.ndarray, np.ndarray]:

@@ -195,16 +195,34 @@ def _finish(arrs, **kw) -> SampleTrace:
         **kw)
 
 
+# Most records (walk steps, or vertex or edge queries) one run may take: a
+# budget that buys more is refused before any draw.  Trace arrays hold 28
+# bytes per record, so a run at the limit already needs about 7.5 GB.
+MAX_RUN_RECORDS = 1 << 28
+
+
+def _capped(records: int, budget: float) -> int:
+    if records > MAX_RUN_RECORDS:
+        raise BudgetError(f"budget {budget} buys more than {MAX_RUN_RECORDS} records per run")
+    return records
+
+
 # -- independent sampling ----------------------------------------------------
+
+
+def _query_count(budget: float, price: float, hit_ratio: float, what: str) -> int:
+    """Queries of ``price`` that ``budget`` buys, each hitting with probability
+    ``hit_ratio``; a BudgetError if not one hit is expected, or too many."""
+    if budget < price / hit_ratio:
+        raise BudgetError(f"budget below the expected cost of one valid {what} sample")
+    return _capped(int(budget // price), budget)
 
 
 def _queries(budget: float, price: float, hit_ratio: float, hi: int, what: str,
              rng: RngStream) -> tuple[np.ndarray, float]:
     """The ids below ``hi`` that the ``price`` queries ``budget`` buys draw,
     kept where a query hits (probability ``hit_ratio``), and the amount spent."""
-    if budget < price / hit_ratio:
-        raise BudgetError(f"budget below the expected cost of one valid {what} sample")
-    queries = int(budget // price)
+    queries = _query_count(budget, price, hit_ratio, what)
     gen = rng.generator()
     ids = gen.integers(0, hi, size=queries)
     hit = gen.random(queries) < hit_ratio
@@ -385,7 +403,8 @@ def _walk_steps(method: str, budget: float, m: int, start_cost: float,
     ``start_cost``, the start charge of all their walkers, so the last step
     may cross a fractional boundary (ceil).  Each of the m mrw walkers takes
     the whole steps that fit in its ``budget / m`` share after its own
-    ``start_cost`` (floor).
+    ``start_cost`` (floor).  A run of more than MAX_RUN_RECORDS steps, all
+    walkers together, is a BudgetError.
     """
     if method == "mrw":
         steps = int((budget / m - start_cost) // step_cost)
@@ -393,6 +412,7 @@ def _walk_steps(method: str, budget: float, m: int, start_cost: float,
         steps = math.ceil((budget - start_cost) / step_cost - 1e-12)
     if steps < 1:
         raise BudgetError(f"budget {budget} leaves no steps for {method}")
+    _capped(steps * m if method == "mrw" else steps, budget)
     return steps
 
 

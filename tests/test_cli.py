@@ -631,3 +631,75 @@ def test_sample_start_vertices_without_explicit_start_exit_2(tmp_path, graph_fil
     err = json.loads(lines[0])
     assert err["error"] == "config" and "--start-vertices" in err["message"]
     assert not out.exists()
+
+
+# -- usage errors, draw caps and degree targets ---------------------------------------
+
+
+def _one_json_error(capsys) -> dict:
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "fs", "--graph", "g.txt", "--m", "x", "--budget", "10", "--out", "t.csv"],
+    ["sample", "fs", "--m", "2", "--budget", "10", "--out", "t.csv"],
+    ["resample", "fs"],
+], ids=["m_not_int", "missing_graph", "unknown_subcommand"])
+def test_usage_error_is_one_json_line_exit_2(tmp_path, capsys, argv):
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    err = _one_json_error(capsys)
+    assert err["error"] == "usage" and err["message"].startswith("frontier")
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("sample", "--help")
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: frontier sample") and err == ""
+
+
+@pytest.mark.parametrize("extra", [
+    ["vertex", "--budget", "1e300"],
+    ["edge", "--budget", "1e300"],
+    ["fs", "--m", "2", "--budget", "1e300"],
+    ["mrw", "--m", "4", "--budget", "1e300"],
+], ids=["vertex", "edge", "fs", "mrw"])
+def test_sample_budget_above_draw_cap_exit_2(tmp_path, graph_file, capsys, extra):
+    out = tmp_path / "t.csv"
+    assert run("sample", extra[0], "--graph", graph_file, *extra[1:], "--out", str(out)) == 2
+    err = _one_json_error(capsys)
+    assert err["error"] == "budget" and "records per run" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", [{"name": "random_vertex"}, {"name": "random_edge"},
+                                    {"name": "rw"}, {"name": "fs", "m": 2}])
+def test_experiment_budget_above_draw_cap_exit_2(tmp_path, capsys, method):
+    assert _experiment(tmp_path, graph={"kind": "ba", "n": 80, "attach": 2, "seed": 3},
+                       methods=[method], budget=1e300, targets={"ccdf": True}, runs=2) == 2
+    err = _one_json_error(capsys)
+    assert err["error"] == "config" and "records per run" in err["message"]
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_estimate_negative_degree_target_exit_2(graph_file, trace_file, capsys):
+    assert run("estimate", "--graph", graph_file, "--trace", trace_file,
+               "--targets", "ccdf,degree=-1") == 2
+    err = _one_json_error(capsys)
+    assert err["error"] == "config" and "degree_density" in err["message"]
+
+
+def test_experiment_negative_degree_target_exit_2(tmp_path, capsys):
+    assert _experiment(tmp_path, graph={"kind": "ba", "n": 80, "attach": 2, "seed": 3},
+                       methods=[{"name": "rw"}], budget=40,
+                       targets={"degree_density": [2, -1]}, runs=2) == 2
+    assert _one_json_error(capsys)["error"] == "config"
+    assert not (tmp_path / "r.csv").exists()

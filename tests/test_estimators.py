@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frontier.errors import ConfigError, UndefinedEstimateError
+from frontier.errors import BudgetError, ConfigError, UndefinedEstimateError
 from frontier.estimators import (
+    DensityEstimate,
     degree_density_from_edge_samples,
     degree_density_from_vertex_samples,
     estimate_assortativity,
@@ -19,7 +20,9 @@ from frontier.estimators import (
     vertex_density_from_vertex_samples,
     _ccdf_from_density,
 )
-from frontier.graphs import LabelStore, build_graph, generate_barabasi_albert, load_graph
+from frontier.graphs import (DEGREE_MODES, LabelStore, build_graph, generate_barabasi_albert,
+                             load_graph)
+from frontier.harness import MethodSpec, TargetSpec, _estimate_targets, _sample
 from frontier.oracles import (
     exact_assortativity,
     exact_degree_ccdf,
@@ -28,7 +31,7 @@ from frontier.oracles import (
     exact_vertex_label_density,
 )
 from frontier.rng import RngStream
-from frontier.samplers import SampleTrace, StartMode, single_rw
+from frontier.samplers import CostModel, SampleTrace, StartMode, single_rw
 
 
 def full_closure_trace(g):
@@ -293,3 +296,168 @@ def test_ccdf_from_density_matches_loop(theta):
     assert list(got) == list(want)
     assert [type(x) for x in got.values()] == [float] * len(want)
     assert [x.hex() for x in got.values()] == [x.hex() for x in want.values()]
+
+
+# -- one per-degree array behind every degree estimate ----------------------------------
+#
+# The degree estimators as they were when each built its own dict, kept verbatim
+# as the reference: every degree dict must come out bit for bit the same.
+
+
+def _old_require_edge_trace(trace):
+    if trace.n_steps == 0:
+        raise UndefinedEstimateError("empty trace", code="empty_trace")
+    if trace.vertex_only:
+        raise UndefinedEstimateError(
+            "vertex-only trace; this estimator needs sampled edges",
+            code="vertex_only_trace")
+
+
+def _old_estimate_degree_density(trace, graph, mode="symmetric"):
+    _old_require_edge_trace(trace)
+    inv = 1.0 / graph.deg[trace.v]
+    denom = float(inv.sum())
+    num = np.bincount(graph.degrees(mode)[trace.v], weights=inv)
+    values = {k: float(x) / denom for k, x in enumerate(num.tolist()) if x}
+    return DensityEstimate(values, trace.n_steps, denom / trace.n_steps)
+
+
+def _old_ccdf_from_density(theta):
+    if not theta:
+        return {}
+    dens = np.zeros(max(theta) + 1)
+    dens[list(theta)] = list(theta.values())
+    tail = np.zeros(dens.size)
+    tail[:-1] = np.cumsum(dens[:0:-1])[::-1]
+    return dict(enumerate(tail.tolist()))
+
+
+def _old_degree_density_from_vertex_samples(trace, graph, mode="symmetric"):
+    if trace.n_steps == 0:
+        raise UndefinedEstimateError("empty trace", code="empty_trace")
+    counts = np.bincount(graph.degrees(mode)[trace.v])
+    values = {k: c / trace.n_steps for k, c in enumerate(counts.tolist()) if c}
+    return DensityEstimate(values, trace.n_steps)
+
+
+def _old_degree_density_from_edge_samples(trace, graph, mode="symmetric"):
+    _old_require_edge_trace(trace)
+    d = graph.vol_total / graph.n_vertices
+    counts = np.bincount(graph.degrees(mode)[trace.u])
+    values = {k: (c / trace.n_steps) * d / k
+              for k, c in enumerate(counts.tolist()) if c and k > 0}
+    return DensityEstimate(values, trace.n_steps)
+
+
+def _old_degree_targets(trace, graph, t, ccdf_mode):
+    """The degree block of ``harness._estimate_targets`` as it was."""
+    out = {}
+    if t.ccdf or t.degree_density:
+        if trace.method == "random_vertex":
+            dens = _old_degree_density_from_vertex_samples(trace, graph, ccdf_mode)
+        elif trace.method == "random_edge":
+            dens = _old_degree_density_from_edge_samples(trace, graph, ccdf_mode)
+        else:
+            dens = _old_estimate_degree_density(trace, graph, ccdf_mode)
+        if t.degree_density:
+            out["theta_degree"] = {k: dens.values.get(k, 0.0) for k in t.degree_density}
+        if t.ccdf:
+            out["gamma"] = _old_ccdf_from_density(dens.values)
+    return out
+
+
+def _old_exact_degree_density(graph, mode="symmetric"):
+    counts = np.bincount(graph.degrees(mode))
+    n = graph.n_vertices
+    return {k: c / n for k, c in enumerate(counts.tolist()) if c}
+
+
+def _old_exact_degree_ccdf(graph, mode="symmetric"):
+    degs = graph.degrees(mode)
+    counts = np.bincount(degs)
+    tail = counts[::-1].cumsum()[::-1]  # tail[l] = #vertices with degree >= l
+    n = graph.n_vertices
+    return {l: float(tail[l + 1]) / n if l + 1 < tail.size else 0.0 for l in range(counts.size)}
+
+
+def _bits(out):
+    """A degree dict, a DensityEstimate or a dict of degree dicts, with every
+    key and float spelled out exactly, in order."""
+    if isinstance(out, DensityEstimate):
+        return _bits(out.values), out.b_star, None if out.s is None else out.s.hex()
+    if all(isinstance(v, dict) for v in out.values()):
+        return [(name, _bits(d)) for name, d in out.items()]
+    return [(type(k), k, type(x), x.hex()) for k, x in out.items()]
+
+
+def _same(new, old):
+    """``new()`` and ``old()`` return the same bits, or raise the same error."""
+    def outcome(call):
+        try:
+            return _bits(call())
+        except UndefinedEstimateError as exc:
+            return "undefined", exc.code
+    assert outcome(new) == outcome(old)
+
+
+def _assert_degree_paths_unchanged(trace, graph, mode, degrees):
+    for new, old in ((estimate_degree_density, _old_estimate_degree_density),
+                     (degree_density_from_vertex_samples,
+                      _old_degree_density_from_vertex_samples),
+                     (degree_density_from_edge_samples, _old_degree_density_from_edge_samples)):
+        _same(lambda: new(trace, graph, mode), lambda: old(trace, graph, mode))
+    _same(lambda: estimate_degree_ccdf(trace, graph, mode),
+          lambda: _old_ccdf_from_density(_old_estimate_degree_density(trace, graph, mode).values))
+    for t in (TargetSpec(ccdf=True, degree_density=degrees), TargetSpec(ccdf=True),
+              TargetSpec(degree_density=degrees)):
+        _same(lambda: _estimate_targets(trace, graph, None, t, mode),
+              lambda: _old_degree_targets(trace, graph, t, mode))
+    _same(lambda: exact_degree_density(graph, mode), lambda: _old_exact_degree_density(graph, mode))
+    _same(lambda: exact_degree_ccdf(graph, mode), lambda: _old_exact_degree_ccdf(graph, mode))
+
+
+@st.composite
+def _degree_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=14))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)),
+                          min_size=1, max_size=40))
+    graph = load_graph("".join(f"{a} {(a + b) % n}\n" for a, b in pairs))
+    name = draw(st.sampled_from(["rw", "fs", "mrw", "random_vertex", "random_edge"]))
+    ratio = draw(st.sampled_from([1.0, 1.0, 0.3]))
+    method = MethodSpec(name, m=draw(st.integers(1, 4)) if name in ("fs", "mrw") else 1,
+                        cost=CostModel(vertex_hit_ratio=ratio, edge_hit_ratio=ratio))
+    budget = draw(st.integers(min_value=7, max_value=120)) + draw(st.sampled_from([0.0, 0.5]))
+    try:
+        trace = _sample(graph, method, budget, RngStream(draw(st.integers(0, 2 ** 32 - 1))))
+    except BudgetError:
+        trace = None
+    degrees = tuple(draw(st.lists(st.integers(0, 20), min_size=1, max_size=4)))
+    return graph, trace, draw(st.sampled_from(DEGREE_MODES)), degrees
+
+
+@given(_degree_cases())
+@settings(max_examples=300, deadline=None)
+def test_degree_estimates_match_the_dict_code_before(case):
+    graph, trace, mode, degrees = case
+    if trace is None:
+        return
+    _assert_degree_paths_unchanged(trace, graph, mode, degrees)
+
+
+@pytest.mark.parametrize("mode", DEGREE_MODES)
+def test_degree_estimates_match_the_dict_code_before_on_fixed_traces(mode):
+    # the one-way edge 0 -> 1: sampled as a uniform edge, its source has in-degree 0,
+    # which the tilt correction leaves out, so under in_directed gamma is empty
+    one_way = load_graph("0 1\n")
+    edge = SampleTrace(method="random_edge", m=1, budget=2.0, spent=2.0,
+                       start_vertices=np.empty(0, dtype=np.int64), u=np.asarray([0]),
+                       v=np.asarray([1]), walker=np.zeros(1, dtype=np.int32),
+                       cost=np.full(1, 2.0))
+    if mode == "in_directed":
+        assert _estimate_targets(edge, one_way, None, TargetSpec(ccdf=True), mode) == {
+            "gamma": {}}
+    _assert_degree_paths_unchanged(edge, one_way, mode, (0, 1, 2))
+    g = generate_barabasi_albert(80, 2, 5)
+    for trace in (full_closure_trace(g), vertex_sweep_trace(g),
+                  replace(full_closure_trace(g), method="random_edge")):
+        _assert_degree_paths_unchanged(trace, g, mode, (0, 2, 3, 999))

@@ -12,6 +12,7 @@ from scipy import stats
 from frontier import harness
 from frontier.errors import ConfigError
 from frontier.graphs import LabelStore, _searchsorted_ragged, load_graph
+from frontier.oracles import compute_truth
 from frontier.harness import (
     ExperimentConfig,
     MethodSpec,
@@ -684,3 +685,68 @@ def test_occupancy_study_runs_match_per_run_replay(method, batch, sampler):
                                rng=RngStream(8))
     assert study.runs == 5 and np.array_equal(study.pmf, want.pmf)
     assert (study.mean, study.alpha_empirical) == (want.mean, want.alpha_empirical)
+
+
+# -- degree targets, draw caps and undefined scalar runs -------------------------------
+
+
+def test_negative_degree_target_rejected():
+    with pytest.raises(ConfigError, match="degree_density"):
+        ExperimentConfig.from_dict(_base_config(targets={"degree_density": [2, -1]}))
+    assert ExperimentConfig.from_dict(
+        _base_config(targets={"degree_density": [0, 999]})).targets.degree_density == (0, 999)
+
+
+@pytest.mark.parametrize("method", [{"name": "random_vertex"}, {"name": "random_edge"},
+                                    {"name": "rw"}, {"name": "mrw", "m": 3},
+                                    {"name": "fs", "m": 2}])
+def test_budget_above_draw_cap_rejected_before_any_run(method):
+    cfg = ExperimentConfig.from_dict(_base_config(methods=[method], budget=1e300))
+    with mock.patch.object(harness, "_sample_runs", side_effect=AssertionError("ran")), \
+            pytest.raises(ConfigError, match="records per run"):
+        run_monte_carlo(cfg)
+
+
+def test_undefined_scalar_runs_match_per_run_replay():
+    # on a tree, two-step walks and single edge samples leave r, C and p_edge
+    # undefined on some runs or on all of them
+    cfg = ExperimentConfig.from_dict(_base_config(
+        graph={"kind": "ba", "n": 150, "attach": 1, "seed": 2},
+        methods=[{"name": "rw"}, {"name": "fs", "m": 2}, {"name": "random_edge"}],
+        budget=3, runs=40,
+        targets={"edge_labels": ["red", "green"], "assortativity": True, "clustering": True}))
+    graph = cfg.resolve_graph()[0]
+    labels = LabelStore()
+    labels.add_vertex_label(0, "green")  # no edge carries green: its p_edge truth is 0
+    for u, v in graph.directed_edges[:30].tolist():
+        labels.add_edge_label(u, v, "red", symmetric=True)
+    report = run_monte_carlo(cfg, graph=graph, labels=labels)
+
+    truth = compute_truth(graph, labels, cfg.ccdf_mode, cfg.targets.oracle_targets())
+    budget = resolve_budget(cfg.budget, graph.n_vertices)
+    warnings, rows = [], []
+    for mi, method in enumerate(cfg.methods):
+        ests = [harness._estimate_one_run(graph, labels, cfg, method, budget, ri, mi)
+                for ri in range(cfg.runs)]
+        named = [(f"p_edge[{name}]", "p_edge", name, [e["p_edge"][name] for e in ests],
+                  truth.p_edge.get(name, 0.0)) for name in cfg.targets.edge_labels]
+        named += [(kind, kind, kind, [e[kind] for e in ests], value)
+                  for kind, value in (("r", truth.r), ("C", truth.clustering))]
+        for tag, kind, label, vals, t in named:
+            valid = [x for x in vals if x is not None]
+            if len(valid) < len(vals):
+                warnings.append(f"{method.key}/{tag}: {len(vals) - len(valid)} runs undefined")
+            if kind == "p_edge" and (t <= 0 or not valid):
+                warnings.append(f"{method.key}/{tag}: omitted")
+            elif not valid:
+                warnings.append(f"{method.key}/{tag}: no valid runs")
+            else:
+                if t == 0:
+                    warnings.append(f"{method.key}/{tag}: zero truth value, NMSE omitted")
+                rows.append((method.key, kind, label, len(valid), float(np.mean(valid))))
+    assert report.warnings == warnings
+    assert [(r.method, r.kind, r.label, r.runs_used, r.mean_estimate)
+            for r in report.rows] == rows
+    for part in ("runs undefined", "no valid runs", "omitted", "zero truth value"):
+        assert any(part in w for w in warnings), part
+    assert any(0 < r[3] < cfg.runs for r in rows)

@@ -548,6 +548,39 @@ def _ref_run_starts(graph, start_mode, fixed, draws, n_runs):
     return graph._source[t] if start_mode.kind == "degree" else t
 
 
+class _NoDraws:
+    """A stream that fails the test if anything draws from it."""
+
+    def generator(self):
+        raise AssertionError("drew from the stream")
+
+
+def test_budget_above_record_cap_refused_before_any_draw():
+    g = load_graph("0 1\n1 2\n0 2\n2 3\n")
+    cap = samplers.MAX_RUN_RECORDS
+    with pytest.raises(BudgetError, match="records per run"):
+        random_vertex_sample(g, cap + 1.0, DEFAULT_COST, _NoDraws())
+    with pytest.raises(BudgetError, match="records per run"):
+        random_edge_sample(g, 2.0 * (cap + 1), DEFAULT_COST, _NoDraws())
+    assert samplers._query_count(float(cap), 1.0, 1.0, "vertex") == cap
+    # one step per budget unit after a start price of 1; mrw counts all m walkers
+    assert _walk_steps("rw", cap + 1.0, 1, 1.0, 1.0) == cap
+    assert _walk_steps("fs", cap + 3.0, 3, 3.0, 1.0) == cap
+    assert _walk_steps("mrw", 4 * (1.0 + cap // 4), 4, 1.0, 1.0) == cap // 4
+    for method, budget, m, start in (("rw", cap + 2.0, 1, 1.0), ("fs", cap + 4.0, 3, 3.0),
+                                     ("mrw", 4 * (2.0 + cap // 4), 4, 1.0)):
+        with pytest.raises(BudgetError, match="records per run"):
+            _walk_steps(method, budget, m, start, 1.0)
+    # the batch samplers refuse before drawing any step
+    for sample in (lambda: single_rw(g, StartMode.uniform(), 1e300, RngStream(0)),
+                   lambda: multiple_rw(g, 2, StartMode.uniform(), 1e300, DEFAULT_COST,
+                                       RngStream(0)),
+                   lambda: frontier_sampling(g, 2, StartMode.uniform(), 1e300, DEFAULT_COST,
+                                             RngStream(0))):
+        with pytest.raises(BudgetError, match="records per run"):
+            sample()
+
+
 def _ref_draw_starts(graph, start_mode, gens, m):
     fixed = _ref_fixed_starts(graph, start_mode, m)
     draws = None if fixed is not None else [_ref_start_draw(graph, start_mode, m, g) for g in gens]
