@@ -10,9 +10,10 @@ Subcommands:
   error report CSV.
 
 All outputs are deterministic: same inputs and seeds give byte-identical
-files. Exit codes: 0 success, 2 input/format/config problems, 3 domain
-errors (estimate undefined, graph fails stationarity requirements),
-1 unexpected failure. Errors are emitted as one JSON object on stderr.
+files. Exit codes: 0 success, 2 input/format/config problems (and a run
+the machine has no memory for), 3 domain errors (estimate undefined, graph
+fails stationarity requirements), 1 unexpected failure. Errors are emitted
+as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -316,6 +317,8 @@ def main(argv=None) -> int:
         return _fail(3, "stationarity", str(exc))
     except OSError as exc:
         return _fail(2, "io", str(exc))
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too
+        return _fail(2, "memory", str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

@@ -55,6 +55,7 @@ from .samplers import (
     CostModel,
     SampleTrace,
     StartMode,
+    _dfs_budget,
     _fs_batch,
     _fs_steps,
     _mrw_batch,
@@ -212,6 +213,8 @@ def _parse_start(raw, where: str) -> StartMode:
 def _parse_cost(raw, where: str) -> CostModel:
     if raw is None:
         return DEFAULT_COST
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: cost must be an object, got {raw!r}")
     _check_keys(raw, [f.name for f in fields(CostModel)], where)
     try:
         return CostModel(**raw)
@@ -478,6 +481,11 @@ def _check_labels(targets: TargetSpec, labels: LabelStore | None, graph: Graph) 
     if targets.edge_labels and not labels.edge_pairs.size:
         raise ConfigError("edge label targets need edge labels; a labels file "
                           "carries only vertex labels")
+    # degree and label densities share one theta namespace
+    clash = sorted({f"degree={k}" for k in targets.degree_density} & set(labels.label_names)
+                   if targets.labels else ())
+    if clash:
+        raise ConfigError(f"label name(s) {clash} are reserved for degree targets")
 
 
 def _estimate_targets(trace: SampleTrace, graph: Graph, labels: LabelStore | None,
@@ -680,10 +688,10 @@ def _check_feasible(graph: Graph, method: MethodSpec, budget: float) -> None:
             _query_count(budget, c.vertex_query_cost, c.vertex_hit_ratio, "vertex")
         elif method.name == "random_edge":
             _query_count(budget, c.edge_sample_cost, c.edge_hit_ratio, "edge")
-        elif method.name != "dfs":
+        elif method.name == "dfs":
+            _dfs_budget(graph, method.m, method.time_budget or 0)  # None: unset
+        else:
             _planned_steps(method.name, budget, method.m, method.start, c)
-        elif not (method.time_budget is not None and method.time_budget > 0):
-            raise BudgetError("time budget must be positive")
     except BudgetError as exc:
         raise ConfigError(f"budget {budget} infeasible for method {method.key}: {exc}") from None
 

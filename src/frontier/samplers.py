@@ -15,7 +15,6 @@ estimators rely on exactly that property.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass, field, replace
 from typing import IO, NamedTuple
@@ -62,9 +61,9 @@ class CostModel:
     stochastic_starts: bool = False
 
     def __post_init__(self) -> None:
-        if self.walk_step_cost <= 0 or self.vertex_query_cost <= 0 \
-                or self.edge_sample_cost <= 0:
-            raise ValueError("costs must be positive")
+        if not all(0 < c < math.inf for c in (self.walk_step_cost, self.vertex_query_cost,
+                                               self.edge_sample_cost)):
+            raise ValueError("costs must be positive and finite")
         if not (0 < self.vertex_hit_ratio <= 1) or not (0 < self.edge_hit_ratio <= 1):
             raise ValueError("hit ratios must be in (0, 1]")
 
@@ -570,6 +569,15 @@ def frontier_sampling(graph: Graph, m: int, start_mode: StartMode = StartMode.un
     return next(_fs_batch(graph, m, start_mode, budget, cost_model, [rng]))
 
 
+def _dfs_budget(graph: Graph, m: int, time_budget: float) -> None:
+    """Refuse a dfs time budget unless it is positive and a run's expected events,
+    ``m * time_budget * graph.average_degree`` (exact for uniform starts, which
+    are stationary for these walkers), are at most MAX_RUN_RECORDS."""
+    if not 0 < m * time_budget * graph.average_degree <= MAX_RUN_RECORDS:
+        raise BudgetError(f"time budget {time_budget} must be positive and expect at most "
+                          f"{MAX_RUN_RECORDS} records per run")
+
+
 def distributed_fs(graph: Graph, m: int, time_budget: float,
                    start_mode: StartMode = StartMode.uniform(),
                    rng: RngStream = RngStream(0)) -> SampleTrace:
@@ -579,46 +587,33 @@ def distributed_fs(graph: Graph, m: int, time_budget: float,
     deg(v), then jumps along a uniform incident edge.  Because the
     minimum of the walkers' clocks selects a walker with probability
     proportional to its degree, the merged jump sequence reproduces the
-    frontier-sampling step law without any shared state.  Edges are
-    recorded in global event-time order until the time budget runs out;
-    exact ties (never seen with float clocks) would fall to walker id.
+    frontier-sampling step law without any shared state.  Walker w runs
+    alone on the stream of ``rng.child(w)`` until its next event falls past
+    the time budget; the records are then merged in event-time order, exact
+    ties (never seen with float clocks) going to the lower walker id.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if time_budget <= 0:
-        raise BudgetError("time budget must be positive")
+    _dfs_budget(graph, m, time_budget)
     gens = [rng.child(w).generator() for w in range(m)]
     starts = start_mode._place(graph, m, [start_mode._ids(graph, 1, g) for g in gens])[0]
     ip, ix = graph.adjacency_lists
-    pos = starts.tolist()
-    heap = []
-    for w in range(m):
-        rate = ip[pos[w] + 1] - ip[pos[w]]
-        heapq.heappush(heap, (gens[w].exponential(1.0 / rate), w))
-    us, vs, ws, ts = [], [], [], []
-    while heap:
-        t, w = heapq.heappop(heap)
-        if t > time_budget:
-            break
-        cur = pos[w]
-        a = ip[cur]
-        deg = ip[cur + 1] - a
-        nxt = ix[a + int(gens[w].random() * deg)]
-        us.append(cur)
-        vs.append(nxt)
-        ws.append(w)
-        ts.append(t)
-        pos[w] = nxt
-        rate = ip[nxt + 1] - ip[nxt]
-        heapq.heappush(heap, (t + gens[w].exponential(1.0 / rate), w))
-    times = np.asarray(ts, dtype=np.float64)
-    cost = np.diff(np.concatenate([[0.0], times]))
-    trace = _finish(
-        (us, vs, ws, cost),
+    events = []  # (time, walker, u, v) per jump; ids stay exact as doubles
+    for w, (cur, gen) in enumerate(zip(starts.tolist(), gens)):
+        t = gen.exponential(1.0 / (ip[cur + 1] - ip[cur]))
+        while t <= time_budget:
+            a = ip[cur]
+            nxt = ix[a + int(gen.random() * (ip[cur + 1] - a))]
+            events.append((t, w, cur, nxt))
+            cur = nxt
+            t += gen.exponential(1.0 / (ip[cur + 1] - ip[cur]))
+    ev = np.asarray(events, dtype=np.float64).reshape(-1, 4)
+    times, walker, u, v = ev[np.lexsort((ev[:, 1], ev[:, 0]))].T
+    return _finish(
+        (u, v, walker, np.diff(np.concatenate([[0.0], times]))),
         method="dfs", m=m, budget=float(time_budget),
         spent=float(times[-1]) if times.size else 0.0,
-        start_vertices=starts, graph_hash=graph.graph_hash, time=times)
-    return trace
+        start_vertices=starts, graph_hash=graph.graph_hash, time=times.copy())
 
 
 def discard_burn_in(trace: SampleTrace, w: int) -> SampleTrace:
@@ -651,6 +646,9 @@ def discard_burn_in(trace: SampleTrace, w: int) -> SampleTrace:
 # -- trace serialization -------------------------------------------------------
 
 
+_TRACE_COLUMNS = "step,walker,u,v,cost"
+
+
 def write_trace_csv(trace: SampleTrace, path_or_stream: "str | IO") -> None:
     """CSV with ``# key=value`` header comments, then step records."""
 
@@ -664,8 +662,7 @@ def write_trace_csv(trace: SampleTrace, path_or_stream: "str | IO") -> None:
         fh.write("# start_vertices=%s\n" % ",".join(map(str, trace.start_vertices.tolist())))
         for k in sorted(trace.meta):
             fh.write(f"# {k}={trace.meta[k]!r}\n")
-        cols = "step,walker,u,v,cost" + (",time" if trace.time is not None else "")
-        fh.write(cols + "\n")
+        fh.write(_TRACE_COLUMNS + (",time" if trace.time is not None else "") + "\n")
         walker = trace.walker.tolist()
         u = trace.u.tolist()
         v = trace.v.tolist()
@@ -707,10 +704,11 @@ def read_trace_csv(source: "str | IO") -> SampleTrace:
             header = line
             continue
         rows.append(line)
-    if header is None:
-        raise GraphFormatError("trace has no column header")
+    if header not in (_TRACE_COLUMNS, _TRACE_COLUMNS + ",time"):
+        raise GraphFormatError(f"trace column header must be {_TRACE_COLUMNS}[,time], "
+                               f"got {header!r}")
     cols = header.split(",")
-    has_time = "time" in cols
+    has_time = len(cols) == 6
     n = len(rows)
     u = np.empty(n, dtype=np.int64)
     v = np.empty(n, dtype=np.int64)

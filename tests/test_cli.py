@@ -1,8 +1,11 @@
 import json
 import os
+import time
+from unittest import mock
 
 import pytest
 
+from frontier import cli, harness
 from frontier.cli import main
 from frontier.graphs import load_graph
 from frontier.samplers import read_trace_csv
@@ -703,3 +706,96 @@ def test_experiment_negative_degree_target_exit_2(tmp_path, capsys):
                        targets={"degree_density": [2, -1]}, runs=2) == 2
     assert _one_json_error(capsys)["error"] == "config"
     assert not (tmp_path / "r.csv").exists()
+
+
+# -- refusals: one JSON line on stderr, exit 2 ------------------------------------
+
+
+def _one_error(capsys) -> dict:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+def test_sample_dfs_time_budget_past_record_cap_exit_2(tmp_path, graph_file, capsys):
+    out = str(tmp_path / "t.csv")
+    began = time.perf_counter()
+    assert run("sample", "dfs", "--graph", graph_file, "--m", "2", "--time-budget", "1e300",
+               "--out", out) == 2
+    assert time.perf_counter() - began < 1.0
+    err = _one_error(capsys)
+    assert err["error"] == "budget" and "records per run" in err["message"]
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["sample", "fs", "--m", "2", "--budget", "20", "--start", "explicit"], "config"),
+    (["sample", "fs", "--m", "2", "--budget", "20", "--start", "explicit",
+      "--start-vertices", "1,x"], "config"),
+    (["sample", "dfs", "--m", "2", "--time-budget", "3", "--start", "explicit",
+      "--start-vertices", "1;2"], "config"),
+    (["estimate", "--targets", "ccdf,degree=x"], "config"),
+    (["estimate", "--targets", "degree=2.5"], "config"),
+], ids=["explicit_without_vertices", "bad_vertex_list", "bad_vertex_separator",
+        "degree_not_a_number", "degree_not_an_integer"])
+def test_bad_start_vertices_and_degree_targets_exit_2(tmp_path, graph_file, trace_file,
+                                                      capsys, argv, error):
+    files = (["--trace", trace_file] if argv[0] == "estimate"
+             else ["--out", str(tmp_path / "t.csv")])
+    assert run(*argv, "--graph", graph_file, *files) == 2
+    assert _one_error(capsys)["error"] == error
+
+
+def test_estimate_label_named_like_a_degree_target_exit_2(tmp_path, graph_file, trace_file,
+                                                          capsys):
+    labels = str(tmp_path / "labels.txt")
+    open(labels, "w").write("0 red\n1 red degree=2\n2 degree=2\n")
+    estimate = ["estimate", "--graph", graph_file, "--trace", trace_file,
+                "--labels-file", labels, "--targets"]
+    for targets in ("degree=2,label=degree=2", "degree=2,label=red"):
+        assert run(*estimate, targets) == 2
+        err = _one_error(capsys)
+        assert err["error"] == "config" and "degree=2" in err["message"]
+    # either family alone, or a degree the labels do not name, is fine
+    for targets in ("degree=2", "label=degree=2", "degree=3,label=red,label=degree=2"):
+        assert run(*estimate, targets) == 0
+        assert sorted(json.loads(capsys.readouterr().out)["estimates"]["theta"]) == sorted(
+            t.replace("label=", "") for t in targets.split(","))
+
+
+def test_experiment_label_named_like_a_degree_target_exit_2(tmp_path, graph_file, capsys):
+    labels = str(tmp_path / "labels.txt")
+    open(labels, "w").write("0 red\n1 degree=2\n")
+    with mock.patch.object(harness, "_sample_runs", side_effect=AssertionError("ran")):
+        assert _experiment(
+            tmp_path, graph={"kind": "file", "path": graph_file, "labels_path": labels},
+            methods=[{"name": "fs", "m": 2}], budget=20, runs=2,
+            targets={"degree_density": [2], "labels": ["red"]}) == 2
+    err = _one_error(capsys)
+    assert err["error"] == "config" and "degree=2" in err["message"]
+
+
+@pytest.mark.parametrize("text", [
+    "# method=rw\n# m=1\n1,0,0,1,1.0\n2,0,1,2,1.0\n3,0,2,1,1.0\n",
+    "# method=rw\n# m=1\nstep,walker,u,v\n1,0,0,1\n",
+    "# method=rw\n# m=1\nwalker,step,u,v,cost\n0,1,0,1,1.0\n",
+    "# method=rw\n# m=1\n",
+], ids=["headerless", "short_header", "reordered_header", "no_header"])
+def test_estimate_rejects_a_trace_without_the_column_header(tmp_path, capsys, text):
+    graph = str(tmp_path / "g.txt")
+    open(graph, "w").write("0 1\n1 2\n2 0\n")
+    trace = str(tmp_path / "t.csv")
+    open(trace, "w").write(text)
+    assert run("estimate", "--graph", graph, "--trace", trace, "--targets", "ccdf") == 2
+    err = _one_error(capsys)
+    assert err["error"] == "graph_format" and "step,walker,u,v,cost" in err["message"]
+
+
+def test_out_of_memory_is_one_json_line(tmp_path, graph_file, capsys):
+    out = str(tmp_path / "t.csv")
+    with mock.patch.object(cli, "_sample",
+                           side_effect=MemoryError("Unable to allocate 2.00 GiB")):
+        assert run("sample", "rw", "--graph", graph_file, "--budget", "10", "--out", out) == 2
+    err = _one_error(capsys)
+    assert err == {"error": "memory", "message": "Unable to allocate 2.00 GiB"}
+    assert not os.path.exists(out)

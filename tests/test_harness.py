@@ -11,7 +11,7 @@ from scipy import stats
 
 from frontier import harness
 from frontier.errors import ConfigError
-from frontier.graphs import LabelStore, _searchsorted_ragged, load_graph
+from frontier.graphs import LabelStore, _searchsorted_ragged, generate_joined_ba, load_graph
 from frontier.oracles import compute_truth
 from frontier.harness import (
     ExperimentConfig,
@@ -750,3 +750,59 @@ def test_undefined_scalar_runs_match_per_run_replay():
     for part in ("runs undefined", "no valid runs", "omitted", "zero truth value"):
         assert any(part in w for w in warnings), part
     assert any(0 < r[3] < cfg.runs for r in rows)
+
+
+@pytest.mark.parametrize("time_budget", [1e300, 1e20, 0, -1.0])
+def test_dfs_time_budget_refused_before_any_run(time_budget):
+    cfg = ExperimentConfig.from_dict(_base_config(
+        methods=[{"name": "fs", "m": 2}, {"name": "dfs", "m": 2, "time_budget": time_budget}]))
+    with mock.patch.object(harness, "_sample_runs", side_effect=AssertionError("ran")), \
+            pytest.raises(ConfigError, match=r"dfs\[m=2\]: time budget .* records per run"):
+        run_monte_carlo(cfg)
+
+
+def test_label_targets_match_per_run_replay():
+    # the label family of the report, from the walk and the vertex-sample estimators
+    cfg = ExperimentConfig.from_dict(_base_config(
+        methods=[{"name": "rw"}, {"name": "fs", "m": 3}, {"name": "random_vertex"}],
+        targets={"labels": ["red", "blue", "grey"], "degree_density": [2]}, runs=6))
+    graph = cfg.resolve_graph()[0]
+    labels = LabelStore()
+    for v in range(graph.n_vertices):
+        labels.add_vertex_label(v, "red" if v < 20 else "blue")
+    labels.add_edge_label(0, 1, "grey")  # a label no vertex carries: zero truth
+    report = run_monte_carlo(cfg, graph=graph, labels=labels)
+
+    truth = compute_truth(graph, labels, cfg.ccdf_mode, cfg.targets.oracle_targets())
+    budget = resolve_budget(cfg.budget, graph.n_vertices)
+    for mi, method in enumerate(cfg.methods):
+        ests = [harness._estimate_one_run(graph, labels, cfg, method, budget, ri, mi)
+                for ri in range(cfg.runs)]
+        rows = [r for r in report.rows_for(method.key, "theta") if r.label in ("red", "blue")]
+        assert [r.label for r in rows] == ["red", "blue"]
+        for row in rows:
+            vals = np.asarray([e["theta_label"][row.label] for e in ests])
+            t = truth.theta[row.label]
+            assert (row.truth, row.runs_used) == (t, cfg.runs)
+            assert row.mean_estimate == vals.mean()
+            assert row.nmse == np.sqrt(np.mean((vals - t) ** 2)) / t
+            assert row.bias == vals.mean() / t - 1.0
+        assert f"{method.key}/labels: label grey: zero truth value, NMSE omitted" in report.warnings
+    assert len({tuple(r.mean_estimate for r in report.rows_for(m.key, "theta"))
+                for m in cfg.methods}) == 3
+
+
+def test_gab_graph_config_runs_on_the_joined_graph():
+    cfg = ExperimentConfig.from_dict(_base_config(
+        graph={"kind": "gab", "n_each": 30, "attach_a": 1, "attach_b": 3, "seed": 2},
+        methods=[{"name": "fs", "m": 2}], targets={"degree_density": [1, 3]}))
+    graph, labels = cfg.resolve_graph()
+    want = generate_joined_ba(30, 1, 3, 2)
+    assert labels is None and graph.graph_hash == want.graph_hash
+    report = run_monte_carlo(cfg)
+    assert report.metadata["graph_hash"] == want.graph_hash
+    assert report.metadata["n_vertices"] == 60
+    assert [r.label for r in report.rows] == ["degree=1", "degree=3"]
+    for bad in ({"attach_b": "3"}, {"n_each": None}, {"extra": 1}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(_base_config(graph=dict(cfg.graph, **bad)))

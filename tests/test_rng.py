@@ -95,3 +95,17 @@ def test_batch_of_mixed_streams_matches_single_runs(rngs, method, kind, stochast
         for name in ("u", "v", "walker", "cost", "start_vertices"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
         assert (got.spent, got.meta) == (want.spent, want.meta)
+
+
+@given(st.lists(st.builds(RngStream, _seeds, st.lists(
+    st.one_of(_entries, st.integers(2 ** 64, 2 ** 96)), min_size=1, max_size=3).map(tuple)),
+    min_size=1, max_size=6), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_lane_keys_of_paths_past_64_bits_match_fresh_generators(rngs, walkers):
+    # a path entry of 2**64 or more takes the object-array route of _path_array
+    rngs.append(RngStream(rngs[0].seed, (2 ** 64,) + rngs[0].path[1:]))
+    lanes = _lane_generators(_lane_keys(rngs, walkers))
+    streams = [rng.child(w) for rng in rngs for w in range(walkers)] if walkers else rngs
+    for rng, gen in zip(streams, lanes, strict=True):
+        for got, want in zip(_draws(gen), _draws(rng.generator())):
+            assert np.array_equal(got, want)

@@ -1,3 +1,5 @@
+import dataclasses
+import heapq
 import io
 import math
 from unittest import mock
@@ -762,3 +764,102 @@ def test_planned_steps_match_the_code_before(method, m, kind, step, query, ratio
               else per_walker * m + k * step) + nudge
     assert (_outcome(lambda: harness._planned_steps(method, budget, m, start, cost))
             == _outcome(lambda: _ref_planned_steps(method, budget, m, start, cost)))
+
+
+def _ref_distributed_fs(graph, m, time_budget, start_mode=StartMode.uniform(),
+                        rng=RngStream(0)):
+    """The one-heap event schedule of every walker that ``distributed_fs`` replaced."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if time_budget <= 0:
+        raise BudgetError("time budget must be positive")
+    gens = [rng.child(w).generator() for w in range(m)]
+    starts = start_mode._place(graph, m, [start_mode._ids(graph, 1, g) for g in gens])[0]
+    ip, ix = graph.adjacency_lists
+    pos = starts.tolist()
+    heap = []
+    for w in range(m):
+        rate = ip[pos[w] + 1] - ip[pos[w]]
+        heapq.heappush(heap, (gens[w].exponential(1.0 / rate), w))
+    us, vs, ws, ts = [], [], [], []
+    while heap:
+        t, w = heapq.heappop(heap)
+        if t > time_budget:
+            break
+        cur = pos[w]
+        a = ip[cur]
+        deg = ip[cur + 1] - a
+        nxt = ix[a + int(gens[w].random() * deg)]
+        us.append(cur)
+        vs.append(nxt)
+        ws.append(w)
+        ts.append(t)
+        pos[w] = nxt
+        rate = ip[nxt + 1] - ip[nxt]
+        heapq.heappush(heap, (t + gens[w].exponential(1.0 / rate), w))
+    times = np.asarray(ts, dtype=np.float64)
+    cost = np.diff(np.concatenate([[0.0], times]))
+    trace = _finish(
+        (us, vs, ws, cost),
+        method="dfs", m=m, budget=float(time_budget),
+        spent=float(times[-1]) if times.size else 0.0,
+        start_vertices=starts, graph_hash=graph.graph_hash, time=times)
+    return trace
+
+
+class _CoarseClock:
+    """A generator whose exponential holds are rounded down to quarters, so
+    that events of different walkers (and of one walker) share times."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def exponential(self, scale):
+        return math.floor(self.gen.exponential(scale) * 4) / 4
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+# a tree (one earlier parent per vertex) and a cycle with chords
+_DFS_GRAPHS = {
+    "tree": load_graph("".join(f"{v} {int(v * (v * 0.6180339887 % 1))}\n" for v in range(1, 40))),
+    "cyclic": load_graph("".join(f"{i} {(i + 1) % 30}\n{i} {(i * 11 + 5) % 30}\n"
+                                 for i in range(30))),
+}
+
+
+@given(st.sampled_from(sorted(_DFS_GRAPHS)), st.integers(1, 8),
+       st.sampled_from(["uniform", "degree", "explicit"]),
+       st.floats(min_value=1e-3, max_value=300.0),
+       st.tuples(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 2 ** 40), max_size=3)),
+       st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_dfs_matches_the_heap_schedule(name, m, kind, horizon, stream, coarse, data):
+    graph = _DFS_GRAPHS[name]
+    start = (StartMode.explicit(data.draw(st.lists(st.integers(0, graph.n_vertices - 1),
+                                                   min_size=m, max_size=m)))
+             if kind == "explicit" else StartMode(kind))
+    rng = RngStream(stream[0], tuple(stream[1]))
+    fresh = RngStream.generator
+    with mock.patch.object(RngStream, "generator",
+                           (lambda self: _CoarseClock(fresh(self))) if coarse else fresh):
+        got = distributed_fs(graph, m, horizon, start, rng)
+        want = _ref_distributed_fs(graph, m, horizon, start, rng)
+    for f in dataclasses.fields(samplers.SampleTrace):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            assert not a.flags.writeable, f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
+
+
+def test_dfs_time_budget_past_record_cap_refused_before_any_draw(tri_pendant):
+    m = 3
+    cap = samplers.MAX_RUN_RECORDS / (m * tri_pendant.average_degree)
+    with mock.patch.object(RngStream, "generator", side_effect=AssertionError("drew")):
+        for horizon in (cap * (1 + 1e-9), 1e300, math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(BudgetError, match="records per run"):
+                distributed_fs(tri_pendant, m, horizon, StartMode.uniform(), RngStream(0))
+    samplers._dfs_budget(tri_pendant, m, cap)  # the cap itself may run
