@@ -12,127 +12,17 @@ The package has three layers:
 * exact oracles and a Monte Carlo harness used to verify both.
 """
 
-from .errors import (
-    BudgetError,
-    ConfigError,
-    GraphFormatError,
-    StationarityError,
-    UndefinedEstimateError,
-)
-from .estimators import (
-    AssortativityEstimate,
-    ClusteringEstimate,
-    DensityEstimate,
-    degree_density_from_edge_samples,
-    degree_density_from_vertex_samples,
-    estimate_assortativity,
-    estimate_degree_ccdf,
-    estimate_degree_density,
-    estimate_edge_label_density,
-    estimate_global_clustering,
-    estimate_group_densities,
-    estimate_vertex_label_density,
-    vertex_density_from_vertex_samples,
-)
-from .graphs import (
-    Graph,
-    LabelStore,
-    VertexPartition,
-    build_graph,
-    connected_components,
-    degree_labels,
-    generate_barabasi_albert,
-    generate_joined_ba,
-    is_bipartite,
-    load_graph,
-    parse_edge_list,
-    parse_vertex_labels,
-    restrict_to_lcc,
-    write_edge_list,
-)
-from .harness import (
-    ErrorReport,
-    ExperimentConfig,
-    FinalEdgeDiagnostic,
-    MethodSpec,
-    OccupancyStudy,
-    TargetSpec,
-    cnmse,
-    convergence_diagnostic,
-    nmse,
-    occupancy_study,
-    resolve_budget,
-    run_monte_carlo,
-    theoretical_nmse_edge,
-    theoretical_nmse_vertex,
-    tv_distance,
-)
-from .oracles import (
-    CharacteristicTruth,
-    PowerChain,
-    compute_truth,
-    enumerate_power_chain,
-    exact_assortativity,
-    exact_degree_ccdf,
-    exact_degree_density,
-    exact_edge_label_density,
-    exact_global_clustering,
-    exact_vertex_label_density,
-    power_chain_stationary,
-    stationary_occupancy_ratio,
-    stationary_subset_occupancy,
-)
-from .rng import RngStream
-from .samplers import (
-    DEFAULT_COST,
-    CostModel,
-    SampleTrace,
-    StartMode,
-    discard_burn_in,
-    distributed_fs,
-    frontier_sampling,
-    multiple_rw,
-    random_edge_sample,
-    random_vertex_sample,
-    read_trace_csv,
-    single_rw,
-    write_trace_csv,
-)
+from . import errors, estimators, graphs, harness, oracles, rng, samplers
+from .errors import *
+from .graphs import *
+from .rng import *
+from .samplers import *
+from .estimators import *
+from .oracles import *
+from .harness import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "BudgetError", "ConfigError", "GraphFormatError", "StationarityError",
-    "UndefinedEstimateError",
-    # graphs
-    "Graph", "LabelStore", "VertexPartition", "build_graph",
-    "connected_components", "degree_labels", "generate_barabasi_albert",
-    "generate_joined_ba", "is_bipartite", "load_graph", "parse_edge_list",
-    "parse_vertex_labels", "restrict_to_lcc", "write_edge_list",
-    # rng
-    "RngStream",
-    # samplers
-    "DEFAULT_COST", "CostModel", "SampleTrace", "StartMode", "discard_burn_in",
-    "distributed_fs", "frontier_sampling", "multiple_rw", "random_edge_sample",
-    "random_vertex_sample", "read_trace_csv", "single_rw", "write_trace_csv",
-    # estimators
-    "AssortativityEstimate", "ClusteringEstimate", "DensityEstimate",
-    "degree_density_from_edge_samples", "degree_density_from_vertex_samples",
-    "estimate_assortativity", "estimate_degree_ccdf", "estimate_degree_density",
-    "estimate_edge_label_density", "estimate_global_clustering",
-    "estimate_group_densities", "estimate_vertex_label_density",
-    "vertex_density_from_vertex_samples",
-    # oracles
-    "CharacteristicTruth", "PowerChain", "compute_truth", "enumerate_power_chain",
-    "exact_assortativity", "exact_degree_ccdf", "exact_degree_density",
-    "exact_edge_label_density", "exact_global_clustering",
-    "exact_vertex_label_density", "power_chain_stationary",
-    "stationary_occupancy_ratio", "stationary_subset_occupancy",
-    # harness
-    "ErrorReport", "ExperimentConfig", "FinalEdgeDiagnostic", "MethodSpec",
-    "OccupancyStudy", "TargetSpec", "cnmse", "convergence_diagnostic", "nmse",
-    "occupancy_study", "resolve_budget", "run_monte_carlo",
-    "theoretical_nmse_edge", "theoretical_nmse_vertex", "tv_distance",
-]
+# each module's __all__ is the one list of its public names
+__all__ = ["__version__", *errors.__all__, *graphs.__all__, *rng.__all__, *samplers.__all__,
+           *estimators.__all__, *oracles.__all__, *harness.__all__]

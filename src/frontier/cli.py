@@ -35,19 +35,19 @@ from .errors import (
 )
 from .graphs import (
     DEGREE_MODES,
-    generate_barabasi_albert,
-    generate_joined_ba,
     load_graph,
     parse_vertex_labels,
     write_edge_list,
 )
 from .harness import (
+    _GRAPH_KEYS,
     ExperimentConfig,
     MethodSpec,
     TargetSpec,
     _burn_in,
     _check_labels,
     _estimate_targets,
+    _generate,
     _sample,
     resolve_budget,
     run_monte_carlo,
@@ -102,14 +102,8 @@ def _resolve_vertices(graph, text: str) -> tuple[int, ...]:
 
 def _cmd_generate(args) -> int:
     _check_out(args.out, args.force)
-    if args.kind == "ba":
-        graph = generate_barabasi_albert(args.n, args.attach, args.seed)
-        params = {"kind": "ba", "n": args.n, "attach": args.attach, "seed": args.seed}
-    else:
-        graph = generate_joined_ba(args.n_each, args.attach_a, args.attach_b,
-                                   args.seed)
-        params = {"kind": "gab", "n_each": args.n_each, "attach_a": args.attach_a,
-                  "attach_b": args.attach_b, "seed": args.seed}
+    params = {"kind": args.kind, **{k: getattr(args, k) for k in _GRAPH_KEYS[args.kind]}}
+    graph = _generate(params)
     with open(args.out, "w", encoding="utf-8") as fh:
         write_edge_list(graph, fh)
     sidecar = dict(params, graph_hash=graph.graph_hash,

@@ -24,13 +24,12 @@ import hashlib
 import io
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .errors import ConfigError, GraphFormatError
 from .rng import RngStream, as_stream
@@ -344,14 +343,21 @@ def load_graph(source: "str | bytes | IO") -> Graph:
     return build_graph(dense, original_ids)
 
 
-def write_edge_list(graph: Graph, path_or_stream: "str | IO") -> None:
-    """Write the canonical (sorted, dense-id) directed edge list."""
-    text = graph.canonical_text()
+@contextmanager
+def _text_out(path_or_stream: "str | IO") -> Iterator[IO]:
+    """A text stream to write to: the file at a path (opened for writing,
+    closed on exit), or the given stream itself (left open)."""
     if isinstance(path_or_stream, str):
         with open(path_or_stream, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        path_or_stream.write(text)
+        yield path_or_stream
+
+
+def write_edge_list(graph: Graph, path_or_stream: "str | IO") -> None:
+    """Write the canonical (sorted, dense-id) directed edge list."""
+    with _text_out(path_or_stream) as fh:
+        fh.write(graph.canonical_text())
 
 
 # -- labels ----------------------------------------------------------------
@@ -516,6 +522,11 @@ class VertexPartition:
 
 def connected_components(graph: Graph) -> VertexPartition:
     """Connected components, numbered by smallest contained vertex id."""
+    # SciPy is imported only where it is called, so that sampling and
+    # estimation never pay for loading it
+    import scipy.sparse as sp
+    from scipy.sparse import csgraph
+
     mat = sp.csr_matrix(
         (np.ones(graph.vol_total, dtype=np.int8), graph.indices, graph.indptr),
         shape=(graph.n_vertices, graph.n_vertices))
@@ -563,6 +574,9 @@ def restrict_to_lcc(graph: Graph, labels: LabelStore | None = None
 def is_bipartite(graph: Graph) -> bool:
     """Two-colorability of the symmetric closure: a component is bipartite
     exactly when its bipartite double cover splits into two components."""
+    import scipy.sparse as sp
+    from scipy.sparse import csgraph
+
     n, src = graph.n_vertices, graph._source
     cover = sp.csr_matrix((np.ones(2 * graph.vol_total, dtype=np.int8),
                            (np.r_[src, src + n], np.r_[graph.indices + n, graph.indices])),

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, fields
 from typing import IO, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import BudgetError, ConfigError, UndefinedEstimateError
 from .estimators import (
@@ -39,10 +38,11 @@ from .estimators import (
     vertex_density_from_vertex_samples,
     _degree_density,
 )
-from .graphs import (DEGREE_MODES, Graph, LabelStore, generate_barabasi_albert, generate_joined_ba,
-                     load_graph, parse_vertex_labels)
+from .graphs import (DEGREE_MODES, Graph, LabelStore, _text_out, generate_barabasi_albert,
+                     generate_joined_ba, load_graph, parse_vertex_labels)
 from .oracles import (
     CharacteristicTruth,
+    _binomial,
     _ccdf,
     compute_truth,
     stationary_occupancy_ratio,
@@ -411,12 +411,8 @@ class ExperimentConfig:
 
     def resolve_graph(self) -> tuple[Graph, LabelStore | None]:
         g = self.graph
-        if g["kind"] == "ba":
-            return generate_barabasi_albert(int(g["n"]), int(g["attach"]),
-                                            int(g.get("seed", 0))), None
-        if g["kind"] == "gab":
-            return generate_joined_ba(int(g["n_each"]), int(g["attach_a"]),
-                                      int(g["attach_b"]), int(g.get("seed", 0))), None
+        if g["kind"] != "file":
+            return _generate(g), None
         with open(g["path"], "r", encoding="utf-8") as fh:
             graph = load_graph(fh)
         labels = None
@@ -424,6 +420,16 @@ class ExperimentConfig:
             with open(g["labels_path"], "r", encoding="utf-8") as fh:
                 labels = parse_vertex_labels(fh, graph)
         return graph, labels
+
+
+def _generate(spec: dict) -> Graph:
+    """The graph of a ``ba`` or ``gab`` spec (keys as in ``_GRAPH_KEYS``,
+    the seed optional and 0 by default)."""
+    seed = int(spec.get("seed", 0))
+    if spec["kind"] == "ba":
+        return generate_barabasi_albert(int(spec["n"]), int(spec["attach"]), seed)
+    return generate_joined_ba(int(spec["n_each"]), int(spec["attach_a"]),
+                              int(spec["attach_b"]), seed)
 
 
 # -- single-run sampling + estimation ----------------------------------------
@@ -599,7 +605,7 @@ class ErrorReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_csv(self, stream_or_path: "str | IO") -> None:
-        def emit(fh):
+        with _text_out(stream_or_path) as fh:
             for k in sorted(self.metadata):
                 fh.write(f"# {k}={self.metadata[k]}\n")
             for w in self.warnings:
@@ -610,12 +616,6 @@ class ErrorReport:
                     f"{r.method},{r.kind},{r.label},{_fmt(r.truth)},"
                     f"{_fmt(r.mean_estimate)},{_fmt(r.bias)},"
                     f"{_fmt(r.nmse)},{_fmt(r.cnmse)}\n")
-
-        if isinstance(stream_or_path, str):
-            with open(stream_or_path, "w", encoding="utf-8") as fh:
-                emit(fh)
-        else:
-            emit(stream_or_path)
 
     def to_json(self) -> str:
         payload = {
@@ -736,7 +736,9 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
     """Execute the configured experiment and score it against exact truth.
 
     Per-run estimates are deterministic in (seed, method index, run
-    index); the worker count only changes scheduling, never results.
+    index); the worker count only changes scheduling, never results.  At
+    most ``os.cpu_count()`` worker processes run, since a forked pool
+    starts all of its processes at once.
     Each task samples a chunk of runs of one method in one batch and keeps
     per run only its projection onto the truth's keys.
     """
@@ -756,6 +758,7 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
     # per method: one truth keys x runs matrix per family, then one of the scalars (NaN: undefined)
     mats = [[np.empty((len(truth_f), config.runs)) for _, _, _, truth_f, _, _ in families]
             + [np.empty((n_scalars, config.runs))] for _ in config.methods]
+    workers = min(workers, os.cpu_count() or 1)
     tasks = []
     chunk = max(1, config.runs // max(1, workers * 8))
     for mi in range(len(config.methods)):
@@ -993,10 +996,9 @@ def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "
     alpha_empirical = mean / (m * n_a / graph.n_vertices)
     if method == "fs":
         exact = stationary_subset_occupancy(graph, subset, m)
-        binom = stats.binom.pmf(np.arange(m + 1), m, n_a / graph.n_vertices)
         return OccupancyStudy(method, m, steps, runs, pmf, mean,
                               float((np.arange(m + 1) * exact).sum()),
-                              alpha_empirical, alpha_exact,
-                              tv_distance(pmf, exact), tv_distance(pmf, binom))
+                              alpha_empirical, alpha_exact, tv_distance(pmf, exact),
+                              tv_distance(pmf, _binomial(m, n_a / graph.n_vertices)))
     return OccupancyStudy(method, m, steps, runs, pmf, mean, m * vol_share,
                           alpha_empirical, alpha_exact)

@@ -17,8 +17,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy import stats
 
 from .errors import StationarityError, UndefinedEstimateError
 from .graphs import (Graph, LabelStore, _edge_support, _neighbor_blocks, connected_components,
@@ -208,7 +206,7 @@ class PowerChain:
 
     m: int
     n_vertices: int
-    transition: sp.csr_matrix
+    transition: "scipy.sparse.csr_matrix"
     stationary: np.ndarray
     frontier_sizes: np.ndarray
     residual: float
@@ -258,6 +256,8 @@ def enumerate_power_chain(graph: Graph, m: int, state_cap: int = 10 ** 6,
     update residual drops below ``tol`` (independent of the known closed
     form, so the two can be compared as a check on each other).
     """
+    import scipy.sparse as sp
+
     _require_stationary(graph, "product-chain enumeration")
     n = graph.n_vertices
     n_states = n ** m
@@ -341,9 +341,16 @@ def stationary_subset_occupancy(graph: Graph, subset: Sequence[int], m: int) -> 
         return pmf
     d_a = float(graph.deg[member].sum()) / n_a
     d_b = float(graph.deg[~member].sum()) / (n - n_a)
-    binom = stats.binom.pmf(k, m, p)
-    pmf = binom * (k * d_a + (m - k) * d_b) / (m * d)
+    pmf = _binomial(m, p) * (k * d_a + (m - k) * d_b) / (m * d)
     return pmf / pmf.sum()
+
+
+def _binomial(m: int, p: float) -> np.ndarray:
+    """Binomial(m, p) pmf on 0..m: where m independent walkers that each sit
+    in a subset with probability p put k of them."""
+    from scipy import stats  # on first call, not with the package
+
+    return stats.binom.pmf(np.arange(m + 1), m, p)
 
 
 def stationary_occupancy_ratio(graph: Graph, subset: Sequence[int]) -> float:

@@ -16,17 +16,19 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import IO, NamedTuple
 
 import numpy as np
 
 from .errors import BudgetError, ConfigError, GraphFormatError
-from .graphs import Graph
+from .graphs import Graph, _text_out
 from .rng import RngStream, _lane_generators, _lane_keys
 
 __all__ = [
     "CostModel",
+    "DEFAULT_COST",
     "StartMode",
     "SampleTrace",
     "random_vertex_sample",
@@ -61,6 +63,16 @@ class CostModel:
     stochastic_starts: bool = False
 
     def __post_init__(self) -> None:
+        # a bool is an int to Python, so True would run as cost 1 and a
+        # string flag such as "false" as stochastic starts
+        for name in ("walk_step_cost", "vertex_query_cost", "vertex_hit_ratio",
+                     "edge_sample_cost", "edge_hit_ratio"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.stochastic_starts, bool):
+            raise TypeError(f"stochastic_starts must be true or false, "
+                            f"got {self.stochastic_starts!r}")
         if not all(0 < c < math.inf for c in (self.walk_step_cost, self.vertex_query_cost,
                                                self.edge_sample_cost)):
             raise ValueError("costs must be positive and finite")
@@ -651,8 +663,7 @@ _TRACE_COLUMNS = "step,walker,u,v,cost"
 
 def write_trace_csv(trace: SampleTrace, path_or_stream: "str | IO") -> None:
     """CSV with ``# key=value`` header comments, then step records."""
-
-    def emit(fh) -> None:
+    with _text_out(path_or_stream) as fh:
         fh.write(f"# method={trace.method}\n")
         fh.write(f"# m={trace.m}\n")
         fh.write(f"# budget={trace.budget!r}\n")
@@ -673,12 +684,6 @@ def write_trace_csv(trace: SampleTrace, path_or_stream: "str | IO") -> None:
             if time is not None:
                 row += f",{time[i]!r}"
             fh.write(row + "\n")
-
-    if isinstance(path_or_stream, str):
-        with open(path_or_stream, "w", encoding="utf-8") as fh:
-            emit(fh)
-    else:
-        emit(path_or_stream)
 
 
 def read_trace_csv(source: "str | IO") -> SampleTrace:

@@ -799,3 +799,19 @@ def test_out_of_memory_is_one_json_line(tmp_path, graph_file, capsys):
     err = _one_error(capsys)
     assert err == {"error": "memory", "message": "Unable to allocate 2.00 GiB"}
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("cost", [
+    {"stochastic_starts": "false"},
+    {"stochastic_starts": 0},
+    {"walk_step_cost": True},
+    {"vertex_hit_ratio": False},
+    {"edge_sample_cost": "2"},
+], ids=["flag_string", "flag_int", "cost_true", "ratio_false", "cost_string"])
+def test_experiment_cost_of_the_wrong_type_exit_2(tmp_path, capsys, cost):
+    assert _experiment(tmp_path, graph={"kind": "ba", "n": 80, "attach": 2, "seed": 3},
+                       methods=[{"name": "fs", "m": 2, "cost": cost}], budget=40,
+                       targets={"ccdf": True}, runs=2) == 2
+    err = _one_error(capsys)
+    assert err["error"] == "config" and next(iter(cost)) in err["message"]
+    assert not (tmp_path / "r.csv").exists()

@@ -806,3 +806,40 @@ def test_gab_graph_config_runs_on_the_joined_graph():
     for bad in ({"attach_b": "3"}, {"n_each": None}, {"extra": 1}):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_base_config(graph=dict(cfg.graph, **bad)))
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for and
+    runs every task in this process, on the state the initializer gets."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        self.state = initargs
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(task, self.state) for task in tasks]
+
+
+@pytest.mark.parametrize("workers, cpus, pool", [
+    (64, 2, 2), (3, 8, 3), (64, None, None), (2, 1, None)])
+def test_worker_count_is_capped_by_the_cpu_count(workers, cpus, pool):
+    cfg = ExperimentConfig.from_dict(_base_config(methods=[{"name": "fs", "m": 3},
+                                                           {"name": "rw"}], runs=12))
+    serial = io.StringIO()
+    run_monte_carlo(cfg, workers=1).to_csv(serial)
+    _RecordingPool.sizes = []
+    out = io.StringIO()
+    with mock.patch.object(harness.os, "cpu_count", return_value=cpus), \
+            mock.patch.object(harness.concurrent.futures, "ProcessPoolExecutor",
+                              _RecordingPool):
+        run_monte_carlo(cfg, workers=workers).to_csv(out)
+    assert _RecordingPool.sizes == ([] if pool is None else [pool])
+    assert out.getvalue() == serial.getvalue()

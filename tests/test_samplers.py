@@ -863,3 +863,13 @@ def test_dfs_time_budget_past_record_cap_refused_before_any_draw(tri_pendant):
             with pytest.raises(BudgetError, match="records per run"):
                 distributed_fs(tri_pendant, m, horizon, StartMode.uniform(), RngStream(0))
     samplers._dfs_budget(tri_pendant, m, cap)  # the cap itself may run
+
+
+def test_cost_model_takes_numbers_and_a_bool_flag_only():
+    CostModel(walk_step_cost=np.int64(2), vertex_hit_ratio=np.float32(0.5),
+              stochastic_starts=True)
+    for bad in ({"walk_step_cost": True}, {"edge_hit_ratio": np.bool_(True)},
+                {"vertex_query_cost": "1"}, {"stochastic_starts": "false"},
+                {"stochastic_starts": None}, {"stochastic_starts": np.bool_(True)}):
+        with pytest.raises(TypeError, match=next(iter(bad))):
+            CostModel(**bad)
