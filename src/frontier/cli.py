@@ -73,7 +73,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_out(path: str, force: bool) -> None:
-    if path != "-" and os.path.exists(path) and not force:
+    if os.path.exists(path) and not force:
         raise ConfigError(f"output file {path} exists; pass --force to overwrite")
 
 
@@ -102,6 +102,7 @@ def _resolve_vertices(graph, text: str) -> tuple[int, ...]:
 
 def _cmd_generate(args) -> int:
     _check_out(args.out, args.force)
+    _check_out(args.out + ".json", args.force)
     params = {"kind": args.kind, **{k: getattr(args, k) for k in _GRAPH_KEYS[args.kind]}}
     graph = _generate(params)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -344,11 +344,11 @@ def load_graph(source: "str | bytes | IO") -> Graph:
 
 
 @contextmanager
-def _text_out(path_or_stream: "str | IO") -> Iterator[IO]:
-    """A text stream to write to: the file at a path (opened for writing,
-    closed on exit), or the given stream itself (left open)."""
+def _text_file(path_or_stream: "str | IO", mode: str = "w") -> Iterator[IO]:
+    """A text stream: the UTF-8 file at a path (opened in ``mode``, closed on
+    exit), or the given stream itself (left open)."""
     if isinstance(path_or_stream, str):
-        with open(path_or_stream, "w", encoding="utf-8") as fh:
+        with open(path_or_stream, mode, encoding="utf-8") as fh:
             yield fh
     else:
         yield path_or_stream
@@ -356,7 +356,7 @@ def _text_out(path_or_stream: "str | IO") -> Iterator[IO]:
 
 def write_edge_list(graph: Graph, path_or_stream: "str | IO") -> None:
     """Write the canonical (sorted, dense-id) directed edge list."""
-    with _text_out(path_or_stream) as fh:
+    with _text_file(path_or_stream) as fh:
         fh.write(graph.canonical_text())
 
 

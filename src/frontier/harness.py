@@ -38,12 +38,13 @@ from .estimators import (
     vertex_density_from_vertex_samples,
     _degree_density,
 )
-from .graphs import (DEGREE_MODES, Graph, LabelStore, _text_out, generate_barabasi_albert,
+from .graphs import (DEGREE_MODES, Graph, LabelStore, _text_file, generate_barabasi_albert,
                      generate_joined_ba, load_graph, parse_vertex_labels)
 from .oracles import (
     CharacteristicTruth,
     _binomial,
     _ccdf,
+    _subset_mask,
     compute_truth,
     stationary_occupancy_ratio,
     stationary_subset_occupancy,
@@ -605,7 +606,7 @@ class ErrorReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_csv(self, stream_or_path: "str | IO") -> None:
-        with _text_out(stream_or_path) as fh:
+        with _text_file(stream_or_path) as fh:
             for k in sorted(self.metadata):
                 fh.write(f"# {k}={self.metadata[k]}\n")
             for w in self.warnings:
@@ -958,8 +959,7 @@ def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "
     Every walk must take exactly ``steps`` steps; a ConfigError is raised
     when drawn start costs change that.
     """
-    member = np.zeros(graph.n_vertices, dtype=np.int64)
-    member[np.asarray(list(subset), dtype=np.int64)] = 1
+    member = _subset_mask(graph, subset).astype(np.int64)
     hist = np.zeros(m + 1, dtype=np.int64)
     if method == "fs":
         start = start_mode or StartMode.uniform()

@@ -15,15 +15,17 @@ estimators rely on exactly that property.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field, replace
-from typing import IO, NamedTuple
+from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import BudgetError, ConfigError, GraphFormatError
-from .graphs import Graph, _text_out
+from .graphs import Graph, _text_file
 from .rng import RngStream, _lane_generators, _lane_keys
 
 __all__ = [
@@ -197,13 +199,18 @@ class SampleTrace:
         return np.bincount(self.walker, minlength=self.m)
 
 
+# one trace record: each CSV column's name and dtype, in order; dfs traces
+# add the event time
+_TRACE_FIELDS = (("step", np.int64), ("walker", np.int32), ("u", np.int64),
+                 ("v", np.int64), ("cost", np.float64), ("time", np.float64))
+_TRACE_COLUMNS = ",".join(name for name, _ in _TRACE_FIELDS[:5])
+
+
 def _finish(arrs, **kw) -> SampleTrace:
-    u, v, walker, cost = arrs
-    return SampleTrace(
-        u=np.ascontiguousarray(u, dtype=np.int64), v=np.ascontiguousarray(v, dtype=np.int64),
-        walker=np.ascontiguousarray(walker, dtype=np.int32),
-        cost=np.ascontiguousarray(cost, dtype=np.float64),
-        **kw)
+    """The trace of the (u, v, walker, cost) columns, each contiguous in its record dtype."""
+    dtypes = dict(_TRACE_FIELDS)
+    return SampleTrace(**kw, **{name: np.ascontiguousarray(a, dtype=dtypes[name])
+                                for name, a in zip(("u", "v", "walker", "cost"), arrs)})
 
 
 # Most records (walk steps, or vertex or edge queries) one run may take: a
@@ -647,23 +654,18 @@ def discard_burn_in(trace: SampleTrace, w: int) -> SampleTrace:
     keep = rank >= w
     meta = dict(trace.meta)
     meta["burn_in"] = w
-    return replace(
-        trace,
-        u=trace.u[keep].copy(), v=trace.v[keep].copy(),
-        walker=trace.walker[keep].copy(), cost=trace.cost[keep].copy(),
-        time=None if trace.time is None else trace.time[keep].copy(),
-        meta=meta)
+    cols = {name: getattr(trace, name) for name, _ in _TRACE_FIELDS[1:]}
+    return replace(trace, meta=meta,
+                   **{name: None if a is None else a[keep] for name, a in cols.items()})
 
 
 # -- trace serialization -------------------------------------------------------
 
 
-_TRACE_COLUMNS = "step,walker,u,v,cost"
-
-
 def write_trace_csv(trace: SampleTrace, path_or_stream: "str | IO") -> None:
     """CSV with ``# key=value`` header comments, then step records."""
-    with _text_out(path_or_stream) as fh:
+    names = [name for name, _ in _TRACE_FIELDS[:5 if trace.time is None else 6]]
+    with _text_file(path_or_stream) as fh:
         fh.write(f"# method={trace.method}\n")
         fh.write(f"# m={trace.m}\n")
         fh.write(f"# budget={trace.budget!r}\n")
@@ -673,67 +675,54 @@ def write_trace_csv(trace: SampleTrace, path_or_stream: "str | IO") -> None:
         fh.write("# start_vertices=%s\n" % ",".join(map(str, trace.start_vertices.tolist())))
         for k in sorted(trace.meta):
             fh.write(f"# {k}={trace.meta[k]!r}\n")
-        fh.write(_TRACE_COLUMNS + (",time" if trace.time is not None else "") + "\n")
-        walker = trace.walker.tolist()
-        u = trace.u.tolist()
-        v = trace.v.tolist()
-        cost = trace.cost.tolist()
-        time = trace.time.tolist() if trace.time is not None else None
-        for i in range(trace.n_steps):
-            row = f"{i + 1},{walker[i]},{u[i]},{v[i]},{cost[i]!r}"
-            if time is not None:
-                row += f",{time[i]!r}"
-            fh.write(row + "\n")
+        fh.write(",".join(names) + "\n")
+        fmt = ",".join(["{!r}"] * len(names)) + "\n"
+        fh.writelines(map(fmt.format, itertools.count(1),
+                          *(getattr(trace, name).tolist() for name in names[1:])))
 
 
 def read_trace_csv(source: "str | IO") -> SampleTrace:
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
+    """The trace a :func:`write_trace_csv` file holds; the first bad record is named by its row."""
     meta: dict[str, str] = {}
-    rows: list[str] = []
-    header: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                k, _, val = body.partition("=")
-                meta[k.strip()] = val.strip()
-            continue
-        if header is None:
-            header = line
-            continue
-        rows.append(line)
-    if header not in (_TRACE_COLUMNS, _TRACE_COLUMNS + ",time"):
-        raise GraphFormatError(f"trace column header must be {_TRACE_COLUMNS}[,time], "
-                               f"got {header!r}")
-    cols = header.split(",")
-    has_time = len(cols) == 6
-    n = len(rows)
-    u = np.empty(n, dtype=np.int64)
-    v = np.empty(n, dtype=np.int64)
-    walker = np.empty(n, dtype=np.int32)
-    cost = np.empty(n, dtype=np.float64)
-    time = np.empty(n, dtype=np.float64) if has_time else None
-    for i, line in enumerate(rows):
-        parts = line.split(",")
-        if len(parts) != len(cols):
-            raise GraphFormatError(f"trace row {i + 1} has {len(parts)} fields, "
-                                   f"expected {len(cols)}")
+    row = (-1, "")  # record number and text of the last line read; the header is record 0
+
+    def lines(fh: IO) -> Iterator[str]:
+        """Stripped lines that are neither blank nor ``#`` comments, as they
+        are read; ``# key=value`` comments go into ``meta``."""
+        nonlocal row
+        for chunk in fh:
+            for raw in chunk.splitlines():
+                line = raw.strip()
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if "=" in body:
+                        k, _, val = body.partition("=")
+                        meta[k.strip()] = val.strip()
+                elif line:
+                    row = (row[0] + 1, line)
+                    yield line
+
+    with _text_file(source, "r") as fh:
+        records = lines(fh)
+        header = next(records, None)
+        if header not in (_TRACE_COLUMNS, _TRACE_COLUMNS + ",time"):
+            raise GraphFormatError(f"trace column header must be {_TRACE_COLUMNS}[,time], "
+                                   f"got {header!r}")
+        fields = list(_TRACE_FIELDS[:header.count(",") + 1])
         try:
-            walker[i] = int(parts[1])
-            u[i] = int(parts[2])
-            v[i] = int(parts[3])
-            cost[i] = float(parts[4])
-            if has_time:
-                time[i] = float(parts[5])
-        except (ValueError, OverflowError):
-            raise GraphFormatError(f"trace row {i + 1}: non-numeric field in {line!r}") from None
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on a trace without records
+                # numpy < 2 warns, then truncates, where an integer field holds a float
+                warnings.simplefilter("error", DeprecationWarning)
+                data = np.loadtxt(records, delimiter=",", dtype=fields, comments=None, ndmin=1)
+        except UnicodeError:  # text that is not UTF-8 is not a bad record
+            raise
+        except ValueError:  # the parser takes one line at a time: ``row`` is the bad one
+            i, line = row
+            k = line.count(",") + 1
+            raise GraphFormatError(f"trace row {i} has {k} fields, expected {len(fields)}"
+                                   if k != len(fields) else
+                                   f"trace row {i}: non-numeric field in {line!r}") from None
     known = {k: meta.pop(k) for k in ("method", "m", "budget", "spent", "graph_hash",
                                       "start_vertices") if k in meta}
     extra = {k: _parse_meta_value(val) for k, val in meta.items()}
@@ -749,8 +738,8 @@ def read_trace_csv(source: "str | IO") -> SampleTrace:
     return SampleTrace(
         method=known.get("method", "unknown"), m=header("m", int, "1"),
         budget=header("budget", float, "nan"), spent=header("spent", float, "nan"),
-        start_vertices=starts, u=u, v=v, walker=walker, cost=cost, time=time,
-        graph_hash=known.get("graph_hash"), meta=extra)
+        start_vertices=starts, graph_hash=known.get("graph_hash"), meta=extra,
+        **{name: np.ascontiguousarray(data[name]) for name, _ in fields[1:]})
 
 
 def _check_trace(trace: SampleTrace, graph: Graph) -> None:

@@ -815,3 +815,57 @@ def test_experiment_cost_of_the_wrong_type_exit_2(tmp_path, capsys, cost):
     err = _one_error(capsys)
     assert err["error"] == "config" and next(iter(cost)) in err["message"]
     assert not (tmp_path / "r.csv").exists()
+
+
+# -- "-" is an ordinary output path, except for estimate's stdout ---------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "ba", "--n", "30", "--attach", "2"],
+    ["sample", "rw", "--graph", "g.txt", "--budget", "10"],
+    ["experiment", "--config", "cfg.json"],
+], ids=["generate", "sample", "experiment"])
+def test_out_dash_is_a_file_refused_without_force(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text("0 1\n1 2\n2 0\n")
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"graph": {"kind": "file", "path": "g.txt"}, "methods": [{"name": "rw"}],
+         "budget": 5, "runs": 2, "seed": 1, "targets": {"ccdf": True}}))
+    (tmp_path / "-").write_text("keep me\n")
+    assert run(*argv, "--out", "-") == 2
+    err = _one_error(capsys)
+    assert err["error"] == "config" and "--force" in err["message"]
+    assert (tmp_path / "-").read_text() == "keep me\n"
+    assert not (tmp_path / "-.json").exists()
+
+
+def test_generate_refuses_an_existing_sidecar_without_force(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    (tmp_path / "g.txt.json").write_text("{}\n")
+    assert run("generate", "ba", "--n", "30", "--attach", "2", "--out", str(out)) == 2
+    err = _one_error(capsys)
+    assert err["error"] == "config" and "g.txt.json" in err["message"]
+    assert (tmp_path / "g.txt.json").read_text() == "{}\n"
+    assert not out.exists()
+    assert run("generate", "ba", "--n", "30", "--attach", "2", "--out", str(out),
+               "--force") == 0
+    assert json.loads((tmp_path / "g.txt.json").read_text())["n_vertices"] == 30
+
+
+def test_estimate_out_dash_still_writes_stdout(tmp_path, monkeypatch, graph_file, trace_file,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-").write_text("keep me\n")
+    assert run("estimate", "--graph", graph_file, "--trace", trace_file,
+               "--targets", "ccdf", "--out", "-") == 0
+    assert "estimates" in json.loads(capsys.readouterr().out)
+    assert (tmp_path / "-").read_text() == "keep me\n"
+
+
+def test_estimate_names_the_first_bad_trace_row(tmp_path, graph_file, capsys):
+    trace = str(tmp_path / "bad.csv")
+    open(trace, "w").write("# method=rw\n# m=1\nstep,walker,u,v,cost\n"
+                           "1,0,0,1,1.0\n2,0,1,0,1.0\n3,0,x,1,1.0\n4,0,0\n")
+    assert run("estimate", "--graph", graph_file, "--trace", trace, "--targets", "ccdf") == 2
+    assert _one_error(capsys) == {
+        "error": "graph_format", "message": "trace row 3: non-numeric field in '3,0,x,1,1.0'"}

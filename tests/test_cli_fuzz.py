@@ -275,7 +275,12 @@ def test_mutated_inputs_exit_cleanly(fuzz_dir, command, data):
             with open(paths[key], "w") as fh:
                 fh.write(text)
         argv = data.draw(_mutated(_argv(paths, command), paths))
-        code, err = _run(argv)
+        cwd = os.getcwd()
+        os.chdir(d)  # a mutation can make a relative out path, such as "inf" or "-"
+        try:
+            code, err = _run(argv)
+        finally:
+            os.chdir(cwd)
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     if code:

@@ -506,6 +506,22 @@ def test_occupancy_study_refuses_drawn_start_costs(tri_pendant, method, m):
                         cost_model=CostModel(vertex_hit_ratio=0.3, stochastic_starts=True))
 
 
+
+@pytest.mark.parametrize("method", ["fs", "mrw"])
+@pytest.mark.parametrize("subset, message", [
+    ([-1], "out-of-range"), ([4], "out-of-range"), ([], "non-empty")],
+    ids=["negative", "past_n", "empty"])
+def test_occupancy_study_checks_its_subset_before_sampling(tri_pendant, method, subset,
+                                                           message):
+    # tri_pendant has 4 vertices; no walk may start on a subset the oracles refuse
+    def no_draw(*args):
+        raise AssertionError("sampled before the subset was checked")
+
+    with mock.patch.object(harness, "_fs_batch", no_draw), \
+            mock.patch.object(harness, "_mrw_batch", no_draw):
+        with pytest.raises(ValueError, match=message):
+            occupancy_study(tri_pendant, subset, m=2, method=method, steps=5, rng=RngStream(0))
+
 def test_method_spec_keys():
     assert MethodSpec("rw").key == "rw"
     assert MethodSpec("fs", m=7).key == "fs[m=7]"
