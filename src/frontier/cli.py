@@ -312,6 +312,8 @@ def main(argv=None) -> int:
         return _fail(3, "stationarity", str(exc))
     except OSError as exc:
         return _fail(2, "io", str(exc))
+    except UnicodeDecodeError as exc:  # an input file that is not UTF-8 text
+        return _fail(2, "encoding", f"input is not UTF-8 text: {exc}")
     except MemoryError as exc:  # numpy's _ArrayMemoryError too
         return _fail(2, "memory", str(exc) or "out of memory")
 

@@ -588,49 +588,150 @@ def is_bipartite(graph: Graph) -> bool:
 # -- generators --------------------------------------------------------------
 
 
+# Most undirected edges a generated BA graph may have: a larger one is refused
+# before any draw.  Its directed edge array alone would take 8 GB, and the
+# limit keeps n below 2^29, so the endpoint-list indices (< 2^29) and the packed
+# keys ``u * n + v`` (< 2^58, also for two joined graphs) fit in int64.
+MAX_GENERATED_EDGES = 1 << 28
+
+_BA_CHUNK = 2048  # new vertices whose first draws are one integers call
+
+
 def generate_barabasi_albert(n: int, attach_m: int, seed: "int | RngStream") -> Graph:
     """Preferential-attachment graph seeded with an (attach_m+1)-clique.
 
     Each of the remaining ``n - attach_m - 1`` vertices attaches to
     ``attach_m`` distinct existing vertices chosen with probability
     proportional to current degree, giving
-    ``C(attach_m+1, 2) + (n - attach_m - 1) * attach_m`` undirected edges.
+    ``C(attach_m+1, 2) + (n - attach_m - 1) * attach_m`` undirected edges
+    (at most ``MAX_GENERATED_EDGES``).
     The result is undirected: both orientations enter the directed set.
     """
     if attach_m < 1:
         raise ConfigError("attach_m must be >= 1")
     if n < attach_m + 2:
         raise ConfigError("n must be at least attach_m + 2")
-    rng = as_stream(seed).generator()
-
-    srcs: list[int] = []
-    dsts: list[int] = []
-    # degree-proportional choice via the repeated-endpoints list: every
-    # endpoint appearance is one unit of degree
-    repeated: list[int] = []
-    for u in range(attach_m + 1):
-        for v in range(u + 1, attach_m + 1):
-            srcs.append(u)
-            dsts.append(v)
-        repeated.extend([u] * attach_m)
-
-    for src in range(attach_m + 1, n):
-        targets: set[int] = set()
-        while len(targets) < attach_m:
-            draw = rng.integers(0, len(repeated), size=attach_m + 2)
-            for idx in draw.tolist():
-                targets.add(repeated[idx])
-                if len(targets) == attach_m:
-                    break
-        ts = sorted(targets)
-        srcs.extend([src] * attach_m)
-        dsts.extend(ts)
-        repeated.extend(ts)
-        repeated.extend([src] * attach_m)
-
-    half = np.column_stack([np.asarray(srcs, dtype=np.int64),
-                            np.asarray(dsts, dtype=np.int64)])
+    n, a = int(n), int(attach_m)
+    clique = a * (a + 1) // 2
+    edges = clique + (n - a - 1) * a
+    if edges > MAX_GENERATED_EDGES:
+        raise ConfigError(f"BA graph with n={n}, attach_m={a} has {edges} edges; "
+                          f"at most {MAX_GENERATED_EDGES} are allowed")
+    gen = as_stream(seed).generator()
+    src, dst = np.empty(edges, dtype=np.int64), np.empty(edges, dtype=np.int64)
+    src[:clique], dst[:clique] = np.triu_indices(a + 1, k=1)
+    src[clique:] = np.repeat(np.arange(a + 1, n), a)
+    _ba_targets(dst[clique:].reshape(-1, a), gen)
+    half = np.column_stack([src, dst])
     return build_graph(np.concatenate([half, half[:, ::-1]]))
+
+
+# Degree-proportional choice follows the repeated-endpoints list of Batagelj &
+# Brandes (Phys. Rev. E 2005), where every endpoint appearance is one unit of
+# degree: the clique puts each of its a + 1 vertices a times, then the i-th new
+# vertex, a + 1 + i, appends its a sorted targets and a copies of itself.  It
+# draws a + 2 indices below the list's length, a(a + 1) + 2ai, keeps the first
+# a distinct endpoints they name and draws again while it has fewer.  The list
+# itself is never built: an index resolves by arithmetic, or to an entry of an
+# earlier new vertex's row of targets.
+
+
+def _ba_targets(targets: np.ndarray, gen: np.random.Generator) -> None:
+    """Fill row i of ``targets`` (shape (n - a - 1, a), C-contiguous, as
+    rows are read through its flat view) with the sorted targets of new
+    vertex i.
+
+    The first draws of a chunk of vertices are one ``integers`` call with one
+    bound per draw, which returns the same values and leaves the same
+    generator state as one call per vertex.  A vertex whose first a + 2 draws
+    give fewer than a distinct targets draws again on its own: the chunk is
+    drawn again from the saved state up to that vertex, and its extra draws
+    follow."""
+    rows, a = targets.shape
+    k = a + 2
+    i = 0
+    while i < rows:
+        stop = min(rows, i + _BA_CHUNK)
+        hi = np.repeat(a * (a + 1) + 2 * a * np.arange(i, stop), k)
+        state = gen.bit_generator.state
+        short = _ba_chunk(gen.integers(0, hi).reshape(-1, k), i, targets)
+        if short is None:
+            i = stop
+            continue
+        gen.bit_generator.state = state
+        end = (short - i + 1) * k
+        found = set(_ba_endpoints(gen.integers(0, hi[:end])[-k:], targets, short).tolist())
+        while len(found) < a:
+            draw = gen.integers(0, int(hi[end - 1]), size=k)
+            for t in _ba_endpoints(draw, targets, short).tolist():
+                found.add(t)
+                if len(found) == a:
+                    break
+        targets[short] = sorted(found)
+        i = short + 1
+
+
+def _ba_chunk(draws: np.ndarray, first: int, targets: np.ndarray) -> int | None:
+    """Fill the targets rows ``first, first + 1, ...`` from the first draws
+    of those vertices (one row of ``draws`` each); return the first of them
+    with fewer than a distinct targets, or None.  Rows from that one on are
+    not valid.
+
+    A draw that names a targets entry of a vertex in this chunk waits for it:
+    each round finishes the vertices with no waiting draw, then fills in the
+    draws that name them."""
+    rows, k = draws.shape
+    a = targets.shape[1]
+    vals = _ba_endpoints(draws, targets, first)
+    flat_vals, flat_targets = vals.ravel(), targets.ravel()
+    wait = np.flatnonzero(flat_vals < 0)
+    wait_on = ~flat_vals[wait] // a - first     # the chunk row each one waits for
+    pending = np.bincount(wait // k, minlength=rows)
+    finished = np.zeros(rows, dtype=bool)
+    ready = np.flatnonzero(pending == 0)
+    short = rows
+    while ready.size:
+        full, chosen = _ba_first_distinct(vals[ready], a)
+        if not full.all():
+            short = min(short, int(ready[~full][0]))
+        done = ready[full]
+        targets[first + done] = chosen
+        finished[done] = True
+        hit = finished[wait_on]
+        pos = wait[hit]
+        flat_vals[pos] = flat_targets[~flat_vals[pos]]
+        wait, wait_on = wait[~hit], wait_on[~hit]
+        rows_hit = pos // k
+        pending -= np.bincount(rows_hit, minlength=rows)
+        ready = np.flatnonzero(np.bincount(rows_hit[pending[rows_hit] == 0], minlength=rows))
+    return None if short == rows else first + short
+
+
+def _ba_first_distinct(vals: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows of ``vals`` hold at least a distinct values, and the first
+    a distinct values of each such row, sorted."""
+    k = vals.shape[1]
+    new = np.ones(vals.shape, dtype=bool)
+    for c in range(1, k):
+        new[:, c] = (vals[:, :c] != vals[:, c:c + 1]).all(axis=1)
+    keep = new & (np.cumsum(new, axis=1) <= a)
+    full = keep.sum(axis=1) == a
+    return full, np.sort(vals[full][keep[full]].reshape(-1, a), axis=1)
+
+
+def _ba_endpoints(idx: np.ndarray, targets: np.ndarray, filled: int) -> np.ndarray:
+    """The endpoints that list indices ``idx`` name.  Only targets rows
+    before ``filled`` are known; an entry of a later row comes back as
+    ~(its flat position in ``targets``), which is negative."""
+    a = targets.shape[1]
+    off = idx - a * (a + 1)
+    row, r = np.divmod(off, 2 * a)
+    out = np.where(off < 0, idx // a, row + a + 1)
+    ref = (off >= 0) & (r < a)
+    at = row[ref] * a + r[ref]
+    known = at < filled * a
+    out[ref] = np.where(known, targets.ravel()[np.where(known, at, 0)], ~at)
+    return out
 
 
 def generate_joined_ba(n_each: int, attach_a: int, attach_b: int,

@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from frontier import cli, harness
+from frontier import cli, graphs, harness
 from frontier.cli import main
 from frontier.graphs import load_graph
 from frontier.samplers import read_trace_csv
@@ -869,3 +869,76 @@ def test_estimate_names_the_first_bad_trace_row(tmp_path, graph_file, capsys):
     assert run("estimate", "--graph", graph_file, "--trace", trace, "--targets", "ccdf") == 2
     assert _one_error(capsys) == {
         "error": "graph_format", "message": "trace row 3: non-numeric field in '3,0,x,1,1.0'"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("ba", "--n", "1000000000000", "--attach", "1"),
+    ("ba", "--n", "100000", "--attach", "60000"),
+    ("gab", "--n-each", "1000000000000", "--attach-a", "1", "--attach-b", "5"),
+], ids=["long_chain", "huge_clique", "gab"])
+def test_generate_past_the_edge_cap_exit_2_before_any_draw(tmp_path, capsys, argv):
+    out = tmp_path / "g.txt"
+    with mock.patch.object(graphs, "_ba_targets", side_effect=AssertionError("drew")):
+        assert run("generate", *argv, "--out", str(out)) == 2
+    err = _one_error(capsys)
+    assert err["error"] == "config" and "edges" in err["message"]
+    assert not out.exists() and not (tmp_path / "g.txt.json").exists()
+
+
+def test_experiment_graph_past_the_edge_cap_exit_2(tmp_path, capsys):
+    with mock.patch.object(graphs, "_ba_targets", side_effect=AssertionError("drew")):
+        assert _experiment(tmp_path, graph={"kind": "gab", "n_each": 10**12, "attach_a": 1,
+                                            "attach_b": 5},
+                           methods=[{"name": "rw"}], budget=10, targets={"ccdf": True},
+                           runs=2) == 2
+    assert "edges" in _one_error(capsys)["message"]
+    assert not (tmp_path / "r.csv").exists()
+
+
+def _with_0xff(path, line: int) -> str:
+    """A copy of the text file at ``path`` whose line ``line`` has a 0xff byte."""
+    lines = open(path, "rb").read().splitlines(keepends=True)
+    lines[line] = lines[line][:1] + b"\xff" + lines[line][1:]
+    bad = path + ".bad"
+    open(bad, "wb").write(b"".join(lines))
+    return bad
+
+
+def _assert_encoding_error(capsys) -> None:
+    err = _one_error(capsys)
+    assert err["error"] == "encoding" and "UTF-8" in err["message"]
+
+
+def test_non_utf8_edge_list_exit_2(tmp_path, graph_file, capsys):
+    out = tmp_path / "t.csv"
+    assert run("sample", "rw", "--graph", _with_0xff(graph_file, 5), "--budget", "3",
+               "--out", str(out)) == 2
+    _assert_encoding_error(capsys)
+    assert not out.exists()
+
+
+def test_non_utf8_labels_file_exit_2(tmp_path, graph_file, trace_file, capsys):
+    labels = str(tmp_path / "labels.txt")
+    open(labels, "w").write("".join(f"{v} A\n" for v in range(300)))
+    assert run("estimate", "--graph", graph_file, "--trace", trace_file, "--targets",
+               "label=A", "--labels-file", _with_0xff(labels, 7)) == 2
+    _assert_encoding_error(capsys)
+
+
+def test_non_utf8_trace_exit_2(graph_file, trace_file, capsys):
+    lines = open(trace_file).read().splitlines()
+    record = next(i for i, line in enumerate(lines) if line.startswith("step,")) + 1
+    assert run("estimate", "--graph", graph_file, "--trace", _with_0xff(trace_file, record),
+               "--targets", "ccdf") == 2
+    _assert_encoding_error(capsys)
+
+
+def test_non_utf8_config_exit_2(tmp_path, capsys):
+    config = str(tmp_path / "cfg.json")
+    open(config, "w").write(json.dumps({"graph": {"kind": "ba", "n": 80, "attach": 2},
+                                        "methods": [{"name": "rw"}], "budget": 10,
+                                        "targets": {"ccdf": True}, "runs": 2}) + "\n")
+    out = tmp_path / "r.csv"
+    assert run("experiment", "--config", _with_0xff(config, 0), "--out", str(out)) == 2
+    _assert_encoding_error(capsys)
+    assert not out.exists()

@@ -5,10 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frontier import graphs
-from frontier.errors import GraphFormatError
+from frontier.errors import ConfigError, GraphFormatError
 from frontier.estimators import estimate_global_clustering
 from frontier.graphs import (
     Graph,
@@ -27,6 +27,7 @@ from frontier.graphs import (
     _searchsorted_ragged,
 )
 from frontier.oracles import triangle_counts
+from frontier.rng import RngStream, as_stream
 from frontier.samplers import SampleTrace
 
 
@@ -243,6 +244,120 @@ def test_joined_ba_structure():
     e = g.directed_edges
     crossing = (e[:, 0] < 2000) != (e[:, 1] < 2000)
     assert crossing.sum() == 2  # both orientations of the bridge
+
+
+def _ba_loop_reference(n: int, attach_m: int, seed):
+    """The per-vertex generator loop the chunked generator replaced, verbatim;
+    returns the graph and the generator it drew from."""
+    rng = as_stream(seed).generator()
+
+    srcs: list[int] = []
+    dsts: list[int] = []
+    # degree-proportional choice via the repeated-endpoints list: every
+    # endpoint appearance is one unit of degree
+    repeated: list[int] = []
+    for u in range(attach_m + 1):
+        for v in range(u + 1, attach_m + 1):
+            srcs.append(u)
+            dsts.append(v)
+        repeated.extend([u] * attach_m)
+
+    for src in range(attach_m + 1, n):
+        targets: set[int] = set()
+        while len(targets) < attach_m:
+            draw = rng.integers(0, len(repeated), size=attach_m + 2)
+            for idx in draw.tolist():
+                targets.add(repeated[idx])
+                if len(targets) == attach_m:
+                    break
+        ts = sorted(targets)
+        srcs.extend([src] * attach_m)
+        dsts.extend(ts)
+        repeated.extend(ts)
+        repeated.extend([src] * attach_m)
+
+    half = np.column_stack([np.asarray(srcs, dtype=np.int64),
+                            np.asarray(dsts, dtype=np.int64)])
+    return build_graph(np.concatenate([half, half[:, ::-1]])), rng
+
+
+def _same_state(x, y) -> bool:
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(_same_state(x[k], y[k]) for k in x)
+    return np.array_equal(x, y)
+
+
+# RngStream(1).child(1) at attach 5 redraws vertices 7, 9, 12, 16, 17 and 92
+_RETRY_STREAM = RngStream(1).child(1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(attach=st.integers(1, 6), extra=st.integers(0, 1994),
+       seed=st.one_of(st.integers(0, 2**32), st.sampled_from(
+           [_RETRY_STREAM, RngStream(3).child(0), RngStream(0).child(1)])),
+       chunk=st.sampled_from([1, 2, 3, 5, 64, graphs._BA_CHUNK]))
+@example(attach=5, extra=193, seed=_RETRY_STREAM, chunk=1)
+@example(attach=5, extra=193, seed=_RETRY_STREAM, chunk=3)
+@example(attach=5, extra=193, seed=_RETRY_STREAM, chunk=graphs._BA_CHUNK)
+@example(attach=6, extra=1994, seed=0, chunk=64)
+def test_ba_generator_matches_loop_reference(attach, extra, seed, chunk):
+    # same edges and same final generator state as one draw call per vertex,
+    # with chunk edges before, at and after the vertices that draw again
+    n = min(attach + 2 + extra, 2000)
+    want, want_rng = _ba_loop_reference(n, attach, seed)
+    made = []
+    generator = RngStream.generator
+
+    def recording(self):
+        made.append(generator(self))
+        return made[-1]
+
+    with mock.patch.object(graphs, "_BA_CHUNK", chunk), \
+            mock.patch.object(RngStream, "generator", recording):
+        got = generate_barabasi_albert(n, attach, seed)
+    assert len(made) == 1
+    assert got.n_vertices == want.n_vertices
+    assert np.array_equal(got.directed_edges, want.directed_edges)
+    assert _same_state(made[0].bit_generator.state, want_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 2048])
+def test_ba_generator_redraws_short_vertices(chunk):
+    # the vertices whose first draws give fewer than attach distinct targets
+    short, chunk_fn = [], graphs._ba_chunk
+
+    def recording(*args):
+        short.append(chunk_fn(*args))
+        return short[-1]
+
+    with mock.patch.object(graphs, "_BA_CHUNK", chunk), \
+            mock.patch.object(graphs, "_ba_chunk", recording):
+        g = generate_barabasi_albert(200, 5, _RETRY_STREAM)
+    # _ba_chunk counts new vertices from 0; vertex 6 (attach 5) is new vertex 0
+    assert [6 + s for s in short if s is not None] == [7, 9, 12, 16, 17, 92]
+    assert g.graph_hash == _ba_loop_reference(200, 5, _RETRY_STREAM)[0].graph_hash
+
+
+class _Drew(Exception):
+    """Raised in place of the generator's first draw."""
+
+
+@pytest.mark.parametrize("n, attach", [(10**12, 1), (100_000, 60_000), (2**28 + 3, 1)])
+def test_ba_generator_refuses_oversized_graphs_before_any_draw(n, attach):
+    with mock.patch.object(graphs, "_ba_targets", side_effect=_Drew), \
+            mock.patch.object(RngStream, "generator", side_effect=_Drew):
+        with pytest.raises(ConfigError, match="edges"):
+            generate_barabasi_albert(n, attach, 0)
+        with pytest.raises(ConfigError, match="edges"):
+            generate_joined_ba(n, attach, attach, 0)
+
+
+def test_ba_generator_accepts_the_edge_cap():
+    # attach 1 gives n - 1 edges: exactly MAX_GENERATED_EDGES, so it goes on to
+    # make its generator (stopped there, before any array is allocated)
+    with mock.patch.object(RngStream, "generator", side_effect=_Drew):
+        with pytest.raises(_Drew):
+            generate_barabasi_albert(graphs.MAX_GENERATED_EDGES + 1, 1, 0)
 
 
 # -- properties ---------------------------------------------------------------
