@@ -41,6 +41,7 @@ from .graphs import (
 )
 from .harness import (
     _GRAPH_KEYS,
+    _TARGET_FLAGS,
     ExperimentConfig,
     MethodSpec,
     TargetSpec,
@@ -85,15 +86,15 @@ def _load_graph_file(path: str):
 def _resolve_vertices(graph, text: str) -> tuple[int, ...]:
     """Map comma-separated vertex ids from the input file to internal ids."""
     try:
-        wanted = np.asarray([int(t) for t in text.split(",") if t.strip()],
-                            dtype=np.int64)
+        wanted = [int(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise ConfigError(f"bad vertex list {text!r}") from None
-    pos = np.searchsorted(graph.original_ids, wanted)
-    pos = np.clip(pos, 0, graph.n_vertices - 1)
-    missing = graph.original_ids[pos] != wanted
+    # input ids are non-negative int64s: -1 stands in for any other id, one past int64 too
+    ids = np.asarray([w if 0 <= w < 1 << 63 else -1 for w in wanted], dtype=np.int64)
+    pos = np.clip(np.searchsorted(graph.original_ids, ids), 0, graph.n_vertices - 1)
+    missing = graph.original_ids[pos] != ids
     if missing.any():
-        raise ConfigError(f"unknown vertex id(s): {wanted[missing].tolist()}")
+        raise ConfigError(f"unknown vertex id(s): {[w for w, x in zip(wanted, missing) if x]}")
     return tuple(int(p) for p in pos)
 
 
@@ -160,7 +161,7 @@ def _parse_targets(text: str) -> TargetSpec:
         token = token.strip()
         if not token:
             continue
-        if token in ("ccdf", "assortativity", "clustering"):
+        if token in _TARGET_FLAGS:
             raw[token] = True
         elif token.startswith("degree="):
             try:

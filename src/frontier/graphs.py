@@ -607,6 +607,13 @@ def generate_barabasi_albert(n: int, attach_m: int, seed: "int | RngStream") -> 
     (at most ``MAX_GENERATED_EDGES``).
     The result is undirected: both orientations enter the directed set.
     """
+    half = _ba_edges(n, attach_m, seed)
+    return build_graph(np.concatenate([half, half[:, ::-1]]))
+
+
+def _ba_edges(n: int, attach_m: int, seed: "int | RngStream") -> np.ndarray:
+    """The ``(u, v)`` rows of :func:`generate_barabasi_albert`'s graph, one per
+    undirected edge."""
     if attach_m < 1:
         raise ConfigError("attach_m must be >= 1")
     if n < attach_m + 2:
@@ -622,8 +629,7 @@ def generate_barabasi_albert(n: int, attach_m: int, seed: "int | RngStream") -> 
     src[:clique], dst[:clique] = np.triu_indices(a + 1, k=1)
     src[clique:] = np.repeat(np.arange(a + 1, n), a)
     _ba_targets(dst[clique:].reshape(-1, a), gen)
-    half = np.column_stack([src, dst])
-    return build_graph(np.concatenate([half, half[:, ::-1]]))
+    return np.column_stack([src, dst])
 
 
 # Degree-proportional choice follows the repeated-endpoints list of Batagelj &
@@ -743,11 +749,9 @@ def generate_joined_ba(n_each: int, attach_a: int, attach_b: int,
     on ties), adding as little structure as possible.
     """
     stream = as_stream(seed)
-    a = generate_barabasi_albert(n_each, attach_a, stream.child(0))
-    b = generate_barabasi_albert(n_each, attach_b, stream.child(1))
-    ea = a.directed_edges
-    eb = b.directed_edges + n_each
-    va = int(np.argmin(a.deg))            # argmin = smallest id on ties
-    vb = int(np.argmin(b.deg)) + n_each
-    bridge = np.asarray([[va, vb], [vb, va]], dtype=np.int64)
-    return build_graph(np.concatenate([ea, eb, bridge]))
+    a = _ba_edges(n_each, attach_a, stream.child(0))
+    b = _ba_edges(n_each, attach_b, stream.child(1))
+    # one row per edge, so a vertex's count is its degree; argmin = smallest id on ties
+    va, vb = (int(np.argmin(np.bincount(rows.ravel()))) for rows in (a, b))
+    half = np.concatenate([a, b + n_each, [[va, vb + n_each]]])
+    return build_graph(np.concatenate([half, half[:, ::-1]]))

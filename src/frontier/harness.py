@@ -53,6 +53,7 @@ from .rng import RngStream
 from .samplers import (
     _BATCH_STEPS,
     DEFAULT_COST,
+    MAX_RUN_RECORDS,
     CostModel,
     SampleTrace,
     StartMode,
@@ -89,7 +90,18 @@ __all__ = [
     "occupancy_study",
 ]
 
-_METHOD_NAMES = ("rw", "mrw", "fs", "dfs", "random_vertex", "random_edge")
+# each method's runs with the streams ``rngs``, as a lazy sequence of traces in order
+_RUNS = {
+    "rw": lambda g, s, b, rngs: _rw_batch(g, s.start, b, s.cost, rngs),
+    "mrw": lambda g, s, b, rngs: _mrw_batch(g, s.m, s.start, b, s.cost, rngs),
+    "fs": lambda g, s, b, rngs: _fs_batch(g, s.m, s.start, b, s.cost, rngs),
+    "dfs": lambda g, s, b, rngs: (distributed_fs(g, s.m, float(s.time_budget), s.start, rng)
+                                  for rng in rngs),
+    "random_vertex": lambda g, s, b, rngs: (random_vertex_sample(g, b, s.cost, rng)
+                                            for rng in rngs),
+    "random_edge": lambda g, s, b, rngs: (random_edge_sample(g, b, s.cost, rng) for rng in rngs),
+}
+_METHOD_NAMES = tuple(_RUNS)
 _WALK_METHODS = ("rw", "mrw", "fs", "dfs")
 _TARGET_FLAGS = ("ccdf", "assortativity", "clustering")
 _GRAPH_KEYS = {"ba": ("n", "attach", "seed"), "gab": ("n_each", "attach_a", "attach_b", "seed"),
@@ -109,7 +121,8 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def nmse(truth: dict, runs: Sequence[dict]) -> tuple[dict, list[str]]:
-    """Per-label normalized RMSE over runs; zero-truth labels are omitted.
+    """Per-label RMSE over runs divided by ``|truth|``; only zero-truth labels
+    are omitted (with a warning), so a negative truth is scored too.
 
     A run that never observed a label contributes the estimate 0 for it.
     """
@@ -122,7 +135,8 @@ def nmse(truth: dict, runs: Sequence[dict]) -> tuple[dict, list[str]]:
 
 
 def _key_errors(truth: dict, vals: np.ndarray) -> tuple[dict, dict, list[str]]:
-    """NMSE and mean over runs of each key with a positive truth.
+    """NMSE (divided by ``|truth|``) and mean over runs of each key with a
+    nonzero truth.
 
     ``vals`` holds one C-contiguous row of run values per truth key, in
     truth order.  Reducing it along its last axis sums each row exactly as
@@ -130,12 +144,12 @@ def _key_errors(truth: dict, vals: np.ndarray) -> tuple[dict, dict, list[str]]:
     how many keys share the matrix.
     """
     t = np.fromiter(truth.values(), dtype=np.float64, count=len(truth))
-    ok = ~(t <= 0)
+    ok = t != 0
     warnings = [f"label {key}: zero truth value, NMSE omitted"
                 for key, good in zip(truth, ok) if not good]
     keys = [key for key, good in zip(truth, ok) if good]
     t, vals = t[ok], vals[ok]
-    err = np.sqrt(((vals - t[:, None]) ** 2).mean(axis=1)) / t
+    err = np.sqrt(((vals - t[:, None]) ** 2).mean(axis=1)) / np.abs(t)
     return (dict(zip(keys, err.tolist())), dict(zip(keys, vals.mean(axis=1).tolist())),
             warnings)
 
@@ -240,8 +254,8 @@ class MethodSpec:
         if name not in _METHOD_NAMES:
             raise ConfigError(f"{where}: unknown method {name!r}; choose from {_METHOD_NAMES}")
         m = _as_int(raw.get("m", 1), f"{where}: m")
-        if m < 1:
-            raise ConfigError(f"{where}: m must be >= 1")
+        if not 1 <= m <= MAX_RUN_RECORDS:  # before any m-sized array is built
+            raise ConfigError(f"{where}: m must lie in [1, {MAX_RUN_RECORDS}], got {m}")
         if m != 1 and name in ("rw", "random_vertex", "random_edge"):
             raise ConfigError(f"{where}: m must be 1 for {name}, got {m}")
         time_budget = raw.get("time_budget")
@@ -284,8 +298,7 @@ class TargetSpec:
 
     @classmethod
     def from_config(cls, raw: dict) -> "TargetSpec":
-        _check_keys(raw, ("ccdf", "degree_density", "labels", "edge_labels",
-                          "assortativity", "clustering"), "targets")
+        _check_keys(raw, [f.name for f in fields(cls)], "targets")
         for key, value in raw.items():
             if (not isinstance(value, bool if key in _TARGET_FLAGS else (list, tuple))
                     or ("labels" in key and not all(isinstance(x, str) for x in value))):
@@ -294,23 +307,15 @@ class TargetSpec:
                         for k in raw.get("degree_density", ()))
         if any(k < 0 for k in degrees):
             raise ConfigError(f"targets: degree_density entries must be >= 0, got {list(degrees)}")
-        spec = cls(
-            ccdf=raw.get("ccdf", False),
-            degree_density=degrees,
-            labels=tuple(raw.get("labels", ())),
-            edge_labels=tuple(raw.get("edge_labels", ())),
-            assortativity=raw.get("assortativity", False),
-            clustering=raw.get("clustering", False),
-        )
+        spec = cls(**{key: value if key in _TARGET_FLAGS else tuple(value)
+                      for key, value in raw.items()} | {"degree_density": degrees})
         if not spec.oracle_targets():
             raise ConfigError("targets: nothing to estimate")
         return spec
 
     def oracle_targets(self) -> tuple[str, ...]:
         """Names of the requested targets, in field order."""
-        return tuple(name for name in ("ccdf", "degree_density", "labels", "edge_labels",
-                                       "assortativity", "clustering")
-                     if getattr(self, name))
+        return tuple(f.name for f in fields(self) if getattr(self, f.name))
 
 
 def resolve_budget(raw, n_vertices: int) -> float:
@@ -436,36 +441,14 @@ def _generate(spec: dict) -> Graph:
 # -- single-run sampling + estimation ----------------------------------------
 
 
-def _walk_batch(graph: Graph, method: MethodSpec, budget: float, rngs: list[RngStream]):
-    """The lockstep batch of rw, mrw or fs runs with streams ``rngs``; None otherwise."""
-    if method.name == "rw":
-        return _rw_batch(graph, method.start, budget, method.cost, rngs)
-    if method.name == "mrw":
-        return _mrw_batch(graph, method.m, method.start, budget, method.cost, rngs)
-    if method.name == "fs":
-        return _fs_batch(graph, method.m, method.start, budget, method.cost, rngs)
-    return None
-
-
 def _sample(graph: Graph, method: MethodSpec, budget: float, rng: RngStream):
-    batch = _walk_batch(graph, method, budget, [rng])
-    if batch is not None:
-        return next(batch)
-    if method.name == "dfs":
-        return distributed_fs(graph, method.m, float(method.time_budget),
-                              method.start, rng)
-    if method.name == "random_vertex":
-        return random_vertex_sample(graph, budget, method.cost, rng)
-    if method.name == "random_edge":
-        return random_edge_sample(graph, budget, method.cost, rng)
-    raise ConfigError(f"unknown method {method.name!r}")
+    return next(_RUNS[method.name](graph, method, budget, [rng]))
 
 
 def _sample_runs(graph: Graph, method: MethodSpec, budget: float, rngs: list[RngStream]):
     """Traces of the runs with streams ``rngs``, in order: each the trace
     :func:`_sample` gives for its stream."""
-    return _walk_batch(graph, method, budget, rngs) or (
-        _sample(graph, method, budget, rng) for rng in rngs)
+    return _RUNS[method.name](graph, method, budget, rngs)
 
 
 def _burn_in(trace: SampleTrace, w: int) -> SampleTrace:
@@ -715,14 +698,14 @@ def _families(truth: CharacteristicTruth, t: TargetSpec) -> list[tuple]:
 
 def _density_rows(method_key: str, kind: str, tag: str, truth: dict, vals: np.ndarray,
                   keys: Sequence, label_fmt: str, warnings: list[str]) -> list[ReportRow]:
-    """Report rows of one density family (``gamma`` scores as CNMSE, ``theta``
+    """Report rows of one family (``gamma`` scores as CNMSE, any other kind
     as NMSE) from its truth keys × runs matrix; zero-truth keys get a
     warning instead of a row."""
     err, means, warn = _key_errors(truth, vals)
     warnings.extend(f"{method_key}/{tag}: {w}" for w in warn)
     rows = []
     for k in keys:
-        if truth[k] <= 0:
+        if k not in err:
             continue
         nm, cn = (None, err[k]) if kind == "gamma" else (err[k], None)
         rows.append(ReportRow(method_key, kind, label_fmt.format(k), truth[k], means[k],
@@ -796,19 +779,16 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
                 warnings.append(f"{method.key}/{tag}: {vals.size - valid.size} runs undefined")
             if kind == "p_edge" and (truth_val <= 0 or valid.size == 0):
                 warnings.append(f"{method.key}/{tag}: omitted")
-                continue
-            if valid.size == 0:
+            elif valid.size == 0:
                 warnings.append(f"{method.key}/{tag}: no valid runs")
-                continue
-            mean = float(valid.mean())
-            bias, nm_val = math.nan, None
-            if truth_val == 0:
+            elif truth_val == 0:
                 warnings.append(f"{method.key}/{tag}: zero truth value, NMSE omitted")
+                rows.append(ReportRow(method.key, kind, label, float(truth_val),
+                                      float(valid.mean()), math.nan, None, None,
+                                      int(valid.size)))
             else:
-                bias = mean / truth_val - 1.0
-                nm_val = float(np.sqrt(np.mean((valid - truth_val) ** 2)) / abs(truth_val))
-            rows.append(ReportRow(method.key, kind, label, float(truth_val), mean,
-                                  bias, nm_val, None, int(valid.size)))
+                rows += _density_rows(method.key, kind, tag, {label: float(truth_val)},
+                                      valid[None], (label,), "{}", warnings)
 
     metadata = {
         "graph_hash": graph.graph_hash,

@@ -312,10 +312,16 @@ def _walk_paths(graph: Graph, starts: np.ndarray, rs: list[np.ndarray]) -> np.nd
         for k, (start, r) in enumerate(zip(starts.tolist(), rs)):
             out[k, :r.size + 1] = _walk_path(graph, start, r)
         return out
-    draws = np.zeros((s_max, k_lanes))
+    return _step_paths(graph, starts, _padded(rs)).T
+
+
+def _padded(rs: list[np.ndarray]) -> np.ndarray:
+    """(S, K) draws of the K lanes ``rs``, lane k's in column k and zero past
+    its own length, for the longest lane's S."""
+    out = np.zeros((max(r.size for r in rs), len(rs)))
     for k, r in enumerate(rs):
-        draws[:r.size, k] = r
-    return _step_paths(graph, starts, draws).T
+        out[:r.size, k] = r
+    return out
 
 
 def _step_paths(graph: Graph, starts: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -377,12 +383,7 @@ def _fs_walk(graph: Graph, starts: np.ndarray, r1s: list[np.ndarray],
         for k in range(n_runs):
             _fs_path(graph, starts[k], r1s[k], r2s[k], u[k], v[k], wk[k])
         return u, v, wk
-    d1 = np.zeros((s_max, n_runs))
-    d2 = np.zeros((s_max, n_runs))
-    for k, (a, b) in enumerate(zip(r1s, r2s)):
-        d1[:a.size, k] = a
-        d2[:b.size, k] = b
-    return tuple(a.T for a in _fs_steps(graph, starts, d1, d2))
+    return tuple(a.T for a in _fs_steps(graph, starts, _padded(r1s), _padded(r2s)))
 
 
 def _fs_steps(graph: Graph, starts: np.ndarray, d1: np.ndarray,
@@ -746,9 +747,9 @@ def _check_trace(trace: SampleTrace, graph: Graph) -> None:
     """Reject a trace that cannot have been sampled from ``graph``.
 
     Every ``v`` is a vertex; ``u`` is either all -1 (a vertex-only trace)
-    or makes each ``(u, v)`` an edge of the symmetric closure; every
-    walker id is below ``m``; event times (``dfs``) are finite and
-    non-decreasing.
+    or makes each ``(u, v)`` an edge of the symmetric closure; ``m`` is in
+    [1, MAX_RUN_RECORDS] and every walker id is below it; event times
+    (``dfs``) are finite and non-decreasing.
     """
     if trace.graph_hash and trace.graph_hash != graph.graph_hash:
         raise ConfigError(
@@ -764,6 +765,8 @@ def _check_trace(trace: SampleTrace, graph: Graph) -> None:
         if missing.size:
             k = int(missing[0])
             raise ConfigError(f"trace record {k + 1}: ({u[k]}, {v[k]}) is not an edge of the graph")
+    if not 1 <= trace.m <= MAX_RUN_RECORDS:
+        raise ConfigError(f"trace header m={trace.m} must lie in [1, {MAX_RUN_RECORDS}]")
     if trace.walker.size and (int(trace.walker.min()) < 0
                               or int(trace.walker.max()) >= trace.m):
         raise ConfigError(f"trace walker ids must lie in [0, m={trace.m})")

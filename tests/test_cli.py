@@ -942,3 +942,32 @@ def test_non_utf8_config_exit_2(tmp_path, capsys):
     assert run("experiment", "--config", _with_0xff(config, 0), "--out", str(out)) == 2
     _assert_encoding_error(capsys)
     assert not out.exists()
+
+
+# -- integers past what a run can hold -------------------------------------------
+
+_HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    lambda g, t, cfg, out: ["sample", "rw", "--graph", g, "--budget", "10", "--start", "explicit",
+                            "--start-vertices", _HUGE + "999", "--out", out],
+    lambda g, t, cfg, out: ["sample", "mrw", "--graph", g, "--budget", "10", "--m", _HUGE,
+                            "--out", out],
+    lambda g, t, cfg, out: ["sample", "fs", "--graph", g, "--budget", "10", "--m", _HUGE,
+                            "--out", out],
+    lambda g, t, cfg, out: ["experiment", "--config", cfg, "--out", out],
+    lambda g, t, cfg, out: ["estimate", "--graph", g, "--trace", t, "--targets", "ccdf",
+                            "--burn-in", "1", "--out", out],
+], ids=["start-vertices", "mrw-m", "fs-m", "experiment-m", "trace-header-m"])
+def test_oversize_integers_exit_2(tmp_path, graph_file, trace_file, capsys, argv):
+    trace, cfg, out = (str(tmp_path / name) for name in ("huge_m.csv", "cfg.json", "out.txt"))
+    open(trace, "w").write(open(trace_file).read().replace("# m=5\n", f"# m={_HUGE}\n"))
+    open(cfg, "w").write(json.dumps({"graph": {"kind": "file", "path": graph_file},
+                                     "methods": [{"name": "fs", "m": 1e20}], "budget": 10,
+                                     "targets": {"ccdf": True}, "runs": 2}))
+    capsys.readouterr()
+    assert run(*argv(graph_file, trace, cfg, out)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+    assert not os.path.exists(out)

@@ -246,6 +246,28 @@ def test_joined_ba_structure():
     assert crossing.sum() == 2  # both orientations of the bridge
 
 
+def _joined_ba_reference(n_each, attach_a, attach_b, seed):
+    """The construction from two built BA graphs that one build replaced, verbatim."""
+    stream = as_stream(seed)
+    a = generate_barabasi_albert(n_each, attach_a, stream.child(0))
+    b = generate_barabasi_albert(n_each, attach_b, stream.child(1))
+    ea = a.directed_edges
+    eb = b.directed_edges + n_each
+    va = int(np.argmin(a.deg))            # argmin = smallest id on ties
+    vb = int(np.argmin(b.deg)) + n_each
+    bridge = np.asarray([[va, vb], [vb, va]], dtype=np.int64)
+    return build_graph(np.concatenate([ea, eb, bridge]))
+
+
+@pytest.mark.parametrize("args", [(3000, 1, 5, 0), (1000, 2, 3, 7), (100, 1, 1, 3),
+                                  (3, 1, 1, 0), (40, 3, 1, RngStream(9, (2,)))])
+def test_joined_ba_matches_the_construction_before(args):
+    got, want = generate_joined_ba(*args), _joined_ba_reference(*args)
+    assert got.graph_hash == want.graph_hash
+    assert np.array_equal(got.directed_edges, want.directed_edges)
+    assert np.array_equal(got.original_ids, want.original_ids)
+
+
 def _ba_loop_reference(n: int, attach_m: int, seed):
     """The per-vertex generator loop the chunked generator replaced, verbatim;
     returns the graph and the generator it drew from."""

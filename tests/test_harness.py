@@ -55,6 +55,12 @@ def test_nmse_arithmetic():
     assert warnings == []
 
 
+def test_nmse_scores_a_negative_truth_by_its_magnitude():
+    out, warnings = nmse({"r": -0.5, "z": 0.0}, [{"r": -0.4, "z": 0.1}, {"r": -0.6}])
+    assert math.isclose(out["r"], 0.2, rel_tol=1e-12) and "z" not in out
+    assert warnings == ["label z: zero truth value, NMSE omitted"]
+
+
 def test_nmse_missing_keys_count_as_zero():
     out, _ = nmse({"a": 0.5}, [{"a": 0.5}, {}])
     # second run contributes (0 - 0.5)^2
@@ -766,6 +772,45 @@ def test_undefined_scalar_runs_match_per_run_replay():
     for part in ("runs undefined", "no valid runs", "omitted", "zero truth value"):
         assert any(part in w for w in warnings), part
     assert any(0 < r[3] < cfg.runs for r in rows)
+
+
+_GOLDEN_REPORT = os.path.join(os.path.dirname(__file__), "golden", "report_tree.csv")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_report_matches_golden_bytes(workers):
+    # every row kind on a tree (zero C truth, negative r truth): gamma, theta by
+    # degree (one degree with zero truth) and by label, p_edge with positive and
+    # zero truth, runs with undefined r, C and p_edge, a method with no valid r
+    # run, and dfs and random_edge next to the walks; the bytes were written
+    # before p_edge, r and C were scored by the density-family rule
+    cfg = ExperimentConfig.from_dict(_base_config(
+        graph={"kind": "ba", "n": 150, "attach": 1, "seed": 2},
+        methods=[{"name": "rw"}, {"name": "fs", "m": 2},
+                 {"name": "mrw", "m": 3, "start": "degree"},
+                 {"name": "dfs", "m": 2, "time_budget": 2}, {"name": "random_edge"},
+                 {"name": "mrw", "m": 2, "cost": {"walk_step_cost": 2}}, {"name": "fs", "m": 5}],
+        budget=6, runs=30, seed=5,
+        targets={"ccdf": True, "degree_density": [1, 2, 0], "labels": ["red", "blue"],
+                 "edge_labels": ["red", "green"], "assortativity": True, "clustering": True}))
+    graph = cfg.resolve_graph()[0]
+    labels = LabelStore()
+    for v in range(graph.n_vertices):
+        labels.add_vertex_label(v, "red" if v < 40 else "blue")
+    labels.add_vertex_label(0, "green")  # no edge carries green: its p_edge truth is 0
+    for u, v in graph.directed_edges[:30].tolist():
+        labels.add_edge_label(u, v, "red", symmetric=True)
+    for u, v in graph.directed_edges[30:90].tolist():
+        labels.add_edge_label(u, v, "blue", symmetric=True)
+    out = io.StringIO()
+    run_monte_carlo(cfg, workers=workers, graph=graph, labels=labels).to_csv(out)
+    with open(_GOLDEN_REPORT, "r", encoding="utf-8", newline="") as fh:
+        golden = fh.read()
+    for part in (",gamma,", ",theta,degree=1,", ",theta,red,", ",p_edge,red,", "rw,r,r,-0.",
+                 "rw,C,C,0.0,0.0,nan,,", "green]: omitted", "runs undefined", "no valid runs",
+                 "dfs[m=2],r,r,", "random_edge,r,r,"):
+        assert part in golden, part
+    assert out.getvalue() == golden
 
 
 @pytest.mark.parametrize("time_budget", [1e300, 1e20, 0, -1.0])

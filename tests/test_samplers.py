@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frontier import harness, samplers
 from frontier.errors import BudgetError, ConfigError
@@ -623,9 +623,12 @@ def _ref_random_edge_sample(graph, budget, cost_model=DEFAULT_COST, rng=RngStrea
 
 
 def _ref_planned_steps(method, budget, m, start, cost):
+    # fs charges the sum of its walkers' start costs, as _ref_frontier_sampling
+    # does; ``per_walker * m`` can differ from that sum in the last bit
     per_walker = 0.0 if start.kind == "explicit" else cost.effective_start_cost
-    return _walk_steps(method, budget, m, per_walker * m if method == "fs" else per_walker,
-                       cost.walk_step_cost)
+    start_cost = (float(cost.start_costs(start.kind, m, None).sum()) if method == "fs"
+                  else per_walker)
+    return _walk_steps(method, budget, m, start_cost, cost.walk_step_cost)
 
 
 class _HeldStream:
@@ -751,6 +754,8 @@ def test_independent_queries_match_the_code_before(case, what, price, ratio, bud
        st.sampled_from(["uniform", "degree", "explicit"]), _PRICES, _PRICES, _RATIOS,
        st.booleans(), st.integers(min_value=-1, max_value=40),
        st.sampled_from([0.0, 0.0, 1e-13, -1e-13, 0.3]))
+@example(method="fs", m=6, kind="uniform", step=0.1, query=0.483416406046668, ratio=1.0,
+         stochastic=False, k=0, nudge=1e-13)
 @settings(max_examples=400, deadline=None)
 def test_planned_steps_match_the_code_before(method, m, kind, step, query, ratio, stochastic,
                                              k, nudge):
