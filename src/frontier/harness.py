@@ -60,10 +60,10 @@ from .samplers import (
     _dfs_budget,
     _fs_batch,
     _fs_steps,
+    _lane_m,
     _mrw_batch,
     _query_count,
     _rw_batch,
-    _step_paths,
     _walk_steps,
     discard_burn_in,
     distributed_fs,
@@ -193,6 +193,15 @@ def _as_int(value, what: str) -> int:
     return int(value)
 
 
+def _check_m(name: str, m: int, where: str) -> None:
+    """Refuse, before any m-sized array is built, m outside [1, MAX_RUN_RECORDS]
+    walkers for method ``name``, or other than 1 for a one-walker method."""
+    if not 1 <= m <= MAX_RUN_RECORDS:
+        raise ConfigError(f"{where}: m must lie in [1, {MAX_RUN_RECORDS}], got {m}")
+    if m != 1 and name in ("rw", "random_vertex", "random_edge"):
+        raise ConfigError(f"{where}: m must be 1 for {name}, got {m}")
+
+
 def _check_seed(value, what: str) -> int:
     seed = _as_int(value, what)
     if seed < 0:
@@ -254,10 +263,7 @@ class MethodSpec:
         if name not in _METHOD_NAMES:
             raise ConfigError(f"{where}: unknown method {name!r}; choose from {_METHOD_NAMES}")
         m = _as_int(raw.get("m", 1), f"{where}: m")
-        if not 1 <= m <= MAX_RUN_RECORDS:  # before any m-sized array is built
-            raise ConfigError(f"{where}: m must lie in [1, {MAX_RUN_RECORDS}], got {m}")
-        if m != 1 and name in ("rw", "random_vertex", "random_edge"):
-            raise ConfigError(f"{where}: m must be 1 for {name}, got {m}")
+        _check_m(name, m, where)
         time_budget = raw.get("time_budget")
         if time_budget is not None and name != "dfs":
             raise ConfigError(f"{where}: time_budget applies to dfs only, not {name}")
@@ -388,8 +394,8 @@ class ExperimentConfig:
             raise ConfigError("config: methods list is empty")
         targets = TargetSpec.from_config(dict(raw["targets"]))
         runs = _as_int(raw.get("runs", 10000), "config: runs")
-        if runs < 1:
-            raise ConfigError("config: runs must be >= 1")
+        if not 1 <= runs <= MAX_RUN_RECORDS:  # before any runs-sized array is built
+            raise ConfigError(f"config: runs must lie in [1, {MAX_RUN_RECORDS}], got {runs}")
         burn_in = _as_int(raw.get("burn_in", 0), "config: burn_in")
         if burn_in < 0:
             raise ConfigError("config: burn_in must be >= 0")
@@ -657,7 +663,7 @@ def _planned_steps(method: str, budget: float, m: int, start: StartMode,
                    cost: CostModel) -> int:
     """Steps per run of walk ``method`` when every start costs its expected
     price, summed over the walkers one budget pays for as the samplers do."""
-    start_cost = float(cost.start_costs(start.kind, m if method == "fs" else 1, None).sum())
+    start_cost = float(cost.start_costs(start.kind, _lane_m(method, m), None).sum())
     return _walk_steps(method, budget, m, start_cost, cost.walk_step_cost)
 
 
@@ -855,9 +861,10 @@ def convergence_diagnostic(graph: Graph, method: str, budget: float, runs: int,
         raise ConfigError("diagnostic starts must be uniform or degree-proportional")
     if runs < 2:
         raise ValueError("split estimation needs at least 2 runs")
+    _check_m(method, m, "diagnostic")
     steps = _planned_steps(method, budget, m, start, cost_model)
     # mrw walkers are iid: the last walker's final edge is one walker's
-    sim_m = m if method == "fs" else 1
+    lane_m = _lane_m(method, m)
 
     gen = rng.generator()
     sel_counts = np.zeros(graph.vol_total, dtype=np.int64)
@@ -868,7 +875,7 @@ def convergence_diagnostic(graph: Graph, method: str, budget: float, runs: int,
         # blocks never straddle the selection/estimation boundary
         r = min(_DIAGNOSTIC_BLOCK, (runs_sel if done < runs_sel else runs) - done)
         counts = sel_counts if done < runs_sel else est_counts
-        counts += np.bincount(_final_slots(graph, start, gen, r, steps, sim_m),
+        counts += np.bincount(_final_slots(graph, start, gen, r, steps, lane_m),
                               minlength=graph.vol_total)
         done += r
 
@@ -888,18 +895,17 @@ def convergence_diagnostic(graph: Graph, method: str, budget: float, runs: int,
 
 
 def _final_slots(graph: Graph, start: StartMode, gen: np.random.Generator, r: int,
-                 steps: int, sim_m: int) -> np.ndarray:
-    """Closure slots of the last edges of ``r`` runs of ``sim_m`` walkers, stepped on
-    the samplers' kernels in lane groups within ``_BATCH_STEPS``.  ``gen`` draws
-    the starts, then per step the fs walker targets (if ``sim_m > 1``) and offsets."""
-    starts = start.draw(graph, r * sim_m, gen).reshape(r, sim_m)
-    draws = gen.random((steps, 2 if sim_m > 1 else 1, r))
-    group = max(1, _BATCH_STEPS // (steps * sim_m))
+                 steps: int, lane_m: int) -> np.ndarray:
+    """Closure slots of the last edges of ``r`` lanes of ``lane_m`` walkers, stepped
+    on the frontier kernel in lane groups within ``_BATCH_STEPS``.  ``gen`` draws
+    the starts, then per step the walker targets (if ``lane_m > 1``) and offsets."""
+    starts = start.draw(graph, r * lane_m, gen).reshape(r, lane_m)
+    draws = gen.random((steps, 2 if lane_m > 1 else 1, r))
+    group = max(1, _BATCH_STEPS // (steps * lane_m))
     u = np.empty(r, dtype=np.int64)
     for lo in range(0, r, group):
         lanes, d = slice(lo, lo + group), draws[:, :, lo:lo + group]
-        u[lanes] = (_fs_steps(graph, starts[lanes], d[:, 0], d[:, 1])[0][-1] if sim_m > 1
-                    else _step_paths(graph, starts[lanes, 0], d[:, 0])[-2])
+        u[lanes] = _fs_steps(graph, starts[lanes], d[:, 0], d[:, -1])[0][-1]
     return graph.indptr[u] + (draws[-1, -1] * graph.deg[u]).astype(np.int64)
 
 

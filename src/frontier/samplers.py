@@ -279,10 +279,16 @@ def random_edge_sample(graph: Graph, budget: float, cost_model: CostModel = DEFA
 # longest run); more runs are split into consecutive groups.
 _BATCH_STEPS = 1 << 19
 # Below this many lanes a kernel steps each lane in a Python loop: a lockstep
-# step costs a fixed ~15 numpy calls (fs) or ~7 (simple walks), which only
-# pays off from about 3 fs runs or 8 simple walks on.
+# step costs a fixed ~15 numpy calls (m walkers) or ~7 (one walker), which
+# only pays off from about 3 fs runs or 8 one-walker lanes on.
 _FS_MIN_LANES = 3
 _PATH_MIN_LANES = 8
+
+
+def _lane_m(method: str, m: int) -> int:
+    """Walkers in one lane of the frontier kernel for a walk ``method`` run of
+    m walkers: fs couples all m, and each rw or mrw walker is a one-walker lane."""
+    return m if method == "fs" else 1
 
 
 def _walk_path(graph: Graph, start: int, r: np.ndarray) -> np.ndarray:
@@ -300,19 +306,9 @@ def _walk_path(graph: Graph, start: int, r: np.ndarray) -> np.ndarray:
 
 
 def _walk_paths(graph: Graph, starts: np.ndarray, rs: list[np.ndarray]) -> np.ndarray:
-    """Paths of independent walks, lane k from ``starts[k]`` with draws
-    ``rs[k]`` as in :func:`_walk_path`, stepped in lockstep.
-
-    Returns ``(K, S + 1)`` for the longest lane's S steps; a shorter lane's
-    row is valid up to its own length.
-    """
-    k_lanes, s_max = len(rs), max(r.size for r in rs)
-    if k_lanes < _PATH_MIN_LANES:
-        out = np.zeros((k_lanes, s_max + 1), dtype=np.int64)
-        for k, (start, r) in enumerate(zip(starts.tolist(), rs)):
-            out[k, :r.size + 1] = _walk_path(graph, start, r)
-        return out
-    return _step_paths(graph, starts, _padded(rs)).T
+    """(K, S + 1) paths of the one-walker lanes from ``starts`` drawing ``rs``, as
+    :func:`_fs_walk` steps them; kept for the scalar/lockstep equivalence test."""
+    return np.column_stack((starts, _fs_walk(graph, starts[:, None], rs, rs)[1]))
 
 
 def _padded(rs: list[np.ndarray]) -> np.ndarray:
@@ -322,18 +318,6 @@ def _padded(rs: list[np.ndarray]) -> np.ndarray:
     for k, r in enumerate(rs):
         out[:r.size, k] = r
     return out
-
-
-def _step_paths(graph: Graph, starts: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Lockstep core of :func:`_walk_paths`: (S + 1, K) paths of lanes from
-    ``starts``, lane k's step i drawing ``draws[i, k]`` of (S, K)."""
-    deg, indptr, indices = graph.deg, graph.indptr, graph.indices
-    paths = np.empty((draws.shape[0] + 1, draws.shape[1]), dtype=np.int64)
-    pos = paths[0] = starts
-    for i, d in enumerate(draws):
-        pos = indices[indptr[pos] + (d * deg[pos]).astype(np.int64)]
-        paths[i + 1] = pos
-    return paths
 
 
 def _fs_path(graph: Graph, starts: np.ndarray, r1: np.ndarray, r2: np.ndarray,
@@ -365,41 +349,57 @@ def _fs_path(graph: Graph, starts: np.ndarray, r1: np.ndarray, r2: np.ndarray,
 
 def _fs_walk(graph: Graph, starts: np.ndarray, r1s: list[np.ndarray],
              r2s: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frontier walks of R runs with m walkers each (``starts`` is (R, m)),
-    run k drawing ``r1s[k]``, ``r2s[k]`` as in :func:`_fs_path`, stepped in
-    lockstep.
+    """Frontier walks of R lanes of m walkers each (``starts`` is (R, m)), lane
+    k drawing ``r1s[k]``, ``r2s[k]`` as in :func:`_fs_path`, in lockstep from
+    ``_FS_MIN_LANES`` lanes on; one-walker lanes ignore ``r1s`` and step as
+    :func:`_walk_path`, in lockstep from ``_PATH_MIN_LANES`` lanes on.
 
-    Returns ``u``, ``v`` and ``walker`` as (R, S) for the longest run's S
-    steps; a shorter run's row is valid up to its own length.  Degrees are
+    Returns ``u``, ``v`` and ``walker`` as (R, S) for the longest lane's S
+    steps; a shorter lane's row is valid up to its own length.  Degrees are
     whole numbers, so the row-wise cumulative sums and the count of sums at
     most the target equal the single-run ``cumsum`` and ``searchsorted``.
     """
     n_runs, m = starts.shape
-    s_max = max(r.size for r in r1s)
-    if n_runs < _FS_MIN_LANES:
-        u = np.zeros((n_runs, s_max), dtype=np.int64)
-        v = np.zeros((n_runs, s_max), dtype=np.int64)
-        wk = np.zeros((n_runs, s_max), dtype=np.int32)
-        for k in range(n_runs):
-            _fs_path(graph, starts[k], r1s[k], r2s[k], u[k], v[k], wk[k])
-        return u, v, wk
-    return tuple(a.T for a in _fs_steps(graph, starts, _padded(r1s), _padded(r2s)))
+    if n_runs >= (_PATH_MIN_LANES if m == 1 else _FS_MIN_LANES):
+        d1 = _padded(r1s) if m > 1 else None
+        return tuple(a.T for a in _fs_steps(graph, starts, d1, _padded(r2s)))
+    s_max = max(r.size for r in r2s)
+    wk = np.zeros((n_runs, s_max), dtype=np.int32)
+    if m == 1:
+        paths = np.zeros((n_runs, s_max + 1), dtype=np.int64)
+        for k, (start, r) in enumerate(zip(starts[:, 0].tolist(), r2s)):
+            paths[k, :r.size + 1] = _walk_path(graph, start, r)
+        return paths[:, :-1], paths[:, 1:], wk
+    u = np.zeros((n_runs, s_max), dtype=np.int64)
+    v = np.zeros((n_runs, s_max), dtype=np.int64)
+    for k in range(n_runs):
+        _fs_path(graph, starts[k], r1s[k], r2s[k], u[k], v[k], wk[k])
+    return u, v, wk
 
 
-def _fs_steps(graph: Graph, starts: np.ndarray, d1: np.ndarray,
+def _fs_steps(graph: Graph, starts: np.ndarray, d1: "np.ndarray | None",
               d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lockstep core of :func:`_fs_walk`: (S, R) ``u``, ``v`` and ``walker`` of
-    runs from ``starts`` (R, m), run k's step i drawing ``d1[i, k]``, ``d2[i, k]``."""
+    lanes from ``starts`` (R, m), lane k's step i drawing ``d1[i, k]``, ``d2[i, k]``.
+    One-walker lanes ignore ``d1`` and fill one (S + 1, R) path array, of which
+    ``u`` and ``v`` are views; their ``walker`` is a read-only zero view."""
     n_runs, m = starts.shape
     deg, indptr, indices = graph.deg, graph.indptr, graph.indices
+    if m == 1:
+        paths = np.empty((d2.shape[0] + 1, n_runs), dtype=np.int64)
+        pos = paths[0] = starts[:, 0]
+        for i, d in enumerate(d2):
+            pos = indices[indptr[pos] + (d * deg[pos]).astype(np.int64)]
+            paths[i + 1] = pos
+        return paths[:-1], paths[1:], np.broadcast_to(np.int32(0), d2.shape)
     pos = starts.astype(np.int64).ravel()
     degs = deg[pos].astype(np.float64).reshape(n_runs, m)
     degs_flat = degs.reshape(-1)
     row0 = np.arange(n_runs) * m
-    u = np.empty(d1.shape, dtype=np.int64)
-    v = np.empty(d1.shape, dtype=np.int64)
-    wk = np.empty(d1.shape, dtype=np.int32)
-    for i in range(d1.shape[0]):
+    u = np.empty(d2.shape, dtype=np.int64)
+    v = np.empty(d2.shape, dtype=np.int64)
+    wk = np.empty(d2.shape, dtype=np.int32)
+    for i in range(d2.shape[0]):
         cum = degs.cumsum(axis=1)
         j = (cum <= (d1[i] * cum[:, -1])[:, None]).sum(axis=1)
         np.minimum(j, m - 1, out=j)
@@ -461,22 +461,6 @@ class _Lane(NamedTuple):
     draws: list
 
 
-def _lanes(graph: Graph, start_mode: StartMode, cost_model: CostModel, keys: np.ndarray,
-           m: int, steps_of, n_draws: int):
-    """The draws of each lane of the Philox ``keys``, lane by lane, in the
-    order of the public sampler: the start costs of its m walkers, their
-    start draw, then ``n_draws`` arrays of ``steps_of(start cost)`` draws."""
-    kind = start_mode.kind
-    stochastic = cost_model.stochastic_starts and kind != "explicit"
-    cost = None if stochastic else float(cost_model.start_costs(kind, m, None).sum())
-    for gen in _lane_generators(keys):
-        if stochastic:
-            cost = float(cost_model.start_costs(kind, m, gen).sum())
-        start = start_mode._ids(graph, m, gen)
-        steps = steps_of(cost)
-        yield _Lane(cost, start, steps, [gen.random(steps) for _ in range(n_draws)])
-
-
 def _groups(runs, lanes: int):
     """Consecutive ``(steps, run)`` pairs of ``runs`` in lists whose lanes
     times longest run stay within ``_BATCH_STEPS``; a run too long for that
@@ -492,28 +476,48 @@ def _groups(runs, lanes: int):
         yield group
 
 
-def _paths_batch(method: str, graph: Graph, m: int, start_mode: StartMode, budget: float,
-                 cost_model: CostModel, keys: np.ndarray):
-    """Traces of rw or mrw runs of m independent walkers; lane ``r * m + w``
-    is walker w of run r and draws from the stream of ``keys[r * m + w]``."""
-    step = cost_model.walk_step_cost
-    lanes = _lanes(graph, start_mode, cost_model, keys, 1,
-                   functools.cache(lambda c: _walk_steps(method, budget, m, c, step)), 1)
-    runs = zip(*[lanes] * m)  # each run's m walker lanes
-    for group in _groups(((max(w.steps for w in run), run) for run in runs), m):
-        walkers = [w for run in group for w in run]
-        starts = start_mode._place(graph, m, [w.start for w in walkers], len(group))
-        paths = _walk_paths(graph, starts.ravel(), [w.draws[0] for w in walkers])
-        for k, run in enumerate(group):
-            own = paths[k * m:k * m + m]
-            lane_steps = np.asarray([w.steps for w in run])
-            keep = np.arange(own.shape[1] - 1) < lane_steps[:, None]  # walker-major
-            u = own[:, :-1][keep]
-            start_cost = float(sum(w.cost for w in run))
+def _walk_runs(method: str, graph: Graph, m: int, start_mode: StartMode, budget: float,
+               cost_model: CostModel, rngs: list[RngStream], children: bool = False):
+    """Traces of the runs of walk ``method`` (rw, mrw or fs) with m walkers and
+    streams ``rngs``.  A run is ``per_run`` lanes of ``lane_m`` walkers: one lane
+    of m for fs, m one-walker lanes for rw and mrw.  A lane draws from its run's
+    stream, or with ``children`` lane w from that stream's ``child(w)``.  A run's
+    records are its lanes' records, lane-major, and a record's walker id is its
+    lane's index in the run plus its walker's in the lane (one of them is 0)."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    lane_m = _lane_m(method, m)
+    per_run = m // lane_m
+    kind, step = start_mode.kind, cost_model.walk_step_cost
+    stochastic = cost_model.stochastic_starts and kind != "explicit"
+    cost = float(cost_model.start_costs(kind, lane_m, None).sum())
+    steps_of = functools.cache(lambda c: _walk_steps(method, budget, m, c, step))
+
+    def lanes():
+        """Each lane's draws in the public sampler's order: its walkers' start
+        costs, their start, then its step draws (fs draws the walker choice too)."""
+        for gen in _lane_generators(_lane_keys(rngs, per_run if children else 0)):
+            c = float(cost_model.start_costs(kind, lane_m, gen).sum()) if stochastic else cost
+            start = start_mode._ids(graph, lane_m, gen)
+            steps = steps_of(c)
+            yield _Lane(c, start, steps, [gen.random(steps) for _ in range(1 + (method == "fs"))])
+
+    runs = zip(*[lanes()] * per_run)  # each run's lanes
+    for group in _groups(((max(lane.steps for lane in run), run) for run in runs), per_run):
+        batch = [lane for run in group for lane in run]
+        starts = start_mode._place(graph, m, [lane.start for lane in batch], len(group))
+        steps = np.asarray([lane.steps for lane in batch])
+        keep = np.arange(steps.max()) < steps[:, None]  # the group's records, lane-major
+        u, v, wk = (a[keep] for a in _fs_walk(graph, starts.reshape(-1, lane_m),
+                                              [lane.draws[0] for lane in batch],
+                                              [lane.draws[-1] for lane in batch]))
+        wk += np.repeat(np.tile(np.arange(per_run, dtype=np.int32), len(group)), steps)
+        ends = np.cumsum(steps)[per_run - 1::per_run].tolist()  # each run's last record
+        for k, (run, lo, hi) in enumerate(zip(group, [0] + ends, ends)):
+            start_cost = float(sum(lane.cost for lane in run))
             yield _finish(
-                (u, own[:, 1:][keep], np.repeat(np.arange(m), lane_steps),
-                 np.full(u.size, step)),
-                method=method, m=m, budget=float(budget), spent=start_cost + u.size * step,
+                (u[lo:hi], v[lo:hi], wk[lo:hi], np.full(hi - lo, step)),
+                method=method, m=m, budget=float(budget), spent=start_cost + (hi - lo) * step,
                 start_vertices=starts[k].astype(np.int64),
                 graph_hash=graph.graph_hash, meta={"start_cost_total": start_cost})
 
@@ -521,37 +525,20 @@ def _paths_batch(method: str, graph: Graph, m: int, start_mode: StartMode, budge
 def _rw_batch(graph: Graph, start_mode: StartMode, budget: float, cost_model: CostModel,
               rngs: list[RngStream]):
     """:func:`single_rw` traces of the runs with streams ``rngs``."""
-    return _paths_batch("rw", graph, 1, start_mode, budget, cost_model, _lane_keys(rngs))
+    return _walk_runs("rw", graph, 1, start_mode, budget, cost_model, rngs)
 
 
 def _mrw_batch(graph: Graph, m: int, start_mode: StartMode, budget: float,
                cost_model: CostModel, rngs: list[RngStream]):
     """:func:`multiple_rw` traces of the runs with streams ``rngs``; walker w
     of a run is one lane, with the stream of ``child(w)``."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return _paths_batch("mrw", graph, m, start_mode, budget, cost_model, _lane_keys(rngs, m))
+    return _walk_runs("mrw", graph, m, start_mode, budget, cost_model, rngs, children=True)
 
 
 def _fs_batch(graph: Graph, m: int, start_mode: StartMode, budget: float,
               cost_model: CostModel, rngs: list[RngStream]):
     """:func:`frontier_sampling` traces of the runs with streams ``rngs``."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    step = cost_model.walk_step_cost
-    lanes = _lanes(graph, start_mode, cost_model, _lane_keys(rngs), m,
-                   functools.cache(lambda c: _walk_steps("fs", budget, m, c, step)), 2)
-    for group in _groups(((lane.steps, lane) for lane in lanes), 1):
-        starts = start_mode._place(graph, m, [lane.start for lane in group], len(group))
-        u, v, wk = _fs_walk(graph, starts, [lane.draws[0] for lane in group],
-                            [lane.draws[1] for lane in group])
-        for k, lane in enumerate(group):
-            s = lane.steps
-            yield _finish(
-                (u[k, :s], v[k, :s], wk[k, :s], np.full(s, step)),
-                method="fs", m=m, budget=float(budget), spent=lane.cost + s * step,
-                start_vertices=starts[k].astype(np.int64), graph_hash=graph.graph_hash,
-                meta={"start_cost_total": lane.cost})
+    return _walk_runs("fs", graph, m, start_mode, budget, cost_model, rngs)
 
 
 # -- walk samplers -----------------------------------------------------------

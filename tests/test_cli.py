@@ -708,6 +708,17 @@ def test_experiment_negative_degree_target_exit_2(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("runs", [1e20, (1 << 28) + 1, 0], ids=["1e20", "cap_plus_1", "zero"])
+def test_experiment_runs_outside_the_record_cap_exit_2(tmp_path, capsys, runs):
+    # 1e20 runs reached np.empty in run_monte_carlo and exited 1 with a traceback
+    assert _experiment(tmp_path, graph={"kind": "ba", "n": 80, "attach": 2, "seed": 3},
+                       methods=[{"name": "rw"}], budget=40, targets={"ccdf": True},
+                       runs=runs) == 2
+    err = _one_json_error(capsys)
+    assert err["error"] == "config" and str(1 << 28) in err["message"]
+    assert not (tmp_path / "r.csv").exists()
+
+
 # -- refusals: one JSON line on stderr, exit 2 ------------------------------------
 
 

@@ -11,7 +11,8 @@ from scipy import stats
 
 from frontier import harness
 from frontier.errors import ConfigError
-from frontier.graphs import LabelStore, _searchsorted_ragged, generate_joined_ba, load_graph
+from frontier.graphs import (LabelStore, _searchsorted_ragged, generate_barabasi_albert,
+                             generate_joined_ba, load_graph)
 from frontier.oracles import compute_truth
 from frontier.harness import (
     ExperimentConfig,
@@ -347,6 +348,16 @@ def test_diagnostic_rejects_unknown_method(tri_pendant):
     with pytest.raises(ConfigError):
         convergence_diagnostic(tri_pendant, "rw", 10.0, 10, RngStream(0),
                                start=StartMode.explicit([0]))
+
+
+@pytest.mark.parametrize("method, m", [("fs", 0), ("mrw", 0), ("fs", -1), ("mrw", -3),
+                                       ("rw", 0), ("rw", 5)])
+def test_diagnostic_refuses_walker_counts_experiments_refuse(method, m):
+    # m = 0 divided by zero, m = -1 asked numpy for negative dimensions, and rw
+    # ran one walker while reporting m = 5
+    graph = generate_barabasi_albert(50, 2, seed=1)
+    with pytest.raises(ConfigError, match=f"m must .*got {m}"):
+        convergence_diagnostic(graph, method, 20.0, 10, RngStream(0), m=m)
 
 
 def _ref_convergence_diagnostic(graph, method, budget, runs, rng, m, start):

@@ -507,6 +507,58 @@ def test_scalar_loops_match_lockstep_bodies(kind):
         assert np.array_equal(path[:r.size + 1], locked[:r.size + 1])
 
 
+# -- one-walker lanes on the frontier kernel against the path kernel before it ----
+
+
+def _ref_step_paths(graph, starts, draws):
+    # ``samplers._step_paths``, the lockstep body of rw and mrw lanes before they
+    # stepped on the frontier kernel, verbatim but for its name
+    deg, indptr, indices = graph.deg, graph.indptr, graph.indices
+    paths = np.empty((draws.shape[0] + 1, draws.shape[1]), dtype=np.int64)
+    pos = paths[0] = starts
+    for i, d in enumerate(draws):
+        pos = indices[indptr[pos] + (d * deg[pos]).astype(np.int64)]
+        paths[i + 1] = pos
+    return paths
+
+
+@st.composite
+def _one_walker_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)),
+                          min_size=1, max_size=30))
+    graph = load_graph("".join(f"{a} {(a + b) % n}\n" for a, b in pairs))
+    lanes = draw(st.integers(min_value=1, max_value=2 * samplers._PATH_MIN_LANES))
+    slots = draw(st.lists(st.integers(0, graph.vol_total - 1), min_size=lanes, max_size=lanes))
+    lengths = draw(st.lists(st.integers(1, 40), min_size=lanes, max_size=lanes))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # dyadic draws put edge offsets exactly on whole numbers
+    dyadic = draw(st.booleans())
+    draws = [gen.integers(0, 64, k) / 64 if dyadic else gen.random(k) for k in lengths]
+    return graph, graph._source[np.asarray(slots)], draws, [gen.random(k) for k in lengths]
+
+
+@given(_one_walker_cases())
+@settings(max_examples=200, deadline=None)
+def test_one_walker_lanes_match_the_path_kernel(case):
+    graph, starts, rs, walker_draws = case
+    want = _ref_step_paths(graph, starts, samplers._padded(rs))
+    # the walker draws are ignored: a one-walker lane has no choice to make
+    u, v, wk = samplers._fs_steps(graph, starts[:, None], samplers._padded(walker_draws),
+                                  samplers._padded(rs))
+    assert np.array_equal(u, want[:-1]) and np.array_equal(v, want[1:])
+    assert wk.dtype == np.int32 and wk.shape == u.shape and not wk.any()
+    # the dispatcher, stepping the lanes in a Python loop and in lockstep
+    for min_lanes in (len(rs) + 1, len(rs)):
+        with mock.patch.object(samplers, "_PATH_MIN_LANES", min_lanes):
+            u, v, wk = samplers._fs_walk(graph, starts[:, None], walker_draws, rs)
+        assert u.shape == v.shape == wk.shape == (len(rs), want.shape[0] - 1)
+        assert wk.dtype == np.int32 and not wk.any()
+        for k, r in enumerate(rs):
+            assert np.array_equal(u[k, :r.size], want[:r.size, k])
+            assert np.array_equal(v[k, :r.size], want[1:r.size + 1, k])
+
+
 # -- the start and query layer against the code before it -------------------------
 #
 # References, verbatim but for their names: ``StartMode.draw``, the three batch
