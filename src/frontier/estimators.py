@@ -240,8 +240,6 @@ def estimate_global_clustering(trace: SampleTrace, graph: Graph,
     terms[active] = f[active] / (2.0 * pairs)
     inv = 1.0 / deg_v
     denom = float(inv[active].sum()) if restrict_normalizer else float(inv.sum())
-    if denom == 0.0:
-        raise UndefinedEstimateError("normalizer is zero", code="no_active_vertices")
     return ClusteringEstimate(
         c_hat=float(terms.sum() / denom), s=denom / trace.n_steps,
         b=trace.n_steps, active_endpoints=n_active)

@@ -164,10 +164,6 @@ class Graph:
 
     # -- canonical form ---------------------------------------------------
 
-    def canonical_edges(self) -> np.ndarray:
-        """Directed edge set sorted lexicographically (the canonical form)."""
-        return self.directed_edges
-
     def canonical_text(self) -> str:
         e = self.directed_edges
         return ("%d %d\n" * e.shape[0]) % tuple(e.ravel().tolist())
@@ -178,7 +174,7 @@ class Graph:
         h = hashlib.sha256()
         h.update(str(self.n_vertices).encode())
         h.update(b"\x00")
-        h.update(np.ascontiguousarray(self.canonical_edges(), dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(self.directed_edges, dtype="<i8").tobytes())
         return h.hexdigest()
 
 
@@ -504,11 +500,10 @@ def degree_labels(graph: Graph, mode: str = "symmetric") -> LabelStore:
 
 @dataclass(frozen=True)
 class VertexPartition:
-    """Connected-component assignment with per-component size and volume."""
+    """Connected-component assignment with per-component size."""
 
     component_id: np.ndarray
     sizes: np.ndarray
-    volumes: np.ndarray
 
     @property
     def n_components(self) -> int:
@@ -534,9 +529,7 @@ def connected_components(graph: Graph) -> VertexPartition:
     # scipy's numbering is an implementation detail; renumber so component k
     # is the one whose smallest vertex is the k-th smallest component leader
     cid = _first_seen(raw)[1]
-    sizes = np.bincount(cid)
-    volumes = np.bincount(cid, weights=graph.deg).astype(np.int64)
-    return VertexPartition(_frozen(cid), _frozen(sizes), _frozen(volumes))
+    return VertexPartition(_frozen(cid), _frozen(np.bincount(cid)))
 
 
 def restrict_to_lcc(graph: Graph, labels: LabelStore | None = None

@@ -843,15 +843,15 @@ class FinalEdgeDiagnostic:
 
 def convergence_diagnostic(graph: Graph, method: str, budget: float, runs: int,
                            rng: RngStream, m: int = 1,
-                           start: StartMode | None = None,
-                           cost_model: CostModel = DEFAULT_COST) -> FinalEdgeDiagnostic:
+                           start: StartMode | None = None) -> FinalEdgeDiagnostic:
     """Monte Carlo distribution of the final sampled edge.
 
     Exact computation would need the m-walker product chain, so the
     distribution is estimated from many short independent runs, stepped in
     blocks on the samplers' lockstep kernels (sharing their fs tie rule).
     Starts default to uniform; explicit start lists are rejected because
-    the diagnostic is about random-start transients.
+    the diagnostic is about random-start transients.  Every start and step
+    is priced at ``DEFAULT_COST``, so the budget alone sets the steps.
     """
     if method not in ("rw", "mrw", "fs"):
         raise ConfigError(f"diagnostic supports rw, mrw, fs; got {method!r}")
@@ -862,7 +862,7 @@ def convergence_diagnostic(graph: Graph, method: str, budget: float, runs: int,
     if runs < 2:
         raise ValueError("split estimation needs at least 2 runs")
     _check_m(method, m, "diagnostic")
-    steps = _planned_steps(method, budget, m, start, cost_model)
+    steps = _planned_steps(method, budget, m, start, DEFAULT_COST)
     # mrw walkers are iid: the last walker's final edge is one walker's
     lane_m = _lane_m(method, m)
 
@@ -945,6 +945,8 @@ def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "
     Every walk must take exactly ``steps`` steps; a ConfigError is raised
     when drawn start costs change that.
     """
+    if runs < 1 or steps < 1:
+        raise ConfigError(f"occupancy study needs runs and steps >= 1; got {runs}, {steps}")
     member = _subset_mask(graph, subset).astype(np.int64)
     hist = np.zeros(m + 1, dtype=np.int64)
     if method == "fs":

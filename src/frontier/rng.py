@@ -116,42 +116,30 @@ def _philox_keys(seed: int, paths) -> np.ndarray:
     the rows of ``paths``, a (P, L) array of non-negative ints; each row is
     ``SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)``.
 
-    Each path entry is one or more 32-bit words, so rows are hashed in groups
-    of equal word layout.
+    Rows whose entries each fit one 32-bit word, as every path the package
+    derives does, are hashed in one vectorized pass; SeedSequence itself
+    hashes any other row.
     """
     paths = _path_array(paths)
-    n_paths, length = paths.shape
+    keys = np.empty((paths.shape[0], 2), dtype=np.uint64)
+    wide = (paths > _MASK32).any(axis=1)
+    for i in np.flatnonzero(wide):
+        seq = np.random.SeedSequence(seed, spawn_key=tuple(paths[i].tolist()))
+        keys[i] = seq.generate_state(2, np.uint64)
+    rows = np.flatnonzero(~wide)
     seed_words = _int_words(int(seed))
-    if length:  # with a spawn key, the run entropy is padded to the pool size
+    if paths.shape[1]:  # with a spawn key, the run entropy is padded to the pool size
         seed_words += [0] * (_POOL - len(seed_words))
-    # words[j][k]: word k of entry j (0 past the entry's end); count[:, j]: its words
-    words, count = [], np.ones((n_paths, length), dtype=np.int64)
-    for j in range(length):
-        x = paths[:, j]
-        words.append([(x & _MASK32).astype(np.uint32)])
-        while (x > _MASK32).any():
-            count[:, j] += x > _MASK32
-            x = x >> 32
-            words[j].append((x & _MASK32).astype(np.uint32))
-    keys = np.empty((n_paths, 2), dtype=np.uint64)
-    if (count == 1).all():  # the usual case, and no sort
-        layouts, which = count[:1], np.zeros(n_paths, dtype=np.int64)
-    else:
-        layouts, which = np.unique(count, axis=0, return_inverse=True)
-        which = which.ravel()
-    for g, layout in enumerate(layouts):
-        rows = np.flatnonzero(which == g)
-        cols = [np.full(rows.size, w, dtype=np.uint32) for w in seed_words]
-        cols += [words[j][k][rows] for j, n in enumerate(layout.tolist()) for k in range(n)]
-        pool = _pool(np.stack(cols, axis=1))
-        h, state = _INIT_B, []
-        for i in range(2 * 2):  # two uint64 words
-            x = pool[i % _POOL] ^ np.uint32(h)
-            h = h * _MULT_B & _MASK32
-            x = x * np.uint32(h)
-            state.append((x ^ (x >> np.uint32(16))).astype(np.uint64))
-        keys[rows, 0] = state[0] | state[1] << np.uint64(32)
-        keys[rows, 1] = state[2] | state[3] << np.uint64(32)
+    cols = [np.full(rows.size, w, dtype=np.uint32) for w in seed_words]
+    pool = _pool(np.column_stack(cols + [paths[rows].astype(np.uint32)]))
+    h, state = _INIT_B, []
+    for i in range(2 * 2):  # two uint64 words
+        x = pool[i % _POOL] ^ np.uint32(h)
+        h = h * _MULT_B & _MASK32
+        x = x * np.uint32(h)
+        state.append((x ^ (x >> np.uint32(16))).astype(np.uint64))
+    keys[rows, 0] = state[0] | state[1] << np.uint64(32)
+    keys[rows, 1] = state[2] | state[3] << np.uint64(32)
     return keys
 
 

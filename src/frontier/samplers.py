@@ -477,11 +477,11 @@ def _groups(runs, lanes: int):
 
 
 def _walk_runs(method: str, graph: Graph, m: int, start_mode: StartMode, budget: float,
-               cost_model: CostModel, rngs: list[RngStream], children: bool = False):
+               cost_model: CostModel, rngs: list[RngStream]):
     """Traces of the runs of walk ``method`` (rw, mrw or fs) with m walkers and
     streams ``rngs``.  A run is ``per_run`` lanes of ``lane_m`` walkers: one lane
     of m for fs, m one-walker lanes for rw and mrw.  A lane draws from its run's
-    stream, or with ``children`` lane w from that stream's ``child(w)``.  A run's
+    stream, or for mrw lane w from that stream's ``child(w)``.  A run's
     records are its lanes' records, lane-major, and a record's walker id is its
     lane's index in the run plus its walker's in the lane (one of them is 0)."""
     if m < 1:
@@ -496,7 +496,7 @@ def _walk_runs(method: str, graph: Graph, m: int, start_mode: StartMode, budget:
     def lanes():
         """Each lane's draws in the public sampler's order: its walkers' start
         costs, their start, then its step draws (fs draws the walker choice too)."""
-        for gen in _lane_generators(_lane_keys(rngs, per_run if children else 0)):
+        for gen in _lane_generators(_lane_keys(rngs, per_run if method == "mrw" else 0)):
             c = float(cost_model.start_costs(kind, lane_m, gen).sum()) if stochastic else cost
             start = start_mode._ids(graph, lane_m, gen)
             steps = steps_of(c)
@@ -532,7 +532,7 @@ def _mrw_batch(graph: Graph, m: int, start_mode: StartMode, budget: float,
                cost_model: CostModel, rngs: list[RngStream]):
     """:func:`multiple_rw` traces of the runs with streams ``rngs``; walker w
     of a run is one lane, with the stream of ``child(w)``."""
-    return _walk_runs("mrw", graph, m, start_mode, budget, cost_model, rngs, children=True)
+    return _walk_runs("mrw", graph, m, start_mode, budget, cost_model, rngs)
 
 
 def _fs_batch(graph: Graph, m: int, start_mode: StartMode, budget: float,

@@ -539,6 +539,21 @@ def test_occupancy_study_checks_its_subset_before_sampling(tri_pendant, method, 
         with pytest.raises(ValueError, match=message):
             occupancy_study(tri_pendant, subset, m=2, method=method, steps=5, rng=RngStream(0))
 
+
+@pytest.mark.parametrize("method", ["fs", "mrw"])
+@pytest.mark.parametrize("runs, steps", [(0, 5), (-1, 5), (2, 0), (2, -3)])
+def test_occupancy_study_refuses_runs_or_steps_below_one(tri_pendant, method, runs, steps):
+    # no runs gave an all-NaN pmf; no steps, a BudgetError on an internal budget
+    def no_draw(*args):
+        raise AssertionError("sampled before runs and steps were checked")
+
+    with mock.patch.object(harness, "_fs_batch", no_draw), \
+            mock.patch.object(harness, "_mrw_batch", no_draw):
+        with pytest.raises(ConfigError, match="runs and steps >= 1"):
+            occupancy_study(tri_pendant, [3], m=2, method=method, steps=steps, runs=runs,
+                            rng=RngStream(0))
+
+
 def test_method_spec_keys():
     assert MethodSpec("rw").key == "rw"
     assert MethodSpec("fs", m=7).key == "fs[m=7]"

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,3 +111,17 @@ def test_lane_keys_of_paths_past_64_bits_match_fresh_generators(rngs, walkers):
     for rng, gen in zip(streams, lanes, strict=True):
         for got, want in zip(_draws(gen), _draws(rng.generator())):
             assert np.array_equal(got, want)
+
+
+@given(_seeds, st.lists(st.tuples(st.integers(0, 9), st.integers(0, 2 ** 28 - 1)),
+                        min_size=1, max_size=5), st.sampled_from([0, 100]))
+@settings(max_examples=30, deadline=None)
+def test_lane_keys_of_the_harness_paths_never_call_seed_sequence(seed, paths, walkers):
+    # the harness derives (method, run) paths, and mrw adds a walker index; all
+    # are one-word entries, which _philox_keys hashes in its vectorized pass
+    rngs = [RngStream(seed, path) for path in paths]
+    streams = [rng.child(w) for rng in rngs for w in range(walkers)] if walkers else rngs
+    want = [rng.generator().bit_generator.state["state"]["key"] for rng in streams]
+    with mock.patch("numpy.random.SeedSequence", side_effect=AssertionError("SeedSequence")):
+        got = _lane_keys(rngs, walkers)
+    assert np.array_equal(got, np.asarray(want, dtype=np.uint64))
