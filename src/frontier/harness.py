@@ -945,8 +945,11 @@ def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "
     Every walk must take exactly ``steps`` steps; a ConfigError is raised
     when drawn start costs change that.
     """
+    if method not in ("fs", "mrw"):
+        raise ConfigError(f"occupancy study supports fs and mrw; got {method!r}")
     if runs < 1 or steps < 1:
         raise ConfigError(f"occupancy study needs runs and steps >= 1; got {runs}, {steps}")
+    _check_m(method, m, "occupancy study")
     member = _subset_mask(graph, subset).astype(np.int64)
     hist = np.zeros(m + 1, dtype=np.int64)
     if method == "fs":
@@ -961,7 +964,7 @@ def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "
             k0 = int(member[trace.start_vertices].sum())
             occ = k0 + np.cumsum(member[trace.v] - member[trace.u])
             hist += np.bincount(occ, minlength=m + 1)
-    elif method == "mrw":
+    else:
         start = start_mode or StartMode.degree_proportional()
         per_walker = float(cost_model.start_costs(start.kind, 1, None)[0])
         # half a step past, so the floor rule maps each share back to ``steps``
@@ -973,8 +976,6 @@ def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "
             vmat = trace.v.reshape(m, steps)
             occ = member[vmat].sum(axis=0)
             hist += np.bincount(occ, minlength=m + 1)
-    else:
-        raise ConfigError(f"occupancy study supports fs and mrw; got {method!r}")
 
     pmf = hist / hist.sum()
     mean = float((np.arange(m + 1) * pmf).sum())

@@ -278,9 +278,10 @@ def random_edge_sample(graph: Graph, budget: float, cost_model: CostModel = DEFA
 # Runs stepped together record at most this many steps (lanes times the
 # longest run); more runs are split into consecutive groups.
 _BATCH_STEPS = 1 << 19
-# Below this many lanes a kernel steps each lane in a Python loop: a lockstep
-# step costs a fixed ~15 numpy calls (m walkers) or ~7 (one walker), which
-# only pays off from about 3 fs runs or 8 one-walker lanes on.
+# Below this many lanes a kernel steps each lane in a Python loop.  A looped
+# lane-step costs about 6 us (fs, m 2-100) or 1 us (one walker), a lockstep
+# step of 2-12 lanes 22-35 or 4.5 us; the loop also caches the adjacency as
+# Python lists on the graph (26 MB at 600k slots), so fs goes lockstep at 3.
 _FS_MIN_LANES = 3
 _PATH_MIN_LANES = 8
 
@@ -324,19 +325,18 @@ def _fs_path(graph: Graph, starts: np.ndarray, r1: np.ndarray, r2: np.ndarray,
              u: np.ndarray, v: np.ndarray, wk: np.ndarray) -> None:
     """One frontier walk from ``starts``, written into ``u``, ``v``, ``wk``.
 
-    Step i picks the walker at ``r1[i]`` of the cumulative degree and moves
-    it along incident edge ``floor(r2[i] * deg)``.
+    Step i moves walker j, the count of the first m - 1 cumulative degrees at
+    most ``r1[i]`` of the total, along incident edge ``floor(r2[i] * deg)``,
+    and adds its change of degree to sums j to m - 1: running sums, exact
+    below 2^53 as a float ``cumsum`` of the degrees is.
     """
     ip, ix = graph.adjacency_lists
-    m = starts.size
     pos = [int(x) for x in starts]
-    degs = graph.deg[starts].astype(np.float64)
+    cum = graph.deg[starts].cumsum(dtype=np.float64)
+    head = cum[:-1]
     r1, r2 = r1.tolist(), r2.tolist()
     for i in range(len(r1)):
-        cum = degs.cumsum()
-        j = int(np.searchsorted(cum, r1[i] * cum[-1], side="right"))
-        if j >= m:
-            j = m - 1
+        j = int(head.searchsorted(r1[i] * cum[-1], "right"))
         cur = pos[j]
         a = ip[cur]
         nxt = ix[a + int(r2[i] * (ip[cur + 1] - a))]
@@ -344,7 +344,7 @@ def _fs_path(graph: Graph, starts: np.ndarray, r1: np.ndarray, r2: np.ndarray,
         v[i] = nxt
         wk[i] = j
         pos[j] = nxt
-        degs[j] = ip[nxt + 1] - ip[nxt]
+        cum[j:] += ip[nxt + 1] - ip[nxt] - (ip[cur + 1] - a)
 
 
 def _fs_walk(graph: Graph, starts: np.ndarray, r1s: list[np.ndarray],
@@ -355,9 +355,8 @@ def _fs_walk(graph: Graph, starts: np.ndarray, r1s: list[np.ndarray],
     :func:`_walk_path`, in lockstep from ``_PATH_MIN_LANES`` lanes on.
 
     Returns ``u``, ``v`` and ``walker`` as (R, S) for the longest lane's S
-    steps; a shorter lane's row is valid up to its own length.  Degrees are
-    whole numbers, so the row-wise cumulative sums and the count of sums at
-    most the target equal the single-run ``cumsum`` and ``searchsorted``.
+    steps; a shorter lane's row is valid up to its own length.  Both paths keep
+    running sums of whole degrees, so they choose the same walkers.
     """
     n_runs, m = starts.shape
     if n_runs >= (_PATH_MIN_LANES if m == 1 else _FS_MIN_LANES):
@@ -382,7 +381,8 @@ def _fs_steps(graph: Graph, starts: np.ndarray, d1: "np.ndarray | None",
     """Lockstep core of :func:`_fs_walk`: (S, R) ``u``, ``v`` and ``walker`` of
     lanes from ``starts`` (R, m), lane k's step i drawing ``d1[i, k]``, ``d2[i, k]``.
     One-walker lanes ignore ``d1`` and fill one (S + 1, R) path array, of which
-    ``u`` and ``v`` are views; their ``walker`` is a read-only zero view."""
+    ``u`` and ``v`` are views; their ``walker`` is a read-only zero view.  Lanes
+    of m walkers choose as :func:`_fs_path`, on walker-major (m, R) running sums."""
     n_runs, m = starts.shape
     deg, indptr, indices = graph.deg, graph.indptr, graph.indices
     if m == 1:
@@ -392,22 +392,20 @@ def _fs_steps(graph: Graph, starts: np.ndarray, d1: "np.ndarray | None",
             pos = indices[indptr[pos] + (d * deg[pos]).astype(np.int64)]
             paths[i + 1] = pos
         return paths[:-1], paths[1:], np.broadcast_to(np.int32(0), d2.shape)
-    pos = starts.astype(np.int64).ravel()
-    degs = deg[pos].astype(np.float64).reshape(n_runs, m)
-    degs_flat = degs.reshape(-1)
-    row0 = np.arange(n_runs) * m
+    pos = starts.T.astype(np.int64, order="C").ravel()  # walker-major (m, R), a copy
+    cum = deg[pos].reshape(m, n_runs).cumsum(axis=0, dtype=np.float64)
+    rows, lanes = np.arange(m)[:, None], np.arange(n_runs)
     u = np.empty(d2.shape, dtype=np.int64)
     v = np.empty(d2.shape, dtype=np.int64)
     wk = np.empty(d2.shape, dtype=np.int32)
     for i in range(d2.shape[0]):
-        cum = degs.cumsum(axis=1)
-        j = (cum <= (d1[i] * cum[:, -1])[:, None]).sum(axis=1)
-        np.minimum(j, m - 1, out=j)
-        slot = row0 + j
+        j = np.add.reduce(cum[:-1] <= d1[i] * cum[-1], axis=0, dtype=np.intp)
+        slot = j * n_runs + lanes
         cur = pos[slot]
-        nxt = indices[indptr[cur] + (d2[i] * deg[cur]).astype(np.int64)]
+        d_cur = deg[cur]
+        nxt = indices[indptr[cur] + (d2[i] * d_cur).astype(np.int64)]
         pos[slot] = nxt
-        degs_flat[slot] = deg[nxt]
+        cum += (rows >= j) * (deg[nxt] - d_cur)
         u[i] = cur
         v[i] = nxt
         wk[i] = j

@@ -104,6 +104,18 @@ def test_sample_explicit_start(tmp_path, graph_file):
     assert read_trace_csv(out).start_vertices.tolist() == [3, 9]
 
 
+_GOLDEN_FS_TRACE = os.path.join(os.path.dirname(__file__), "golden", "fs_m100_trace.csv")
+
+
+def test_sample_fs_m100_matches_golden_bytes(tmp_path, graph_file):
+    # one fs run of 100 walkers steps in the scalar loop; its 500 records were
+    # written when every step rebuilt the cumulative degrees
+    out = str(tmp_path / "t.csv")
+    assert run("sample", "fs", "--graph", graph_file, "--m", "100", "--budget", "600",
+               "--seed", "4", "--out", out) == 0
+    assert read(out) == read(_GOLDEN_FS_TRACE)
+
+
 def test_sample_errors(tmp_path, graph_file, capsys):
     out = str(tmp_path / "t.csv")
     assert run("sample", "fs", "--graph", graph_file, "--budget", "2",

@@ -554,6 +554,20 @@ def test_occupancy_study_refuses_runs_or_steps_below_one(tri_pendant, method, ru
                             rng=RngStream(0))
 
 
+@pytest.mark.parametrize("method", ["fs", "mrw"])
+@pytest.mark.parametrize("m", [0, -1, harness.MAX_RUN_RECORDS + 1])
+def test_occupancy_study_refuses_m_outside_range_before_sampling(tri_pendant, method, m):
+    # m = 0 ended in a plain ValueError from the batch driver, fs m = -1 in
+    # numpy's "negative dimensions" from the occupancy histogram
+    def no_draw(*args):
+        raise AssertionError("sampled before m was checked")
+
+    with mock.patch.object(harness, "_fs_batch", no_draw), \
+            mock.patch.object(harness, "_mrw_batch", no_draw):
+        with pytest.raises(ConfigError, match="occupancy study: m must lie in"):
+            occupancy_study(tri_pendant, [3], m=m, method=method, steps=5, rng=RngStream(0))
+
+
 def test_method_spec_keys():
     assert MethodSpec("rw").key == "rw"
     assert MethodSpec("fs", m=7).key == "fs[m=7]"

@@ -507,6 +507,105 @@ def test_scalar_loops_match_lockstep_bodies(kind):
         assert np.array_equal(path[:r.size + 1], locked[:r.size + 1])
 
 
+# -- running-sum walker choice against the per-step cumulative sums before it ----
+
+
+def _ref_fs_path(graph, starts, r1, r2, u, v, wk):
+    # ``samplers._fs_path`` before its cumulative degrees were running state,
+    # verbatim but for its name and docstring
+    ip, ix = graph.adjacency_lists
+    m = starts.size
+    pos = [int(x) for x in starts]
+    degs = graph.deg[starts].astype(np.float64)
+    r1, r2 = r1.tolist(), r2.tolist()
+    for i in range(len(r1)):
+        cum = degs.cumsum()
+        j = int(np.searchsorted(cum, r1[i] * cum[-1], side="right"))
+        if j >= m:
+            j = m - 1
+        cur = pos[j]
+        a = ip[cur]
+        nxt = ix[a + int(r2[i] * (ip[cur + 1] - a))]
+        u[i] = cur
+        v[i] = nxt
+        wk[i] = j
+        pos[j] = nxt
+        degs[j] = ip[nxt + 1] - ip[nxt]
+
+
+def _ref_fs_steps(graph, starts, d1, d2):
+    # the m > 1 branch of ``samplers._fs_steps`` before its cumulative degrees
+    # were running state, verbatim but for its name
+    n_runs, m = starts.shape
+    deg, indptr, indices = graph.deg, graph.indptr, graph.indices
+    pos = starts.astype(np.int64).ravel()
+    degs = deg[pos].astype(np.float64).reshape(n_runs, m)
+    degs_flat = degs.reshape(-1)
+    row0 = np.arange(n_runs) * m
+    u = np.empty(d2.shape, dtype=np.int64)
+    v = np.empty(d2.shape, dtype=np.int64)
+    wk = np.empty(d2.shape, dtype=np.int32)
+    for i in range(d2.shape[0]):
+        cum = degs.cumsum(axis=1)
+        j = (cum <= (d1[i] * cum[:, -1])[:, None]).sum(axis=1)
+        np.minimum(j, m - 1, out=j)
+        slot = row0 + j
+        cur = pos[slot]
+        nxt = indices[indptr[cur] + (d2[i] * deg[cur]).astype(np.int64)]
+        pos[slot] = nxt
+        degs_flat[slot] = deg[nxt]
+        u[i] = cur
+        v[i] = nxt
+        wk[i] = j
+    return u, v, wk
+
+
+@st.composite
+def _fs_kernel_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)),
+                          min_size=1, max_size=30))
+    graph = load_graph("".join(f"{a} {(a + b) % n}\n" for a, b in pairs))
+    m = draw(st.integers(min_value=2, max_value=12))
+    lanes = draw(st.integers(min_value=1, max_value=8))
+    slots = draw(st.lists(st.integers(0, graph.vol_total - 1),
+                          min_size=lanes * m, max_size=lanes * m))
+    lengths = draw(st.lists(st.integers(1, 40), min_size=lanes, max_size=lanes))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # dyadic draws put walker targets exactly on cumulative degrees and edge
+    # offsets on whole numbers
+    denom = draw(st.sampled_from([0, 4, 16, 64]))
+    r1s, r2s = ([gen.integers(0, denom, k) / denom if denom else gen.random(k)
+                 for k in lengths] for _ in range(2))
+    # the largest draw below 1 puts the target just under the total, past
+    # every sum but the last; a draw of 1 puts it on the total, which the
+    # old count reached and capped at m - 1
+    for r1 in r1s:
+        r1[gen.random(r1.size) < 0.1] = 1 - 2 ** -53
+        r1[gen.random(r1.size) < 0.05] = 1.0
+    return graph, graph._source[np.asarray(slots)].reshape(lanes, m), r1s, r2s
+
+
+@given(_fs_kernel_cases())
+@settings(max_examples=300, deadline=None)
+def test_running_sum_walker_choice_matches_per_step_cumsum(case):
+    graph, starts, r1s, r2s = case
+    kept = starts.copy()
+    d1, d2 = samplers._padded(r1s), samplers._padded(r2s)
+    got, want = samplers._fs_steps(graph, starts, d1, d2), _ref_fs_steps(graph, starts, d1, d2)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(starts, kept)
+    for k, (r1, r2) in enumerate(zip(r1s, r2s)):
+        got, want = ([np.zeros(r1.size, dtype=t) for t in (np.int64, np.int64, np.int32)]
+                     for _ in range(2))
+        samplers._fs_path(graph, starts[k], r1, r2, *got)
+        _ref_fs_path(graph, starts[k], r1, r2, *want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    assert np.array_equal(starts, kept)
+
+
 # -- one-walker lanes on the frontier kernel against the path kernel before it ----
 
 
