@@ -10,9 +10,11 @@ A Philox stream is fully given by its 128-bit key, which numpy derives
 from ``SeedSequence(seed, spawn_key=path)``.  :meth:`RngStream.generator`
 does that for one stream.  Batches of runs instead derive the keys of all
 their lanes in one vectorized pass of the SeedSequence hash
-(:func:`_philox_keys`) and re-key one reused Philox per lane
-(:func:`_lane_generators`); each lane draws exactly the values that
-``generator()`` of its stream draws.
+(:func:`_philox_keys`).  Philox is counter-based, so many short lanes' words
+also come from one array pass over those keys (:func:`_philox_words`), decoded
+as numpy's ``integers`` and ``random`` would (:func:`_lane_draws`); other
+lanes re-key one reused Philox each (:func:`_lane_generators`).  Either way
+each lane draws exactly the values that ``generator()`` of its stream draws.
 """
 
 from __future__ import annotations
@@ -174,3 +176,63 @@ def _lane_generators(keys: np.ndarray):
     for key[0], key[1] in keys.tolist():
         bit_gen.state = state
         yield gen
+
+
+# -- many lanes' draws at once --------------------------------------------------
+#
+# numpy's Philox4x64-10 (Salmon et al., SC 2011) bumps its counter before each
+# block, so block b of a fresh stream is the 10 rounds of counter (b + 1, 0, 0,
+# 0) under the key.  A round multiplies words 0 and 2 by M0 and M1 into 128-bit
+# products; the key gains W0 and W1 between rounds.
+
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 64-bit words of the products ``a * b``; the high word is
+    summed from 32-bit halves, as numpy has no 128-bit integers."""
+    mask, sh = np.uint64(_MASK32), np.uint64(32)
+    a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
+    b_lo, b_hi = b & mask, b >> sh
+    t = a_hi * b_lo + (a_lo * b_lo >> sh)  # each sum stays below 2**64
+    u = a_lo * b_hi + (t & mask)
+    return np.uint64(a) * b, a_hi * b_hi + (t >> sh) + (u >> sh)
+
+
+def _philox_words(keys: np.ndarray, n: int) -> np.ndarray:
+    """(P, n) uint64: the first n words ``bit_generator.random_raw`` gives from
+    a fresh Philox of each of the (P, 2) ``keys``, as :func:`_lane_generators`
+    keys it.  The array is the transpose of a C-ordered (n, P) array."""
+    blocks, lanes = -(-n // 4), keys.shape[0]
+    k0, k1 = keys[None, :, 0], keys[None, :, 1]
+    zero = np.zeros((1, 1), dtype=np.uint64)  # each word is (blocks, lanes) from round 2 on
+    x = [np.arange(1, blocks + 1, dtype=np.uint64)[:, None], zero, zero, zero]
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], x[0])
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], x[2])
+        x = [hi1 ^ x[1] ^ k0, lo1, hi0 ^ x[3] ^ k1, lo0]
+    return np.stack(x, axis=1).reshape(4 * blocks, lanes)[:n].T
+
+
+def _lane_draws(keys: np.ndarray, m: int, hi: int, n: int):
+    """What a fresh generator of each of the (P, 2) Philox ``keys`` draws with
+    ``integers(0, hi, size=m)`` (at m = 1 also ``integers(0, hi)``; at m = 0
+    nothing), then ``random(n)``: (P, m) int64 ids, (P, n) float64 draws, and
+    a (P,) mask of the lanes whose ids and draws these are not, because numpy
+    rejected one of their m start values and drew again.
+
+    For 2 <= ``hi`` <= 2**32 numpy takes each value from the next 32-bit half
+    word, low half first, by Lemire's rule: x becomes ``(x * hi) >> 32``,
+    rejected where ``(x * hi) mod 2**32 < 2**32 mod hi``.  ``random`` takes
+    ``(w >> 11) * 2**-53`` of whole words, past a buffered half word.
+    """
+    skip = -(-m // 2)
+    w = _philox_words(keys, skip + n)
+    mask, sh = np.uint64(_MASK32), np.uint64(32)
+    halves = np.stack([w[:, :skip] & mask, w[:, :skip] >> sh], axis=2)
+    x = halves.reshape(keys.shape[0], 2 * skip)[:, :m] * np.uint64(hi)
+    rejected = ((x & mask) < np.uint64((1 << 32) % hi)).any(axis=1)
+    return (x >> sh).astype(np.int64), (w[:, skip:] >> np.uint64(11)) * 2.0 ** -53, rejected

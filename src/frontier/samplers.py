@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError, GraphFormatError
 from .graphs import Graph, _text_file
-from .rng import RngStream, _lane_generators, _lane_keys
+from .rng import RngStream, _lane_draws, _lane_generators, _lane_keys
 
 __all__ = [
     "CostModel",
@@ -138,9 +138,13 @@ class StartMode:
         closure-slot ids (degree) or None (explicit)."""
         if self.kind == "explicit":
             return None
-        hi = graph.n_vertices if self.kind == "uniform" else graph.vol_total
+        hi = self._bound(graph)
         # a scalar draw leaves the value and the stream state of size=1
         return gen.integers(0, hi) if m == 1 else gen.integers(0, hi, size=m)
+
+    def _bound(self, graph: Graph) -> int:
+        """The ids a drawn start takes lie below this: vertices or closure slots."""
+        return graph.n_vertices if self.kind == "uniform" else graph.vol_total
 
     def _place(self, graph: Graph, m: int, ids, runs: int = 1) -> np.ndarray:
         """(runs, m) start vertices: the checked explicit vertices in every
@@ -284,6 +288,14 @@ _BATCH_STEPS = 1 << 19
 # Python lists on the graph (26 MB at 600k slots), so fs goes lockstep at 3.
 _FS_MIN_LANES = 3
 _PATH_MIN_LANES = 8
+# From this many lanes of at most this many Philox words each (start halves
+# and step draws), a batch draws all its lanes in one vectorized pass instead
+# of re-keying a generator per lane.  On mrw lanes of a 100k-vertex gab graph
+# (best of 7) the pass costs about 0.65 ms a call plus 70-90 ns a word, and a
+# lane on its generator 9-10 us; whole batches break even at 64 lanes, and at
+# 3,700 lanes at 97-129 words.
+_SHORT_MIN_LANES = 64
+_SHORT_LANE_WORDS = 96
 
 
 def _lane_m(method: str, m: int) -> int:
@@ -312,9 +324,11 @@ def _walk_paths(graph: Graph, starts: np.ndarray, rs: list[np.ndarray]) -> np.nd
     return np.column_stack((starts, _fs_walk(graph, starts[:, None], rs, rs)[1]))
 
 
-def _padded(rs: list[np.ndarray]) -> np.ndarray:
+def _padded(rs) -> np.ndarray:
     """(S, K) draws of the K lanes ``rs``, lane k's in column k and zero past
-    its own length, for the longest lane's S."""
+    its own length, for the longest lane's S; of a (K, S) array, its transpose."""
+    if isinstance(rs, np.ndarray):
+        return rs.T
     out = np.zeros((max(r.size for r in rs), len(rs)))
     for k, r in enumerate(rs):
         out[:r.size, k] = r
@@ -347,10 +361,11 @@ def _fs_path(graph: Graph, starts: np.ndarray, r1: np.ndarray, r2: np.ndarray,
         cum[j:] += ip[nxt + 1] - ip[nxt] - (ip[cur + 1] - a)
 
 
-def _fs_walk(graph: Graph, starts: np.ndarray, r1s: list[np.ndarray],
-             r2s: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fs_walk(graph: Graph, starts: np.ndarray, r1s: "list | np.ndarray",
+             r2s: "list | np.ndarray") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frontier walks of R lanes of m walkers each (``starts`` is (R, m)), lane
-    k drawing ``r1s[k]``, ``r2s[k]`` as in :func:`_fs_path`, in lockstep from
+    k drawing ``r1s[k]``, ``r2s[k]`` (lists of arrays, or (R, S) arrays of
+    lanes of S draws each) as in :func:`_fs_path`, in lockstep from
     ``_FS_MIN_LANES`` lanes on; one-walker lanes ignore ``r1s`` and step as
     :func:`_walk_path`, in lockstep from ``_PATH_MIN_LANES`` lanes on.
 
@@ -439,8 +454,12 @@ def _walk_steps(method: str, budget: float, m: int, start_cost: float,
 # traces in order.  Every stream draws exactly what one call of the public
 # sampler draws, in the same order (start costs, starts, then the step
 # draws), so a run's trace does not depend on the batch it is sampled in.
-# A batch derives all its lanes' stream keys at once and draws lane by lane
-# on one re-keyed generator; lanes are stepped in groups as they are drawn.
+# A batch derives all its lanes' stream keys at once.  When its lanes draw a
+# fixed start cost and few words each, it draws them all in one vectorized
+# Philox pass per group of runs; otherwise (stochastic start costs, long
+# lanes, few lanes) it draws lane by lane on one re-keyed generator, as it
+# does for a lane whose start numpy would draw again.  Lanes are stepped in
+# groups as they are drawn.
 
 
 def _draw_starts(graph: Graph, start_mode: StartMode, gens: list, m: int) -> np.ndarray:
@@ -490,29 +509,55 @@ def _walk_runs(method: str, graph: Graph, m: int, start_mode: StartMode, budget:
     stochastic = cost_model.stochastic_starts and kind != "explicit"
     cost = float(cost_model.start_costs(kind, lane_m, None).sum())
     steps_of = functools.cache(lambda c: _walk_steps(method, budget, m, c, step))
+    n_draws = 1 + (method == "fs")
+    keys = _lane_keys(rngs, per_run if method == "mrw" else 0)
+    # a lane's start takes ``drawn`` ids below ``bound``, one per 32-bit half
+    # word, and then each step draw takes one word
+    drawn, bound = (0 if kind == "explicit" else lane_m), start_mode._bound(graph)
 
-    def lanes():
-        """Each lane's draws in the public sampler's order: its walkers' start
-        costs, their start, then its step draws (fs draws the walker choice too)."""
-        for gen in _lane_generators(_lane_keys(rngs, per_run if method == "mrw" else 0)):
+    def lanes(part):
+        """Each lane's draws in the public sampler's order, for the lanes of
+        the keys ``part``: its walkers' start costs, their start, then its step
+        draws (fs draws the walker choice too)."""
+        for gen in _lane_generators(part):
             c = float(cost_model.start_costs(kind, lane_m, gen).sum()) if stochastic else cost
             start = start_mode._ids(graph, lane_m, gen)
             steps = steps_of(c)
-            yield _Lane(c, start, steps, [gen.random(steps) for _ in range(1 + (method == "fs"))])
+            yield _Lane(c, start, steps, [gen.random(steps) for _ in range(n_draws)])
 
-    runs = zip(*[lanes()] * per_run)  # each run's lanes
-    for group in _groups(((max(lane.steps for lane in run), run) for run in runs), per_run):
-        batch = [lane for run in group for lane in run]
-        starts = start_mode._place(graph, m, [lane.start for lane in batch], len(group))
-        steps = np.asarray([lane.steps for lane in batch])
+    def lane_groups():
+        """Per group of runs: each run's start cost, and its lanes' start
+        draws, step counts and walker-choice and edge draws."""
+        runs = zip(*[lanes(keys)] * per_run)  # each run's lanes
+        for group in _groups(((max(lane.steps for lane in run), run) for run in runs), per_run):
+            batch = [lane for run in group for lane in run]
+            yield ([float(sum(lane.cost for lane in run)) for run in group],
+                   [lane.start for lane in batch], np.asarray([lane.steps for lane in batch]),
+                   [lane.draws[0] for lane in batch], [lane.draws[-1] for lane in batch])
+
+    def short_groups(steps: int):
+        """:func:`lane_groups` of lanes that all take ``steps`` steps, each
+        group's lanes drawn in one Philox pass; a lane whose start value numpy
+        rejects is drawn again on its generator."""
+        run_cost = float(sum([cost] * per_run))
+        for group in _groups(((steps, r) for r in range(len(rngs))), per_run):
+            part = keys[group[0] * per_run:(group[-1] + 1) * per_run]
+            ids, d, redrawn = _lane_draws(part, drawn, bound, n_draws * steps)
+            for i, lane in zip(np.flatnonzero(redrawn), lanes(part[redrawn])):
+                ids[i] = lane.start
+                d[i] = np.concatenate(lane.draws)
+            yield [run_cost] * len(group), ids, np.full(len(part), steps), d[:, :steps], d[:, -steps:]
+
+    short = (len(keys) >= _SHORT_MIN_LANES and not stochastic and bound <= 1 << 32
+             and -(-drawn // 2) + n_draws * steps_of(cost) <= _SHORT_LANE_WORDS)
+    for run_costs, ids, steps, r1s, r2s in short_groups(steps_of(cost)) if short else lane_groups():
+        n_group = len(run_costs)
+        starts = start_mode._place(graph, m, ids, n_group)
         keep = np.arange(steps.max()) < steps[:, None]  # the group's records, lane-major
-        u, v, wk = (a[keep] for a in _fs_walk(graph, starts.reshape(-1, lane_m),
-                                              [lane.draws[0] for lane in batch],
-                                              [lane.draws[-1] for lane in batch]))
-        wk += np.repeat(np.tile(np.arange(per_run, dtype=np.int32), len(group)), steps)
+        u, v, wk = (a[keep] for a in _fs_walk(graph, starts.reshape(-1, lane_m), r1s, r2s))
+        wk += np.repeat(np.tile(np.arange(per_run, dtype=np.int32), n_group), steps)
         ends = np.cumsum(steps)[per_run - 1::per_run].tolist()  # each run's last record
-        for k, (run, lo, hi) in enumerate(zip(group, [0] + ends, ends)):
-            start_cost = float(sum(lane.cost for lane in run))
+        for k, (start_cost, lo, hi) in enumerate(zip(run_costs, [0] + ends, ends)):
             yield _finish(
                 (u[lo:hi], v[lo:hi], wk[lo:hi], np.full(hi - lo, step)),
                 method=method, m=m, budget=float(budget), spent=start_cost + (hi - lo) * step,

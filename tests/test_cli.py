@@ -994,3 +994,18 @@ def test_oversize_integers_exit_2(tmp_path, graph_file, trace_file, capsys, argv
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
     assert not os.path.exists(out)
+
+
+_SHORT_LANES = os.path.join(os.path.dirname(__file__), "golden", "short_lanes_config.json")
+_GOLDEN_SHORT_LANES = os.path.join(os.path.dirname(__file__), "golden", "short_lanes_report.csv")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_experiment_short_lanes_matches_golden_report(tmp_path, workers):
+    # mrw (uniform, degree and explicit starts), rw and fs m=2 at V/10 on the
+    # BA(300, 2) seed-4 graph: every chunk's lanes are short enough to be drawn
+    # in one Philox pass; the report was written when each lane re-keyed a
+    # generator
+    out = str(tmp_path / "r.csv")
+    assert run("experiment", "--config", _SHORT_LANES, "--out", out, "--workers", workers) == 0
+    assert read(out) == read(_GOLDEN_SHORT_LANES)

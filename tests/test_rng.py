@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from frontier import samplers
 from frontier.errors import BudgetError
 from frontier.graphs import load_graph
-from frontier.rng import RngStream, _lane_generators, _lane_keys, _philox_keys
+from frontier.rng import (RngStream, _lane_draws, _lane_generators, _lane_keys, _philox_keys,
+                          _philox_words)
 from frontier.samplers import CostModel, StartMode
 
 
@@ -125,3 +126,65 @@ def test_lane_keys_of_the_harness_paths_never_call_seed_sequence(seed, paths, wa
     with mock.patch("numpy.random.SeedSequence", side_effect=AssertionError("SeedSequence")):
         got = _lane_keys(rngs, walkers)
     assert np.array_equal(got, np.asarray(want, dtype=np.uint64))
+
+
+# -- many lanes' draws in one Philox pass ---------------------------------------
+
+# key words at both ends of their range, and anywhere between
+_key_words = st.one_of(st.sampled_from([0, 1, 2 ** 63, 2 ** 64 - 1]), st.integers(0, 2 ** 64 - 1))
+_keys = st.lists(st.tuples(_key_words, _key_words), min_size=1, max_size=8).map(
+    lambda rows: np.asarray(rows, dtype=np.uint64).reshape(-1, 2))
+
+
+@given(_keys, st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_philox_words_match_random_raw(keys, n):
+    # n from 1 to 40 ends on every offset in a four-word block
+    words = _philox_words(keys, n)
+    assert words.dtype == np.uint64 and words.shape == (len(keys), n)
+    for row, key in zip(words, keys):
+        bit_gen = np.random.Philox(key=key)  # counter 0: a fresh stream of that key
+        assert np.array_equal(row, bit_gen.random_raw(n))
+    for row, gen in zip(words, _lane_generators(keys), strict=True):
+        assert np.array_equal(row, gen.bit_generator.random_raw(n))
+
+
+def _halves_taken(gen) -> int:
+    """32-bit half words a fresh Philox generator has handed out so far."""
+    state = gen.bit_generator.state
+    blocks = state["state"]["counter"][0]
+    words = (blocks - 1) * 4 + state["buffer_pos"] if blocks else 0
+    return 2 * words - state["has_uint32"]
+
+
+# 2**31 + 1 rejects about half of all values; 2**32 - 1 and 2**32 reject none
+_bounds = st.sampled_from([2, 3, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32])
+
+
+@given(_keys, st.integers(0, 7), _bounds, st.integers(0, 9), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_lane_draws_decode_integers_then_random(keys, m, hi, n, scalar):
+    # an odd m leaves a buffered half word, which random() must skip
+    ids, draws, rejected = _lane_draws(keys, m, hi, n)
+    assert ids.dtype == np.int64 and ids.shape == (len(keys), m)
+    assert draws.dtype == np.float64 and draws.shape == (len(keys), n)
+    for k, gen in enumerate(_lane_generators(keys)):
+        if m == 0:
+            want = np.empty(0, dtype=np.int64)
+        else:
+            want = np.atleast_1d(gen.integers(0, hi) if m == 1 and scalar
+                                 else gen.integers(0, hi, size=m))
+        # a lane is flagged exactly when numpy drew a start value again
+        assert rejected[k] == (_halves_taken(gen) > m)
+        if not rejected[k]:
+            assert np.array_equal(ids[k], want)
+            assert np.array_equal(draws[k], gen.random(n))
+
+
+def test_lane_draws_flag_about_half_the_lanes_at_two_to_the_31_plus_one():
+    keys = np.random.default_rng(3).integers(0, 2 ** 64, size=(400, 2), dtype=np.uint64)
+    rejected = _lane_draws(keys, 1, 2 ** 31 + 1, 0)[2]
+    assert 150 < rejected.sum() < 250
+    for k, gen in enumerate(_lane_generators(keys)):
+        gen.integers(0, 2 ** 31 + 1)
+        assert rejected[k] == (_halves_taken(gen) > 1)

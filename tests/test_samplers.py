@@ -1029,3 +1029,85 @@ def test_cost_model_takes_numbers_and_a_bool_flag_only():
                 {"stochastic_starts": None}, {"stochastic_starts": np.bool_(True)}):
         with pytest.raises(TypeError, match=next(iter(bad))):
             CostModel(**bad)
+
+
+# -- short lanes drawn in one Philox pass, and the lanes it leaves to generators --
+
+
+@given(_batch_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_short_lane_pass_and_its_redrawn_lanes_match_generator_lanes(case, data):
+    # every non-stochastic case takes the one-pass path here; the lanes in
+    # ``redraw`` that draw a start are flagged as if numpy had rejected a start
+    # value, and their pass output is spoiled, so they must come from their
+    # generators
+    graph, method, m, start, cost, budget, runs, seed, cap, lanes = case
+    rngs = [RngStream(seed, (3, r)) for r in range(runs)]
+    per_run = m if method == "mrw" else 1
+    redraw = set(data.draw(st.lists(st.integers(0, runs * per_run - 1), max_size=4)))
+    streams = [rng.child(w) for rng in rngs for w in range(m)] if method == "mrw" else rngs
+    redraw_keys = {tuple(streams[i].generator().bit_generator.state["state"]["key"])
+                   for i in redraw}
+    passes = []
+
+    def flagged(keys, drawn, hi, n):
+        ids, d, rejected = real(keys, drawn, hi, n)
+        mask = np.asarray([drawn > 0 and tuple(k) in redraw_keys for k in keys.tolist()],
+                          dtype=bool)
+        ids[mask] = (ids[mask] + 1) % hi
+        d[mask] = (d[mask] + 0.5) % 1.0
+        passes.append(int(mask.sum()))
+        return ids, d, rejected | mask
+
+    real = samplers._lane_draws
+    ref = {"fs": lambda rng: _ref_frontier_sampling(graph, m, start, budget, cost, rng),
+           "mrw": lambda rng: _ref_multiple_rw(graph, m, start, budget, cost, rng),
+           "rw": lambda rng: _ref_single_rw(graph, start, budget, rng, cost)}[method]
+    try:
+        want = [ref(rng) for rng in rngs]
+    except BudgetError:
+        return
+    min_lanes = {"scalar": 10 ** 9, "lockstep": 1}.get(lanes)
+    with mock.patch.object(samplers, "_BATCH_STEPS", cap), \
+            mock.patch.object(samplers, "_FS_MIN_LANES", min_lanes or samplers._FS_MIN_LANES), \
+            mock.patch.object(samplers, "_PATH_MIN_LANES",
+                              min_lanes or samplers._PATH_MIN_LANES), \
+            mock.patch.object(samplers, "_SHORT_MIN_LANES", 1), \
+            mock.patch.object(samplers, "_SHORT_LANE_WORDS", 10 ** 6), \
+            mock.patch.object(samplers, "_lane_draws", flagged):
+        got = list(samplers._walk_runs(method, graph, m, start, budget, cost, rngs))
+    assert len(got) == runs
+    for g, w in zip(got, want):
+        _assert_same_trace(g, w)
+    stochastic = cost.stochastic_starts and start.kind != "explicit"
+    assert bool(passes) != stochastic
+    assert sum(passes) == (0 if stochastic or start.kind == "explicit" else len(redraw))
+
+
+def test_short_lane_pass_only_for_enough_short_lanes(tri_pendant):
+    # the pass runs from _SHORT_MIN_LANES lanes of at most _SHORT_LANE_WORDS
+    # words, never for stochastic start costs; its runs equal the generators'
+    rngs = [RngStream(2, (0, r)) for r in range(samplers._SHORT_MIN_LANES)]
+    words = samplers._SHORT_LANE_WORDS
+    cases = [  # (method, m, budget, cost model, takes the pass)
+        ("rw", 1, 1.0 + (words - 1), DEFAULT_COST, True),
+        ("rw", 1, 1.0 + words, DEFAULT_COST, False),
+        ("fs", 2, 2.0 + (words - 1) // 2, DEFAULT_COST, True),
+        ("fs", 2, 2.0 + words // 2, DEFAULT_COST, False),
+        ("mrw", 3, 3 * 5.0, DEFAULT_COST, True),
+        ("mrw", 3, 3 * 5.0, CostModel(vertex_hit_ratio=0.9, stochastic_starts=True), False),
+        ("rw", 1, 20.0, CostModel(vertex_hit_ratio=0.9, stochastic_starts=True), False),
+    ]
+    for method, m, budget, cost, short in cases:
+        for runs in (rngs, rngs[:-1]):
+            with mock.patch.object(samplers, "_lane_draws",
+                                   side_effect=samplers._lane_draws) as spy:
+                got = list(samplers._walk_runs(method, tri_pendant, m, StartMode.uniform(),
+                                               budget, cost, runs))
+            # mrw has m lanes per run, so one run short of the minimum still has enough
+            assert spy.called == (short and (runs is rngs or method == "mrw")), (method, budget)
+            with mock.patch.object(samplers, "_SHORT_LANE_WORDS", 0):
+                want = list(samplers._walk_runs(method, tri_pendant, m, StartMode.uniform(),
+                                                budget, cost, runs))
+            for g, w in zip(got, want, strict=True):
+                _assert_same_trace(g, w)
