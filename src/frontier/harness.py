@@ -52,6 +52,7 @@ from .oracles import (
 from .rng import RngStream
 from .samplers import (
     _BATCH_STEPS,
+    _SHORT_MIN_LANES,
     DEFAULT_COST,
     MAX_RUN_RECORDS,
     CostModel,
@@ -751,9 +752,14 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
     workers = min(workers, os.cpu_count() or 1)
     tasks = []
     chunk = max(1, config.runs // max(1, workers * 8))
-    for mi in range(len(config.methods)):
-        for lo in range(0, config.runs, chunk):
-            tasks.append((mi, range(lo, min(lo + chunk, config.runs))))
+    for mi, method in enumerate(config.methods):
+        size = chunk
+        if method.name in ("rw", "mrw", "fs"):
+            # enough lanes for the short-lane pass, a run being m // lane_m lanes
+            per_run = method.m // _lane_m(method.name, method.m)
+            size = max(chunk, -(-_SHORT_MIN_LANES // per_run))
+        n = max(1, config.runs // size)  # n even chunks of at least ``size`` runs
+        tasks += [(mi, range(config.runs * k // n, config.runs * (k + 1) // n)) for k in range(n)]
 
     def collect(parts) -> None:
         for (mi, run_indices), part in zip(tasks, parts):

@@ -282,10 +282,12 @@ def random_edge_sample(graph: Graph, budget: float, cost_model: CostModel = DEFA
 # Runs stepped together record at most this many steps (lanes times the
 # longest run); more runs are split into consecutive groups.
 _BATCH_STEPS = 1 << 19
-# Below this many lanes a kernel steps each lane in a Python loop.  A looped
-# lane-step costs about 6 us (fs, m 2-100) or 1 us (one walker), a lockstep
-# step of 2-12 lanes 22-35 or 4.5 us; the loop also caches the adjacency as
-# Python lists on the graph (26 MB at 600k slots), so fs goes lockstep at 3.
+# Below this many lanes a kernel steps each lane in a Python loop.  On a
+# 100k-vertex gab graph a looped lane-step costs about 3-4.5 us (fs, m 2-100)
+# or 0.3-0.6 us (one walker), a lockstep step of 2-12 lanes 19-39 or 3-6.5 us.
+# By time alone fs would go lockstep at about 8 lanes, but the loop caches the
+# adjacency as Python lists on the graph (26 MB at 600k slots), so fs goes
+# lockstep at 3.
 _FS_MIN_LANES = 3
 _PATH_MIN_LANES = 8
 # From this many lanes of at most this many Philox words each (start halves
@@ -340,25 +342,49 @@ def _fs_path(graph: Graph, starts: np.ndarray, r1: np.ndarray, r2: np.ndarray,
     """One frontier walk from ``starts``, written into ``u``, ``v``, ``wk``.
 
     Step i moves walker j, the count of the first m - 1 cumulative degrees at
-    most ``r1[i]`` of the total, along incident edge ``floor(r2[i] * deg)``,
-    and adds its change of degree to sums j to m - 1: running sums, exact
-    below 2^53 as a float ``cumsum`` of the degrees is.
+    most ``floor(r1[i] * total)``, along incident edge ``floor(r2[i] * deg)``.
+    The walkers' degrees sit in a Fenwick tree of Python ints (Fenwick, SP&E
+    1994): j is found by descending it, and a move adds its change of degree
+    along the O(log m) update path.  For whole sums s, ``s <= x`` exactly when
+    ``s <= floor(x)``, so this is the choice of the float cumulative sums.
     """
     ip, ix = graph.adjacency_lists
     pos = [int(x) for x in starts]
-    cum = graph.deg[starts].cumsum(dtype=np.float64)
-    head = cum[:-1]
+    m = len(pos)
+    degs = [ip[x + 1] - ip[x] for x in pos]
+    total = sum(degs)
+    # tree[k] sums the degrees of walkers k - (k & -k) to k - 1
+    tree = [0] + degs
+    for k in range(1, m):
+        if k + (k & -k) <= m:
+            tree[k + (k & -k)] += tree[k]
+    top = 1 << (m.bit_length() - 1)
     r1, r2 = r1.tolist(), r2.tolist()
     for i in range(len(r1)):
-        j = int(head.searchsorted(r1[i] * cum[-1], "right"))
+        t = int(r1[i] * total)
+        j, step = 0, top
+        while step:  # the largest prefix at most t; all m only for a draw of 1
+            k = j + step
+            if k <= m and tree[k] <= t:
+                j = k
+                t -= tree[k]
+            step >>= 1
+        if j == m:
+            j -= 1
         cur = pos[j]
-        a = ip[cur]
-        nxt = ix[a + int(r2[i] * (ip[cur + 1] - a))]
+        a, b = ip[cur], ip[cur + 1]
+        nxt = ix[a + int(r2[i] * (b - a))]
         u[i] = cur
         v[i] = nxt
         wk[i] = j
         pos[j] = nxt
-        cum[j:] += ip[nxt + 1] - ip[nxt] - (ip[cur + 1] - a)
+        delta = ip[nxt + 1] - ip[nxt] - (b - a)
+        if delta:
+            total += delta
+            k = j + 1
+            while k <= m:
+                tree[k] += delta
+                k += k & -k
 
 
 def _fs_walk(graph: Graph, starts: np.ndarray, r1s: "list | np.ndarray",
@@ -370,8 +396,10 @@ def _fs_walk(graph: Graph, starts: np.ndarray, r1s: "list | np.ndarray",
     :func:`_walk_path`, in lockstep from ``_PATH_MIN_LANES`` lanes on.
 
     Returns ``u``, ``v`` and ``walker`` as (R, S) for the longest lane's S
-    steps; a shorter lane's row is valid up to its own length.  Both paths keep
-    running sums of whole degrees, so they choose the same walkers.
+    steps; a shorter lane's row is valid up to its own length.  Both paths
+    compare whole-number sums of degrees with ``floor(r1 * total)``, the
+    lockstep kernel as int32 or int64 running sums and the loop in a Fenwick
+    tree, so they choose the same walkers.
     """
     n_runs, m = starts.shape
     if n_runs >= (_PATH_MIN_LANES if m == 1 else _FS_MIN_LANES):
@@ -397,7 +425,9 @@ def _fs_steps(graph: Graph, starts: np.ndarray, d1: "np.ndarray | None",
     lanes from ``starts`` (R, m), lane k's step i drawing ``d1[i, k]``, ``d2[i, k]``.
     One-walker lanes ignore ``d1`` and fill one (S + 1, R) path array, of which
     ``u`` and ``v`` are views; their ``walker`` is a read-only zero view.  Lanes
-    of m walkers choose as :func:`_fs_path`, on walker-major (m, R) running sums."""
+    of m walkers choose as :func:`_fs_path`, on walker-major (m, R) running sums
+    of whole degrees: int32 when m times the largest degree is below 2^31,
+    int64 otherwise."""
     n_runs, m = starts.shape
     deg, indptr, indices = graph.deg, graph.indptr, graph.indices
     if m == 1:
@@ -408,19 +438,29 @@ def _fs_steps(graph: Graph, starts: np.ndarray, d1: "np.ndarray | None",
             paths[i + 1] = pos
         return paths[:-1], paths[1:], np.broadcast_to(np.int32(0), d2.shape)
     pos = starts.T.astype(np.int64, order="C").ravel()  # walker-major (m, R), a copy
-    cum = deg[pos].reshape(m, n_runs).cumsum(axis=0, dtype=np.float64)
-    rows, lanes = np.arange(m)[:, None], np.arange(n_runs)
+    # whole sums, int32 unless a lane's total could reach 2^31; every array a
+    # step combines shares its dtype, as mixed dtypes cost numpy a cast pass
+    whole = np.int32 if m * int(deg.max()) < 1 << 31 else np.int64
+    deg = deg.astype(whole)
+    cum = deg[pos].reshape(m, n_runs).cumsum(axis=0, dtype=whole)
+    head, total = cum[:-1], cum[-1]
+    rows, lanes = np.arange(m, dtype=np.int32)[:, None], np.arange(n_runs)
+    below = np.empty(head.shape, dtype=bool)
+    inc = np.empty(cum.shape, dtype=whole)
     u = np.empty(d2.shape, dtype=np.int64)
     v = np.empty(d2.shape, dtype=np.int64)
     wk = np.empty(d2.shape, dtype=np.int32)
     for i in range(d2.shape[0]):
-        j = np.add.reduce(cum[:-1] <= d1[i] * cum[-1], axis=0, dtype=np.intp)
-        slot = j * n_runs + lanes
+        np.less_equal(head, (d1[i] * total).astype(whole), out=below)
+        j = np.add.reduce(below, axis=0, dtype=np.int32)
+        slot = np.multiply(j, n_runs, dtype=np.int64) + lanes
         cur = pos[slot]
         d_cur = deg[cur]
         nxt = indices[indptr[cur] + (d2[i] * d_cur).astype(np.int64)]
         pos[slot] = nxt
-        cum += (rows >= j) * (deg[nxt] - d_cur)
+        np.greater_equal(rows, j, out=inc)  # 1 from the moved walker's row on
+        inc *= deg[nxt] - d_cur
+        cum += inc
         u[i] = cur
         v[i] = nxt
         wk[i] = j

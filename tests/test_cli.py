@@ -1009,3 +1009,18 @@ def test_experiment_short_lanes_matches_golden_report(tmp_path, workers):
     out = str(tmp_path / "r.csv")
     assert run("experiment", "--config", _SHORT_LANES, "--out", out, "--workers", workers) == 0
     assert read(out) == read(_GOLDEN_SHORT_LANES)
+
+
+_FS_LOCKSTEP = os.path.join(os.path.dirname(__file__), "golden", "fs_lockstep_config.json")
+_GOLDEN_FS_LOCKSTEP = os.path.join(os.path.dirname(__file__), "golden", "fs_lockstep_report.csv")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_experiment_fs_lockstep_matches_golden_report(tmp_path, workers):
+    # fs m=10 and m=100, uniform and degree starts, at V/1 on the BA(300, 2)
+    # seed-4 graph: every chunk has enough runs to step in lockstep, and its
+    # lanes are too long for the short-lane pass; the report was written when
+    # the walker choice compared float cumulative sums
+    out = str(tmp_path / "r.csv")
+    assert run("experiment", "--config", _FS_LOCKSTEP, "--out", out, "--workers", workers) == 0
+    assert read(out) == read(_GOLDEN_FS_LOCKSTEP)

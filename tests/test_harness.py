@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from frontier import harness
+from frontier import samplers
 from frontier.errors import ConfigError
 from frontier.graphs import (LabelStore, _searchsorted_ragged, generate_barabasi_albert,
                              generate_joined_ba, load_graph)
@@ -944,3 +945,37 @@ def test_worker_count_is_capped_by_the_cpu_count(workers, cpus, pool):
         run_monte_carlo(cfg, workers=workers).to_csv(out)
     assert _RecordingPool.sizes == ([] if pool is None else [pool])
     assert out.getvalue() == serial.getvalue()
+
+
+def test_walk_chunks_hold_enough_lanes_for_the_short_lane_pass():
+    # at 200 runs and one worker, runs // 8 = 25 runs per chunk give an rw or
+    # fs chunk 25 lanes, too few for the short-lane pass; every walk chunk must
+    # hold at least _SHORT_MIN_LANES lanes, and chunking never changes a byte
+    path = os.path.join(os.path.dirname(__file__), "golden", "short_lanes_config.json")
+    with open(path, encoding="utf-8") as fh:
+        cfg = ExperimentConfig.from_dict({**json.load(fh), "runs": 200})
+    lanes, real = [], samplers._lane_draws
+
+    def spy(keys, *args):
+        lanes.append(len(keys))
+        return real(keys, *args)
+
+    reports = []
+    for min_lanes in (samplers._SHORT_MIN_LANES, 1):
+        out = io.StringIO()
+        with mock.patch.object(harness, "_SHORT_MIN_LANES", min_lanes), \
+                mock.patch.object(samplers, "_lane_draws", spy):
+            run_monte_carlo(cfg).to_csv(out)
+        reports.append(out.getvalue())
+        if min_lanes > 1:
+            # three mrw methods of 10 lanes a run, rw and fs of one: all drawn in passes
+            assert min(lanes) >= min_lanes and sum(lanes) == 200 * (3 * 10 + 2)
+            assert len(lanes) == 3 * 8 + 2 * 3
+    assert reports[0] == reports[1]
+
+
+def test_report_identical_across_chunkings_below_the_short_lane_minimum():
+    # walk chunks cut by the worker count alone, as they were before each got
+    # enough lanes for the short-lane pass: 17 runs in chunks of 2, 1 and 1
+    with mock.patch.object(harness, "_SHORT_MIN_LANES", 1):
+        test_report_identical_across_chunkings()

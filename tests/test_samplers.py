@@ -1111,3 +1111,88 @@ def test_short_lane_pass_only_for_enough_short_lanes(tri_pendant):
                                                 budget, cost, runs))
             for g, w in zip(got, want, strict=True):
                 _assert_same_trace(g, w)
+
+
+# -- whole-number walker choice: int32 and int64 sums, the Fenwick descent -------
+
+_HUB_DEGREE = 40_000
+# the fewest walkers whose sums may pass 2^31 on the star: the lockstep kernel
+# keeps int32 sums below this m and int64 sums from it on
+_INT64_M = (1 << 31) // _HUB_DEGREE + 1
+
+
+@pytest.fixture(scope="module")
+def star():
+    return load_graph("".join(f"0 {leaf}\n" for leaf in range(1, _HUB_DEGREE + 1)))
+
+
+def _walker_draws(gen, shape):
+    # the largest draw below 1 and a draw of 1 put the target just under and on the total
+    r1 = gen.random(shape)
+    r1[gen.random(shape) < 0.1] = 1 - 2 ** -53
+    r1[gen.random(shape) < 0.05] = 1.0
+    return r1
+
+
+def _assert_matches_float_sums(graph, starts, d1, d2):
+    # the lockstep kernel on (S, R) draws and the scalar loop on each lane
+    kept = starts.copy()
+    got, want = samplers._fs_steps(graph, starts, d1, d2), _ref_fs_steps(graph, starts, d1, d2)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for k in range(starts.shape[0]):
+        got, want = ([np.zeros(d2.shape[0], dtype=t) for t in (np.int64, np.int64, np.int32)]
+                     for _ in range(2))
+        samplers._fs_path(graph, starts[k], d1[:, k], d2[:, k], *got)
+        _ref_fs_path(graph, starts[k], d1[:, k], d2[:, k], *want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    assert np.array_equal(starts, kept)
+
+
+@given(m=st.integers(_INT64_M - 4, _INT64_M + 3), at_hub=st.sampled_from([1.0, 0.999, 0.5]),
+       lanes=st.integers(1, 3), steps=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+@example(m=_INT64_M - 1, at_hub=1.0, lanes=2, steps=12, seed=0)
+@example(m=_INT64_M, at_hub=1.0, lanes=2, steps=12, seed=0)
+@settings(max_examples=12, deadline=None)
+def test_integer_walker_choice_matches_float_sums_across_the_int32_switch(
+        star, m, at_hub, lanes, steps, seed):
+    # walkers on the star's hub: m * 40,000 passes 2^31 from _INT64_M walkers
+    # on, so with every walker there the lane sums do too
+    gen = np.random.default_rng(seed)
+    hub = int(star.deg.argmax())
+    leaves = np.flatnonzero(star.deg == 1)
+    starts = np.where(gen.random((lanes, m)) < at_hub, hub, gen.choice(leaves, (lanes, m)))
+    if at_hub == 1.0:
+        assert (star.deg[starts].sum(axis=1) >= 1 << 31).all() == (m >= _INT64_M)
+    _assert_matches_float_sums(star, starts, _walker_draws(gen, (steps, lanes)),
+                               gen.random((steps, lanes)))
+
+
+@st.composite
+def _power_of_two_cases(draw):
+    # m = 2^k - 1, 2^k and 2^k + 1 walkers: the Fenwick descent starts at the
+    # top bit of m, and a draw of 1 descends to all m walkers, capped at m - 1
+    k = draw(st.integers(min_value=1, max_value=7))
+    m = draw(st.sampled_from([2 ** k - 1, 2 ** k, 2 ** k + 1]))
+    n = draw(st.integers(min_value=2, max_value=12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)),
+                          min_size=1, max_size=30))
+    graph = load_graph("".join(f"{a} {(a + b) % n}\n" for a, b in pairs))
+    lanes = draw(st.integers(min_value=1, max_value=4))
+    slots = draw(st.lists(st.integers(0, graph.vol_total - 1),
+                          min_size=lanes * m, max_size=lanes * m))
+    steps = draw(st.integers(1, 60))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d1, d2 = _walker_draws(gen, (steps, lanes)), gen.random((steps, lanes))
+    if draw(st.booleans()):  # dyadic draws put targets exactly on cumulative degrees
+        d1 = np.where((d1 == 1.0) | (d1 == 1 - 2 ** -53), d1, np.floor(d1 * 64) / 64)
+    return graph, graph._source[np.asarray(slots)].reshape(lanes, m), d1, d2
+
+
+@given(_power_of_two_cases())
+@settings(max_examples=200, deadline=None)
+def test_fenwick_walker_choice_matches_float_sums_around_powers_of_two(case):
+    graph, starts, d1, d2 = case
+    # one walker (m = 1) steps in the kernel's path branch, which has no choice to make
+    _assert_matches_float_sums(graph, starts, d1, d2)
