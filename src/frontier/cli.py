@@ -178,6 +178,9 @@ def _parse_targets(text: str) -> TargetSpec:
 
 
 def _cmd_estimate(args) -> int:
+    if args.out != "-":
+        _check_out(args.out, args.force)
+    targets = _parse_targets(args.targets)
     graph = _load_graph_file(args.graph)
     with open(args.trace, "r", encoding="utf-8", newline="") as fh:
         trace = read_trace_csv(fh)
@@ -186,7 +189,6 @@ def _cmd_estimate(args) -> int:
     if args.labels_file:
         with open(args.labels_file, "r", encoding="utf-8") as fh:
             labels = parse_vertex_labels(fh, graph)
-    targets = _parse_targets(args.targets)
     _check_labels(targets, labels, graph)
     trace = _burn_in(trace, args.burn_in)
 
@@ -204,7 +206,6 @@ def _cmd_estimate(args) -> int:
     if args.out == "-":
         sys.stdout.write(payload)
     else:
-        _check_out(args.out, args.force)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
         print(f"wrote {args.out}")

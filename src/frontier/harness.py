@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -45,6 +45,7 @@ from .oracles import (
     _binomial,
     _ccdf,
     _subset_mask,
+    _tails,
     compute_truth,
     stationary_occupancy_ratio,
     stationary_subset_occupancy,
@@ -558,19 +559,35 @@ def _init_worker(*state) -> None:
     _worker_state = state
 
 
-def _run_chunk(task, state: tuple = ()) -> list:
+def _run_chunk(task, state: tuple = ()) -> list[np.ndarray]:
     """Sample and estimate the runs ``task = (method index, run indices)`` in
-    one batch; each run projected as by :func:`_project`.  ``state`` is
-    ``(graph, labels, config, budget, families)``, a pool worker's own by
-    default."""
+    one batch: a truth keys x runs block per family, column r being run r's
+    :func:`_project`, then one of the scalars.  Degree densities are the
+    zero-padded rows of one runs x classes array, whose CCDFs are one
+    :func:`_tails`.  ``state`` is ``(graph, labels, config, budget,
+    families)``, a pool worker's own by default."""
     method_idx, run_indices = task
     graph, labels, cfg, budget, families = state or _worker_state
+    t, rest = cfg.targets, replace(cfg.targets, ccdf=False, degree_density=())
+    top = int(graph.degrees(cfg.ccdf_mode).max())
+    # no run has a class past top, so the last column is 0.0 and keys past it read it
+    width = 2 + (top if t.ccdf else min(top, max(t.degree_density, default=0)))
+    dens, projected = np.zeros((len(run_indices), width)), []
+    others = [f for f in families if f[0] not in ("gamma", "theta_degree")]
     root = RngStream(cfg.seed)
-    traces = _sample_runs(graph, cfg.methods[method_idx], budget,
-                          [root.child(method_idx, i) for i in run_indices])
-    return [_project(_estimate_targets(_burn_in(trace, cfg.burn_in), graph, labels,
-                                       cfg.targets, cfg.ccdf_mode), families, cfg.targets)
-            for trace in traces]
+    for r, trace in enumerate(_sample_runs(graph, cfg.methods[method_idx], budget,
+                                           [root.child(method_idx, i) for i in run_indices])):
+        trace = _burn_in(trace, cfg.burn_in)
+        if t.ccdf or t.degree_density:
+            d = _degree_density(trace, graph, cfg.ccdf_mode, trace.method)
+            dens[r, :d.size] = d[:width]
+        est = _estimate_targets(trace, graph, labels, rest, cfg.ccdf_mode)
+        projected.append(_project(est, others, rest))
+    cols = {"theta_degree": dens} | ({"gamma": _tails(dens)} if t.ccdf else {})
+    stacked = iter(np.stack(runs, axis=1) for runs in zip(*(rows for rows, _ in projected)))
+    scalars = np.array([values for _, values in projected], dtype=np.float64).T
+    return [cols[name][:, np.minimum(keys, width - 1)].T if name in cols else next(stacked)
+            for name, keys in families] + [scalars]
 
 
 # -- report -------------------------------------------------------------------
@@ -763,9 +780,8 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
 
     def collect(parts) -> None:
         for (mi, run_indices), part in zip(tasks, parts):
-            for ri, (run_rows, run_scalars) in zip(run_indices, part):
-                for mat, row in zip(mats[mi], [*run_rows, run_scalars]):
-                    mat[:, ri] = row
+            for mat, block in zip(mats[mi], part):
+                mat[:, run_indices.start:run_indices.stop] = block
 
     state = (graph, labels, config, budget,
              [(name, tuple(truth_f)) for name, _, _, truth_f, _, _ in families])

@@ -66,11 +66,19 @@ def _nonzero(dens: np.ndarray) -> dict[int, float]:
     return {k: x for k, x in enumerate(dens.tolist()) if x}
 
 
+def _tails(weights: np.ndarray) -> np.ndarray:
+    """Sum of each row's per-degree ``weights`` above each degree l, summed
+    top down (sequentially, so a row's bits do not depend on its padding
+    with zeros or on the other rows)."""
+    tail = np.zeros(weights.shape)
+    tail[..., :-1] = np.cumsum(weights[..., :0:-1], axis=-1)[..., ::-1]
+    return tail
+
+
 def _ccdf(weights: np.ndarray, total: float = 1) -> dict[int, float]:
-    """Share of ``total`` above each degree l of per-degree ``weights``, summed top down."""
-    tail = np.zeros(weights.size)
-    tail[:-1] = np.cumsum(weights[:0:-1])[::-1] / total
-    return dict(enumerate(tail.tolist()))
+    """Share of ``total`` above each degree l of per-degree ``weights``, as a
+    dict of :func:`_tails`."""
+    return dict(enumerate((_tails(weights) / total).tolist()))
 
 
 def exact_degree_density(graph: Graph, mode: str = "symmetric") -> dict[int, float]:

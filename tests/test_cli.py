@@ -885,6 +885,21 @@ def test_estimate_out_dash_still_writes_stdout(tmp_path, monkeypatch, graph_file
     assert (tmp_path / "-").read_text() == "keep me\n"
 
 
+@pytest.mark.parametrize("targets, force", [("ccdf", False), ("eigenvalues", True)])
+def test_estimate_refuses_its_arguments_before_reading_any_file(tmp_path, capsys, targets,
+                                                                 force):
+    # an existing --out without --force, or an unknown target, is refused
+    # before the graph is opened: here the graph path does not even exist
+    out = tmp_path / "e.json"
+    out.write_text("keep me\n")
+    argv = ["estimate", "--graph", str(tmp_path / "missing.txt"), "--trace",
+            str(tmp_path / "missing.csv"), "--targets", targets, "--out", str(out)]
+    assert run(*argv, *(["--force"] if force else [])) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+    assert out.read_text() == "keep me\n"
+
+
 def test_estimate_names_the_first_bad_trace_row(tmp_path, graph_file, capsys):
     trace = str(tmp_path / "bad.csv")
     open(trace, "w").write("# method=rw\n# m=1\nstep,walker,u,v,cost\n"
@@ -1024,3 +1039,19 @@ def test_experiment_fs_lockstep_matches_golden_report(tmp_path, workers):
     out = str(tmp_path / "r.csv")
     assert run("experiment", "--config", _FS_LOCKSTEP, "--out", out, "--workers", workers) == 0
     assert read(out) == read(_GOLDEN_FS_LOCKSTEP)
+
+
+_RAGGED = os.path.join(os.path.dirname(__file__), "golden", "ragged_chunks_config.json")
+_GOLDEN_RAGGED = os.path.join(os.path.dirname(__file__), "golden", "ragged_chunks_report.csv")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_experiment_ragged_chunks_matches_golden_report(tmp_path, workers):
+    # fs, mrw and rw with stochastic start costs, so the runs of a chunk walk
+    # unequal step counts, plus dfs, random_vertex and random_edge, after a
+    # burn-in of 2 and with degree keys up to and past the largest degree (22);
+    # the report was written when every run's CCDF was a dict read back key
+    # by key
+    out = str(tmp_path / "r.csv")
+    assert run("experiment", "--config", _RAGGED, "--out", out, "--workers", workers) == 0
+    assert read(out) == read(_GOLDEN_RAGGED)

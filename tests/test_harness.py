@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from frontier import harness
-from frontier import samplers
+from frontier import oracles, samplers
 from frontier.errors import ConfigError
-from frontier.graphs import (LabelStore, _searchsorted_ragged, generate_barabasi_albert,
-                             generate_joined_ba, load_graph)
+from frontier.graphs import (LabelStore, _searchsorted_ragged, build_graph,
+                             generate_barabasi_albert, generate_joined_ba, load_graph)
 from frontier.oracles import compute_truth
 from frontier.harness import (
     ExperimentConfig,
@@ -730,6 +730,73 @@ def test_report_identical_across_chunkings():
             k = int(r.label)
             assert r.cnmse == err[k]
             assert r.mean_estimate == float(np.mean([g.get(k, 0.0) for g in gammas]))
+
+
+_CHUNK_METHODS = (
+    {"name": "fs", "m": 3}, {"name": "mrw", "m": 2, "start": "degree"}, {"name": "rw"},
+    {"name": "dfs", "m": 2, "time_budget": 10}, {"name": "random_vertex"},
+    {"name": "random_edge"})
+
+
+@st.composite
+def _chunk_cases(draw):
+    # a directed ring of random orientations plus random arcs, so that the in-
+    # and out-degree classes differ from the symmetric ones and can be 0
+    n = draw(st.integers(5, 14))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ring = np.c_[np.arange(n), (np.arange(n) + 1) % n]
+    flip = gen.random(n) < 0.5
+    ring[flip] = ring[flip, ::-1]
+    graph = build_graph(np.r_[ring, gen.integers(0, n, size=(draw(st.integers(0, 3 * n)), 2))])
+    method = dict(draw(st.sampled_from(_CHUNK_METHODS)))
+    if method["name"] in ("fs", "mrw", "rw") and draw(st.booleans()):
+        method["cost"] = {"vertex_hit_ratio": 0.5, "stochastic_starts": True}
+    top = int(graph.deg.max())
+    degrees = draw(st.lists(st.integers(0, top + 2), max_size=4)) + [top + 1, top + 7, 10**6]
+    cfg = ExperimentConfig.from_dict(_base_config(
+        methods=[method], budget=60, runs=12, seed=draw(st.integers(0, 1000)),
+        burn_in=draw(st.integers(0, 2)),
+        ccdf_mode=draw(st.sampled_from(("symmetric", "in_directed", "out_directed"))),
+        targets={"ccdf": draw(st.booleans()), "degree_density": degrees}))
+    start = draw(st.integers(0, 6))
+    return graph, cfg, range(start, start + draw(st.integers(1, 6)))
+
+
+@given(_chunk_cases())
+@settings(max_examples=150, deadline=None)
+def test_chunk_blocks_equal_the_per_run_projection_bit_for_bit(case):
+    # each CCDF and degree block of a chunk, read from one runs x classes
+    # array, holds the bits that projecting each run's estimate dicts gives
+    graph, cfg, run_indices = case
+    truth = compute_truth(graph, None, cfg.ccdf_mode, cfg.targets.oracle_targets())
+    families = [(name, tuple(truth_f)) for name, _, _, truth_f, _, _
+                in harness._families(truth, cfg.targets)]
+    budget = resolve_budget(cfg.budget, graph.n_vertices)
+    blocks = harness._run_chunk((0, run_indices), (graph, None, cfg, budget, families))
+    traces = harness._sample_runs(graph, cfg.methods[0], budget,
+                                  [RngStream(cfg.seed).child(0, i) for i in run_indices])
+    projected = [harness._project(harness._estimate_targets(
+        harness._burn_in(trace, cfg.burn_in), graph, None, cfg.targets, cfg.ccdf_mode),
+        families, cfg.targets)[0] for trace in traces]
+    assert len(blocks) == len(families) + 1 and blocks[-1].shape == (0, len(run_indices))
+    for fi, (name, keys) in enumerate(families):
+        expected = np.stack([rows[fi] for rows in projected], axis=1)
+        assert blocks[fi].shape == (len(keys), len(run_indices))
+        assert np.array_equal(blocks[fi].view(np.int64), expected.view(np.int64)), name
+
+
+def test_experiment_builds_no_ccdf_dict_per_run():
+    # the truth's CCDF is the one dict an experiment builds; every run's CCDF
+    # is a row of its chunk's array
+    cfg = ExperimentConfig.from_dict(_base_config(
+        methods=[{"name": "fs", "m": 3}, {"name": "rw"}, {"name": "random_edge"}],
+        runs=20, targets={"ccdf": True, "degree_density": [2, 3]}))
+    with mock.patch("frontier.oracles._ccdf", wraps=oracles._ccdf) as spy, \
+            mock.patch.object(harness, "_ccdf", spy), \
+            mock.patch("frontier.estimators._ccdf", spy):
+        report = run_monte_carlo(cfg)
+    assert spy.call_count == 1
+    assert len(report.rows_for("rw", "gamma")) > 0
 
 
 @pytest.mark.parametrize("method, batch, sampler", [
