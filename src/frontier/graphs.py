@@ -180,10 +180,12 @@ class Graph:
 
 def _key_search(keys: np.ndarray, n: int, u, v) -> np.ndarray:
     """Position of each key ``u[k] * n + v[k]`` in the sorted array ``keys``, or -1
-    where absent; an id outside [0, n) is absent, as its key would alias another pair's."""
+    where absent; an id outside [0, n) is absent, as its key would alias another pair's.
+    Queries are searched in ascending order: random-order probes miss the cache."""
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     want = np.where((u >= 0) & (u < n) & (v >= 0) & (v < n), u * n + v, -1)
-    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    order, pos = np.argsort(want, axis=None), np.empty(want.shape, dtype=np.int64)
+    pos.ravel()[order] = np.minimum(np.searchsorted(keys, want.ravel()[order]), keys.size - 1)
     return np.where(keys[pos] == want, pos, -1)
 
 
@@ -209,15 +211,19 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
-def _neighbor_blocks(graph: Graph, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(k, w)`` for every neighbour ``w`` of every ``src[k]``, flat in row order."""
-    cnt = graph.deg[src]
-    k = np.repeat(np.arange(src.size), cnt)
-    first = np.repeat(graph.indptr[src] - (np.cumsum(cnt) - cnt), cnt)
-    return k, graph.indices[first + np.arange(k.size)]
+_SUPPORT_CHUNK = 1 << 18  # row entries expanded per step of _row_chunks
 
 
-_SUPPORT_CHUNK = 1 << 18  # neighbour entries expanded per step of _edge_support
+def _row_chunks(indptr: np.ndarray, indices: np.ndarray, src: np.ndarray) -> Iterator[tuple]:
+    """``(lo, hi, k, w)`` for runs ``src[lo:hi]`` of about ``_SUPPORT_CHUNK`` entries at
+    most: ``w`` flattens the rows ``src[lo + k]`` of the CSR ``(indptr, indices)``."""
+    cnt = indptr[src + 1] - indptr[src]
+    cuts = np.searchsorted(np.cumsum(cnt), np.arange(_SUPPORT_CHUNK, cnt.sum(), _SUPPORT_CHUNK))
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, src.size]):
+        c = cnt[lo:hi]
+        k = np.repeat(np.arange(hi - lo), c)
+        first = np.repeat(indptr[src[lo:hi]] - (np.cumsum(c) - c), c)
+        yield lo, hi, k, indices[first + np.arange(k.size)]
 
 
 def _edge_support(graph: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -228,11 +234,8 @@ def _edge_support(graph: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     swap = graph.deg[u] > graph.deg[v]
     a, b = np.where(swap, v, u), np.where(swap, u, v)
-    cnt = graph.deg[a]
-    cuts = np.searchsorted(np.cumsum(cnt), np.arange(_SUPPORT_CHUNK, cnt.sum(), _SUPPORT_CHUNK))
     out = np.zeros(u.size, dtype=np.int64)
-    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, u.size]):
-        k, w = _neighbor_blocks(graph, a[lo:hi])
+    for lo, hi, k, w in _row_chunks(graph.indptr, graph.indices, a):
         hit = graph._slot(b[lo:hi][k], w) >= 0
         out[lo:hi] = np.bincount(k[hit], minlength=hi - lo)
     return out
@@ -254,7 +257,7 @@ def _as_text(source: "str | bytes | IO") -> str:
 
 # np.loadtxt reads a text as the line loop of parse_edge_list does when it holds
 # only printable ASCII, tabs and line ends, and '#' opens comment lines only
-_LOADTXT_UNSAFE = re.compile(r"[^\t\n\r -~]")
+_LOADTXT_SAFE = bytes(range(32, 127)) + b"\t\n\r"
 _INLINE_COMMENT = re.compile(r"^[^\S\n]*[^#\s][^\n]*#", re.M)
 
 
@@ -263,7 +266,8 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 def _loadtxt_edges(text: str) -> np.ndarray | None:
     """Edge array of a plain edge list parsed in C; None for any other input."""
-    if _LOADTXT_UNSAFE.search(text) or ("#" in text and _INLINE_COMMENT.search(text)):
+    if (not text.isascii() or text.encode("ascii").translate(None, _LOADTXT_SAFE)
+            or ("#" in text and _INLINE_COMMENT.search(text))):
         return None
     try:
         with warnings.catch_warnings():

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StationarityError, UndefinedEstimateError
-from .graphs import (Graph, LabelStore, _edge_support, _neighbor_blocks, connected_components,
-                     is_bipartite)
+from .graphs import (Graph, LabelStore, _key_search, _row_chunks,
+                     connected_components, is_bipartite)
 
 __all__ = [
     "exact_vertex_label_density",
@@ -153,17 +153,22 @@ def exact_assortativity(graph: Graph) -> float:
 def triangle_counts(graph: Graph) -> np.ndarray:
     """Number of triangles through each vertex.
 
-    Each undirected edge contributes its shared-neighbor count to both
-    endpoints; every triangle at v is then counted twice (once per
-    incident edge of the triangle), hence the final halving.
+    Each triangle is counted once on the "forward" orientation (Latapy, "Main-memory
+    triangle computations for very large (sparse (power-law)) graphs", TCS 2008): edges
+    point up the (degree, id) order, and triangle s < t < w is the out-neighbour w of s
+    that t points to, found from edge s -> t.
     """
-    n, src = graph.n_vertices, graph._source
-    fwd = src < graph.indices
-    u, v = src[fwd], graph.indices[fwd]
-    f = _edge_support(graph, u, v)
-    acc = (np.bincount(u, f, n) + np.bincount(v, f, n)).astype(np.int64)
-    assert (acc % 2 == 0).all()
-    return acc // 2
+    n, src, dst = graph.n_vertices, graph._source, graph.indices
+    rank = graph.deg * n + np.arange(n)  # orders the vertices by (degree, id)
+    fwd = rank[src] < rank[dst]
+    s, t = src[fwd], dst[fwd]
+    keys = s * n + t  # the kept closure slots, still sorted
+    out = np.zeros(n, dtype=np.int64)
+    for lo, _, k, w in _row_chunks(np.r_[0, np.cumsum(np.bincount(s, minlength=n))], t, s):
+        a, b = s[lo:][k], t[lo:][k]
+        hit = _key_search(keys, n, b, w) >= 0
+        out += np.bincount(np.concatenate([a[hit], b[hit], w[hit]]), minlength=n)
+    return out
 
 
 def exact_global_clustering(graph: Graph) -> float:
@@ -267,9 +272,10 @@ def enumerate_power_chain(graph: Graph, m: int, state_cap: int = 10 ** 6) -> Pow
     cols_all = []
     strides = [n ** (m - 1 - i) for i in range(m)]
     for i in range(m):
-        rows, targets = _neighbor_blocks(graph, digits[i])  # states are 0..n_states-1
-        rows_all.append(rows)
-        cols_all.append(rows + (targets - digits[i][rows]) * strides[i])
+        for lo, _, k, targets in _row_chunks(graph.indptr, graph.indices, digits[i]):
+            rows = lo + k  # states are 0..n_states-1
+            rows_all.append(rows)
+            cols_all.append(rows + (targets - digits[i][rows]) * strides[i])
     rows = np.concatenate(rows_all)
     cols = np.concatenate(cols_all)
     data = 1.0 / esize[rows]

@@ -732,9 +732,12 @@ def discard_burn_in(trace: SampleTrace, w: int) -> SampleTrace:
 
 # -- trace serialization -------------------------------------------------------
 
+_WRITE_BLOCK = 1 << 16  # trace rows formatted per write
+
 
 def write_trace_csv(trace: SampleTrace, path_or_stream: "str | IO") -> None:
-    """CSV with ``# key=value`` header comments, then step records."""
+    """CSV with ``# key=value`` header comments, then step records, written in
+    blocks of ``_WRITE_BLOCK`` rows that each take one ``%`` format."""
     names = [name for name, _ in _TRACE_FIELDS[:5 if trace.time is None else 6]]
     with _text_file(path_or_stream) as fh:
         fh.write(f"# method={trace.method}\n")
@@ -747,9 +750,11 @@ def write_trace_csv(trace: SampleTrace, path_or_stream: "str | IO") -> None:
         for k in sorted(trace.meta):
             fh.write(f"# {k}={trace.meta[k]!r}\n")
         fh.write(",".join(names) + "\n")
-        fmt = ",".join(["{!r}"] * len(names)) + "\n"
-        fh.writelines(map(fmt.format, itertools.count(1),
-                          *(getattr(trace, name).tolist() for name in names[1:])))
+        fmt = "%d,%d,%d,%d" + ",%r" * (len(names) - 4) + "\n"  # %d of an int is its repr
+        for lo in range(0, trace.n_steps, _WRITE_BLOCK):
+            block = [getattr(trace, name)[lo:lo + _WRITE_BLOCK].tolist() for name in names[1:]]
+            rows = zip(itertools.count(lo + 1), *block)
+            fh.write(fmt * len(block[0]) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def read_trace_csv(source: "str | IO") -> SampleTrace:

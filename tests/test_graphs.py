@@ -1,6 +1,7 @@
 import hashlib
 import io
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -650,3 +651,57 @@ def test_components_and_bipartiteness_match_bfs(text):
                     queue.append(y)
     assert connected_components(g).component_id.tolist() == cid
     assert is_bipartite(g) == bipartite
+
+
+# -- edge lookups and the edge-list byte check against their former code ------
+
+
+def _ref_key_search(keys: np.ndarray, n: int, u, v) -> np.ndarray:
+    """The edge-key lookup before queries were searched in sorted order, verbatim."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    want = np.where((u >= 0) & (u < n) & (v >= 0) & (v < n), u * n + v, -1)
+    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    return np.where(keys[pos] == want, pos, -1)
+
+
+# the character-class regex the byte check in _loadtxt_edges replaced, verbatim
+_REF_LOADTXT_UNSAFE = re.compile(r"[^\t\n\r -~]")
+
+
+@st.composite
+def _key_queries(draw):
+    """Sorted unique keys of an n-vertex id space plus (u, v) queries of any
+    shape, with ids outside [0, n) and repeats."""
+    n = draw(st.integers(1, 12))
+    keys = np.asarray(sorted(draw(st.sets(st.integers(0, n * n - 1), min_size=1))), np.int64)
+    shape = draw(st.sampled_from([(), (0,), (1,), (7,), (3, 4), (4, 3, "F")]))
+    size = int(np.prod(shape[:2]))
+    ids = st.integers(-3, n + 2)
+    u, v = (np.asarray(draw(st.lists(ids, min_size=size, max_size=size)), np.int64)
+            for _ in range(2))
+    if shape[-1:] == ("F",):  # a 2-d query laid out column-major
+        return keys, n, u.reshape(shape[1::-1]).T, v.reshape(shape[1::-1]).T
+    if draw(st.booleans()) and size:  # repeated queries
+        u, v = np.repeat(u[:1], size), np.repeat(v[:1], size)
+    return keys, n, u.reshape(shape), v.reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_key_queries())
+@example((np.asarray([1, 5, 7]), 3, np.int64(0), np.int64(1)))
+@example((np.asarray([1, 5, 7]), 3, np.zeros(0, np.int64), np.zeros(0, np.int64)))
+def test_key_search_matches_the_query_order_reference(case):
+    keys, n, u, v = case
+    got, want = graphs._key_search(keys, n, u, v), _ref_key_search(keys, n, u, v)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ch", [chr(b) for b in range(0x80)] + ["é"])
+def test_loadtxt_byte_check_accepts_what_the_regex_accepted(ch):
+    # on a comment line the character changes nothing the C parser reads
+    text = f"0 1\n# {ch}\n1 2\n"
+    safe = graphs._loadtxt_edges(text) is not None
+    assert safe == (_REF_LOADTXT_UNSAFE.search(text) is None)
+    if safe:
+        assert graphs._loadtxt_edges(text).tolist() == [[0, 1], [1, 2]]

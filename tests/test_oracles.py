@@ -1,9 +1,13 @@
 import json
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from frontier import graphs
 from frontier.errors import StationarityError, UndefinedEstimateError
 from frontier.graphs import LabelStore, build_graph, generate_barabasi_albert, load_graph
 from frontier.oracles import (
@@ -66,6 +70,62 @@ def test_edge_label_density(tri_pendant):
 def test_triangle_counts(tri_pendant, k5):
     assert triangle_counts(tri_pendant).tolist() == [1, 1, 1, 0]
     assert triangle_counts(k5).tolist() == [6, 6, 6, 6, 6]
+
+
+def _ref_triangle_counts(graph) -> np.ndarray:
+    """The per-vertex count on edge supports before the forward orientation,
+    verbatim but for its name and the module of ``_edge_support``."""
+    n, src = graph.n_vertices, graph._source
+    fwd = src < graph.indices
+    u, v = src[fwd], graph.indices[fwd]
+    f = graphs._edge_support(graph, u, v)
+    acc = (np.bincount(u, f, n) + np.bincount(v, f, n)).astype(np.int64)
+    assert (acc % 2 == 0).all()
+    return acc // 2
+
+
+def _undirected(pairs) -> "graphs.Graph":
+    return build_graph(np.asarray([(a, b) for a, b in pairs] + [(b, a) for a, b in pairs]))
+
+
+# degrees tie everywhere (K5, the leaves of a star, two hubs over shared leaves),
+# so the (degree, id) order alone orients the edges
+_TIED_GRAPHS = {
+    "k5": [(i, j) for i in range(5) for j in range(i + 1, 5)],
+    "star": [(0, i) for i in range(1, 8)],
+    "two_hubs": [(0, 1)] + [(h, leaf) for h in (0, 1) for leaf in range(2, 7)],
+    "two_hubs_apart": [(h, leaf) for h in (0, 1) for leaf in range(2, 7)] + [(2, 3)],
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 18])
+@pytest.mark.parametrize("name", sorted(_TIED_GRAPHS))
+def test_forward_triangle_count_matches_edge_supports_on_tied_degrees(name, chunk):
+    g = _undirected(_TIED_GRAPHS[name])
+    want = _ref_triangle_counts(g)
+    with mock.patch.object(graphs, "_SUPPORT_CHUNK", chunk):
+        got = triangle_counts(g)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)), min_size=1, max_size=60),
+       st.sampled_from([1, 7, 1 << 18]))
+def test_forward_triangle_count_matches_edge_supports_on_random_graphs(pairs, chunk):
+    pairs = [(a, b) for a, b in pairs if a != b]
+    if not pairs:
+        return
+    ids, dense = np.unique(np.asarray(pairs), return_inverse=True)
+    g = build_graph(dense.reshape(-1, 2))  # some pairs are one-way: the closure is what counts
+    want = _ref_triangle_counts(g)
+    with mock.patch.object(graphs, "_SUPPORT_CHUNK", chunk):
+        assert triangle_counts(g).tolist() == want.tolist()
+
+
+def test_forward_triangle_count_matches_edge_supports_on_a_ba_graph():
+    g = generate_barabasi_albert(400, 4, 3)
+    with mock.patch.object(graphs, "_SUPPORT_CHUNK", 64):
+        assert triangle_counts(g).tolist() == _ref_triangle_counts(g).tolist()
 
 
 def test_global_clustering_frozen(tri_pendant, k5):

@@ -2,17 +2,21 @@
 per-row loop on mutated trace texts."""
 
 import io
+import itertools
 import re
 
 import numpy as np
+import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from frontier.errors import BudgetError, ConfigError, GraphFormatError
 from frontier.graphs import generate_barabasi_albert
 from frontier.harness import MethodSpec, _burn_in, _sample
 from frontier.rng import RngStream
+from frontier.graphs import _text_file
 from frontier.samplers import (
     _TRACE_COLUMNS,
+    _TRACE_FIELDS,
     SampleTrace,
     _parse_meta_value,
     read_trace_csv,
@@ -252,3 +256,45 @@ def test_reader_refuses_python_only_spellings_by_row():
             assert str(exc) == f"trace row 2: non-numeric field in {row!r}"
         else:
             raise AssertionError(f"{row!r} was read")
+
+
+def _ref_write_trace_csv(trace: SampleTrace, path_or_stream) -> None:
+    """The writer before rows were formatted in blocks, verbatim but for its name."""
+    names = [name for name, _ in _TRACE_FIELDS[:5 if trace.time is None else 6]]
+    with _text_file(path_or_stream) as fh:
+        fh.write(f"# method={trace.method}\n")
+        fh.write(f"# m={trace.m}\n")
+        fh.write(f"# budget={trace.budget!r}\n")
+        fh.write(f"# spent={trace.spent!r}\n")
+        if trace.graph_hash:
+            fh.write(f"# graph_hash={trace.graph_hash}\n")
+        fh.write("# start_vertices=%s\n" % ",".join(map(str, trace.start_vertices.tolist())))
+        for k in sorted(trace.meta):
+            fh.write(f"# {k}={trace.meta[k]!r}\n")
+        fh.write(",".join(names) + "\n")
+        fmt = ",".join(["{!r}"] * len(names)) + "\n"
+        fh.writelines(map(fmt.format, itertools.count(1),
+                          *(getattr(trace, name).tolist() for name in names[1:])))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+@pytest.mark.parametrize("kind", ["edge", "dfs", "vertex"])
+@given(seed=st.integers(0, 2 ** 32),
+       pool=st.lists(st.floats(allow_nan=False), min_size=1, max_size=4))
+@settings(max_examples=3, deadline=None)
+def test_block_writer_matches_the_per_row_reference(kind, k, seed, pool):
+    """Edge, dfs (with ``time``) and vertex-only (``u = -1``) traces of a row count
+    at and around the writer's block edges, with costs such as 1e-05 and 0.1."""
+    gen = np.random.default_rng(seed)
+    v = gen.integers(0, 1 << 40, k)
+    u = np.full(k, -1) if kind == "vertex" else gen.integers(0, 1 << 40, k)
+    time = np.cumsum(gen.choice([0.1, 1e-05, 0.3], k)) if kind == "dfs" else None
+    trace = SampleTrace(
+        method={"edge": "fs", "dfs": "dfs", "vertex": "random_vertex"}[kind], m=3,
+        budget=float(k), spent=float(k), start_vertices=np.arange(3), u=u, v=v,
+        walker=gen.integers(0, 3, k).astype(np.int32),
+        cost=gen.choice(np.asarray(pool + [1e-05, 0.1, 1.0]), k), time=time,
+        graph_hash="ab" * 32, meta={"burn_in": 1})
+    ref = io.StringIO()
+    _ref_write_trace_csv(trace, ref)
+    assert _text(trace) == ref.getvalue()
