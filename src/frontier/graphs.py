@@ -189,22 +189,6 @@ def _key_search(keys: np.ndarray, n: int, u, v) -> np.ndarray:
     return np.where(keys[pos] == want, pos, -1)
 
 
-def _searchsorted_ragged(sorted_flat: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                         needle: np.ndarray) -> np.ndarray:
-    """Binary search of needle[k] within sorted_flat[lo[k]:hi[k]], vectorized."""
-    lo = lo.astype(np.int64).copy()
-    hi = hi.astype(np.int64).copy()
-    while True:
-        active = lo < hi
-        if not active.any():
-            return lo
-        mid = (lo + hi) // 2
-        less = np.zeros(lo.shape, dtype=bool)
-        less[active] = sorted_flat[mid[active]] < needle[active]
-        lo = np.where(active & less, mid + 1, lo)
-        hi = np.where(active & ~less, mid, hi)
-
-
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     """``np.unique`` of a 1-D int array: one sort plus an adjacent-difference mask."""
     keys = np.sort(keys)

@@ -60,12 +60,10 @@ from .samplers import (
     SampleTrace,
     StartMode,
     _dfs_budget,
-    _fs_batch,
     _fs_steps,
     _lane_m,
-    _mrw_batch,
     _query_count,
-    _rw_batch,
+    _walk_runs,
     _walk_steps,
     discard_burn_in,
     distributed_fs,
@@ -94,9 +92,9 @@ __all__ = [
 
 # each method's runs with the streams ``rngs``, as a lazy sequence of traces in order
 _RUNS = {
-    "rw": lambda g, s, b, rngs: _rw_batch(g, s.start, b, s.cost, rngs),
-    "mrw": lambda g, s, b, rngs: _mrw_batch(g, s.m, s.start, b, s.cost, rngs),
-    "fs": lambda g, s, b, rngs: _fs_batch(g, s.m, s.start, b, s.cost, rngs),
+    "rw": lambda g, s, b, rngs: _walk_runs("rw", g, 1, s.start, b, s.cost, rngs),
+    "mrw": lambda g, s, b, rngs: _walk_runs("mrw", g, s.m, s.start, b, s.cost, rngs),
+    "fs": lambda g, s, b, rngs: _walk_runs("fs", g, s.m, s.start, b, s.cost, rngs),
     "dfs": lambda g, s, b, rngs: (distributed_fs(g, s.m, float(s.time_budget), s.start, rng)
                                   for rng in rngs),
     "random_vertex": lambda g, s, b, rngs: (random_vertex_sample(g, b, s.cost, rng)
@@ -530,15 +528,6 @@ def _estimate_targets(trace: SampleTrace, graph: Graph, labels: LabelStore | Non
     return out
 
 
-def _estimate_one_run(graph: Graph, labels: LabelStore | None, cfg: ExperimentConfig,
-                      method: MethodSpec, budget: float, run_idx: int,
-                      method_idx: int) -> dict:
-    """Replay of one run of an experiment on its own."""
-    rng = RngStream(cfg.seed).child(method_idx, run_idx)
-    trace = _burn_in(_sample(graph, method, budget, rng), cfg.burn_in)
-    return _estimate_targets(trace, graph, labels, cfg.targets, cfg.ccdf_mode)
-
-
 def _project(est: dict, families: Sequence[tuple[str, tuple]], targets: TargetSpec):
     """One run's estimates as one float row per density family, over the
     family's truth keys, plus the p_edge, r and C values (None if undefined)."""
@@ -625,14 +614,6 @@ class ErrorReport:
                     f"{_fmt(r.mean_estimate)},{_fmt(r.bias)},"
                     f"{_fmt(r.nmse)},{_fmt(r.cnmse)}\n")
 
-    def to_json(self) -> str:
-        payload = {
-            "metadata": self.metadata,
-            "warnings": self.warnings,
-            "rows": [vars(r) for r in self.rows],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
     def rows_for(self, method_key: str, kind: str | None = None) -> list[ReportRow]:
         return [r for r in self.rows
                 if r.method == method_key and (kind is None or r.kind == kind)]
@@ -646,15 +627,21 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _truth_cache_path(cache_dir: str, graph_hash: str, cfg: ExperimentConfig) -> str:
-    spec = json.dumps({
+def _truth_cache_path(cache_dir: str, graph_hash: str, cfg: ExperimentConfig,
+                      labels: LabelStore | None) -> str:
+    spec = {
         "targets": sorted(cfg.targets.oracle_targets()),
         "degree_density": list(cfg.targets.degree_density),
         "labels": list(cfg.targets.labels),
         "edge_labels": list(cfg.targets.edge_labels),
         "ccdf_mode": cfg.ccdf_mode,
-    }, sort_keys=True)
-    key = hashlib.sha256((graph_hash + spec).encode()).hexdigest()[:20]
+    }
+    if cfg.targets.labels or cfg.targets.edge_labels:
+        # a label's truth depends on which items carry it, not only on its name
+        spec["label_names"] = labels.label_names
+        spec["label_pairs"] = [hashlib.sha256(a.tobytes()).hexdigest()
+                               for a in (labels.vertex_pairs, labels.edge_pairs)]
+    key = hashlib.sha256((graph_hash + json.dumps(spec, sort_keys=True)).encode()).hexdigest()[:20]
     return os.path.join(cache_dir, f"truth-{key}.json")
 
 
@@ -663,17 +650,23 @@ def _load_truth(graph: Graph, labels: LabelStore | None, cfg: ExperimentConfig,
     path = None
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        path = _truth_cache_path(cache_dir, graph.graph_hash, cfg)
+        path = _truth_cache_path(cache_dir, graph.graph_hash, cfg, labels)
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                cached = CharacteristicTruth.from_json(fh.read())
-            if cached.graph_hash == graph.graph_hash:
-                return cached
-            warnings.append("truth cache hash mismatch; recomputed")
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    cached = CharacteristicTruth.from_json(fh.read())
+            except (ValueError, AttributeError):  # not JSON, or not a truth object
+                warnings.append("truth cache unreadable; recomputed")
+            else:
+                if cached.graph_hash == graph.graph_hash:
+                    return cached
+                warnings.append("truth cache hash mismatch; recomputed")
     truth = compute_truth(graph, labels, cfg.ccdf_mode, cfg.targets.oracle_targets())
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        tmp = f"{path}.{os.getpid()}.tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(truth.to_json())
+        os.replace(tmp, path)  # a reader sees the old file or the whole new one
     return truth
 
 
@@ -974,30 +967,25 @@ def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "
     _check_m(method, m, "occupancy study")
     member = _subset_mask(graph, subset).astype(np.int64)
     hist = np.zeros(m + 1, dtype=np.int64)
-    if method == "fs":
-        start = start_mode or StartMode.uniform()
-        start_total = float(cost_model.start_costs(start.kind, m, None).sum())
-        # half a step short, so the ceil rule maps the budget back to ``steps``
-        budget = start_total + (steps - 0.5) * cost_model.walk_step_cost
-        for trace in _fs_batch(graph, m, start, budget, cost_model,
-                               [rng.child(run) for run in range(runs)]):
+    fs = method == "fs"
+    start = start_mode or (StartMode.uniform() if fs else StartMode.degree_proportional())
+    lane_cost = float(cost_model.start_costs(start.kind, _lane_m(method, m), None).sum())
+    step = cost_model.walk_step_cost
+    # fs: half a step short, so the ceil rule maps the budget back to ``steps``;
+    # mrw: half a step past, so the floor rule maps each share back to ``steps``
+    budget = lane_cost + (steps - 0.5) * step if fs else m * (lane_cost + (steps + 0.5) * step)
+    for trace in _walk_runs(method, graph, m, start, budget, cost_model,
+                            [rng.child(run) for run in range(runs)]):
+        if fs:
             if trace.n_steps != steps:
                 raise ConfigError(_UNEQUAL_WALKS)
             k0 = int(member[trace.start_vertices].sum())
             occ = k0 + np.cumsum(member[trace.v] - member[trace.u])
-            hist += np.bincount(occ, minlength=m + 1)
-    else:
-        start = start_mode or StartMode.degree_proportional()
-        per_walker = float(cost_model.start_costs(start.kind, 1, None)[0])
-        # half a step past, so the floor rule maps each share back to ``steps``
-        budget = m * (per_walker + (steps + 0.5) * cost_model.walk_step_cost)
-        for trace in _mrw_batch(graph, m, start, budget, cost_model,
-                                [rng.child(run) for run in range(runs)]):
+        else:
             if not np.all(np.bincount(trace.walker, minlength=m) == steps):
                 raise ConfigError(_UNEQUAL_WALKS)
-            vmat = trace.v.reshape(m, steps)
-            occ = member[vmat].sum(axis=0)
-            hist += np.bincount(occ, minlength=m + 1)
+            occ = member[trace.v.reshape(m, steps)].sum(axis=0)
+        hist += np.bincount(occ, minlength=m + 1)
 
     pmf = hist / hist.sum()
     mean = float((np.arange(m + 1) * pmf).sum())
@@ -1005,7 +993,7 @@ def occupancy_study(graph: Graph, subset: Sequence[int], m: int, method: str = "
     vol_share = float(graph.deg[member.astype(bool)].sum()) / graph.vol_total
     alpha_exact = stationary_occupancy_ratio(graph, subset)
     alpha_empirical = mean / (m * n_a / graph.n_vertices)
-    if method == "fs":
+    if fs:
         exact = stationary_subset_occupancy(graph, subset, m)
         return OccupancyStudy(method, m, steps, runs, pmf, mean,
                               float((np.arange(m + 1) * exact).sum()),

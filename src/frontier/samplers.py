@@ -320,12 +320,6 @@ def _walk_path(graph: Graph, start: int, r: np.ndarray) -> np.ndarray:
     return np.asarray(path, dtype=np.int64)
 
 
-def _walk_paths(graph: Graph, starts: np.ndarray, rs: list[np.ndarray]) -> np.ndarray:
-    """(K, S + 1) paths of the one-walker lanes from ``starts`` drawing ``rs``, as
-    :func:`_fs_walk` steps them; kept for the scalar/lockstep equivalence test."""
-    return np.column_stack((starts, _fs_walk(graph, starts[:, None], rs, rs)[1]))
-
-
 def _padded(rs) -> np.ndarray:
     """(S, K) draws of the K lanes ``rs``, lane k's in column k and zero past
     its own length, for the longest lane's S; of a (K, S) array, its transpose."""
@@ -359,9 +353,12 @@ def _fs_path(graph: Graph, starts: np.ndarray, r1: np.ndarray, r2: np.ndarray,
         if k + (k & -k) <= m:
             tree[k + (k & -k)] += tree[k]
     top = 1 << (m.bit_length() - 1)
-    r1, r2 = r1.tolist(), r2.tolist()
-    for i in range(len(r1)):
-        t = int(r1[i] * total)
+    # the draws as Python floats, one block of steps at a time: no list covers the run
+    draws = itertools.chain.from_iterable(
+        zip(r1[lo:lo + _WRITE_BLOCK].tolist(), r2[lo:lo + _WRITE_BLOCK].tolist())
+        for lo in range(0, len(r1), _WRITE_BLOCK))
+    for i, (x1, x2) in enumerate(draws):
+        t = int(x1 * total)
         j, step = 0, top
         while step:  # the largest prefix at most t; all m only for a draw of 1
             k = j + step
@@ -373,7 +370,7 @@ def _fs_path(graph: Graph, starts: np.ndarray, r1: np.ndarray, r2: np.ndarray,
             j -= 1
         cur = pos[j]
         a, b = ip[cur], ip[cur + 1]
-        nxt = ix[a + int(r2[i] * (b - a))]
+        nxt = ix[a + int(x2 * (b - a))]
         u[i] = cur
         v[i] = nxt
         wk[i] = j
@@ -502,12 +499,6 @@ def _walk_steps(method: str, budget: float, m: int, start_cost: float,
 # groups as they are drawn.
 
 
-def _draw_starts(graph: Graph, start_mode: StartMode, gens: list, m: int) -> np.ndarray:
-    """(lanes, m) start vertices, each row what ``start_mode.draw`` gives for
-    that lane's generator."""
-    return start_mode._place(graph, m, [start_mode._ids(graph, m, g) for g in gens], len(gens))
-
-
 class _Lane(NamedTuple):
     """One lane's draws: its walkers' total start cost, their start draw
     (None for explicit starts), its step count and its arrays of step draws."""
@@ -605,25 +596,6 @@ def _walk_runs(method: str, graph: Graph, m: int, start_mode: StartMode, budget:
                 graph_hash=graph.graph_hash, meta={"start_cost_total": start_cost})
 
 
-def _rw_batch(graph: Graph, start_mode: StartMode, budget: float, cost_model: CostModel,
-              rngs: list[RngStream]):
-    """:func:`single_rw` traces of the runs with streams ``rngs``."""
-    return _walk_runs("rw", graph, 1, start_mode, budget, cost_model, rngs)
-
-
-def _mrw_batch(graph: Graph, m: int, start_mode: StartMode, budget: float,
-               cost_model: CostModel, rngs: list[RngStream]):
-    """:func:`multiple_rw` traces of the runs with streams ``rngs``; walker w
-    of a run is one lane, with the stream of ``child(w)``."""
-    return _walk_runs("mrw", graph, m, start_mode, budget, cost_model, rngs)
-
-
-def _fs_batch(graph: Graph, m: int, start_mode: StartMode, budget: float,
-              cost_model: CostModel, rngs: list[RngStream]):
-    """:func:`frontier_sampling` traces of the runs with streams ``rngs``."""
-    return _walk_runs("fs", graph, m, start_mode, budget, cost_model, rngs)
-
-
 # -- walk samplers -----------------------------------------------------------
 
 
@@ -631,7 +603,7 @@ def single_rw(graph: Graph, start_mode: StartMode = StartMode.uniform(),
               budget: float = 1000, rng: RngStream = RngStream(0),
               cost_model: CostModel = DEFAULT_COST) -> SampleTrace:
     """One random walker spending the whole budget on steps."""
-    return next(_rw_batch(graph, start_mode, budget, cost_model, [rng]))
+    return next(_walk_runs("rw", graph, 1, start_mode, budget, cost_model, [rng]))
 
 
 def multiple_rw(graph: Graph, m: int, start_mode: StartMode = StartMode.uniform(),
@@ -642,7 +614,7 @@ def multiple_rw(graph: Graph, m: int, start_mode: StartMode = StartMode.uniform(
     Walker w draws from the derived stream ``rng.child(w)``; the trace is
     walker-major.
     """
-    return next(_mrw_batch(graph, m, start_mode, budget, cost_model, [rng]))
+    return next(_walk_runs("mrw", graph, m, start_mode, budget, cost_model, [rng]))
 
 
 def frontier_sampling(graph: Graph, m: int, start_mode: StartMode = StartMode.uniform(),
@@ -656,7 +628,7 @@ def frontier_sampling(graph: Graph, m: int, start_mode: StartMode = StartMode.un
     placed explicitly); the walk then runs until the charged steps cover
     the remaining budget.
     """
-    return next(_fs_batch(graph, m, start_mode, budget, cost_model, [rng]))
+    return next(_walk_runs("fs", graph, m, start_mode, budget, cost_model, [rng]))
 
 
 def _dfs_budget(graph: Graph, m: int, time_budget: float) -> None:
@@ -732,7 +704,7 @@ def discard_burn_in(trace: SampleTrace, w: int) -> SampleTrace:
 
 # -- trace serialization -------------------------------------------------------
 
-_WRITE_BLOCK = 1 << 16  # trace rows formatted per write
+_WRITE_BLOCK = 1 << 16  # trace rows formatted per write, and steps a scalar fs loop lists
 
 
 def write_trace_csv(trace: SampleTrace, path_or_stream: "str | IO") -> None:

@@ -1055,3 +1055,48 @@ def test_experiment_ragged_chunks_matches_golden_report(tmp_path, workers):
     out = str(tmp_path / "r.csv")
     assert run("experiment", "--config", _RAGGED, "--out", out, "--workers", workers) == 0
     assert read(out) == read(_GOLDEN_RAGGED)
+
+
+# -- truth cache -------------------------------------------------------------------
+
+
+def _labels_experiment(tmp_path, graph_file, labelled, out, *cache):
+    """Run a ``red`` label study with ``red`` on the vertices ``labelled``."""
+    labels = str(tmp_path / "labels.txt")
+    open(labels, "w").write("".join(f"{v} red\n" for v in labelled))
+    cfg = str(tmp_path / "cfg.json")
+    open(cfg, "w").write(json.dumps({
+        "graph": {"kind": "file", "path": graph_file, "labels_path": labels},
+        "methods": [{"name": "fs", "m": 2}], "budget": "V/4", "runs": 4, "seed": 5,
+        "targets": {"labels": ["red"]}}))
+    return run("experiment", "--config", cfg, "--out", out, "--force", *cache)
+
+
+def test_truth_cache_key_covers_the_labels(tmp_path, graph_file):
+    # one cache for two label files: the second run reported the first's truth
+    cache = ("--truth-cache", str(tmp_path / "cache"))
+    first, second, uncached = (str(tmp_path / f"{name}.csv") for name in "abc")
+    assert _labels_experiment(tmp_path, graph_file, range(150), first, *cache) == 0
+    assert _labels_experiment(tmp_path, graph_file, range(0, 300, 10), second, *cache) == 0
+    assert _labels_experiment(tmp_path, graph_file, range(0, 300, 10), uncached) == 0
+    assert read(second) == read(uncached) != read(first)
+    assert len(os.listdir(tmp_path / "cache")) == 2
+
+
+@pytest.mark.parametrize("text", ["[1,2", "[1, 2]"], ids=["truncated", "list"])
+def test_unreadable_truth_cache_is_recomputed(tmp_path, graph_file, text):
+    cache = tmp_path / "cache"
+    cached, uncached = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert _labels_experiment(tmp_path, graph_file, range(20), cached,
+                              "--truth-cache", str(cache)) == 0
+    (name,) = os.listdir(cache)
+    (cache / name).write_text(text)
+    assert _labels_experiment(tmp_path, graph_file, range(20), cached,
+                              "--truth-cache", str(cache)) == 0
+    assert _labels_experiment(tmp_path, graph_file, range(20), uncached) == 0
+    lines = open(cached).read().splitlines()
+    assert "# warning=truth cache unreadable; recomputed" in lines
+    assert [l for l in lines if not l.startswith("#")] \
+        == [l for l in open(uncached).read().splitlines() if not l.startswith("#")]
+    assert os.listdir(cache) == [name]  # rewritten in place, no temporary file left
+    assert isinstance(json.loads((cache / name).read_text()), dict)

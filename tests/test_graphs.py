@@ -25,11 +25,11 @@ from frontier.graphs import (
     restrict_to_lcc,
     write_edge_list,
     LabelStore,
-    _searchsorted_ragged,
 )
 from frontier.oracles import triangle_counts
 from frontier.rng import RngStream, as_stream
 from frontier.samplers import SampleTrace
+from ragged_search import _searchsorted_ragged
 
 
 # -- parsing ---------------------------------------------------------------

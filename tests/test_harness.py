@@ -12,8 +12,8 @@ from scipy import stats
 from frontier import harness
 from frontier import oracles, samplers
 from frontier.errors import ConfigError
-from frontier.graphs import (LabelStore, _searchsorted_ragged, build_graph,
-                             generate_barabasi_albert, generate_joined_ba, load_graph)
+from frontier.graphs import (LabelStore, build_graph, generate_barabasi_albert,
+                             generate_joined_ba, load_graph)
 from frontier.oracles import compute_truth
 from frontier.harness import (
     ExperimentConfig,
@@ -36,6 +36,7 @@ from frontier.samplers import (
     multiple_rw,
     single_rw,
 )
+from ragged_search import _searchsorted_ragged
 
 
 # -- metrics ------------------------------------------------------------------
@@ -205,9 +206,14 @@ def test_report_deterministic_across_worker_counts(tmp_path):
     assert a.getvalue() == b.getvalue()
 
 
-def test_report_rows_match_manual_recomputation():
-    from frontier.harness import _estimate_one_run
+def _estimate_one_run(graph, labels, cfg, method, budget, run_idx, method_idx):
+    """Replay of one run of an experiment on its own."""
+    rng = RngStream(cfg.seed).child(method_idx, run_idx)
+    trace = harness._burn_in(harness._sample(graph, method, budget, rng), cfg.burn_in)
+    return harness._estimate_targets(trace, graph, labels, cfg.targets, cfg.ccdf_mode)
 
+
+def test_report_rows_match_manual_recomputation():
     cfg = ExperimentConfig.from_dict(_base_config(
         targets={"degree_density": [2, 3]}, runs=5))
     graph, labels = cfg.resolve_graph()
@@ -491,20 +497,19 @@ def test_occupancy_study_rejects_other_methods(tri_pendant):
         occupancy_study(tri_pendant, [3], m=2, method="rw", rng=RngStream(0))
 
 
-@pytest.mark.parametrize("method, batch, steps, step_cost", [
-    ("mrw", "_mrw_batch", 3, 0.7), ("mrw", "_mrw_batch", 23, 0.7),
-    ("fs", "_fs_batch", 3, 0.7), ("fs", "_fs_batch", 18209, 0.9)])
-def test_occupancy_study_walks_exactly_steps(tri_pendant, method, batch, steps, step_cost):
+@pytest.mark.parametrize("method, steps, step_cost", [
+    ("mrw", 3, 0.7), ("mrw", 23, 0.7), ("fs", 3, 0.7), ("fs", 18209, 0.9)])
+def test_occupancy_study_walks_exactly_steps(tri_pendant, method, steps, step_cost):
     # float budgets must map back to ``steps`` under each sampler's rounding
     traces = []
-    real = getattr(harness, batch)
+    real = harness._walk_runs
 
     def recording(*args):
         for trace in real(*args):
             traces.append(trace)
             yield trace
 
-    with mock.patch.object(harness, batch, recording):
+    with mock.patch.object(harness, "_walk_runs", recording):
         study = occupancy_study(tri_pendant, [3], m=2, method=method, steps=steps, runs=2,
                                 rng=RngStream(4), cost_model=CostModel(walk_step_cost=step_cost))
     assert study.steps == steps and len(traces) == 2
@@ -535,8 +540,7 @@ def test_occupancy_study_checks_its_subset_before_sampling(tri_pendant, method, 
     def no_draw(*args):
         raise AssertionError("sampled before the subset was checked")
 
-    with mock.patch.object(harness, "_fs_batch", no_draw), \
-            mock.patch.object(harness, "_mrw_batch", no_draw):
+    with mock.patch.object(harness, "_walk_runs", no_draw):
         with pytest.raises(ValueError, match=message):
             occupancy_study(tri_pendant, subset, m=2, method=method, steps=5, rng=RngStream(0))
 
@@ -548,8 +552,7 @@ def test_occupancy_study_refuses_runs_or_steps_below_one(tri_pendant, method, ru
     def no_draw(*args):
         raise AssertionError("sampled before runs and steps were checked")
 
-    with mock.patch.object(harness, "_fs_batch", no_draw), \
-            mock.patch.object(harness, "_mrw_batch", no_draw):
+    with mock.patch.object(harness, "_walk_runs", no_draw):
         with pytest.raises(ConfigError, match="runs and steps >= 1"):
             occupancy_study(tri_pendant, [3], m=2, method=method, steps=steps, runs=runs,
                             rng=RngStream(0))
@@ -563,8 +566,7 @@ def test_occupancy_study_refuses_m_outside_range_before_sampling(tri_pendant, me
     def no_draw(*args):
         raise AssertionError("sampled before m was checked")
 
-    with mock.patch.object(harness, "_fs_batch", no_draw), \
-            mock.patch.object(harness, "_mrw_batch", no_draw):
+    with mock.patch.object(harness, "_walk_runs", no_draw):
         with pytest.raises(ConfigError, match="occupancy study: m must lie in"):
             occupancy_study(tri_pendant, [3], m=m, method=method, steps=5, rng=RngStream(0))
 
@@ -722,7 +724,7 @@ def test_report_identical_across_chunkings():
     report = run_monte_carlo(cfg, graph=graph)
     budget = resolve_budget(cfg.budget, graph.n_vertices)
     for mi, method in enumerate(cfg.methods):
-        gammas = [harness._estimate_one_run(graph, None, cfg, method, budget, ri, mi)["gamma"]
+        gammas = [_estimate_one_run(graph, None, cfg, method, budget, ri, mi)["gamma"]
                   for ri in range(cfg.runs)]
         rows = report.rows_for(method.key, "gamma")
         err, _ = nmse({int(r.label): r.truth for r in rows}, gammas)
@@ -799,18 +801,17 @@ def test_experiment_builds_no_ccdf_dict_per_run():
     assert len(report.rows_for("rw", "gamma")) > 0
 
 
-@pytest.mark.parametrize("method, batch, sampler", [
-    ("fs", "_fs_batch", frontier_sampling), ("mrw", "_mrw_batch", multiple_rw)])
-def test_occupancy_study_runs_match_per_run_replay(method, batch, sampler):
+@pytest.mark.parametrize("method, sampler", [("fs", frontier_sampling), ("mrw", multiple_rw)])
+def test_occupancy_study_runs_match_per_run_replay(method, sampler):
     graph = ExperimentConfig.from_dict(_base_config()).resolve_graph()[0]
     subset = list(range(0, 60, 4))
     study = occupancy_study(graph, subset, m=9, method=method, steps=300, runs=5,
                             rng=RngStream(8))
 
-    def replay(graph, m, start, budget, cost, rngs):
+    def replay(method, graph, m, start, budget, cost, rngs):
         return (sampler(graph, m, start, budget, cost, rng) for rng in rngs)
 
-    with mock.patch.object(harness, batch, replay):
+    with mock.patch.object(harness, "_walk_runs", replay):
         want = occupancy_study(graph, subset, m=9, method=method, steps=300, runs=5,
                                rng=RngStream(8))
     assert study.runs == 5 and np.array_equal(study.pmf, want.pmf)
@@ -856,7 +857,7 @@ def test_undefined_scalar_runs_match_per_run_replay():
     budget = resolve_budget(cfg.budget, graph.n_vertices)
     warnings, rows = [], []
     for mi, method in enumerate(cfg.methods):
-        ests = [harness._estimate_one_run(graph, labels, cfg, method, budget, ri, mi)
+        ests = [_estimate_one_run(graph, labels, cfg, method, budget, ri, mi)
                 for ri in range(cfg.runs)]
         named = [(f"p_edge[{name}]", "p_edge", name, [e["p_edge"][name] for e in ests],
                   truth.p_edge.get(name, 0.0)) for name in cfg.targets.edge_labels]
@@ -945,7 +946,7 @@ def test_label_targets_match_per_run_replay():
     truth = compute_truth(graph, labels, cfg.ccdf_mode, cfg.targets.oracle_targets())
     budget = resolve_budget(cfg.budget, graph.n_vertices)
     for mi, method in enumerate(cfg.methods):
-        ests = [harness._estimate_one_run(graph, labels, cfg, method, budget, ri, mi)
+        ests = [_estimate_one_run(graph, labels, cfg, method, budget, ri, mi)
                 for ri in range(cfg.runs)]
         rows = [r for r in report.rows_for(method.key, "theta") if r.label in ("red", "blue")]
         assert [r.label for r in rows] == ["red", "blue"]

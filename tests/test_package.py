@@ -1,5 +1,6 @@
 """What ``import frontier`` exports, and what it loads."""
 
+import ast
 import json
 import os
 import subprocess
@@ -67,3 +68,24 @@ def test_importing_the_cli_loads_no_scipy_submodule():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # a private helper that only tests call lives with the tests;
+    # perfbench/tracer.py wraps _ccdf_from_density by name
+    allowed = {"_ccdf_from_density"}
+    src = os.path.dirname(frontier.__file__)
+    defined, used = set(), set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                defined.add(own)
+            refs = {node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))}
+            used |= refs - {own}  # a call from its own body is no caller
+    assert sorted(defined - used - allowed) == []

@@ -81,11 +81,10 @@ def test_batch_of_mixed_streams_matches_single_runs(rngs, method, kind, stochast
     m, start = 3, StartMode(kind)
     cost = CostModel(vertex_hit_ratio=0.4, stochastic_starts=stochastic)
     if method == "rw":
-        batch = lambda: list(samplers._rw_batch(_GRAPH, start, 60.0, cost, rngs))
+        batch = lambda: list(samplers._walk_runs("rw", _GRAPH, 1, start, 60.0, cost, rngs))
         one = lambda rng: samplers.single_rw(_GRAPH, start, 60.0, rng, cost)
     else:
-        batch = lambda: list(getattr(samplers, f"_{method}_batch")(_GRAPH, m, start, 60.0,
-                                                                  cost, rngs))
+        batch = lambda: list(samplers._walk_runs(method, _GRAPH, m, start, 60.0, cost, rngs))
         single = samplers.frontier_sampling if method == "fs" else samplers.multiple_rw
         one = lambda rng: single(_GRAPH, m, start, 60.0, cost, rng)
     try:

@@ -28,6 +28,7 @@ from frontier.samplers import (
     single_rw,
     write_trace_csv,
 )
+from ragged_search import _searchsorted_ragged
 
 
 def _assert_walk_is_continuous(trace, graph):
@@ -223,8 +224,6 @@ def test_explicit_start_validation(tri_pendant):
 def test_fs_edges_approach_uniformity(tri_pendant):
     # stationary FS samples directed closure slots uniformly; allow slack
     # for walk autocorrelation
-    from frontier.graphs import _searchsorted_ragged
-
     g = tri_pendant
     tr = frontier_sampling(g, 2, StartMode.degree_proportional(),
                            10 ** 6, DEFAULT_COST, RngStream(14))
@@ -461,13 +460,13 @@ def test_batch_runs_match_single_run_loops(case):
     graph, method, m, start, cost, budget, runs, seed, cap, lanes = case
     rngs = [RngStream(seed, (3, r)) for r in range(runs)]
     if method == "fs":
-        batch = lambda: list(samplers._fs_batch(graph, m, start, budget, cost, rngs))
+        batch = lambda: list(samplers._walk_runs("fs", graph, m, start, budget, cost, rngs))
         ref = lambda rng: _ref_frontier_sampling(graph, m, start, budget, cost, rng)
     elif method == "mrw":
-        batch = lambda: list(samplers._mrw_batch(graph, m, start, budget, cost, rngs))
+        batch = lambda: list(samplers._walk_runs("mrw", graph, m, start, budget, cost, rngs))
         ref = lambda rng: _ref_multiple_rw(graph, m, start, budget, cost, rng)
     else:
-        batch = lambda: list(samplers._rw_batch(graph, start, budget, cost, rngs))
+        batch = lambda: list(samplers._walk_runs("rw", graph, 1, start, budget, cost, rngs))
         ref = lambda rng: _ref_single_rw(graph, start, budget, rng, cost)
     min_lanes = {"scalar": 10 ** 9, "lockstep": 1}.get(lanes)
     with mock.patch.object(samplers, "_BATCH_STEPS", cap), \
@@ -486,20 +485,32 @@ def test_batch_runs_match_single_run_loops(case):
         _assert_same_trace(g, w)
 
 
+def _draw_starts(graph, start_mode, gens, m):
+    """(lanes, m) start vertices, each row what ``start_mode.draw`` gives for
+    that lane's generator."""
+    return start_mode._place(graph, m, [start_mode._ids(graph, m, g) for g in gens], len(gens))
+
+
+def _walk_paths(graph, starts, rs):
+    """(K, S + 1) paths of the one-walker lanes from ``starts`` drawing ``rs``, as
+    ``samplers._fs_walk`` steps them."""
+    return np.column_stack((starts, samplers._fs_walk(graph, starts[:, None], rs, rs)[1]))
+
+
 @pytest.mark.parametrize("kind", ["uniform", "degree"])
 def test_scalar_loops_match_lockstep_bodies(kind):
     # few lanes step in a Python loop; the lockstep body must give the same
     graph = load_graph("".join(f"{i} {(i * 7 + 3) % 40}\n{i} {i + 1}\n" for i in range(39)))
     gen = np.random.default_rng(5)
-    starts = samplers._draw_starts(graph, StartMode(kind), [gen], 6)
+    starts = _draw_starts(graph, StartMode(kind), [gen], 6)
     # dyadic draws put targets exactly on cumulative degrees and edge offsets
     r1, r2 = [gen.integers(0, 64, 300) / 64], [gen.integers(0, 64, 300) / 64]
     rs = [gen.integers(0, 64, k) / 64 for k in (50, 9, 1, 50, 7, 3)]
     assert samplers._FS_MIN_LANES > 1 and samplers._PATH_MIN_LANES > len(rs)
-    scalar = samplers._fs_walk(graph, starts, r1, r2), samplers._walk_paths(graph, starts[0], rs)
+    scalar = samplers._fs_walk(graph, starts, r1, r2), _walk_paths(graph, starts[0], rs)
     with mock.patch.object(samplers, "_FS_MIN_LANES", 1), \
             mock.patch.object(samplers, "_PATH_MIN_LANES", 1):
-        lockstep = samplers._fs_walk(graph, starts, r1, r2), samplers._walk_paths(graph, starts[0], rs)
+        lockstep = samplers._fs_walk(graph, starts, r1, r2), _walk_paths(graph, starts[0], rs)
     for a, b in zip(scalar[0], lockstep[0]):
         assert np.array_equal(a, b)
     assert scalar[1].shape == lockstep[1].shape == (6, 51)
@@ -604,6 +615,24 @@ def test_running_sum_walker_choice_matches_per_step_cumsum(case):
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
     assert np.array_equal(starts, kept)
+
+
+@pytest.mark.parametrize("block, steps", [(1, 300), (7, 300), (samplers._WRITE_BLOCK, 70_000)],
+                         ids=["1", "7", "default"])
+def test_fs_loop_lists_its_draws_a_block_at_a_time(block, steps):
+    # the loop lists its draws one slice at a time; any slice size, and a lane
+    # past one default slice, walks as the loop that listed the whole run
+    graph = load_graph("".join(f"{i} {(i * 7 + 3) % 40}\n{i} {i + 1}\n" for i in range(39)))
+    gen = np.random.default_rng(block)
+    starts = gen.integers(0, graph.n_vertices, 5)
+    r1, r2 = _walker_draws(gen, steps), gen.random(steps)
+    got, want = ([np.zeros(steps, dtype=t) for t in (np.int64, np.int64, np.int32)]
+                 for _ in range(2))
+    with mock.patch.object(samplers, "_WRITE_BLOCK", block):
+        samplers._fs_path(graph, starts, r1, r2, *got)
+    _ref_fs_path(graph, starts, r1, r2, *want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 # -- one-walker lanes on the frontier kernel against the path kernel before it ----
@@ -854,7 +883,7 @@ def test_start_placement_matches_the_code_before(case):
     assert _state(gen) == _state(ref_gen)
     # a batch of runs, as the lanes and the kernels' groups place them
     ref_gens, gens = _gens(seed, runs), _gens(seed, runs)
-    _assert_same(_outcome(lambda: samplers._draw_starts(graph, start, gens, m)),
+    _assert_same(_outcome(lambda: _draw_starts(graph, start, gens, m)),
                  _outcome(lambda: _ref_draw_starts(graph, start, ref_gens, m)))
     for g, r in zip(gens, ref_gens, strict=True):
         assert _state(g) == _state(r)
