@@ -20,7 +20,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import IO, Iterator, NamedTuple
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -279,8 +279,8 @@ def random_edge_sample(graph: Graph, budget: float, cost_model: CostModel = DEFA
 
 # -- walk cores --------------------------------------------------------------
 
-# Runs stepped together record at most this many steps (lanes times the
-# longest run); more runs are split into consecutive groups.
+# A batch steps its runs in consecutive groups of as many runs as fit this many
+# steps, lanes times the most a lane can take; a longer run steps alone.
 _BATCH_STEPS = 1 << 19
 # Below this many lanes a kernel steps each lane in a Python loop.  On a
 # 100k-vertex gab graph a looped lane-step costs about 3-4.5 us (fs, m 2-100)
@@ -308,16 +308,20 @@ def _lane_m(method: str, m: int) -> int:
 
 def _walk_path(graph: Graph, start: int, r: np.ndarray) -> np.ndarray:
     """Vertex path of a simple random walk whose step i takes incident edge
-    ``floor(r[i] * deg)`` of the current vertex; length ``r.size + 1``."""
+    ``floor(r[i] * deg)`` of the current vertex; length ``r.size + 1``.  It lists
+    the draws, and fills the path, one block of steps at a time."""
     ip, ix = graph.adjacency_lists
-    cur = int(start)
-    path = [cur]
-    append = path.append
-    for x in r.tolist():
-        a = ip[cur]
-        cur = ix[a + int(x * (ip[cur + 1] - a))]
-        append(cur)
-    return np.asarray(path, dtype=np.int64)
+    path = np.empty(r.size + 1, dtype=np.int64)
+    path[0] = cur = int(start)
+    for lo in range(0, r.size, _WRITE_BLOCK):
+        block = []
+        append = block.append
+        for x in r[lo:lo + _WRITE_BLOCK].tolist():
+            a = ip[cur]
+            cur = ix[a + int(x * (ip[cur + 1] - a))]
+            append(cur)
+        path[lo + 1:lo + 1 + len(block)] = block
+    return path
 
 
 def _padded(rs) -> np.ndarray:
@@ -491,37 +495,12 @@ def _walk_steps(method: str, budget: float, m: int, start_cost: float,
 # traces in order.  Every stream draws exactly what one call of the public
 # sampler draws, in the same order (start costs, starts, then the step
 # draws), so a run's trace does not depend on the batch it is sampled in.
-# A batch derives all its lanes' stream keys at once.  When its lanes draw a
-# fixed start cost and few words each, it draws them all in one vectorized
-# Philox pass per group of runs; otherwise (stochastic start costs, long
-# lanes, few lanes) it draws lane by lane on one re-keyed generator, as it
-# does for a lane whose start numpy would draw again.  Lanes are stepped in
-# groups as they are drawn.
-
-
-class _Lane(NamedTuple):
-    """One lane's draws: its walkers' total start cost, their start draw
-    (None for explicit starts), its step count and its arrays of step draws."""
-
-    cost: float
-    start: "int | np.ndarray | None"
-    steps: int
-    draws: list
-
-
-def _groups(runs, lanes: int):
-    """Consecutive ``(steps, run)`` pairs of ``runs`` in lists whose lanes
-    times longest run stay within ``_BATCH_STEPS``; a run too long for that
-    forms a list of its own."""
-    group, top = [], 0
-    for steps, run in runs:
-        if group and (len(group) + 1) * lanes * max(top, steps) > _BATCH_STEPS:
-            yield group
-            group, top = [], 0
-        group.append(run)
-        top = max(top, steps)
-    if group:
-        yield group
+# A batch derives all its lanes' stream keys at once and steps its runs in
+# fixed groups.  When its lanes draw a fixed start cost and few words each,
+# it draws a group's lanes in one vectorized Philox pass; otherwise
+# (stochastic start costs, long lanes, few lanes) it draws lane by lane on
+# one re-keyed generator, as it does for a lane whose start numpy would draw
+# again.
 
 
 def _walk_runs(method: str, graph: Graph, m: int, start_mode: StartMode, budget: float,
@@ -545,50 +524,47 @@ def _walk_runs(method: str, graph: Graph, m: int, start_mode: StartMode, budget:
     # a lane's start takes ``drawn`` ids below ``bound``, one per 32-bit half
     # word, and then each step draw takes one word
     drawn, bound = (0 if kind == "explicit" else lane_m), start_mode._bound(graph)
+    # the most steps a lane takes: at the expected start price, or with drawn
+    # start costs when every start query hits at once, up to the record cap
+    # (a lane that draws so few queries is refused as it is drawn)
+    least = replace(cost_model, vertex_hit_ratio=1.0) if stochastic else cost_model
+    try:
+        top = steps_of(float(least.start_costs(kind, lane_m, None).sum()))
+    except BudgetError:
+        if not stochastic:
+            raise
+        top = MAX_RUN_RECORDS
 
     def lanes(part):
         """Each lane's draws in the public sampler's order, for the lanes of
         the keys ``part``: its walkers' start costs, their start, then its step
-        draws (fs draws the walker choice too)."""
+        draws (fs draws the walker choices, then the edges)."""
         for gen in _lane_generators(part):
             c = float(cost_model.start_costs(kind, lane_m, gen).sum()) if stochastic else cost
             start = start_mode._ids(graph, lane_m, gen)
             steps = steps_of(c)
-            yield _Lane(c, start, steps, [gen.random(steps) for _ in range(n_draws)])
-
-    def lane_groups():
-        """Per group of runs: each run's start cost, and its lanes' start
-        draws, step counts and walker-choice and edge draws."""
-        runs = zip(*[lanes(keys)] * per_run)  # each run's lanes
-        for group in _groups(((max(lane.steps for lane in run), run) for run in runs), per_run):
-            batch = [lane for run in group for lane in run]
-            yield ([float(sum(lane.cost for lane in run)) for run in group],
-                   [lane.start for lane in batch], np.asarray([lane.steps for lane in batch]),
-                   [lane.draws[0] for lane in batch], [lane.draws[-1] for lane in batch])
-
-    def short_groups(steps: int):
-        """:func:`lane_groups` of lanes that all take ``steps`` steps, each
-        group's lanes drawn in one Philox pass; a lane whose start value numpy
-        rejects is drawn again on its generator."""
-        run_cost = float(sum([cost] * per_run))
-        for group in _groups(((steps, r) for r in range(len(rngs))), per_run):
-            part = keys[group[0] * per_run:(group[-1] + 1) * per_run]
-            ids, d, redrawn = _lane_draws(part, drawn, bound, n_draws * steps)
-            for i, lane in zip(np.flatnonzero(redrawn), lanes(part[redrawn])):
-                ids[i] = lane.start
-                d[i] = np.concatenate(lane.draws)
-            yield [run_cost] * len(group), ids, np.full(len(part), steps), d[:, :steps], d[:, -steps:]
+            yield c, start, steps, [gen.random(steps) for _ in range(n_draws)]
 
     short = (len(keys) >= _SHORT_MIN_LANES and not stochastic and bound <= 1 << 32
-             and -(-drawn // 2) + n_draws * steps_of(cost) <= _SHORT_LANE_WORDS)
-    for run_costs, ids, steps, r1s, r2s in short_groups(steps_of(cost)) if short else lane_groups():
-        n_group = len(run_costs)
+             and -(-drawn // 2) + n_draws * top <= _SHORT_LANE_WORDS)
+    size = max(1, _BATCH_STEPS // (per_run * top)) * per_run  # lanes per group
+    for part in (keys[i:i + size] for i in range(0, len(keys), size)):
+        if short:  # one Philox pass; a lane whose start numpy rejects is drawn again
+            ids, d, redrawn = _lane_draws(part, drawn, bound, n_draws * top)
+            for i, (_, start, _, r) in zip(np.flatnonzero(redrawn), lanes(part[redrawn])):
+                ids[i], d[i] = start, np.concatenate(r)
+            costs, steps, r1s, r2s = [cost] * len(part), [top] * len(part), d[:, :top], d[:, -top:]
+        else:
+            costs, ids, steps, ds = zip(*lanes(part))
+            r1s, r2s = [r[0] for r in ds], [r[-1] for r in ds]
+        n_group, steps = len(part) // per_run, np.asarray(steps)
         starts = start_mode._place(graph, m, ids, n_group)
         keep = np.arange(steps.max()) < steps[:, None]  # the group's records, lane-major
         u, v, wk = (a[keep] for a in _fs_walk(graph, starts.reshape(-1, lane_m), r1s, r2s))
         wk += np.repeat(np.tile(np.arange(per_run, dtype=np.int32), n_group), steps)
         ends = np.cumsum(steps)[per_run - 1::per_run].tolist()  # each run's last record
-        for k, (start_cost, lo, hi) in enumerate(zip(run_costs, [0] + ends, ends)):
+        for k, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            start_cost = float(sum(costs[k * per_run:(k + 1) * per_run]))
             yield _finish(
                 (u[lo:hi], v[lo:hi], wk[lo:hi], np.full(hi - lo, step)),
                 method=method, m=m, budget=float(budget), spent=start_cost + (hi - lo) * step,
@@ -704,7 +680,7 @@ def discard_burn_in(trace: SampleTrace, w: int) -> SampleTrace:
 
 # -- trace serialization -------------------------------------------------------
 
-_WRITE_BLOCK = 1 << 16  # trace rows formatted per write, and steps a scalar fs loop lists
+_WRITE_BLOCK = 1 << 16  # trace rows formatted per write, and steps a scalar walk loop lists
 
 
 def write_trace_csv(trace: SampleTrace, path_or_stream: "str | IO") -> None:

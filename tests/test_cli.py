@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 from unittest import mock
 
@@ -114,6 +116,50 @@ def test_sample_fs_m100_matches_golden_bytes(tmp_path, graph_file):
     assert run("sample", "fs", "--graph", graph_file, "--m", "100", "--budget", "600",
                "--seed", "4", "--out", out) == 0
     assert read(out) == read(_GOLDEN_FS_TRACE)
+
+
+@pytest.mark.parametrize("method, m", [("fs", "4"), ("mrw", "9")])
+def test_sample_stochastic_starts_match_golden_bytes(tmp_path, graph_file, method, m):
+    # drawn start costs leave lanes of unequal length (the nine mrw walkers
+    # take 59 to 65 steps); both traces were written when a batch grouped its
+    # runs by their drawn step counts
+    out = str(tmp_path / "t.csv")
+    assert run("sample", method, "--graph", graph_file, "--m", m, "--budget", "600",
+               "--stochastic-starts", "--vertex-hit-ratio", "0.5", "--seed", "2",
+               "--out", out) == 0
+    golden = os.path.join(os.path.dirname(__file__), "golden", f"stochastic_{method}_trace.csv")
+    assert read(out) == read(golden)
+
+
+_PEAK_SCRIPT = ("import sys\n"
+                "from frontier.cli import main\n"
+                "assert main(sys.argv[1:]) == 0\n"
+                "print(open('/proc/self/status').read())\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+@pytest.mark.parametrize("method, extra, bound", [("rw", (), 56), ("fs", ("--m", "4"), 76)])
+def test_sample_peak_memory_per_step(tmp_path, method, extra, bound):
+    # peak RSS (VmHWM, which unlike ru_maxrss does not start from the forking
+    # process's size) of a 1e6-step run over that of a 10-step run, per step;
+    # on BA(300, 2) this read 43 (rw) and 59 (fs) bytes, and each bound leaves
+    # 29% over that
+    graph, out = str(tmp_path / "g.txt"), str(tmp_path / "t.csv")
+    assert run("generate", "ba", "--n", "300", "--attach", "2", "--seed", "1",
+               "--out", graph) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    peaks = []
+    for budget in ("10", "1000000"):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, "sample", method, *extra,
+                               "--graph", graph, "--budget", budget, "--seed", "1",
+                               "--out", out, "--force"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        (line,) = [l for l in proc.stdout.splitlines() if l.startswith("VmHWM:")]
+        peaks.append(int(line.split()[1]) * 1024)  # kB
+    assert (peaks[1] - peaks[0]) / 1e6 <= bound, peaks
 
 
 def test_sample_errors(tmp_path, graph_file, capsys):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from frontier import harness, samplers
 from frontier.errors import BudgetError, ConfigError
-from frontier.graphs import load_graph
+from frontier.graphs import generate_barabasi_albert, load_graph
 from frontier.rng import RngStream
 from frontier.samplers import (
     DEFAULT_COST,
@@ -1225,3 +1225,54 @@ def test_fenwick_walker_choice_matches_float_sums_around_powers_of_two(case):
     graph, starts, d1, d2 = case
     # one walker (m = 1) steps in the kernel's path branch, which has no choice to make
     _assert_matches_float_sums(graph, starts, d1, d2)
+
+
+# -- run groups: the batch bound, and lanes refused past the record cap ----------
+
+
+@pytest.mark.parametrize("cost", [DEFAULT_COST,
+                                  CostModel(vertex_hit_ratio=0.3, stochastic_starts=True)],
+                         ids=["fixed", "stochastic"])
+@pytest.mark.parametrize("method, m", [("rw", 1), ("mrw", 3), ("fs", 3)])
+def test_run_groups_step_at_most_the_batch_steps(tri_pendant, method, m, cost):
+    # every kernel call of more than one run records at most _BATCH_STEPS
+    # steps, lanes times the longest lane, whether lanes share one step count
+    # or draw their start costs; 70 runs take the Philox pass at fixed costs
+    rngs = [RngStream(5, (0, r)) for r in range(70)]
+    per_run, budget = (m, 36.0 * m) if method == "mrw" else (1, 36.0)
+    calls = []
+
+    def spy(graph, starts, r1s, r2s):
+        calls.append((starts.shape[0], max(r.size for r in r2s)))
+        return real(graph, starts, r1s, r2s)
+
+    real = samplers._fs_walk
+    want = list(samplers._walk_runs(method, tri_pendant, m, StartMode.uniform(), budget, cost,
+                                    rngs))
+    with mock.patch.object(samplers, "_BATCH_STEPS", 300), \
+            mock.patch.object(samplers, "_fs_walk", spy):
+        got = list(samplers._walk_runs(method, tri_pendant, m, StartMode.uniform(), budget, cost,
+                                       rngs))
+    assert any(lanes > per_run for lanes, _ in calls)
+    assert all(lanes * longest <= 300 for lanes, longest in calls if lanes > per_run), calls
+    assert sum(lanes for lanes, _ in calls) == len(rngs) * per_run
+    for g, w in zip(got, want):
+        _assert_same_trace(g, w)
+
+
+def test_stochastic_start_lanes_past_the_record_cap_are_refused_alone():
+    # at a cap of 100 records, 4 walkers whose start queries all hit at once
+    # would leave 126 steps; only the runs that draw that few queries are refused
+    graph = generate_barabasi_albert(200, 2, 1)
+    cost = CostModel(vertex_hit_ratio=0.1, stochastic_starts=True)
+    steps = {}
+    with mock.patch.object(samplers, "MAX_RUN_RECORDS", 100):
+        for seed in range(10):
+            try:
+                steps[seed] = frontier_sampling(graph, 4, StartMode.uniform(), 130, cost,
+                                                RngStream(seed)).n_steps
+            except BudgetError as err:
+                assert "records per run" in str(err)
+                steps[seed] = None
+    assert steps == {0: None, 1: None, 2: None, 3: None, 4: 98, 5: None, 6: 83, 7: 97,
+                     8: None, 9: 91}
