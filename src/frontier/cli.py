@@ -263,11 +263,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      default="uniform")
     smp.add_argument("--start-vertices", help="comma separated, with --start explicit")
     smp.add_argument("--burn-in", type=int, default=0)
-    # cost flags left out are absent from args and keep CostModel's defaults
-    for flag in ("--walk-step-cost", "--vertex-query-cost", "--vertex-hit-ratio",
-                 "--edge-sample-cost", "--edge-hit-ratio"):
-        smp.add_argument(flag, type=float, default=argparse.SUPPRESS)
-    smp.add_argument("--stochastic-starts", action="store_true", default=argparse.SUPPRESS)
+    for f in fields(CostModel):  # a cost flag left out is absent from args: its default holds
+        kind = {"action": "store_true"} if isinstance(f.default, bool) else {"type": float}
+        smp.add_argument("--" + f.name.replace("_", "-"), default=argparse.SUPPRESS, **kind)
     smp.add_argument("--out", required=True)
     smp.add_argument("--force", action="store_true")
     smp.set_defaults(func=_cmd_sample)

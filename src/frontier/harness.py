@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -528,17 +527,6 @@ def _estimate_targets(trace: SampleTrace, graph: Graph, labels: LabelStore | Non
     return out
 
 
-def _project(est: dict, families: Sequence[tuple[str, tuple]], targets: TargetSpec):
-    """One run's estimates as one float row per density family, over the
-    family's truth keys, plus the p_edge, r and C values (None if undefined)."""
-    rows = [np.fromiter(map(est[name].get, keys, itertools.repeat(0.0)), dtype=np.float64,
-                        count=len(keys)) for name, keys in families]
-    scalars = [est["p_edge"][name] for name in targets.edge_labels]
-    scalars += [est[kind] for kind, on in (("r", targets.assortativity),
-                                           ("C", targets.clustering)) if on]
-    return rows, scalars
-
-
 # what every chunk in a pool worker process shares; set there by _init_worker
 _worker_state: tuple = ()
 
@@ -548,21 +536,21 @@ def _init_worker(*state) -> None:
     _worker_state = state
 
 
-def _run_chunk(task, state: tuple = ()) -> list[np.ndarray]:
+def _run_chunk(task, state: tuple = ()) -> np.ndarray:
     """Sample and estimate the runs ``task = (method index, run indices)`` in
-    one batch: a truth keys x runs block per family, column r being run r's
-    :func:`_project`, then one of the scalars.  Degree densities are the
-    zero-padded rows of one runs x classes array, whose CCDFs are one
-    :func:`_tails`.  ``state`` is ``(graph, labels, config, budget,
-    families)``, a pool worker's own by default."""
+    one batch: one (keys, runs) block, column r holding run r's values of
+    every family's truth keys in family order (0 if unseen), then of p_edge,
+    r and C (NaN if undefined).  Degree densities are the zero-padded rows of
+    one runs x classes array, whose CCDFs are one :func:`_tails`.  ``state``
+    is ``(graph, labels, config, budget, families)``, a pool worker's own by default."""
     method_idx, run_indices = task
     graph, labels, cfg, budget, families = state or _worker_state
     t, rest = cfg.targets, replace(cfg.targets, ccdf=False, degree_density=())
     top = int(graph.degrees(cfg.ccdf_mode).max())
     # no run has a class past top, so the last column is 0.0 and keys past it read it
     width = 2 + (top if t.ccdf else min(top, max(t.degree_density, default=0)))
-    dens, projected = np.zeros((len(run_indices), width)), []
-    others = [f for f in families if f[0] not in ("gamma", "theta_degree")]
+    dens, rest_rows = np.zeros((len(run_indices), width)), []
+    label_keys = dict(families).get("theta_label", ())
     root = RngStream(cfg.seed)
     for r, trace in enumerate(_sample_runs(graph, cfg.methods[method_idx], budget,
                                            [root.child(method_idx, i) for i in run_indices])):
@@ -571,12 +559,15 @@ def _run_chunk(task, state: tuple = ()) -> list[np.ndarray]:
             d = _degree_density(trace, graph, cfg.ccdf_mode, trace.method)
             dens[r, :d.size] = d[:width]
         est = _estimate_targets(trace, graph, labels, rest, cfg.ccdf_mode)
-        projected.append(_project(est, others, rest))
+        # theta_label, the last family, heads the rows past the degree columns
+        rest_rows.append([est["theta_label"][k] for k in label_keys]
+                         + [est["p_edge"][name] for name in t.edge_labels]
+                         + [est[kind] for kind, on in (("r", t.assortativity),
+                                                       ("C", t.clustering)) if on])
     cols = {"theta_degree": dens} | ({"gamma": _tails(dens)} if t.ccdf else {})
-    stacked = iter(np.stack(runs, axis=1) for runs in zip(*(rows for rows, _ in projected)))
-    scalars = np.array([values for _, values in projected], dtype=np.float64).T
-    return [cols[name][:, np.minimum(keys, width - 1)].T if name in cols else next(stacked)
-            for name, keys in families] + [scalars]
+    return np.concatenate([cols[name][:, np.minimum(keys, width - 1)].T
+                           for name, keys in families if name in cols]
+                          + [np.array(rest_rows, dtype=np.float64).T])
 
 
 # -- report -------------------------------------------------------------------
@@ -755,10 +746,14 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
 
     t = config.targets
     families = _families(truth, t)
-    n_scalars = len(t.edge_labels) + t.assortativity + t.clustering
-    # per method: one truth keys x runs matrix per family, then one of the scalars (NaN: undefined)
-    mats = [[np.empty((len(truth_f), config.runs)) for _, _, _, truth_f, _, _ in families]
-            + [np.empty((n_scalars, config.runs))] for _ in config.methods]
+    # edge-label rows need a positive truth; r and C keep a zero truth, without NMSE
+    named = [(f"p_edge[{name}]", "p_edge", name, truth.p_edge.get(name, 0.0))
+             for name in t.edge_labels]
+    named += [(kind, kind, kind, value) for kind, value, on in (
+        ("r", truth.r, t.assortativity), ("C", truth.clustering, t.clustering)) if on]
+    sizes = [len(truth_f) for _, _, _, truth_f, _, _ in families]
+    # per method: every family's truth keys, then the scalars (NaN: undefined), x runs
+    mats = np.empty((len(config.methods), sum(sizes) + len(named), config.runs))
     workers = min(workers, os.cpu_count() or 1)
     tasks = []
     chunk = max(1, config.runs // max(1, workers * 8))
@@ -771,10 +766,9 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
         n = max(1, config.runs // size)  # n even chunks of at least ``size`` runs
         tasks += [(mi, range(config.runs * k // n, config.runs * (k + 1) // n)) for k in range(n)]
 
-    def collect(parts) -> None:
-        for (mi, run_indices), part in zip(tasks, parts):
-            for mat, block in zip(mats[mi], part):
-                mat[:, run_indices.start:run_indices.stop] = block
+    def collect(blocks) -> None:
+        for (mi, run_indices), block in zip(tasks, blocks):
+            mats[mi, :, run_indices.start:run_indices.stop] = block
 
     state = (graph, labels, config, budget,
              [(name, tuple(truth_f)) for name, _, _, truth_f, _, _ in families])
@@ -787,14 +781,10 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
 
     rows: list[ReportRow] = []
     for mi, method in enumerate(config.methods):
-        for (_, kind, tag, truth_f, keys, fmt), vals in zip(families, mats[mi]):
+        *blocks, scalars = np.split(mats[mi], np.cumsum(sizes, dtype=int))
+        for (_, kind, tag, truth_f, keys, fmt), vals in zip(families, blocks):
             rows += _density_rows(method.key, kind, tag, truth_f, vals, keys, fmt, warnings)
-        # edge-label rows need a positive truth; r and C keep a zero truth, without NMSE
-        named = [(f"p_edge[{name}]", "p_edge", name, truth.p_edge.get(name, 0.0))
-                 for name in t.edge_labels]
-        named += [(kind, kind, kind, value) for kind, value, on in (
-            ("r", truth.r, t.assortativity), ("C", truth.clustering, t.clustering)) if on]
-        for (tag, kind, label, truth_val), vals in zip(named, mats[mi][-1]):
+        for (tag, kind, label, truth_val), vals in zip(named, scalars):
             valid = vals[~np.isnan(vals)]
             if valid.size < vals.size:
                 warnings.append(f"{method.key}/{tag}: {vals.size - valid.size} runs undefined")

@@ -324,17 +324,6 @@ def _walk_path(graph: Graph, start: int, r: np.ndarray) -> np.ndarray:
     return path
 
 
-def _padded(rs) -> np.ndarray:
-    """(S, K) draws of the K lanes ``rs``, lane k's in column k and zero past
-    its own length, for the longest lane's S; of a (K, S) array, its transpose."""
-    if isinstance(rs, np.ndarray):
-        return rs.T
-    out = np.zeros((max(r.size for r in rs), len(rs)))
-    for k, r in enumerate(rs):
-        out[:r.size, k] = r
-    return out
-
-
 def _fs_path(graph: Graph, starts: np.ndarray, r1: np.ndarray, r2: np.ndarray,
              u: np.ndarray, v: np.ndarray, wk: np.ndarray) -> None:
     """One frontier walk from ``starts``, written into ``u``, ``v``, ``wk``.
@@ -388,35 +377,30 @@ def _fs_path(graph: Graph, starts: np.ndarray, r1: np.ndarray, r2: np.ndarray,
                 k += k & -k
 
 
-def _fs_walk(graph: Graph, starts: np.ndarray, r1s: "list | np.ndarray",
-             r2s: "list | np.ndarray") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frontier walks of R lanes of m walkers each (``starts`` is (R, m)), lane
-    k drawing ``r1s[k]``, ``r2s[k]`` (lists of arrays, or (R, S) arrays of
-    lanes of S draws each) as in :func:`_fs_path`, in lockstep from
-    ``_FS_MIN_LANES`` lanes on; one-walker lanes ignore ``r1s`` and step as
-    :func:`_walk_path`, in lockstep from ``_PATH_MIN_LANES`` lanes on.
-
-    Returns ``u``, ``v`` and ``walker`` as (R, S) for the longest lane's S
-    steps; a shorter lane's row is valid up to its own length.  Both paths
-    compare whole-number sums of degrees with ``floor(r1 * total)``, the
-    lockstep kernel as int32 or int64 running sums and the loop in a Fenwick
-    tree, so they choose the same walkers.
-    """
+def _fs_walk(graph: Graph, starts: np.ndarray, d1: np.ndarray,
+             d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, R) ``u``, ``v`` and ``walker`` of frontier walks of R lanes of m
+    walkers each (``starts`` is (R, m)), lane k's step i drawing ``d1[i, k]``
+    and ``d2[i, k]`` as in :func:`_fs_path`, through a shorter lane's zero
+    padding too; in lockstep from ``_FS_MIN_LANES`` lanes on.  One-walker lanes
+    ignore ``d1`` and step as :func:`_walk_path`, in lockstep from
+    ``_PATH_MIN_LANES`` lanes on.  Both paths compare whole-number sums of
+    degrees with ``floor(r1 * total)``, the lockstep kernel as int32 or int64
+    running sums and the loop in a Fenwick tree, so they choose the same
+    walkers."""
     n_runs, m = starts.shape
     if n_runs >= (_PATH_MIN_LANES if m == 1 else _FS_MIN_LANES):
-        d1 = _padded(r1s) if m > 1 else None
-        return tuple(a.T for a in _fs_steps(graph, starts, d1, _padded(r2s)))
-    s_max = max(r.size for r in r2s)
-    wk = np.zeros((n_runs, s_max), dtype=np.int32)
+        return _fs_steps(graph, starts, d1, d2)
     if m == 1:
-        paths = np.zeros((n_runs, s_max + 1), dtype=np.int64)
-        for k, (start, r) in enumerate(zip(starts[:, 0].tolist(), r2s)):
-            paths[k, :r.size + 1] = _walk_path(graph, start, r)
-        return paths[:, :-1], paths[:, 1:], wk
-    u = np.zeros((n_runs, s_max), dtype=np.int64)
-    v = np.zeros((n_runs, s_max), dtype=np.int64)
+        paths = np.empty((d2.shape[0] + 1, n_runs), dtype=np.int64)
+        for k, start in enumerate(starts[:, 0].tolist()):
+            paths[:, k] = _walk_path(graph, start, d2[:, k])
+        return paths[:-1], paths[1:], np.broadcast_to(np.int32(0), d2.shape)
+    u = np.empty(d2.shape, dtype=np.int64)
+    v = np.empty(d2.shape, dtype=np.int64)
+    wk = np.empty(d2.shape, dtype=np.int32)
     for k in range(n_runs):
-        _fs_path(graph, starts[k], r1s[k], r2s[k], u[k], v[k], wk[k])
+        _fs_path(graph, starts[k], d1[:, k], d2[:, k], u[:, k], v[:, k], wk[:, k])
     return u, v, wk
 
 
@@ -542,8 +526,7 @@ def _walk_runs(method: str, graph: Graph, m: int, start_mode: StartMode, budget:
         for gen in _lane_generators(part):
             c = float(cost_model.start_costs(kind, lane_m, gen).sum()) if stochastic else cost
             start = start_mode._ids(graph, lane_m, gen)
-            steps = steps_of(c)
-            yield c, start, steps, [gen.random(steps) for _ in range(n_draws)]
+            yield c, start, gen.random((n_draws, steps_of(c)))  # row j: the j-th random(steps)
 
     short = (len(keys) >= _SHORT_MIN_LANES and not stochastic and bound <= 1 << 32
              and -(-drawn // 2) + n_draws * top <= _SHORT_LANE_WORDS)
@@ -551,16 +534,23 @@ def _walk_runs(method: str, graph: Graph, m: int, start_mode: StartMode, budget:
     for part in (keys[i:i + size] for i in range(0, len(keys), size)):
         if short:  # one Philox pass; a lane whose start numpy rejects is drawn again
             ids, d, redrawn = _lane_draws(part, drawn, bound, n_draws * top)
-            for i, (_, start, _, r) in zip(np.flatnonzero(redrawn), lanes(part[redrawn])):
-                ids[i], d[i] = start, np.concatenate(r)
-            costs, steps, r1s, r2s = [cost] * len(part), [top] * len(part), d[:, :top], d[:, -top:]
+            d = d.T.reshape(n_draws, top, len(part))  # a view: d.T is C-ordered
+            for i, (_, start, r) in zip(np.flatnonzero(redrawn), lanes(part[redrawn])):
+                ids[i], d[:, :, i] = start, r
+            costs, steps = [cost] * len(part), [top] * len(part)
         else:
-            costs, ids, steps, ds = zip(*lanes(part))
-            r1s, r2s = [r[0] for r in ds], [r[-1] for r in ds]
+            costs, ids, ds = zip(*lanes(part))
+            steps = [r.shape[1] for r in ds]
+            d = ds[0][:, :, None]  # a one-lane group steps on its lane's own draws
+            if len(ds) > 1:  # more lanes are copied once into one zero-padded array
+                d = np.zeros((n_draws, max(steps), len(ds)))
+                for k, s in enumerate(steps):
+                    d[:, :s, k] = ds[k]
+            del ds  # frees the lanes' own arrays before the walk; a one-lane d views its own
         n_group, steps = len(part) // per_run, np.asarray(steps)
         starts = start_mode._place(graph, m, ids, n_group)
         keep = np.arange(steps.max()) < steps[:, None]  # the group's records, lane-major
-        u, v, wk = (a[keep] for a in _fs_walk(graph, starts.reshape(-1, lane_m), r1s, r2s))
+        u, v, wk = (a.T[keep] for a in _fs_walk(graph, starts.reshape(-1, lane_m), d[0], d[-1]))
         wk += np.repeat(np.tile(np.arange(per_run, dtype=np.int32), n_group), steps)
         ends = np.cumsum(steps)[per_run - 1::per_run].tolist()  # each run's last record
         for k, (lo, hi) in enumerate(zip([0] + ends, ends)):

@@ -1,7 +1,9 @@
 import io
+import itertools
 import json
 import math
 import os
+from typing import Sequence
 from unittest import mock
 
 import numpy as np
@@ -18,6 +20,7 @@ from frontier.oracles import compute_truth
 from frontier.harness import (
     ExperimentConfig,
     MethodSpec,
+    TargetSpec,
     cnmse,
     convergence_diagnostic,
     nmse,
@@ -679,11 +682,22 @@ def test_nmse_matches_per_key_mean_bit_for_bit(n_runs):
             assert out[k] == float(np.sqrt(np.mean((vals - t) ** 2)) / t)
 
 
+def _project(est: dict, families: Sequence[tuple[str, tuple]], targets: TargetSpec):
+    """One run's estimates as one float row per density family, over the
+    family's truth keys, plus the p_edge, r and C values (None if undefined)."""
+    rows = [np.fromiter(map(est[name].get, keys, itertools.repeat(0.0)), dtype=np.float64,
+                        count=len(keys)) for name, keys in families]
+    scalars = [est["p_edge"][name] for name in targets.edge_labels]
+    scalars += [est[kind] for kind, on in (("r", targets.assortativity),
+                                           ("C", targets.clustering)) if on]
+    return rows, scalars
+
+
 def test_run_projection_counts_absent_keys_as_zero():
     # as in nmse, a run that never observed a key contributes 0 for it
     est = {"gamma": {0: 1.0, 2: 0.25}, "theta_degree": {}, "p_edge": {"red": None}, "C": 0.5}
     families = [("gamma", (0, 1, 2)), ("theta_degree", (3,))]
-    rows, scalars = harness._project(est, families, harness.TargetSpec(
+    rows, scalars = _project(est, families, harness.TargetSpec(
         ccdf=True, degree_density=(3,), edge_labels=("red",), clustering=True))
     assert [r.tolist() for r in rows] == [[1.0, 0.0, 0.25], [0.0]]
     assert scalars == [None, 0.5]
@@ -774,10 +788,11 @@ def test_chunk_blocks_equal_the_per_run_projection_bit_for_bit(case):
     families = [(name, tuple(truth_f)) for name, _, _, truth_f, _, _
                 in harness._families(truth, cfg.targets)]
     budget = resolve_budget(cfg.budget, graph.n_vertices)
-    blocks = harness._run_chunk((0, run_indices), (graph, None, cfg, budget, families))
+    block = harness._run_chunk((0, run_indices), (graph, None, cfg, budget, families))
+    blocks = np.split(block, np.cumsum([len(keys) for _, keys in families], dtype=int))
     traces = harness._sample_runs(graph, cfg.methods[0], budget,
                                   [RngStream(cfg.seed).child(0, i) for i in run_indices])
-    projected = [harness._project(harness._estimate_targets(
+    projected = [_project(harness._estimate_targets(
         harness._burn_in(trace, cfg.burn_in), graph, None, cfg.targets, cfg.ccdf_mode),
         families, cfg.targets)[0] for trace in traces]
     assert len(blocks) == len(families) + 1 and blocks[-1].shape == (0, len(run_indices))

@@ -180,6 +180,16 @@ def test_lane_draws_decode_integers_then_random(keys, m, hi, n, scalar):
             assert np.array_equal(draws[k], gen.random(n))
 
 
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_lane_draws_transpose_to_a_c_ordered_view(m):
+    # a walk batch reads a group's draws as d.T.reshape(draws per step, steps,
+    # lanes), which is a view, not a copy, only while d.T is C-ordered
+    keys = np.random.default_rng(4).integers(0, 2 ** 64, size=(70, 2), dtype=np.uint64)
+    d = _lane_draws(keys, m, 1000, 2 * 48)[1]
+    assert d.T.flags.c_contiguous
+    assert np.shares_memory(d.T.reshape(2, 48, len(keys)), d)
+
+
 def test_lane_draws_flag_about_half_the_lanes_at_two_to_the_31_plus_one():
     keys = np.random.default_rng(3).integers(0, 2 ** 64, size=(400, 2), dtype=np.uint64)
     rejected = _lane_draws(keys, 1, 2 ** 31 + 1, 0)[2]

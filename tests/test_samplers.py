@@ -491,10 +491,22 @@ def _draw_starts(graph, start_mode, gens, m):
     return start_mode._place(graph, m, [start_mode._ids(graph, m, g) for g in gens], len(gens))
 
 
+def _padded(rs) -> np.ndarray:
+    """(S, K) draws of the K lanes ``rs``, lane k's in column k and zero past
+    its own length, for the longest lane's S; of a (K, S) array, its transpose."""
+    if isinstance(rs, np.ndarray):
+        return rs.T
+    out = np.zeros((max(r.size for r in rs), len(rs)))
+    for k, r in enumerate(rs):
+        out[:r.size, k] = r
+    return out
+
+
 def _walk_paths(graph, starts, rs):
     """(K, S + 1) paths of the one-walker lanes from ``starts`` drawing ``rs``, as
     ``samplers._fs_walk`` steps them."""
-    return np.column_stack((starts, samplers._fs_walk(graph, starts[:, None], rs, rs)[1]))
+    d = _padded(rs)
+    return np.column_stack((starts, samplers._fs_walk(graph, starts[:, None], d, d)[1].T))
 
 
 @pytest.mark.parametrize("kind", ["uniform", "degree"])
@@ -504,7 +516,7 @@ def test_scalar_loops_match_lockstep_bodies(kind):
     gen = np.random.default_rng(5)
     starts = _draw_starts(graph, StartMode(kind), [gen], 6)
     # dyadic draws put targets exactly on cumulative degrees and edge offsets
-    r1, r2 = [gen.integers(0, 64, 300) / 64], [gen.integers(0, 64, 300) / 64]
+    r1, r2 = _padded([gen.integers(0, 64, 300) / 64]), _padded([gen.integers(0, 64, 300) / 64])
     rs = [gen.integers(0, 64, k) / 64 for k in (50, 9, 1, 50, 7, 3)]
     assert samplers._FS_MIN_LANES > 1 and samplers._PATH_MIN_LANES > len(rs)
     scalar = samplers._fs_walk(graph, starts, r1, r2), _walk_paths(graph, starts[0], rs)
@@ -602,7 +614,7 @@ def _fs_kernel_cases(draw):
 def test_running_sum_walker_choice_matches_per_step_cumsum(case):
     graph, starts, r1s, r2s = case
     kept = starts.copy()
-    d1, d2 = samplers._padded(r1s), samplers._padded(r2s)
+    d1, d2 = _padded(r1s), _padded(r2s)
     got, want = samplers._fs_steps(graph, starts, d1, d2), _ref_fs_steps(graph, starts, d1, d2)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -670,21 +682,21 @@ def _one_walker_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_one_walker_lanes_match_the_path_kernel(case):
     graph, starts, rs, walker_draws = case
-    want = _ref_step_paths(graph, starts, samplers._padded(rs))
+    want = _ref_step_paths(graph, starts, _padded(rs))
     # the walker draws are ignored: a one-walker lane has no choice to make
-    u, v, wk = samplers._fs_steps(graph, starts[:, None], samplers._padded(walker_draws),
-                                  samplers._padded(rs))
+    u, v, wk = samplers._fs_steps(graph, starts[:, None], _padded(walker_draws), _padded(rs))
     assert np.array_equal(u, want[:-1]) and np.array_equal(v, want[1:])
     assert wk.dtype == np.int32 and wk.shape == u.shape and not wk.any()
     # the dispatcher, stepping the lanes in a Python loop and in lockstep
     for min_lanes in (len(rs) + 1, len(rs)):
         with mock.patch.object(samplers, "_PATH_MIN_LANES", min_lanes):
-            u, v, wk = samplers._fs_walk(graph, starts[:, None], walker_draws, rs)
-        assert u.shape == v.shape == wk.shape == (len(rs), want.shape[0] - 1)
+            u, v, wk = samplers._fs_walk(graph, starts[:, None], _padded(walker_draws),
+                                         _padded(rs))
+        assert u.shape == v.shape == wk.shape == (want.shape[0] - 1, len(rs))
         assert wk.dtype == np.int32 and not wk.any()
         for k, r in enumerate(rs):
-            assert np.array_equal(u[k, :r.size], want[:r.size, k])
-            assert np.array_equal(v[k, :r.size], want[1:r.size + 1, k])
+            assert np.array_equal(u[:r.size, k], want[:r.size, k])
+            assert np.array_equal(v[:r.size, k], want[1:r.size + 1, k])
 
 
 # -- the start and query layer against the code before it -------------------------
@@ -1242,9 +1254,9 @@ def test_run_groups_step_at_most_the_batch_steps(tri_pendant, method, m, cost):
     per_run, budget = (m, 36.0 * m) if method == "mrw" else (1, 36.0)
     calls = []
 
-    def spy(graph, starts, r1s, r2s):
-        calls.append((starts.shape[0], max(r.size for r in r2s)))
-        return real(graph, starts, r1s, r2s)
+    def spy(graph, starts, d1, d2):
+        calls.append((starts.shape[0], d2.shape[0]))
+        return real(graph, starts, d1, d2)
 
     real = samplers._fs_walk
     want = list(samplers._walk_runs(method, tri_pendant, m, StartMode.uniform(), budget, cost,
