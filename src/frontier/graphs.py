@@ -165,8 +165,9 @@ class Graph:
     # -- canonical form ---------------------------------------------------
 
     def canonical_text(self) -> str:
-        e = self.directed_edges
-        return ("%d %d\n" * e.shape[0]) % tuple(e.ravel().tolist())
+        buf = io.StringIO()
+        write_edge_list(self, buf)
+        return buf.getvalue()
 
     @cached_property
     def graph_hash(self) -> str:
@@ -327,6 +328,9 @@ def load_graph(source: "str | bytes | IO") -> Graph:
     return build_graph(dense, original_ids)
 
 
+_WRITE_BLOCK = 1 << 16  # text rows formatted per write, and steps a scalar walk loop lists
+
+
 @contextmanager
 def _text_file(path_or_stream: "str | IO", mode: str = "w") -> Iterator[IO]:
     """A text stream: the UTF-8 file at a path (opened in ``mode``, closed on
@@ -339,9 +343,13 @@ def _text_file(path_or_stream: "str | IO", mode: str = "w") -> Iterator[IO]:
 
 
 def write_edge_list(graph: Graph, path_or_stream: "str | IO") -> None:
-    """Write the canonical (sorted, dense-id) directed edge list."""
+    """Write the canonical (sorted, dense-id) directed edge list, in blocks of
+    ``_WRITE_BLOCK`` rows that each take one ``%`` format."""
+    e = graph.directed_edges
     with _text_file(path_or_stream) as fh:
-        fh.write(graph.canonical_text())
+        for lo in range(0, e.shape[0], _WRITE_BLOCK):
+            block = e[lo:lo + _WRITE_BLOCK]
+            fh.write("%d %d\n" * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 # -- labels ----------------------------------------------------------------

@@ -19,13 +19,14 @@ import itertools
 import math
 import numbers
 import warnings
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterator
 
 import numpy as np
 
 from .errors import BudgetError, ConfigError, GraphFormatError
-from .graphs import Graph, _text_file
+from .graphs import _WRITE_BLOCK, Graph, _text_file
 from .rng import RngStream, _lane_draws, _lane_generators, _lane_keys
 
 __all__ = [
@@ -626,22 +627,24 @@ def distributed_fs(graph: Graph, m: int, time_budget: float,
     gens = [rng.child(w).generator() for w in range(m)]
     starts = start_mode._place(graph, m, [start_mode._ids(graph, 1, g) for g in gens])[0]
     ip, ix = graph.adjacency_lists
-    events = []  # (time, walker, u, v) per jump; ids stay exact as doubles
-    for w, (cur, gen) in enumerate(zip(starts.tolist(), gens)):
+    times, uv, ends = array("d"), array("q"), []  # per jump t and (u, v), walker after walker
+    for cur, gen in zip(starts.tolist(), gens):
         t = gen.exponential(1.0 / (ip[cur + 1] - ip[cur]))
         while t <= time_budget:
             a = ip[cur]
             nxt = ix[a + int(gen.random() * (ip[cur + 1] - a))]
-            events.append((t, w, cur, nxt))
+            times.append(t)
+            uv.extend((cur, nxt))
             cur = nxt
             t += gen.exponential(1.0 / (ip[cur + 1] - ip[cur]))
-    ev = np.asarray(events, dtype=np.float64).reshape(-1, 4)
-    times, walker, u, v = ev[np.lexsort((ev[:, 1], ev[:, 0]))].T
-    return _finish(
-        (u, v, walker, np.diff(np.concatenate([[0.0], times]))),
+        ends.append(len(times))
+    walker = np.repeat(np.arange(m, dtype=np.int32), np.diff(ends, prepend=0))
+    order = np.lexsort((walker, np.frombuffer(times)))
+    times, uv = np.frombuffer(times)[order], np.frombuffer(uv, dtype=np.int64)
+    return _finish((uv[0::2][order], uv[1::2][order], walker[order], np.diff(times, prepend=0.0)),
         method="dfs", m=m, budget=float(time_budget),
         spent=float(times[-1]) if times.size else 0.0,
-        start_vertices=starts, graph_hash=graph.graph_hash, time=times.copy())
+        start_vertices=starts, graph_hash=graph.graph_hash, time=times)
 
 
 def discard_burn_in(trace: SampleTrace, w: int) -> SampleTrace:
@@ -669,8 +672,6 @@ def discard_burn_in(trace: SampleTrace, w: int) -> SampleTrace:
 
 
 # -- trace serialization -------------------------------------------------------
-
-_WRITE_BLOCK = 1 << 16  # trace rows formatted per write, and steps a scalar walk loop lists
 
 
 def write_trace_csv(trace: SampleTrace, path_or_stream: "str | IO") -> None:

@@ -163,6 +163,31 @@ def test_sample_peak_memory_per_step(tmp_path, method, extra, bound):
     assert (peaks[1] - peaks[0]) / 1e6 <= bound, peaks
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_dfs_peak_memory_per_event(tmp_path):
+    # as above, per dfs event: about 1e6 events (time budget 62500) over about
+    # 10; on BA(300, 2) this read 72 bytes (222 when each event was a tuple),
+    # and the bound leaves 28% over that
+    graph, out = str(tmp_path / "g.txt"), str(tmp_path / "t.csv")
+    assert run("generate", "ba", "--n", "300", "--attach", "2", "--seed", "1",
+               "--out", graph) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    peaks, events = [], []
+    for time_budget in ("1", "62500"):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, "sample", "dfs", "--m", "4",
+                               "--graph", graph, "--time-budget", time_budget, "--seed", "1",
+                               "--out", out, "--force"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        (line,) = [l for l in proc.stdout.splitlines() if l.startswith("VmHWM:")]
+        peaks.append(int(line.split()[1]) * 1024)  # kB
+        events.append(read_trace_csv(out).n_steps)
+    assert events[1] > 900_000
+    assert (peaks[1] - peaks[0]) / (events[1] - events[0]) <= 92, (peaks, events)
+
+
 def test_sample_errors(tmp_path, graph_file, capsys):
     out = str(tmp_path / "t.csv")
     assert run("sample", "fs", "--graph", graph_file, "--budget", "2",

@@ -1044,21 +1044,46 @@ def test_walk_chunks_hold_enough_lanes_for_the_short_lane_pass():
         return real(keys, *args)
 
     reports = []
-    for min_lanes in (samplers._SHORT_MIN_LANES, 1):
+    for chunk_runs in (harness._CHUNK_RUNS, 1):
         out = io.StringIO()
-        with mock.patch.object(harness, "_SHORT_MIN_LANES", min_lanes), \
+        with mock.patch.object(harness, "_CHUNK_RUNS", chunk_runs), \
                 mock.patch.object(samplers, "_lane_draws", spy):
             run_monte_carlo(cfg).to_csv(out)
         reports.append(out.getvalue())
-        if min_lanes > 1:
+        if chunk_runs > 1:
             # three mrw methods of 10 lanes a run, rw and fs of one: all drawn in passes
-            assert min(lanes) >= min_lanes and sum(lanes) == 200 * (3 * 10 + 2)
-            assert len(lanes) == 3 * 8 + 2 * 3
+            assert min(lanes) >= samplers._SHORT_MIN_LANES and sum(lanes) == 200 * (3 * 10 + 2)
+            assert len(lanes) == 3 * 3 + 2 * 3
     assert reports[0] == reports[1]
 
 
 def test_report_identical_across_chunkings_below_the_short_lane_minimum():
     # walk chunks cut by the worker count alone, as they were before each got
-    # enough lanes for the short-lane pass: 17 runs in chunks of 2, 1 and 1
-    with mock.patch.object(harness, "_SHORT_MIN_LANES", 1):
+    # enough lanes for the short-lane pass: 17 runs in 8 and 16 even chunks
+    with mock.patch.object(harness, "_CHUNK_RUNS", 1):
         test_report_identical_across_chunkings()
+
+
+@pytest.mark.parametrize("runs, workers, chunks", [(300, 1, 4), (40, 2, 1), (1024, 1, 8),
+                                                   (10_000, 2, 16)])
+def test_chunks_are_cut_by_run_count_alone(runs, workers, chunks):
+    # every method's runs are cut into max(1, min(runs // 64, 8 * workers)) even
+    # chunks, mrw's many lanes a run included
+    cfg = ExperimentConfig.from_dict(_base_config(
+        methods=[{"name": "fs", "m": 4}, {"name": "mrw", "m": 4}, {"name": "rw"},
+                 {"name": "random_vertex"}], runs=runs))
+    tasks = []
+
+    def spy(task, state=None):
+        tasks.append(task)
+        return 0.0  # broadcast into the chunk's columns; only the cut is checked
+
+    with mock.patch.object(harness, "_run_chunk", spy), \
+            mock.patch.object(harness.os, "cpu_count", return_value=2), \
+            mock.patch.object(harness.concurrent.futures, "ProcessPoolExecutor",
+                              _RecordingPool):
+        run_monte_carlo(cfg, workers=workers)
+    for mi in range(len(cfg.methods)):
+        cut = [run_indices for i, run_indices in tasks if i == mi]
+        assert [len(r) for r in cut] == [runs // chunks] * chunks
+        assert [r.start for r in cut] == [k * runs // chunks for k in range(chunks)]
