@@ -80,7 +80,11 @@ class Graph:
         self.outdeg_d = _frozen(np.bincount(e[:, 0], minlength=n))
         self.indeg_d = _frozen(np.bincount(e[:, 1], minlength=n))
 
-        src, dst = np.divmod(_sorted_unique(np.concatenate([keys, e[:, 1] * n + e[:, 0]])), n)
+        rev = np.sort(e[:, 1] * n + e[:, 0])
+        if np.array_equal(rev, keys):  # a symmetric edge set is its own closure
+            src, dst = e[:, 0], e[:, 1].copy()
+        else:
+            src, dst = np.divmod(_sorted_unique(np.concatenate([keys, rev])), n)
         self.indptr = _frozen(np.concatenate(
             [[0], np.cumsum(np.bincount(src, minlength=n))]).astype(np.int64))
         self.indices = _frozen(dst)
@@ -249,18 +253,25 @@ _INLINE_COMMENT = re.compile(r"^[^\S\n]*[^#\s][^\n]*#", re.M)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _loadtxt_edges(text: str) -> np.ndarray | None:
-    """Edge array of a plain edge list parsed in C; None for any other input."""
+def _loadtxt(text: str, dtype) -> np.ndarray | None:
+    """The (rows, fields) array of ``text`` parsed in C, ``#`` comment lines and
+    blank lines skipped; None where a line loop must read it."""
     if (not text.isascii() or text.encode("ascii").translate(None, _LOADTXT_SAFE)
             or ("#" in text and _INLINE_COMMENT.search(text))):
         return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on input without data
-            arr = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+            return np.loadtxt(io.StringIO(text), dtype=dtype, comments="#", ndmin=2)
     except ValueError:
         return None
-    return arr if arr.shape[0] and arr.shape[1] == 2 and (arr >= 0).all() else None
+
+
+def _loadtxt_edges(text: str) -> np.ndarray | None:
+    """Edge array of a plain edge list parsed in C; None for any other input."""
+    arr = _loadtxt(text, np.int64)
+    ok = arr is not None and arr.shape[0] and arr.shape[1] == 2 and (arr >= 0).all()
+    return arr if ok else None
 
 
 def parse_edge_list(source: "str | bytes | IO") -> tuple[np.ndarray, np.ndarray]:
@@ -296,7 +307,10 @@ def parse_edge_list(source: "str | bytes | IO") -> tuple[np.ndarray, np.ndarray]
         if not pairs:
             raise GraphFormatError("no edges found in input")
         arr = np.asarray(pairs, dtype=np.int64)
-    original_ids = _sorted_unique(arr.ravel())
+    if arr.max() < arr.size:  # the ids' counts take no more memory than the pairs
+        original_ids = np.flatnonzero(np.bincount(arr.ravel()))
+    else:
+        original_ids = _sorted_unique(arr.ravel())
     if original_ids[-1] == original_ids.size - 1:  # ids are already 0..n-1
         return arr, original_ids
     return np.searchsorted(original_ids, arr), original_ids
@@ -318,8 +332,10 @@ def build_graph(directed_edges: "np.ndarray | Sequence[tuple[int, int]]",
     if arr.min() < 0:
         raise GraphFormatError("vertex ids must be non-negative")
     n = int(arr.max()) + 1
-    keys = _sorted_unique(arr[:, 0] * n + arr[:, 1])
-    return Graph(np.column_stack(np.divmod(keys, n)), n, original_ids)
+    keys = arr[:, 0] * n + arr[:, 1]
+    if (np.diff(keys) <= 0).any():  # not already sorted and unique
+        arr = np.column_stack(np.divmod(_sorted_unique(keys), n))
+    return Graph(arr, n, original_ids)
 
 
 def load_graph(source: "str | bytes | IO") -> Graph:
@@ -457,15 +473,38 @@ def _store(names: Sequence[str], vertex_pairs: np.ndarray, edge_pairs=()) -> Lab
     return store
 
 
+def _loadtxt_labels(text: str, graph: Graph) -> LabelStore | None:
+    """The store of plain ``v label`` lines parsed in C; None for any other
+    input, or where an id is not in the graph."""
+    rows = _loadtxt(text, object)  # Python str fields
+    if rows is None or rows.shape[1] != 2:
+        return None
+    try:
+        ids = rows[:, 0].astype(np.int64)  # int() of each, within int64
+    except (ValueError, OverflowError):
+        return None
+    pos = np.minimum(np.searchsorted(graph.original_ids, ids), graph.n_vertices - 1)
+    if (graph.original_ids[pos] != ids).any():
+        return None
+    names, lid = _first_seen(rows[:, 1])
+    return _store(names.tolist(), np.column_stack([pos, lid]))
+
+
 def parse_vertex_labels(source: "str | bytes | IO", graph: Graph) -> LabelStore:
     """Parse ``v label [label ...]`` lines, remapping original vertex ids.
 
     Ids are translated through the graph's original-id table; a line
-    naming a vertex absent from the graph is an error.
+    naming a vertex absent from the graph is an error.  Plain text of one
+    label per line is parsed in C; any other input, or an id that is not in
+    the graph, goes through a line loop that names the first bad line.
     """
+    text = _as_text(source)
+    store = _loadtxt_labels(text, graph)
+    if store is not None:
+        return store
     store = LabelStore()
     dense = dict(zip(graph.original_ids.tolist(), range(graph.n_vertices)))
-    for lineno, raw in enumerate(_as_text(source).splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

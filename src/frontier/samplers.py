@@ -550,9 +550,13 @@ def _walk_runs(method: str, graph: Graph, m: int, start_mode: StartMode, budget:
             del ds  # frees the lanes' own arrays before the walk; a one-lane d views its own
         n_group, steps = len(part) // per_run, np.asarray(steps)
         starts = start_mode._place(graph, m, ids, n_group)
-        keep = np.arange(steps.max()) < steps[:, None]  # the group's records, lane-major
-        u, v, wk = (a.T[keep] for a in _fs_walk(graph, starts.reshape(-1, lane_m), d[0], d[-1]))
-        wk += np.repeat(np.tile(np.arange(per_run, dtype=np.int32), n_group), steps)
+        u, v, wk = _fs_walk(graph, starts.reshape(-1, lane_m), d[0], d[-1])
+        # the group's records, lane-major: a view of a one-lane group's arrays
+        # where no lane is cut short, else a copy
+        keep = np.arange(steps.max()) < steps[:, None] if steps.min() < steps.max() else ...
+        u, v = u.T[keep].ravel(), v.T[keep].ravel()
+        wk = (wk.T[keep].ravel() if lane_m > 1 else  # one-walker lanes: the lane's index
+              np.repeat(np.tile(np.arange(per_run, dtype=np.int32), n_group), steps))
         ends = np.cumsum(steps)[per_run - 1::per_run].tolist()  # each run's last record
         for k, (lo, hi) in enumerate(zip([0] + ends, ends)):
             start_cost = float(sum(costs[k * per_run:(k + 1) * per_run]))
@@ -627,21 +631,29 @@ def distributed_fs(graph: Graph, m: int, time_budget: float,
     gens = [rng.child(w).generator() for w in range(m)]
     starts = start_mode._place(graph, m, [start_mode._ids(graph, 1, g) for g in gens])[0]
     ip, ix = graph.adjacency_lists
-    times, uv, ends = array("d"), array("q"), []  # per jump t and (u, v), walker after walker
+    # per walker, one after the other: its start, then the vertex and time of each
+    # jump, so its event e (counted over all walkers) moved path[e + w] -> path[e + w + 1]
+    times, path, ends = array("d"), array("q"), []
     for cur, gen in zip(starts.tolist(), gens):
+        path.append(cur)
         t = gen.exponential(1.0 / (ip[cur + 1] - ip[cur]))
         while t <= time_budget:
             a = ip[cur]
-            nxt = ix[a + int(gen.random() * (ip[cur + 1] - a))]
+            cur = ix[a + int(gen.random() * (ip[cur + 1] - a))]
             times.append(t)
-            uv.extend((cur, nxt))
-            cur = nxt
+            path.append(cur)
             t += gen.exponential(1.0 / (ip[cur + 1] - ip[cur]))
         ends.append(len(times))
     walker = np.repeat(np.arange(m, dtype=np.int32), np.diff(ends, prepend=0))
     order = np.lexsort((walker, np.frombuffer(times)))
-    times, uv = np.frombuffer(times)[order], np.frombuffer(uv, dtype=np.int64)
-    return _finish((uv[0::2][order], uv[1::2][order], walker[order], np.diff(times, prepend=0.0)),
+    times, walker = np.frombuffer(times)[order], walker[order]  # frees each unsorted column
+    order += walker  # the sorted events' path positions
+    path = np.frombuffer(path, dtype=np.int64)
+    u = path[order]
+    order += 1
+    v = path[order]
+    del path, order  # before the cost column is made
+    return _finish((u, v, walker, np.diff(times, prepend=0.0)),
         method="dfs", m=m, budget=float(time_budget),
         spent=float(times[-1]) if times.size else 0.0,
         start_vertices=starts, graph_hash=graph.graph_hash, time=times)
@@ -696,16 +708,31 @@ def write_trace_csv(trace: SampleTrace, path_or_stream: "str | IO") -> None:
             fh.write(fmt * len(block[0]) % tuple(itertools.chain.from_iterable(rows)))
 
 
+# characters of trace lines read at a time: a block's lines are Python strings
+# while it is parsed, and 1 MiB blocks of a 200k-record trace peaked 3 MB higher
+_READ_BLOCK = 1 << 16
+# the bytes of lines that the line filter passes unchanged, if none is blank
+_PLAIN_RECORDS = bytes(range(33, 127)).replace(b"#", b"") + b"\n"
+
+
+def _plain(block: list[str]) -> bool:
+    """Whether the lines ``block`` are records that the line filter would pass unchanged."""
+    text = "".join(block)
+    return (text.isascii() and not text.encode("ascii").translate(None, _PLAIN_RECORDS)
+            and text[:1] != "\n" and "\n\n" not in text)
+
+
 def read_trace_csv(source: "str | IO") -> SampleTrace:
     """The trace a :func:`write_trace_csv` file holds; the first bad record is named by its row."""
     meta: dict[str, str] = {}
     row = (-1, "")  # record number and text of the last line read; the header is record 0
+    plain = None  # the block of plain records being parsed; ``row`` is the one before it
 
-    def lines(fh: IO) -> Iterator[str]:
+    def lines(chunks) -> Iterator[str]:
         """Stripped lines that are neither blank nor ``#`` comments, as they
         are read; ``# key=value`` comments go into ``meta``."""
         nonlocal row
-        for chunk in fh:
+        for chunk in chunks:
             for raw in chunk.splitlines():
                 line = raw.strip()
                 if line.startswith("#"):
@@ -717,22 +744,42 @@ def read_trace_csv(source: "str | IO") -> SampleTrace:
                     row = (row[0] + 1, line)
                     yield line
 
+    def blocks(fh: IO):
+        """The record lines of ``fh``, read ``_READ_BLOCK`` characters at a time: a
+        block of plain records after the header as it is, any other through ``lines``."""
+        nonlocal row, plain
+        for block in iter(lambda: fh.readlines(_READ_BLOCK), []):
+            if row[0] < 0 or not _plain(block):
+                yield lines(block)
+                continue
+            plain = block
+            yield block
+            row, plain = (row[0] + len(block), block[-1].strip()), None
+
+    def parse(records) -> np.ndarray:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a trace without records
+            # numpy < 2 warns, then truncates, where an integer field holds a float
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(records, delimiter=",", dtype=fields, comments=None, ndmin=1)
+
     with _text_file(source, "r") as fh:
-        records = lines(fh)
+        records = itertools.chain.from_iterable(blocks(fh))
         header = next(records, None)
         if header not in (_TRACE_COLUMNS, _TRACE_COLUMNS + ",time"):
             raise GraphFormatError(f"trace column header must be {_TRACE_COLUMNS}[,time], "
                                    f"got {header!r}")
         fields = list(_TRACE_FIELDS[:header.count(",") + 1])
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # loadtxt warns on a trace without records
-                # numpy < 2 warns, then truncates, where an integer field holds a float
-                warnings.simplefilter("error", DeprecationWarning)
-                data = np.loadtxt(records, delimiter=",", dtype=fields, comments=None, ndmin=1)
+            data = parse(records)
         except UnicodeError:  # text that is not UTF-8 is not a bad record
             raise
-        except ValueError:  # the parser takes one line at a time: ``row`` is the bad one
+        except ValueError:  # the parser takes one line at a time: ``row`` is the bad one,
+            if plain is not None:  # or in a plain block, the one it refuses through ``lines``
+                try:
+                    parse(lines(plain))
+                except ValueError:
+                    pass
             i, line = row
             k = line.count(",") + 1
             raise GraphFormatError(f"trace row {i} has {k} fields, expected {len(fields)}"

@@ -1,7 +1,10 @@
 import hashlib
 import io
 import itertools
+import os
 import re
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -69,6 +72,28 @@ def test_self_loops_dropped_duplicates_collapse():
     g = load_graph("0 1\n0 1\n1 1\n1 2\n")
     assert g.n_directed_edges == 2
     assert g.n_undirected_edges == 2
+
+
+_RLIMIT_SCRIPT = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from frontier.graphs import load_graph
+print(load_graph(sys.argv[1]).original_ids.tolist())
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="sets RLIMIT_AS")
+def test_sparse_ids_parse_within_an_address_space_limit():
+    # a count array indexed by the ids themselves would need 8 TB here; in a
+    # child under a 1 GiB address-space limit, such a parser fails this test
+    # with a MemoryError instead of exhausting the machine
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(graphs.__file__))]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", _RLIMIT_SCRIPT, "0 1\n1 1000000000000\n"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == str([0, 1, 10 ** 12])
 
 
 def test_isolated_vertex_is_an_error():

@@ -3,11 +3,13 @@ frozensets, with every parser, estimator and oracle written as the Python
 loop it replaces.  Values must agree bit for bit, errors line for line."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from frontier import graphs
 from frontier.errors import GraphFormatError, UndefinedEstimateError
 from frontier.estimators import (
     estimate_edge_label_density,
@@ -381,3 +383,83 @@ def test_label_store_rejects_negative_ids(tri_pendant):
     assert store.vertex_pairs.size == 0 and store.edge_pairs.size == 0
     store.add_vertex_label(3, "x")
     assert exact_vertex_label_density(tri_pendant, store, "x") == 0.25
+
+
+# -- the C label parser against the line loop ------------------------------------------
+
+
+def _label_outcome(text, graph, c_path=True):
+    """``(label_names, vertex_pairs)`` of a parse, or its error's message and line;
+    ``c_path=False`` sends every text through the line loop."""
+    with mock.patch.object(graphs, "_loadtxt_labels",
+                           graphs._loadtxt_labels if c_path else lambda text, graph: None):
+        try:
+            store = parse_vertex_labels(text, graph)
+        except GraphFormatError as exc:
+            return str(exc), exc.line_number
+    return store.label_names, store.vertex_pairs.tolist()
+
+
+_LABEL_GRAPH_IDS = [3, 70, 1000, 123456789, 10 ** 12]
+_LABEL_GRAPH = load_graph("".join(f"{a} {b}\n" for a, b in zip(_LABEL_GRAPH_IDS,
+                                                                  _LABEL_GRAPH_IDS[1:])))
+
+
+@st.composite
+def _label_texts(draw):
+    """Label files over the sparse ids of _LABEL_GRAPH: comment and blank lines,
+    CRLF and tabs, ids spelled with a sign, leading zeros or underscores, and up
+    to two lines with several labels, an id not in the graph or past int64, a
+    non-integer id, a non-ASCII name, an inline '#' or no label."""
+    spell = st.sampled_from(["{}", "{}", "+{}", "0{}", "{:_}"])
+    sep, pad = st.sampled_from([" ", "\t", "  ", " \t"]), st.sampled_from(["", "", " ", "\t"])
+    name = st.sampled_from(["A", "A", "B", "dd", "e-1", "7"])
+
+    def line(token, names):
+        return draw(pad) + draw(sep).join([token] + names) + draw(pad)
+
+    known = st.sampled_from(_LABEL_GRAPH_IDS)
+    lines = [line(draw(spell).format(draw(known)), [draw(name)])
+             for _ in range(draw(st.integers(0, 8)))]
+    for _ in range(draw(st.integers(0, 3))):
+        filler = draw(st.sampled_from(["", "   ", "# comment", "  # 5 A", "\t", "#"]))
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["several", "unknown", "past_int64", "non_integer",
+                                     "non_ascii", "hash", "missing"]))
+        token = draw(spell).format({"unknown": draw(st.sampled_from([4, 10 ** 12 + 1])),
+                                    "past_int64": draw(st.sampled_from([2 ** 63, 2 ** 64 + 3]))
+                                    }.get(kind, draw(known)))
+        if kind == "non_integer":
+            token = draw(st.sampled_from(["-3", "3.0", "x3", "0x3", "٣"]))
+        names = {"several": draw(st.lists(name, min_size=2, max_size=3)), "missing": [],
+                 "non_ascii": [draw(st.sampled_from(["é", "名"]))], "hash": ["a#b"]
+                 }.get(kind, [draw(name)])
+        lines.insert(draw(st.integers(0, len(lines))), line(token, names))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_label_texts())
+@example("3 A\n70 B\n1000 A\n123456789 B\n1000000000000 A\n")
+@example("+3 A\r\n0070\tB\n1_000 A\n\n# c\n  # 5 A\n")
+@example("3 A\n70 B B\n")
+@example("3 A\n9223372036854775808 B\n")
+@example("3 A\n70 é\n")
+def test_label_c_parser_matches_line_loop(text):
+    assert _label_outcome(text, _LABEL_GRAPH) == _label_outcome(text, _LABEL_GRAPH, False)
+
+
+@pytest.mark.parametrize("text, c_path", [
+    ("3 A\n70 B\n1000 A\n", True),
+    ("# c\n\n+3\tA\r\n0070 B \n1_000 A\n  # 5 A\n", True),
+    ("3 A\n70 B B\n", False),       # several labels on a line
+    ("3 A\n71 B\n", False),         # an id not in the graph
+    ("3 A\n70 é\n", False),         # a non-ASCII name
+    ("3 A\n70 a#b\n", False),       # a '#' after data
+    ("3 A\n9223372036854775808 B\n", False),  # an id past int64
+])
+def test_label_c_parser_takes_plain_one_label_lines(text, c_path):
+    assert (graphs._loadtxt_labels(text, _LABEL_GRAPH) is not None) == c_path
+    assert _label_outcome(text, _LABEL_GRAPH) == _label_outcome(text, _LABEL_GRAPH, False)

@@ -12,6 +12,7 @@ from hypothesis import given, reject, settings, strategies as st
 from frontier.errors import BudgetError, ConfigError, GraphFormatError
 from frontier.graphs import generate_barabasi_albert
 from frontier.harness import MethodSpec, _burn_in, _sample
+from frontier import samplers
 from frontier.rng import RngStream
 from frontier.graphs import _text_file
 from frontier.samplers import (
@@ -256,6 +257,38 @@ def test_reader_refuses_python_only_spellings_by_row():
             assert str(exc) == f"trace row 2: non-numeric field in {row!r}"
         else:
             raise AssertionError(f"{row!r} was read")
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("7,0,x,1,1.0", "non-numeric field in '7,0,x,1,1.0'"),
+    ("7,0,1,2,1_0", "non-numeric field in '7,0,1,2,1_0'"),
+    ("7,0,1", "has 3 fields, expected 5"),
+    ("7,0,1,2,1.0,5.0", "has 6 fields, expected 5"),
+])
+@pytest.mark.parametrize("block_with_comment", [False, True])
+def test_reader_names_a_bad_record_past_the_first_block(tmp_path, bad, error,
+                                                        block_with_comment):
+    """A bad record in the fourth block read, after comment and blank lines in
+    the second and third, read from a stream and from a path: it is named by its
+    row, as when every record line was handed to the parser on its own."""
+    rows = [f"{i},{i % 3},{i % 40},{(i + 1) % 40},1.0" for i in range(1, 40_000)]
+    per_block = samplers._READ_BLOCK // len(rows[-1])
+    rows.insert(int(2.5 * per_block), "# budget=9")
+    rows.insert(int(2.5 * per_block), "  ")
+    rows.insert(int(1.5 * per_block), "")  # the one line in its block that is not a record
+    at = int(3.5 * per_block)
+    if block_with_comment:
+        rows.insert(at - 5, "# a comment in the block of the bad record")
+    rows.insert(at, bad)
+    text = "# method=fs\n# m=3\nstep,walker,u,v,cost\n" + "\n".join(rows) + "\n"
+    # three (four) of the lines before it are not records
+    want = f"trace row {at - 2 - block_with_comment}{':' if 'field in' in error else ''} {error}"
+    assert _outcome(read_trace_csv, text) == want
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(GraphFormatError) as got:
+        read_trace_csv(str(path))
+    assert str(got.value) == want
 
 
 def _ref_write_trace_csv(trace: SampleTrace, path_or_stream) -> None:
