@@ -283,14 +283,13 @@ def random_edge_sample(graph: Graph, budget: float, cost_model: CostModel = DEFA
 # A batch steps its runs in consecutive groups of as many runs as fit this many
 # steps, lanes times the most a lane can take; a longer run steps alone.
 _BATCH_STEPS = 1 << 19
-# Below this many lanes a kernel steps each lane in a Python loop.  On a
-# 100k-vertex gab graph a looped lane-step costs about 3-4.5 us (fs, m 2-100)
-# or 0.3-0.6 us (one walker), a lockstep step of 2-12 lanes 19-39 or 3-6.5 us.
-# By time alone fs would go lockstep at about 8 lanes, but the loop caches the
-# adjacency as Python lists on the graph (26 MB at 600k slots), so fs goes
-# lockstep at 3.
-_FS_MIN_LANES = 3
-_PATH_MIN_LANES = 8
+# Below this many lanes a kernel steps each lane in a Python loop that indexes
+# the graph's CSR arrays in place, so it holds no per-graph state and the
+# break-even by time alone decides.  On gab(50k, 1/5), 2,000 steps, best of 5,
+# a step of all lanes cost (loop/lockstep, us) 1.0/2.0 for one walker, and
+# 4.1/12.1, 5.1/11.6 and 6.9/15.3 for fs m 2, 10 and 100, at 4 lanes; at 12
+# lanes 3.2/2.2, 13.7/12.4, 15.8/11.3 and 21.2/17.1.
+_LOCKSTEP_MIN_LANES = 8
 # From this many lanes of at most this many Philox words each (start halves
 # and step draws), a batch draws all its lanes in one vectorized pass instead
 # of re-keying a generator per lane.  On mrw lanes of a 100k-vertex gab graph
@@ -307,12 +306,12 @@ def _lane_m(method: str, m: int) -> int:
     return m if method == "fs" else 1
 
 
-def _walk_path(graph: Graph, start: int, r: np.ndarray) -> np.ndarray:
+def _walk_path(graph: Graph, start: int, r: np.ndarray, path: np.ndarray) -> None:
     """Vertex path of a simple random walk whose step i takes incident edge
-    ``floor(r[i] * deg)`` of the current vertex; length ``r.size + 1``.  It lists
-    the draws, and fills the path, one block of steps at a time."""
-    ip, ix = graph.adjacency_lists
-    path = np.empty(r.size + 1, dtype=np.int64)
+    ``floor(r[i] * deg)`` of the current vertex, written into ``path`` (length
+    ``r.size + 1``).  It lists the draws, and fills the path, one block of
+    steps at a time."""
+    ip, ix = memoryview(graph.indptr), memoryview(graph.indices)
     path[0] = cur = int(start)
     for lo in range(0, r.size, _WRITE_BLOCK):
         block = []
@@ -322,7 +321,6 @@ def _walk_path(graph: Graph, start: int, r: np.ndarray) -> np.ndarray:
             cur = ix[a + int(x * (ip[cur + 1] - a))]
             append(cur)
         path[lo + 1:lo + 1 + len(block)] = block
-    return path
 
 
 def _fs_path(graph: Graph, starts: np.ndarray, r1: np.ndarray, r2: np.ndarray,
@@ -336,7 +334,7 @@ def _fs_path(graph: Graph, starts: np.ndarray, r1: np.ndarray, r2: np.ndarray,
     along the O(log m) update path.  For whole sums s, ``s <= x`` exactly when
     ``s <= floor(x)``, so this is the choice of the float cumulative sums.
     """
-    ip, ix = graph.adjacency_lists
+    ip, ix = memoryview(graph.indptr), memoryview(graph.indices)
     pos = [int(x) for x in starts]
     m = len(pos)
     degs = [ip[x + 1] - ip[x] for x in pos]
@@ -383,19 +381,18 @@ def _fs_walk(graph: Graph, starts: np.ndarray, d1: np.ndarray,
     """(S, R) ``u``, ``v`` and ``walker`` of frontier walks of R lanes of m
     walkers each (``starts`` is (R, m)), lane k's step i drawing ``d1[i, k]``
     and ``d2[i, k]`` as in :func:`_fs_path`, through a shorter lane's zero
-    padding too; in lockstep from ``_FS_MIN_LANES`` lanes on.  One-walker lanes
-    ignore ``d1`` and step as :func:`_walk_path`, in lockstep from
-    ``_PATH_MIN_LANES`` lanes on.  Both paths compare whole-number sums of
-    degrees with ``floor(r1 * total)``, the lockstep kernel as int32 or int64
-    running sums and the loop in a Fenwick tree, so they choose the same
-    walkers."""
+    padding too; in lockstep from ``_LOCKSTEP_MIN_LANES`` lanes on.  One-walker
+    lanes ignore ``d1`` and step as :func:`_walk_path`.  Both paths compare
+    whole-number sums of degrees with ``floor(r1 * total)``, the lockstep kernel
+    as int32 or int64 running sums and the loop in a Fenwick tree, so they
+    choose the same walkers."""
     n_runs, m = starts.shape
-    if n_runs >= (_PATH_MIN_LANES if m == 1 else _FS_MIN_LANES):
+    if n_runs >= _LOCKSTEP_MIN_LANES:
         return _fs_steps(graph, starts, d1, d2)
     if m == 1:
         paths = np.empty((d2.shape[0] + 1, n_runs), dtype=np.int64)
         for k, start in enumerate(starts[:, 0].tolist()):
-            paths[:, k] = _walk_path(graph, start, d2[:, k])
+            _walk_path(graph, start, d2[:, k], paths[:, k])
         return paths[:-1], paths[1:], np.broadcast_to(np.int32(0), d2.shape)
     u = np.empty(d2.shape, dtype=np.int64)
     v = np.empty(d2.shape, dtype=np.int64)
@@ -630,7 +627,7 @@ def distributed_fs(graph: Graph, m: int, time_budget: float,
     _dfs_budget(graph, m, time_budget)
     gens = [rng.child(w).generator() for w in range(m)]
     starts = start_mode._place(graph, m, [start_mode._ids(graph, 1, g) for g in gens])[0]
-    ip, ix = graph.adjacency_lists
+    ip, ix = memoryview(graph.indptr), memoryview(graph.indices)
     # per walker, one after the other: its start, then the vertex and time of each
     # jump, so its event e (counted over all walkers) moved path[e + w] -> path[e + w + 1]
     times, path, ends = array("d"), array("q"), []

@@ -1113,6 +1113,21 @@ def test_experiment_fs_lockstep_matches_golden_report(tmp_path, workers):
     assert read(out) == read(_GOLDEN_FS_LOCKSTEP)
 
 
+_FEW_LANES = os.path.join(os.path.dirname(__file__), "golden", "few_lanes_config.json")
+_GOLDEN_FEW_LANES = os.path.join(os.path.dirname(__file__), "golden", "few_lanes_report.csv")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_experiment_few_lanes_matches_golden_report(tmp_path, workers):
+    # fs m=4 (uniform), m=10 (degree) and m=100 at V/1 on the BA(300, 2) seed-4
+    # graph, 5 runs: each method is one chunk of 5 lanes, which step in the
+    # scalar loop; the report was written when fs chunks of 3 lanes or more
+    # stepped in lockstep
+    out = str(tmp_path / "r.csv")
+    assert run("experiment", "--config", _FEW_LANES, "--out", out, "--workers", workers) == 0
+    assert read(out) == read(_GOLDEN_FEW_LANES)
+
+
 _RAGGED = os.path.join(os.path.dirname(__file__), "golden", "ragged_chunks_config.json")
 _GOLDEN_RAGGED = os.path.join(os.path.dirname(__file__), "golden", "ragged_chunks_report.csv")
 

@@ -2,6 +2,7 @@ import dataclasses
 import heapq
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -341,7 +342,7 @@ def test_trace_arrays_are_frozen(tri_pendant):
 
 
 def _ref_walk_path(graph, start, n_steps, gen):
-    ip, ix = graph.adjacency_lists
+    ip, ix = graph.indptr.tolist(), graph.indices.tolist()
     r = gen.random(n_steps).tolist()
     cur = int(start)
     path = [cur]
@@ -394,7 +395,7 @@ def _ref_frontier_sampling(graph, m, start_mode, budget, cost_model, rng):
     start_cost = float(cost_model.start_costs(start_mode.kind, m, gen).sum())
     starts = start_mode.draw(graph, m, gen)
     steps = _walk_steps("fs", budget, m, start_cost, cost_model.walk_step_cost)
-    ip, ix = graph.adjacency_lists
+    ip, ix = graph.indptr.tolist(), graph.indices.tolist()
     pos = [int(x) for x in starts]
     degs = graph.deg[starts].astype(np.float64)
     r1 = gen.random(steps).tolist()
@@ -470,9 +471,8 @@ def test_batch_runs_match_single_run_loops(case):
         ref = lambda rng: _ref_single_rw(graph, start, budget, rng, cost)
     min_lanes = {"scalar": 10 ** 9, "lockstep": 1}.get(lanes)
     with mock.patch.object(samplers, "_BATCH_STEPS", cap), \
-            mock.patch.object(samplers, "_FS_MIN_LANES", min_lanes or samplers._FS_MIN_LANES), \
-            mock.patch.object(samplers, "_PATH_MIN_LANES",
-                              min_lanes or samplers._PATH_MIN_LANES):
+            mock.patch.object(samplers, "_LOCKSTEP_MIN_LANES",
+                              min_lanes or samplers._LOCKSTEP_MIN_LANES):
         try:
             want = [ref(rng) for rng in rngs]
         except BudgetError:
@@ -518,10 +518,9 @@ def test_scalar_loops_match_lockstep_bodies(kind):
     # dyadic draws put targets exactly on cumulative degrees and edge offsets
     r1, r2 = _padded([gen.integers(0, 64, 300) / 64]), _padded([gen.integers(0, 64, 300) / 64])
     rs = [gen.integers(0, 64, k) / 64 for k in (50, 9, 1, 50, 7, 3)]
-    assert samplers._FS_MIN_LANES > 1 and samplers._PATH_MIN_LANES > len(rs)
+    assert samplers._LOCKSTEP_MIN_LANES > len(rs) > 1
     scalar = samplers._fs_walk(graph, starts, r1, r2), _walk_paths(graph, starts[0], rs)
-    with mock.patch.object(samplers, "_FS_MIN_LANES", 1), \
-            mock.patch.object(samplers, "_PATH_MIN_LANES", 1):
+    with mock.patch.object(samplers, "_LOCKSTEP_MIN_LANES", 1):
         lockstep = samplers._fs_walk(graph, starts, r1, r2), _walk_paths(graph, starts[0], rs)
     for a, b in zip(scalar[0], lockstep[0]):
         assert np.array_equal(a, b)
@@ -530,13 +529,29 @@ def test_scalar_loops_match_lockstep_bodies(kind):
         assert np.array_equal(path[:r.size + 1], locked[:r.size + 1])
 
 
+def test_walks_hold_no_per_graph_memory():
+    # the scalar loops of rw, one fs lane and dfs index the graph's CSR arrays in
+    # place: once their traces are dropped, nothing they made stays on the graph
+    # (a list copy of indptr and indices held 3.7 MB here)
+    graph = generate_barabasi_albert(20000, 2, 1)
+    tracemalloc.start()
+    try:
+        single_rw(graph, budget=200, rng=RngStream(1))
+        frontier_sampling(graph, 4, budget=200, rng=RngStream(2))
+        distributed_fs(graph, 2, 20.0, rng=RngStream(3))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000, held
+
+
 # -- running-sum walker choice against the per-step cumulative sums before it ----
 
 
 def _ref_fs_path(graph, starts, r1, r2, u, v, wk):
     # ``samplers._fs_path`` before its cumulative degrees were running state,
     # verbatim but for its name and docstring
-    ip, ix = graph.adjacency_lists
+    ip, ix = graph.indptr.tolist(), graph.indices.tolist()
     m = starts.size
     pos = [int(x) for x in starts]
     degs = graph.deg[starts].astype(np.float64)
@@ -668,7 +683,7 @@ def _one_walker_cases(draw):
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)),
                           min_size=1, max_size=30))
     graph = load_graph("".join(f"{a} {(a + b) % n}\n" for a, b in pairs))
-    lanes = draw(st.integers(min_value=1, max_value=2 * samplers._PATH_MIN_LANES))
+    lanes = draw(st.integers(min_value=1, max_value=2 * samplers._LOCKSTEP_MIN_LANES))
     slots = draw(st.lists(st.integers(0, graph.vol_total - 1), min_size=lanes, max_size=lanes))
     lengths = draw(st.lists(st.integers(1, 40), min_size=lanes, max_size=lanes))
     gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -689,7 +704,7 @@ def test_one_walker_lanes_match_the_path_kernel(case):
     assert wk.dtype == np.int32 and wk.shape == u.shape and not wk.any()
     # the dispatcher, stepping the lanes in a Python loop and in lockstep
     for min_lanes in (len(rs) + 1, len(rs)):
-        with mock.patch.object(samplers, "_PATH_MIN_LANES", min_lanes):
+        with mock.patch.object(samplers, "_LOCKSTEP_MIN_LANES", min_lanes):
             u, v, wk = samplers._fs_walk(graph, starts[:, None], _padded(walker_draws),
                                          _padded(rs))
         assert u.shape == v.shape == wk.shape == (want.shape[0] - 1, len(rs))
@@ -972,7 +987,7 @@ def _ref_distributed_fs(graph, m, time_budget, start_mode=StartMode.uniform(),
         raise BudgetError("time budget must be positive")
     gens = [rng.child(w).generator() for w in range(m)]
     starts = start_mode._place(graph, m, [start_mode._ids(graph, 1, g) for g in gens])[0]
-    ip, ix = graph.adjacency_lists
+    ip, ix = graph.indptr.tolist(), graph.indices.tolist()
     pos = starts.tolist()
     heap = []
     for w in range(m):
@@ -1110,9 +1125,8 @@ def test_short_lane_pass_and_its_redrawn_lanes_match_generator_lanes(case, data)
         return
     min_lanes = {"scalar": 10 ** 9, "lockstep": 1}.get(lanes)
     with mock.patch.object(samplers, "_BATCH_STEPS", cap), \
-            mock.patch.object(samplers, "_FS_MIN_LANES", min_lanes or samplers._FS_MIN_LANES), \
-            mock.patch.object(samplers, "_PATH_MIN_LANES",
-                              min_lanes or samplers._PATH_MIN_LANES), \
+            mock.patch.object(samplers, "_LOCKSTEP_MIN_LANES",
+                              min_lanes or samplers._LOCKSTEP_MIN_LANES), \
             mock.patch.object(samplers, "_SHORT_MIN_LANES", 1), \
             mock.patch.object(samplers, "_SHORT_LANE_WORDS", 10 ** 6), \
             mock.patch.object(samplers, "_lane_draws", flagged):
