@@ -35,6 +35,7 @@ from .errors import (
 )
 from .graphs import (
     DEGREE_MODES,
+    _sorted_search,
     load_graph,
     parse_vertex_labels,
     write_edge_list,
@@ -91,11 +92,10 @@ def _resolve_vertices(graph, text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad vertex list {text!r}") from None
     # input ids are non-negative int64s: -1 stands in for any other id, one past int64 too
     ids = np.asarray([w if 0 <= w < 1 << 63 else -1 for w in wanted], dtype=np.int64)
-    pos = np.clip(np.searchsorted(graph.original_ids, ids), 0, graph.n_vertices - 1)
-    missing = graph.original_ids[pos] != ids
-    if missing.any():
-        raise ConfigError(f"unknown vertex id(s): {[w for w, x in zip(wanted, missing) if x]}")
-    return tuple(int(p) for p in pos)
+    pos = _sorted_search(graph.original_ids, ids)
+    if (pos < 0).any():
+        raise ConfigError(f"unknown vertex id(s): {[w for w, p in zip(wanted, pos) if p < 0]}")
+    return tuple(pos.tolist())
 
 
 # -- generate -------------------------------------------------------------------

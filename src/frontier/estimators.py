@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UndefinedEstimateError
-from .graphs import Graph, LabelStore, _edge_support
+from .graphs import Graph, LabelStore, _edge_support, _key_search, _sorted_unique
 from .oracles import _ccdf, _joint_density, _nonzero, joint_moments
 from .samplers import SampleTrace
 
@@ -95,14 +95,21 @@ def estimate_edge_label_density(trace: SampleTrace, labels: LabelStore,
     """
     _require_edge_trace(trace)
     lid = labels.label_id(label)
-    keys = (trace.u.astype(np.int64) << 32) | trace.v
     e = labels.edge_pairs
-    labeled = (e[:, 0] << 32) | e[:, 1]
-    b_star = int(np.isin(keys, labeled).sum())
+    n = 1 + int(e[:, :2].max(initial=0))  # a record with an id past the rows' is no key
+
+    def sampled(rows: np.ndarray) -> int:
+        """Records whose edge ``(u, v)`` is one of the label rows ``rows``."""
+        if not rows.size:
+            return 0
+        keys = _sorted_unique(rows[:, 0] * n + rows[:, 1])
+        return int((_key_search(keys, n, trace.u, trace.v) >= 0).sum())
+
+    b_star = sampled(e)
     if b_star == 0:
         raise UndefinedEstimateError("no sampled edge carries any label",
                                      code="no_labeled_samples")
-    hits = int(np.isin(keys, labeled[e[:, 2] == lid]).sum())
+    hits = sampled(e[e[:, 2] == lid])
     return DensityEstimate({label: hits / b_star}, b_star)
 
 

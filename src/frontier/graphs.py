@@ -185,7 +185,13 @@ def _key_search(keys: np.ndarray, n: int, u, v) -> np.ndarray:
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     want = np.where((u >= 0) & (u < n) & (v >= 0) & (v < n), u * n + v, -1)
     order, pos = np.argsort(want, axis=None), np.empty(want.shape, dtype=np.int64)
-    pos.ravel()[order] = np.minimum(np.searchsorted(keys, want.ravel()[order]), keys.size - 1)
+    pos.ravel()[order] = _sorted_search(keys, want.ravel()[order])
+    return pos
+
+
+def _sorted_search(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Position of each value of ``want`` in the non-empty sorted array ``keys``, or -1."""
+    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
     return np.where(keys[pos] == want, pos, -1)
 
 
@@ -229,14 +235,8 @@ def _edge_support(graph: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _as_text(source: "str | bytes | IO") -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
 # np.loadtxt reads a text as the line loop of parse_edge_list does when it holds
@@ -255,11 +255,26 @@ def _loadtxt(text: str, dtype) -> np.ndarray | None:
             or ("#" in text and _INLINE_COMMENT.search(text))):
         return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # loadtxt warns on input without data
-            return np.loadtxt(io.StringIO(text), dtype=dtype, comments="#", ndmin=2)
+        return _parse_c(io.StringIO(text), dtype, comments="#", ndmin=2)
     except ValueError:
         return None
+
+
+def _parse_c(lines, dtype, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` of ``lines``: input without data gives no rows, and a float in an
+    integer field is a ValueError on every numpy (numpy < 2 warns, then truncates)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on input without data
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype=dtype, **kwargs)
+
+
+def _records(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """``(line number, line, fields)`` of each line that is neither blank nor a ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, raw, line.split()
 
 
 def _loadtxt_edges(text: str) -> np.ndarray | None:
@@ -282,11 +297,7 @@ def parse_edge_list(source: "str | bytes | IO") -> tuple[np.ndarray, np.ndarray]
     arr = _loadtxt_edges(text)
     if arr is None:
         pairs: list[tuple[int, int]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
+        for lineno, raw, parts in _records(text):
             if len(parts) != 2:
                 raise GraphFormatError(f"line {lineno}: expected 'u v', got {raw!r}", lineno)
             try:
@@ -480,8 +491,8 @@ def _loadtxt_labels(text: str, graph: Graph) -> LabelStore | None:
         ids = rows[:, 0].astype(np.int64)  # int() of each, within int64
     except (ValueError, OverflowError):
         return None
-    pos = np.minimum(np.searchsorted(graph.original_ids, ids), graph.n_vertices - 1)
-    if (graph.original_ids[pos] != ids).any():
+    pos = _sorted_search(graph.original_ids, ids)
+    if (pos < 0).any():
         return None
     names, lid = _first_seen(rows[:, 1])
     return _store(names.tolist(), np.column_stack([pos, lid]))
@@ -501,11 +512,7 @@ def parse_vertex_labels(source: "str | bytes | IO", graph: Graph) -> LabelStore:
         return store
     store = LabelStore()
     dense = dict(zip(graph.original_ids.tolist(), range(graph.n_vertices)))
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, raw, parts in _records(text):
         if len(parts) < 2:
             raise GraphFormatError(f"line {lineno}: expected 'v label...', got {raw!r}", lineno)
         try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Sequence
 
@@ -366,42 +366,35 @@ def stationary_occupancy_ratio(graph: Graph, subset: Sequence[int]) -> float:
 
 @dataclass
 class CharacteristicTruth:
-    """Exact characteristic values for one graph, JSON-serializable."""
+    """Exact characteristic values for one graph, JSON-serializable: a field's ``json``
+    metadata names its JSON key, and ``key`` casts its dict keys back from strings."""
 
     theta: dict[str, float] | None = None
-    gamma: dict[int, float] | None = None
+    gamma: dict[int, float] | None = field(default=None, metadata={"key": int})
     p_edge: dict[str, float] | None = None
     r: float | None = None
-    clustering: float | None = None
+    clustering: float | None = field(default=None, metadata={"json": "C"})
     graph_hash: str | None = None
     ccdf_mode: str | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "theta": self.theta,
-            "gamma": None if self.gamma is None
-            else {str(k): v for k, v in self.gamma.items()},
-            "p_edge": self.p_edge,
-            "r": self.r,
-            "C": self.clustering,
-            "graph_hash": self.graph_hash,
-            "ccdf_mode": self.ccdf_mode,
-        }
+        payload = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, dict):  # JSON object keys are strings
+                value = {str(k): v for k, v in value.items()}
+            payload[f.metadata.get("json", f.name)] = value
         return json.dumps(payload, sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "CharacteristicTruth":
-        raw = json.loads(text)
-        gamma = raw.get("gamma")
-        return cls(
-            theta=raw.get("theta"),
-            gamma=None if gamma is None else {int(k): v for k, v in gamma.items()},
-            p_edge=raw.get("p_edge"),
-            r=raw.get("r"),
-            clustering=raw.get("C"),
-            graph_hash=raw.get("graph_hash"),
-            ccdf_mode=raw.get("ccdf_mode"),
-        )
+        raw, values = json.loads(text), {}
+        for f in fields(cls):
+            value = raw.get(f.metadata.get("json", f.name))
+            if value is not None and "key" in f.metadata:
+                value = {f.metadata["key"](k): v for k, v in value.items()}
+            values[f.name] = value
+        return cls(**values)
 
 
 def compute_truth(graph: Graph, labels: LabelStore | None = None,

@@ -18,7 +18,6 @@ import functools
 import itertools
 import math
 import numbers
-import warnings
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterator
@@ -26,7 +25,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from .errors import BudgetError, ConfigError, GraphFormatError
-from .graphs import _WRITE_BLOCK, Graph, _text_file
+from .graphs import _WRITE_BLOCK, Graph, _parse_c, _text_file
 from .rng import RngStream, _lane_draws, _lane_generators, _lane_keys
 
 __all__ = [
@@ -753,13 +752,6 @@ def read_trace_csv(source: "str | IO") -> SampleTrace:
             yield block
             row, plain = (row[0] + len(block), block[-1].strip()), None
 
-    def parse(records) -> np.ndarray:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # loadtxt warns on a trace without records
-            # numpy < 2 warns, then truncates, where an integer field holds a float
-            warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(records, delimiter=",", dtype=fields, comments=None, ndmin=1)
-
     with _text_file(source, "r") as fh:
         records = itertools.chain.from_iterable(blocks(fh))
         header = next(records, None)
@@ -768,13 +760,13 @@ def read_trace_csv(source: "str | IO") -> SampleTrace:
                                    f"got {header!r}")
         fields = list(_TRACE_FIELDS[:header.count(",") + 1])
         try:
-            data = parse(records)
+            data = _parse_c(records, fields, delimiter=",", comments=None, ndmin=1)
         except UnicodeError:  # text that is not UTF-8 is not a bad record
             raise
         except ValueError:  # the parser takes one line at a time: ``row`` is the bad one,
             if plain is not None:  # or in a plain block, the one it refuses through ``lines``
                 try:
-                    parse(lines(plain))
+                    _parse_c(lines(plain), fields, delimiter=",", comments=None, ndmin=1)
                 except ValueError:
                     pass
             i, line = row

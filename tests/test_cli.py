@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from frontier import cli, graphs, harness
+from frontier import cli, graphs, harness, samplers
 from frontier.cli import main
 from frontier.graphs import load_graph
 from frontier.samplers import read_trace_csv
@@ -238,6 +238,10 @@ def test_estimate_deterministic_files(tmp_path, graph_file, trace_file):
             "--targets", "ccdf")
     assert run(*args, "--out", a) == 0
     assert run(*args, "--out", b) == 0
+    assert read(a) == read(b)
+    # an empty target token is skipped
+    assert run(*args[:-1], "ccdf,degree=2", "--out", a, "--force") == 0
+    assert run(*args[:-1], "ccdf,,degree=2", "--out", b, "--force") == 0
     assert read(a) == read(b)
 
 
@@ -1035,10 +1039,20 @@ def test_non_utf8_labels_file_exit_2(tmp_path, graph_file, trace_file, capsys):
     _assert_encoding_error(capsys)
 
 
-def test_non_utf8_trace_exit_2(graph_file, trace_file, capsys):
+def test_non_utf8_trace_exit_2(tmp_path, graph_file, trace_file, capsys):
     lines = open(trace_file).read().splitlines()
     record = next(i for i, line in enumerate(lines) if line.startswith("step,")) + 1
     assert run("estimate", "--graph", graph_file, "--trace", _with_0xff(trace_file, record),
+               "--targets", "ccdf") == 2
+    _assert_encoding_error(capsys)
+    # and in the last record of a trace whose first block the parser has already read
+    big = str(tmp_path / "big.csv")
+    assert run("sample", "fs", "--graph", graph_file, "--budget", "6000", "--m", "5",
+               "--seed", "9", "--out", big) == 0
+    lines = open(big).read().splitlines(keepends=True)
+    assert len("".join(lines[:-1])) > samplers._READ_BLOCK
+    capsys.readouterr()
+    assert run("estimate", "--graph", graph_file, "--trace", _with_0xff(big, len(lines) - 1),
                "--targets", "ccdf") == 2
     _assert_encoding_error(capsys)
 

@@ -479,3 +479,43 @@ def test_degree_estimates_match_the_dict_code_before_on_fixed_traces(mode):
     for trace in (full_closure_trace(g), vertex_sweep_trace(g),
                   replace(full_closure_trace(g), method="random_edge")):
         _assert_degree_paths_unchanged(trace, g, mode, (0, 2, 3, 999))
+
+
+# -- edge-label densities through the sorted-key search ---------------------------------
+
+
+def _ref_edge_label_counts(trace, labels, label):
+    """(hits, b_star) as estimate_edge_label_density counted them when it packed
+    ``(u << 32) | v`` keys and ran ``np.isin``, verbatim."""
+    lid = labels.label_id(label)
+    keys = (trace.u.astype(np.int64) << 32) | trace.v
+    e = labels.edge_pairs
+    labeled = (e[:, 0] << 32) | e[:, 1]
+    return int(np.isin(keys, labeled[e[:, 2] == lid]).sum()), int(np.isin(keys, labeled).sum())
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.sampled_from("abc"), st.data())
+@settings(max_examples=300, deadline=None)
+def test_edge_label_counts_match_the_isin_code_before(trace_hi, rows_hi, label, data):
+    # each side has its own id bound, so trace ids pass the rows' and row ids the trace's
+    ids = st.integers(0, trace_hi)
+    records = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=60))
+    ids = st.integers(0, rows_hi)
+    rows = data.draw(st.lists(st.tuples(ids, ids, st.sampled_from("abc"), st.booleans()),
+                              max_size=20))
+    labels = LabelStore()
+    labels.ensure_label(label)  # a label on no edge
+    for u, v, name, symmetric in rows:
+        labels.add_edge_label(u, v, name, symmetric)
+    u, v = np.asarray(records, dtype=np.int64).T
+    n = u.size
+    trace = SampleTrace(method="random_edge", m=1, budget=float(n), spent=float(n),
+                        start_vertices=np.empty(0, dtype=np.int64), u=u, v=v,
+                        walker=np.zeros(n, dtype=np.int32), cost=np.ones(n))
+    hits, b_star = _ref_edge_label_counts(trace, labels, label)
+    if b_star == 0:
+        with pytest.raises(UndefinedEstimateError):
+            estimate_edge_label_density(trace, labels, label)
+        return
+    est = estimate_edge_label_density(trace, labels, label)
+    assert est.b_star == b_star and est.values == {label: hits / b_star}

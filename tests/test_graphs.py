@@ -541,6 +541,11 @@ def test_graph_layer_matches_reference(text):
     buf = io.StringIO()
     write_edge_list(g, buf)
     assert buf.getvalue() == canon
+    # UTF-8 bytes, and a binary stream of them, parse as their text does
+    for got, want in zip(parse_edge_list(text.encode()), parse_edge_list(text)):
+        assert np.array_equal(got, want)
+    g2 = load_graph(io.BytesIO(text.encode()))
+    assert g2.graph_hash == digest and np.array_equal(g2.original_ids, g.original_ids)
 
 
 @settings(max_examples=100, deadline=None)
@@ -626,7 +631,7 @@ def test_corrupted_line_reported_like_line_parser(text, data):
 
 @pytest.mark.parametrize("text", [
     "1\x0b2\n", "1\x0c2\n", "0 1\x1c1 2\n", "0 1\r1 2\r", "0 1 2 0\n",
-    "٣ 4\n", "1_0 2\n", "0 1\n\x00\n",
+    "٣ 4\n", "1_0 2\n", "0 1\n\x00\n", "1.5 2\n", "1e3 2\n", "-0.5 1\n",
 ])
 def test_parse_unusual_text_matches_line_parser(text):
     try:

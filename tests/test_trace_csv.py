@@ -4,6 +4,7 @@ per-row loop on mutated trace texts."""
 import io
 import itertools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,6 +135,8 @@ def _traces(draw) -> SampleTrace:
                         RngStream(draw(st.integers(0, 2 ** 40))))
     except BudgetError:  # starts that leave no steps
         reject()
+    if draw(st.booleans()):  # a str meta value, written quoted
+        trace = replace(trace, meta={**trace.meta, "note": draw(st.sampled_from(["a b", "1"]))})
     try:
         return _burn_in(trace, draw(st.sampled_from([0, 0, 1, 2])))
     except ConfigError:  # a walker with too few steps
