@@ -24,8 +24,6 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from .errors import (
     BudgetError,
     ConfigError,
@@ -35,6 +33,7 @@ from .errors import (
 )
 from .graphs import (
     DEGREE_MODES,
+    _ids,
     _sorted_search,
     load_graph,
     parse_vertex_labels,
@@ -87,14 +86,12 @@ def _load_graph_file(path: str):
 def _resolve_vertices(graph, text: str) -> tuple[int, ...]:
     """Map comma-separated vertex ids from the input file to internal ids."""
     try:
-        wanted = [int(t) for t in text.split(",") if t.strip()]
+        ids = _ids([t for t in text.split(",") if t.strip()])
     except ValueError:
         raise ConfigError(f"bad vertex list {text!r}") from None
-    # input ids are non-negative int64s: -1 stands in for any other id, one past int64 too
-    ids = np.asarray([w if 0 <= w < 1 << 63 else -1 for w in wanted], dtype=np.int64)
     pos = _sorted_search(graph.original_ids, ids)
     if (pos < 0).any():
-        raise ConfigError(f"unknown vertex id(s): {[w for w, p in zip(wanted, pos) if p < 0]}")
+        raise ConfigError(f"unknown vertex id(s): {ids[pos < 0].tolist()}")
     return tuple(pos.tolist())
 
 

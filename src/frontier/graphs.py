@@ -26,7 +26,7 @@ import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -239,25 +239,12 @@ def _as_text(source: "str | bytes | IO") -> str:
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
-# np.loadtxt reads a text as the line loop of parse_edge_list does when it holds
-# only printable ASCII, tabs and line ends, and '#' opens comment lines only
-_LOADTXT_SAFE = bytes(range(32, 127)) + b"\t\n\r"
-_INLINE_COMMENT = re.compile(r"^[^\S\n]*[^#\s][^\n]*#", re.M)
-
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def _loadtxt(text: str, dtype) -> np.ndarray | None:
-    """The (rows, fields) array of ``text`` parsed in C, ``#`` comment lines and
-    blank lines skipped; None where a line loop must read it."""
-    if (not text.isascii() or text.encode("ascii").translate(None, _LOADTXT_SAFE)
-            or ("#" in text and _INLINE_COMMENT.search(text))):
-        return None
-    try:
-        return _parse_c(io.StringIO(text), dtype, comments="#", ndmin=2)
-    except ValueError:
-        return None
+# Edge lists and label files have one grammar, numpy's C reader's: a line ends at "\n"
+# (a "\r" before it is dropped), "#" starts a comment anywhere, fields are split on
+# whitespace, and an id is what the reader takes as an int64.  The reader takes a
+# non-ASCII character in an id for a digit ("0\u01fe1" is 4621) or crashes on it.
+_NON_ASCII_FIELD = re.compile(r"^[^#\n]*?[^\s\x00-\x7f]", re.M)
+_ID_SPELLING = re.compile(r"[+-]?[0-9]+")  # an id field of the reader, at any size
 
 
 def _parse_c(lines, dtype, **kwargs) -> np.ndarray:
@@ -269,50 +256,67 @@ def _parse_c(lines, dtype, **kwargs) -> np.ndarray:
         return np.loadtxt(lines, dtype=dtype, **kwargs)
 
 
-def _records(text: str) -> Iterator[tuple[int, str, list[str]]]:
-    """``(line number, line, fields)`` of each line that is neither blank nor a ``#`` comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, raw, line.split()
+def _read_c(text: str, dtype, **kwargs) -> np.ndarray:
+    """The rows of ``text`` under the grammar above; ValueError where it is refused."""
+    if not text.isascii() and _NON_ASCII_FIELD.search(text):
+        raise ValueError("a non-ASCII character in a field")
+    return _parse_c(io.StringIO(text), dtype, comments="#", **kwargs)
 
 
-def _loadtxt_edges(text: str) -> np.ndarray | None:
-    """Edge array of a plain edge list parsed in C; None for any other input."""
-    arr = _loadtxt(text, np.int64)
-    ok = arr is not None and arr.shape[0] and arr.shape[1] == 2 and (arr >= 0).all()
-    return arr if ok else None
+def _ids(tokens: list[str]) -> np.ndarray:
+    """The int64 id that each of ``tokens`` spells; ValueError where one spells none."""
+    ids = _parse_c(tokens, np.int64, comments=None, ndmin=1) if "".join(tokens).isascii() else None
+    if ids is None or ids.shape != (len(tokens),):
+        raise ValueError("not one id per token")
+    return ids
+
+
+def _fields(line: str) -> list[str] | None:
+    """A line's fields before its ``#``; None for a carriage return not at its end."""
+    body = line.removesuffix("\r").partition("#")[0]
+    return None if "\r" in body else body.split()
+
+
+def _parsed(text: str, parse, error):
+    """``parse(text)``; where it refuses ``text``, the ``error(line number, line, fields)``
+    of the first line it refuses, found by bisecting the text's line prefixes, is raised."""
+    try:
+        return parse(text)
+    except ValueError:
+        lines = text.split("\n")
+    lo, hi = 0, len(lines) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            parse("\n".join(lines[:mid + 1]))
+            lo = mid + 1
+        except ValueError:
+            hi = mid
+    raise error(lo + 1, lines[lo].removesuffix("\r"), _fields(lines[lo]))
+
+
+def _edge_rows(text: str) -> np.ndarray:
+    rows = _read_c(text, np.int64, ndmin=2)
+    if rows.size and (rows.shape[1] != 2 or rows.min() < 0):
+        raise ValueError("a line that is not two non-negative ids")
+    return rows
+
+
+def _edge_line_error(lineno: int, raw: str, parts: list[str] | None) -> GraphFormatError:
+    if parts is None or len(parts) != 2:
+        return GraphFormatError(f"line {lineno}: expected 'u v', got {raw!r}", lineno)
+    problem = ("non-integer vertex id" if not all(map(_ID_SPELLING.fullmatch, parts)) else
+               "negative vertex id" if min(map(int, parts)) < 0 else
+               f"vertex id above {2 ** 63 - 1}")
+    return GraphFormatError(f"line {lineno}: {problem} in {raw!r}", lineno)
 
 
 def parse_edge_list(source: "str | bytes | IO") -> tuple[np.ndarray, np.ndarray]:
-    """Parse ``u v`` lines into dense-id pairs plus the original-id table.
-
-    Lines starting with ``#`` and blank lines are skipped.  Original ids
-    are remapped to ``0..n-1`` in sorted numeric order; position ``k`` of
-    the returned id table holds the original id of dense vertex ``k``.
-    Input the C parser cannot take goes through a line loop that names
-    the first bad line.
-    """
-    text = _as_text(source)
-    arr = _loadtxt_edges(text)
-    if arr is None:
-        pairs: list[tuple[int, int]] = []
-        for lineno, raw, parts in _records(text):
-            if len(parts) != 2:
-                raise GraphFormatError(f"line {lineno}: expected 'u v', got {raw!r}", lineno)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer vertex id in {raw!r}", lineno)
-            if u < 0 or v < 0:
-                raise GraphFormatError(f"line {lineno}: negative vertex id in {raw!r}", lineno)
-            if max(u, v) > _INT64_MAX:
-                raise GraphFormatError(
-                    f"line {lineno}: vertex id above {_INT64_MAX} in {raw!r}", lineno)
-            pairs.append((u, v))
-        if not pairs:
-            raise GraphFormatError("no edges found in input")
-        arr = np.asarray(pairs, dtype=np.int64)
+    """Dense-id pairs of ``u v`` lines plus the original-id table: ids go to ``0..n-1`` in
+    sorted order, and entry ``k`` of the table is dense vertex ``k``'s; names a bad line."""
+    arr = _parsed(_as_text(source), _edge_rows, _edge_line_error)
+    if not arr.size:
+        raise GraphFormatError("no edges found in input")
     if arr.max() < arr.size:  # the ids' counts take no more memory than the pairs
         original_ids = np.flatnonzero(np.bincount(arr.ravel()))
     else:
@@ -481,50 +485,37 @@ def _store(names: Sequence[str], vertex_pairs: np.ndarray, edge_pairs=()) -> Lab
     return store
 
 
-def _loadtxt_labels(text: str, graph: Graph) -> LabelStore | None:
-    """The store of plain ``v label`` lines parsed in C; None for any other
-    input, or where an id is not in the graph."""
-    rows = _loadtxt(text, object)  # Python str fields
-    if rows is None or rows.shape[1] != 2:
-        return None
+def _label_pairs(text: str, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Dense vertex and name of each label of a label file, in file order; ValueError
+    where a line is refused.  One label per line parses in one C pass."""
     try:
-        ids = rows[:, 0].astype(np.int64)  # int() of each, within int64
-    except (ValueError, OverflowError):
-        return None
+        ids, names = _read_c(text, [("v", np.int64), ("name", object)], ndmin=1, unpack=True)
+    except ValueError:  # several labels on a line, or a refusal: read token by token
+        lines = [f for f in map(_fields, text.split("\n")) if f != []]
+        if any(f is None or len(f) == 1 for f in lines):
+            raise ValueError("a line without a label") from None
+        ids = np.repeat(_ids([f[0] for f in lines]), [len(f) - 1 for f in lines])
+        names = np.array([name for f in lines for name in f[1:]], dtype=object)
     pos = _sorted_search(graph.original_ids, ids)
     if (pos < 0).any():
-        return None
-    names, lid = _first_seen(rows[:, 1])
-    return _store(names.tolist(), np.column_stack([pos, lid]))
+        raise ValueError("a vertex id that is not in the graph")
+    return pos, names
+
+
+def _label_line_error(lineno: int, raw: str, parts: list[str] | None) -> GraphFormatError:
+    if parts is None or len(parts) < 2:
+        return GraphFormatError(f"line {lineno}: expected 'v label...', got {raw!r}", lineno)
+    if not _ID_SPELLING.fullmatch(parts[0]):
+        return GraphFormatError(f"line {lineno}: non-integer vertex id in {raw!r}", lineno)
+    return GraphFormatError(f"line {lineno}: vertex id {int(parts[0])} not in graph", lineno)
 
 
 def parse_vertex_labels(source: "str | bytes | IO", graph: Graph) -> LabelStore:
-    """Parse ``v label [label ...]`` lines, remapping original vertex ids.
-
-    Ids are translated through the graph's original-id table; a line
-    naming a vertex absent from the graph is an error.  Plain text of one
-    label per line is parsed in C; any other input, or an id that is not in
-    the graph, goes through a line loop that names the first bad line.
-    """
-    text = _as_text(source)
-    store = _loadtxt_labels(text, graph)
-    if store is not None:
-        return store
-    store = LabelStore()
-    dense = dict(zip(graph.original_ids.tolist(), range(graph.n_vertices)))
-    for lineno, raw, parts in _records(text):
-        if len(parts) < 2:
-            raise GraphFormatError(f"line {lineno}: expected 'v label...', got {raw!r}", lineno)
-        try:
-            orig = int(parts[0])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer vertex id in {raw!r}", lineno)
-        pos = dense.get(orig)
-        if pos is None:
-            raise GraphFormatError(f"line {lineno}: vertex id {orig} not in graph", lineno)
-        for name in parts[1:]:
-            store.add_vertex_label(pos, name)
-    return store
+    """Parse ``v label [label ...]`` lines, remapping original vertex ids through the
+    graph's id table; the first refused line, or one naming no vertex of it, is named."""
+    pos, names = _parsed(_as_text(source), partial(_label_pairs, graph=graph), _label_line_error)
+    names, lid = _first_seen(names)
+    return _store(names.tolist(), np.column_stack([pos, lid]))
 
 
 def degree_labels(graph: Graph, mode: str = "symmetric") -> LabelStore:

@@ -736,9 +736,9 @@ def read_trace_csv(source: "str | IO") -> SampleTrace:
                     if "=" in body:
                         k, _, val = body.partition("=")
                         meta[k.strip()] = val.strip()
-                elif line:
+                elif line:  # C's isdigit misreads non-ASCII digits: such a record is refused
                     row = (row[0] + 1, line)
-                    yield line
+                    yield line if line.isascii() or row[0] == 0 else "?"
 
     def blocks(fh: IO):
         """The record lines of ``fh``, read ``_READ_BLOCK`` characters at a time: a

@@ -482,8 +482,15 @@ def test_experiment_rw_budget_follows_sampler(tmp_path, graph_file):
     {"burn_in": 1.5},
     {"seed": None},
     {"targets": {"degree_density": ["a"]}},
+    {"methods": [{"name": "fs", "m": 2, "start": "sideways"}]},
+    {"methods": [{"name": "fs", "m": 2, "start": 5}]},
+    {"methods": [{"name": "fs", "m": 2, "cost": "cheap"}]},
+    {"graph": {"kind": "er"}},
+    {"methods": []},
+    {"targets": {"labels": ["A"]}},
 ], ids=["m_string", "time_budget_string", "runs_string", "burn_in_float", "seed_null",
-        "degree_density_string"])
+        "degree_density_string", "start_unknown", "start_not_a_mode", "cost_not_an_object",
+        "graph_kind_unknown", "methods_empty", "labels_without_file"])
 def test_experiment_wrong_value_type_exit_2(tmp_path, capsys, change):
     cfg = dict(graph={"kind": "ba", "n": 80, "attach": 2, "seed": 3},
                methods=[{"name": "fs", "m": 2}], budget=40, targets={"ccdf": True}, runs=2)
@@ -833,16 +840,24 @@ def test_sample_dfs_time_budget_past_record_cap_exit_2(tmp_path, graph_file, cap
       "--start-vertices", "1,x"], "config"),
     (["sample", "dfs", "--m", "2", "--time-budget", "3", "--start", "explicit",
       "--start-vertices", "1;2"], "config"),
+    (["sample", "rw", "--budget", "20", "--start", "explicit", "--start-vertices", "1_0"],
+     "config"),
+    (["sample", "rw", "--budget", "20", "--start", "explicit", "--start-vertices", "1,٣"],
+     "config"),
     (["estimate", "--targets", "ccdf,degree=x"], "config"),
     (["estimate", "--targets", "degree=2.5"], "config"),
 ], ids=["explicit_without_vertices", "bad_vertex_list", "bad_vertex_separator",
+        "vertex_id_underscore", "vertex_id_non_ascii_digit",
         "degree_not_a_number", "degree_not_an_integer"])
 def test_bad_start_vertices_and_degree_targets_exit_2(tmp_path, graph_file, trace_file,
                                                       capsys, argv, error):
     files = (["--trace", trace_file] if argv[0] == "estimate"
              else ["--out", str(tmp_path / "t.csv")])
     assert run(*argv, "--graph", graph_file, *files) == 2
-    assert _one_error(capsys)["error"] == error
+    err = _one_error(capsys)
+    assert err["error"] == error
+    if argv[-1] in ("1_0", "1,٣"):  # ids under the edge list's grammar, as int() no longer reads them
+        assert err["message"] == f"bad vertex list {argv[-1]!r}"
 
 
 def test_estimate_label_named_like_a_degree_target_exit_2(tmp_path, graph_file, trace_file,

@@ -2,7 +2,6 @@ import hashlib
 import io
 import itertools
 import os
-import re
 import subprocess
 import sys
 from unittest import mock
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from frontier import graphs
+from frontier import cli, graphs
 from frontier.errors import ConfigError, GraphFormatError
 from frontier.estimators import estimate_global_clustering
 from frontier.graphs import (
@@ -617,9 +616,15 @@ def test_corrupted_line_reported_like_line_parser(text, data):
                   if line.strip() and not line.strip().startswith("#")]
     i = data.draw(st.sampled_from(edge_lines))
     u, v = lines[i].split()
-    lines[i] = data.draw(st.sampled_from([
+    corrupt = data.draw(st.sampled_from([
         f"{u} {v} {u}", f"{u}", f"{u} x{v}", f"{u} -{int(v) + 1}", f"-1 {v}", f"{u} {v} # note",
         f"{u} {v}#"]))
+    if "#" in corrupt:  # a comment after the ids, which the C reader's grammar skips
+        lines[i], bad = corrupt, "\n".join(lines) + "\n"
+        for got, want in zip(parse_edge_list(bad), parse_edge_list(text)):
+            assert np.array_equal(got, want)
+        return
+    lines[i] = corrupt
     bad = "\n".join(lines) + "\n"
     with pytest.raises(GraphFormatError) as want:
         _ref_parse_lines(bad)
@@ -629,13 +634,66 @@ def test_corrupted_line_reported_like_line_parser(text, data):
     assert str(got.value) == str(want.value)
 
 
+_PATH_40K = load_graph("".join(f"{i} {i + 1}\n" for i in range(40_000)))
+
+
+@pytest.mark.parametrize("kind, bad", [
+    ("edges", "1 2 3"), ("edges", "7"), ("edges", "x 2"), ("edges", "1.5 2"), ("edges", "-1 2"),
+    ("edges", "1 99999999999999999999"), ("edges", "1_0 2"), ("edges", "0\u01fe1 2"),
+    ("edges", "1\r2"),
+    ("labels", "7"), ("labels", "x A"), ("labels", "40001 A"),
+    ("labels", "99999999999999999999 A"), ("labels", "1_0 A"), ("labels", "7 A\rB"),
+    ("ragged labels", "7"), ("ragged labels", "x A B"), ("ragged labels", "40001 A"),
+    ("ragged labels", "1_0 A"),
+])
+def test_reader_names_a_refused_line_past_40000_good_lines(kind, bad):
+    """One bad line after 40,000 good ones, with comment and blank lines and CRLF
+    ends among them: the bisection names it as a parse of that line alone does."""
+    if kind == "edges":
+        parse, good = parse_edge_list, [f"{i} {i + 1}" for i in range(40_000)]
+    else:
+        parse = lambda text: parse_vertex_labels(text, _PATH_40K)  # noqa: E731
+        good = [f"{i} {'AB'[i % 2]}" for i in range(40_000)]
+        if kind == "ragged labels":  # a line of two labels: read token by token
+            good[3] += " C"
+    good[7], good[100], good[39_000] = "# a comment", "", "  # 5 6 # an indented comment"
+    text = "\r\n".join(good + [bad, "0 1"]) + "\r\n"
+    with pytest.raises(GraphFormatError) as one:
+        parse(bad + "\r\n")
+    with pytest.raises(GraphFormatError) as got:
+        parse(text)
+    assert one.value.line_number == 1 and got.value.line_number == 40_001
+    assert str(got.value) == str(one.value).replace("line 1:", "line 40001:", 1)
+    assert "\r" not in str(got.value) and "line 40001:" in str(got.value)
+
+
+# the outcomes in which the C reader's grammar differs from the former line parser's:
+# lines end at "\n" only (Python's splitlines also breaks at "\x0b", "\x0c", "\x1c",
+# "\u2028" and a bare "\r"), and an id is ASCII digits (int() also takes "1_0" and "٣")
+_GRAMMAR_CHANGES = {
+    "1\x0b2\n": "1 2\n",  # now read as the former parser read this text
+    "1\x0c2\n": "1 2\n",
+    "0 1\x1c1 2\n": (1, "line 1: expected 'u v', got '0 1\\x1c1 2'"),
+    "0 1\r1 2\r": (1, "line 1: expected 'u v', got '0 1\\r1 2'"),
+    "0 1\u20282 0\n": (1, "line 1: expected 'u v', got '0 1\\u20282 0'"),
+    "٣ 4\n": (1, "line 1: non-integer vertex id in '٣ 4'"),
+    "1_0 2\n": (1, "line 1: non-integer vertex id in '1_0 2'"),
+}
+
+
 @pytest.mark.parametrize("text", [
-    "1\x0b2\n", "1\x0c2\n", "0 1\x1c1 2\n", "0 1\r1 2\r", "0 1 2 0\n",
+    "1\x0b2\n", "1\x0c2\n", "0 1\x1c1 2\n", "0 1\r1 2\r", "0 1\u20282 0\n",
     "٣ 4\n", "1_0 2\n", "0 1\n\x00\n", "1.5 2\n", "1e3 2\n", "-0.5 1\n",
 ])
 def test_parse_unusual_text_matches_line_parser(text):
+    want = _GRAMMAR_CHANGES.get(text)
+    if isinstance(want, tuple):
+        with pytest.raises(GraphFormatError) as got:
+            parse_edge_list(text)
+        assert (got.value.line_number, str(got.value)) == want
+        return
     try:
-        want = _ref_parse_lines(text)
+        want = _ref_parse_lines(text if want is None else want)
     except GraphFormatError as exc:
         with pytest.raises(GraphFormatError) as got:
             parse_edge_list(text)
@@ -694,10 +752,6 @@ def _ref_key_search(keys: np.ndarray, n: int, u, v) -> np.ndarray:
     return np.where(keys[pos] == want, pos, -1)
 
 
-# the character-class regex the byte check in _loadtxt_edges replaced, verbatim
-_REF_LOADTXT_UNSAFE = re.compile(r"[^\t\n\r -~]")
-
-
 @st.composite
 def _key_queries(draw):
     """Sorted unique keys of an n-vertex id space plus (u, v) queries of any
@@ -729,9 +783,42 @@ def test_key_search_matches_the_query_order_reference(case):
 
 @pytest.mark.parametrize("ch", [chr(b) for b in range(0x80)] + ["é"])
 def test_loadtxt_byte_check_accepts_what_the_regex_accepted(ch):
-    # on a comment line the character changes nothing the C parser reads
-    text = f"0 1\n# {ch}\n1 2\n"
-    safe = graphs._loadtxt_edges(text) is not None
-    assert safe == (_REF_LOADTXT_UNSAFE.search(text) is None)
-    if safe:
-        assert graphs._loadtxt_edges(text).tolist() == [[0, 1], [1, 2]]
+    # a comment line is read in C whatever it holds: every character that the former
+    # byte check's regex let through to the C reader, and every other
+    assert parse_edge_list(f"0 1\n# {ch}\n1 2\n")[0].tolist() == [[0, 1], [1, 2]]
+    # after an id, a character separates fields, starts a comment, is a digit of
+    # the id, or makes the line refused
+    text = f"3 4{ch}\n"
+    if ch.isspace() or ch == "#" or ch in "0123456789":
+        assert parse_edge_list(text)[1].tolist() == [3, int("4" + ch.strip().strip("#"))]
+        return
+    with pytest.raises(GraphFormatError) as got:
+        parse_edge_list(text)
+    assert str(got.value) == f"line 1: non-integer vertex id in {text[:-1]!r}"
+
+
+@pytest.mark.parametrize("kind, text, lineno", [
+    ("edges", "0\u01fe1 2\n", 1),
+    ("edges", "0 1\n# \u01fe\n1 2\u01fe\n", 3),
+    ("labels", "0 A\n1\u01fe A\n", 2),
+    ("labels", "0 A B\n# \u01fe\n1\u01fe A\n", 3),  # read token by token
+    ("vertices", "0,1\u01fe", None),
+])
+def test_non_ascii_id_fields_never_reach_the_c_reader(kind, text, lineno):
+    # numpy's C integer reader reads "0\u01fe1" as 4621, or crashes on such a code
+    # point, so a non-ASCII character in a field is refused before the reader runs
+    parse_c, graph = graphs._parse_c, load_graph("0 1\n1 2\n")
+
+    def ascii_fields_only(lines, *args, **kwargs):
+        seen = lines.getvalue() if isinstance(lines, io.StringIO) else "\n".join(lines)
+        assert "\u01fe" not in seen.replace("# \u01fe", "")
+        return parse_c(lines, *args, **kwargs)
+
+    with mock.patch.object(graphs, "_parse_c", ascii_fields_only):
+        if kind == "vertices":
+            with pytest.raises(ConfigError, match="bad vertex list"):
+                cli._resolve_vertices(graph, text)
+            return
+        with pytest.raises(GraphFormatError, match="non-integer vertex id") as got:
+            parse_edge_list(text) if kind == "edges" else parse_vertex_labels(text, graph)
+    assert got.value.line_number == lineno

@@ -326,6 +326,28 @@ def test_diagnostic_matches_real_sampler_law(tri_pendant):
     assert diag.counts.sum() == runs
 
 
+@pytest.mark.parametrize("method, m, budget, start, seed", [
+    ("rw", 1, 11.0, StartMode.uniform(), 60),
+    ("rw", 1, 11.0, StartMode.degree_proportional(), 61),
+    ("mrw", 4, 20.0, StartMode.uniform(), 62),
+])
+def test_diagnostic_one_walker_counts_follow_the_exact_law(method, m, budget, start, seed):
+    # criterion 10's rw and mrw readings come from one-walker lanes: a walk of t steps
+    # from the start law pi0 ends on closure slot (u -> v) with probability
+    # (pi0 P^(t-1))(u) / deg(u), where P steps to a uniform neighbour
+    g = generate_barabasi_albert(500, 2, seed=3)
+    runs = 200_000
+    diag = convergence_diagnostic(g, method, budget, runs, RngStream(seed), m=m, start=start)
+    deg = g.deg.astype(float)
+    pi = deg / g.vol_total if start.kind == "degree" else np.full(g.n_vertices, 1 / g.n_vertices)
+    for _ in range(diag.steps - 1):
+        pi = np.bincount(g.indices, weights=(pi / deg)[g._source], minlength=g.n_vertices)
+    law = (pi / deg)[g._source]
+    assert diag.counts.sum() == runs and law.sum() == pytest.approx(1.0)
+    assert diag.steps == (10 if method == "rw" else 4)
+    assert stats.chisquare(diag.counts, runs * law).pvalue > 0.01
+
+
 def test_diagnostic_converges_to_uniform(tri_pendant):
     # long walks: every slot near 1/vol, deviation near zero
     diag = convergence_diagnostic(tri_pendant, "rw", 200.0, 200_000, RngStream(42))

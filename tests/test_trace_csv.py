@@ -262,6 +262,19 @@ def test_reader_refuses_python_only_spellings_by_row():
             raise AssertionError(f"{row!r} was read")
 
 
+@pytest.mark.parametrize("field", ["0\u01fe", "\u01fe", "1\u0761"])
+def test_reader_refuses_a_non_ascii_digit_that_the_c_reader_misreads(field):
+    # numpy's C integer reader calls C's isdigit on code points past 255, which reads
+    # outside its table: it read "0\u01fe" as 462, and some code points crash it
+    row = f"2,0,{field},1,1.0"
+    text = "# method=rw\n# m=1\nstep,walker,u,v,cost\n1,0,0,1,1.0\n" + row + "\n"
+    with pytest.raises(GraphFormatError) as got:
+        read_trace_csv(io.StringIO(text))
+    assert str(got.value) == f"trace row 2: non-numeric field in {row!r}"
+    with pytest.raises(GraphFormatError, match="header must be .*got 'st\u01feep,walker"):
+        read_trace_csv(io.StringIO(text.replace("step,", "st\u01feep,")))
+
+
 @pytest.mark.parametrize("bad, error", [
     ("7,0,x,1,1.0", "non-numeric field in '7,0,x,1,1.0'"),
     ("7,0,1,2,1_0", "non-numeric field in '7,0,1,2,1_0'"),
