@@ -31,14 +31,7 @@ from .errors import (
     StationarityError,
     UndefinedEstimateError,
 )
-from .graphs import (
-    DEGREE_MODES,
-    _ids,
-    _sorted_search,
-    load_graph,
-    parse_vertex_labels,
-    write_edge_list,
-)
+from .graphs import DEGREE_MODES, _ids, _sorted_search, write_edge_list
 from .harness import (
     _GRAPH_KEYS,
     _TARGET_FLAGS,
@@ -46,9 +39,12 @@ from .harness import (
     MethodSpec,
     TargetSpec,
     _burn_in,
+    _check_generator,
     _check_labels,
     _estimate_targets,
+    _field_int,
     _generate,
+    _read_graph,
     _sample,
     resolve_budget,
     run_monte_carlo,
@@ -57,6 +53,9 @@ from .rng import RngStream
 from .samplers import CostModel, _check_trace, read_trace_csv, write_trace_csv
 
 __all__ = ["main"]
+
+# the generate flags' defaults; a config's gab spec must give attach_a and attach_b
+_GENERATE_DEFAULTS = {"attach_a": 1, "attach_b": 5, "seed": 0}
 
 
 def _fail(code: int, error: str, message: str) -> int:
@@ -78,9 +77,9 @@ def _check_out(path: str, force: bool) -> None:
         raise ConfigError(f"output file {path} exists; pass --force to overwrite")
 
 
-def _load_graph_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_graph(fh)
+def _flag(key: str) -> str:
+    """The flag of a config key: ``--`` and the key with ``_`` written as ``-``."""
+    return "--" + key.replace("_", "-")
 
 
 def _resolve_vertices(graph, text: str) -> tuple[int, ...]:
@@ -99,12 +98,12 @@ def _resolve_vertices(graph, text: str) -> tuple[int, ...]:
 
 
 def _cmd_generate(args) -> int:
+    params = {"kind": args.kind, **{k: getattr(args, k) for k in _GRAPH_KEYS[args.kind]}}
+    _check_generator(params, _flag)
     _check_out(args.out, args.force)
     _check_out(args.out + ".json", args.force)
-    params = {"kind": args.kind, **{k: getattr(args, k) for k in _GRAPH_KEYS[args.kind]}}
     graph = _generate(params)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        write_edge_list(graph, fh)
+    write_edge_list(graph, args.out)
     sidecar = dict(params, graph_hash=graph.graph_hash,
                    n_vertices=graph.n_vertices,
                    n_edges=graph.n_undirected_edges,
@@ -120,10 +119,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    seed = _field_int(ExperimentConfig, "seed", args.seed, "--seed")
     _check_out(args.out, args.force)
     if args.start_vertices is not None and args.start != "explicit":
         raise ConfigError("--start-vertices applies to --start explicit only")
-    graph = _load_graph_file(args.graph)
+    graph, _ = _read_graph(args.graph)
     start = args.start
     if start == "explicit":
         if not args.start_vertices:
@@ -141,7 +141,7 @@ def _cmd_sample(args) -> int:
     if args.budget is None and name != "dfs":
         raise ConfigError(f"{args.method} needs --budget")
     budget = None if name == "dfs" else resolve_budget(args.budget, graph.n_vertices)
-    trace = _sample(graph, method, budget, RngStream(args.seed))
+    trace = _sample(graph, method, budget, RngStream(seed))
     trace = _burn_in(trace, args.burn_in)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_trace_csv(trace, fh)
@@ -178,14 +178,10 @@ def _cmd_estimate(args) -> int:
     if args.out != "-":
         _check_out(args.out, args.force)
     targets = _parse_targets(args.targets)
-    graph = _load_graph_file(args.graph)
     with open(args.trace, "r", encoding="utf-8", newline="") as fh:
         trace = read_trace_csv(fh)
+    graph, labels = _read_graph(args.graph, args.labels_file)
     _check_trace(trace, graph)
-    labels = None
-    if args.labels_file:
-        with open(args.labels_file, "r", encoding="utf-8") as fh:
-            labels = parse_vertex_labels(fh, graph)
     _check_labels(targets, labels, graph)
     trace = _burn_in(trace, args.burn_in)
 
@@ -235,15 +231,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="synthesize a graph")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
-    ba = gen_sub.add_parser("ba", help="preferential attachment graph")
-    ba.add_argument("--n", type=int, required=True)
-    ba.add_argument("--attach", type=int, required=True)
-    gab = gen_sub.add_parser("gab", help="two attachment graphs joined by one edge")
-    gab.add_argument("--n-each", type=int, required=True)
-    gab.add_argument("--attach-a", type=int, default=1)
-    gab.add_argument("--attach-b", type=int, default=5)
-    for p in (ba, gab):
-        p.add_argument("--seed", type=int, default=0)
+    for kind, text in (("ba", "preferential attachment graph"),
+                       ("gab", "two attachment graphs joined by one edge")):
+        p = gen_sub.add_parser(kind, help=text)
+        for key in _GRAPH_KEYS[kind]:  # the generator's parameters, as config keys
+            default = _GENERATE_DEFAULTS.get(key)
+            p.add_argument(_flag(key), type=int, default=default, required=default is None)
         p.add_argument("--out", required=True)
         p.add_argument("--force", action="store_true")
         p.set_defaults(func=_cmd_generate)
@@ -255,14 +248,14 @@ def _build_parser() -> argparse.ArgumentParser:
     smp.add_argument("--time-budget", type=float,
                      help="continuous-time horizon (dfs only)")
     smp.add_argument("--m", type=int, default=1, help="number of walkers")
-    smp.add_argument("--seed", type=int, default=0)
     smp.add_argument("--start", choices=("uniform", "degree", "explicit"),
                      default="uniform")
     smp.add_argument("--start-vertices", help="comma separated, with --start explicit")
-    smp.add_argument("--burn-in", type=int, default=0)
+    for key in ("seed", "burn_in"):  # ExperimentConfig's fields, with their defaults
+        smp.add_argument(_flag(key), type=int, default=getattr(ExperimentConfig, key))
     for f in fields(CostModel):  # a cost flag left out is absent from args: its default holds
         kind = {"action": "store_true"} if isinstance(f.default, bool) else {"type": float}
-        smp.add_argument("--" + f.name.replace("_", "-"), default=argparse.SUPPRESS, **kind)
+        smp.add_argument(_flag(f.name), default=argparse.SUPPRESS, **kind)
     smp.add_argument("--out", required=True)
     smp.add_argument("--force", action="store_true")
     smp.set_defaults(func=_cmd_sample)
@@ -273,8 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--targets", required=True,
                      help="comma list: ccdf, degree=K, label=NAME, "
                           "edge-label=NAME, assortativity, clustering")
-    est.add_argument("--ccdf-mode", choices=DEGREE_MODES, default="symmetric")
-    est.add_argument("--burn-in", type=int, default=0)
+    est.add_argument("--ccdf-mode", choices=DEGREE_MODES, default=ExperimentConfig.ccdf_mode)
+    est.add_argument("--burn-in", type=int, default=ExperimentConfig.burn_in)
     est.add_argument("--labels-file")
     est.add_argument("--out", default="-")
     est.add_argument("--force", action="store_true")
@@ -294,8 +287,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except GraphFormatError as exc:
         return _fail(2, "graph_format", str(exc))

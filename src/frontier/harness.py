@@ -22,8 +22,9 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -183,28 +184,42 @@ def _check_keys(raw: dict, allowed: Sequence[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
 
 
-def _as_int(value, what: str) -> int:
-    """A config integer: an int, or a float with a whole value; never a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+def _int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """A config integer in [lo, hi], either bound open when None: an int, or a
+    float with a whole value; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)) or (
             isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if hi is not None and not lo <= value <= hi:
+        raise ConfigError(f"{what} must lie in [{lo}, {hi}], got {value}")
+    if lo is not None and value < lo:
+        raise ConfigError(f"{what} must be >= {lo}, got {value}")
+    return value
 
 
-def _check_m(name: str, m: int, where: str) -> None:
-    """Refuse, before any m-sized array is built, m outside [1, MAX_RUN_RECORDS]
-    walkers for method ``name``, or other than 1 for a one-walker method."""
-    if not 1 <= m <= MAX_RUN_RECORDS:
-        raise ConfigError(f"{where}: m must lie in [1, {MAX_RUN_RECORDS}], got {m}")
+def _field_int(cls, key: str, value, what: str) -> int:
+    """``value`` as ``cls``'s integer field ``key``, checked against the
+    ``bounds`` (lo, hi) of its metadata."""
+    return _int(value, what, *cls.__dataclass_fields__[key].metadata["bounds"])
+
+
+def _check_m(name: str, m, where: str) -> int:
+    """m walkers for method ``name``, refused before any m-sized array is built
+    outside MethodSpec's bounds on m, or other than 1 for a one-walker method."""
+    m = _field_int(MethodSpec, "m", m, f"{where}: m")
     if m != 1 and name in ("rw", "random_vertex", "random_edge"):
         raise ConfigError(f"{where}: m must be 1 for {name}, got {m}")
+    return m
 
 
-def _check_seed(value, what: str) -> int:
-    seed = _as_int(value, what)
-    if seed < 0:
-        raise ConfigError(f"{what} must be >= 0, got {seed}")
-    return seed
+def _check_generator(spec: dict, name) -> None:
+    """Refuse a ``ba`` or ``gab`` spec whose parameters (``_GRAPH_KEYS``, each
+    named ``name(key)``) are not integers, or whose seed, which may be left
+    out, is not one an experiment's ``seed`` takes."""
+    for key in _GRAPH_KEYS[spec["kind"]][:-1]:  # the seed is last
+        _int(spec.get(key), name(key))
+    _field_int(ExperimentConfig, "seed", spec.get("seed", ExperimentConfig.seed), name("seed"))
 
 
 def _parse_start(raw, where: str) -> StartMode:
@@ -228,7 +243,7 @@ def _parse_start(raw, where: str) -> StartMode:
         if not isinstance(vertices, (list, tuple)):
             raise ConfigError(f"{where}: start vertices must be a list of integers, "
                               f"got {vertices!r}")
-        return StartMode.explicit(_as_int(v, f"{where}: start vertex") for v in vertices)
+        return StartMode.explicit(_int(v, f"{where}: start vertex") for v in vertices)
     raise ConfigError(f"{where}: invalid start mode {raw!r}")
 
 
@@ -249,19 +264,18 @@ class MethodSpec:
     """One sampler configuration inside an experiment."""
 
     name: str
-    m: int = 1
+    m: int = field(default=1, metadata={"bounds": (1, MAX_RUN_RECORDS)})
     start: StartMode = StartMode.uniform()
     cost: CostModel = DEFAULT_COST
     time_budget: float | None = None
 
     @classmethod
     def from_config(cls, raw: dict, where: str) -> "MethodSpec":
-        _check_keys(raw, ("name", "m", "start", "cost", "time_budget"), where)
+        _check_keys(raw, [f.name for f in fields(cls)], where)
         name = raw.get("name")
         if name not in _METHOD_NAMES:
             raise ConfigError(f"{where}: unknown method {name!r}; choose from {_METHOD_NAMES}")
-        m = _as_int(raw.get("m", 1), f"{where}: m")
-        _check_m(name, m, where)
+        m = _check_m(name, raw.get("m", cls.m), where)
         time_budget = raw.get("time_budget")
         if time_budget is not None and name != "dfs":
             raise ConfigError(f"{where}: time_budget applies to dfs only, not {name}")
@@ -307,10 +321,8 @@ class TargetSpec:
             if (not isinstance(value, bool if key in _TARGET_FLAGS else (list, tuple))
                     or ("labels" in key and not all(isinstance(x, str) for x in value))):
                 raise ConfigError(f"targets: {key} has the wrong type: {value!r}")
-        degrees = tuple(_as_int(k, "targets: degree_density entry")
+        degrees = tuple(_int(k, "targets: degree_density entry", 0)
                         for k in raw.get("degree_density", ()))
-        if any(k < 0 for k in degrees):
-            raise ConfigError(f"targets: degree_density entries must be >= 0, got {list(degrees)}")
         spec = cls(**{key: value if key in _TARGET_FLAGS else tuple(value)
                       for key, value in raw.items()} | {"degree_density": degrees})
         if not spec.oracle_targets():
@@ -358,18 +370,18 @@ class ExperimentConfig:
     methods: tuple[MethodSpec, ...]
     budget: "float | str"
     targets: TargetSpec
-    runs: int = 10000
-    burn_in: int = 0
-    seed: int = 0
+    runs: int = field(default=10000, metadata={"bounds": (1, MAX_RUN_RECORDS)})
+    burn_in: int = field(default=0, metadata={"bounds": (0, None)})
+    seed: int = field(default=0, metadata={"bounds": (0, None)})
     ccdf_mode: str = "symmetric"
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _check_keys(raw, ("graph", "methods", "budget", "targets", "runs",
-                          "burn_in", "seed", "ccdf_mode"), "config")
-        for key in ("graph", "methods", "budget", "targets"):
-            if key not in raw:
-                raise ConfigError(f"config: missing required key {key!r}")
+        schema = fields(cls)
+        _check_keys(raw, [f.name for f in schema], "config")
+        for f in schema:
+            if f.default is MISSING and f.name not in raw:
+                raise ConfigError(f"config: missing required key {f.name!r}")
         if not (isinstance(raw["graph"], dict) and isinstance(raw["targets"], dict)
                 and isinstance(raw["methods"], list)
                 and all(isinstance(m, dict) for m in raw["methods"])):
@@ -379,10 +391,8 @@ class ExperimentConfig:
         if kind not in _GRAPH_KEYS:
             raise ConfigError(f"graph: unknown kind {kind!r}")
         _check_keys(graph_raw, ("kind",) + _GRAPH_KEYS[kind], "graph")
-        if kind != "file":  # generator parameters; only the seed is optional
-            for key in _GRAPH_KEYS[kind]:
-                check = _check_seed if key == "seed" else _as_int
-                check(graph_raw.get(key, 0 if key == "seed" else None), f"graph: {key}")
+        if kind != "file":
+            _check_generator(graph_raw, "graph: {}".format)
         elif not (isinstance(graph_raw.get("path"), str)
                   and isinstance(graph_raw.get("labels_path") or "", str)):
             raise ConfigError("graph: path and labels_path must be strings")
@@ -391,13 +401,9 @@ class ExperimentConfig:
         if not methods:
             raise ConfigError("config: methods list is empty")
         targets = TargetSpec.from_config(dict(raw["targets"]))
-        runs = _as_int(raw.get("runs", 10000), "config: runs")
-        if not 1 <= runs <= MAX_RUN_RECORDS:  # before any runs-sized array is built
-            raise ConfigError(f"config: runs must lie in [1, {MAX_RUN_RECORDS}], got {runs}")
-        burn_in = _as_int(raw.get("burn_in", 0), "config: burn_in")
-        if burn_in < 0:
-            raise ConfigError("config: burn_in must be >= 0")
-        mode = raw.get("ccdf_mode", "symmetric")
+        ints = {f.name: _field_int(cls, f.name, raw.get(f.name, f.default), f"config: {f.name}")
+                for f in schema if "bounds" in f.metadata}
+        mode = raw.get("ccdf_mode", cls.ccdf_mode)
         if mode not in DEGREE_MODES:
             raise ConfigError(f"config: unknown ccdf_mode {mode!r}")
         vertex_only = [m.key for m in methods if m.name == "random_vertex"]
@@ -406,8 +412,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"targets needing sampled edges are incompatible with {vertex_only}")
         return cls(graph=graph_raw, methods=methods, budget=raw["budget"],
-                   targets=targets, runs=runs, burn_in=burn_in,
-                   seed=_check_seed(raw.get("seed", 0), "config: seed"), ccdf_mode=mode)
+                   targets=targets, ccdf_mode=mode, **ints)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -421,25 +426,25 @@ class ExperimentConfig:
 
     def resolve_graph(self) -> tuple[Graph, LabelStore | None]:
         g = self.graph
-        if g["kind"] != "file":
-            return _generate(g), None
-        with open(g["path"], "r", encoding="utf-8") as fh:
-            graph = load_graph(fh)
-        labels = None
-        if g.get("labels_path"):
-            with open(g["labels_path"], "r", encoding="utf-8") as fh:
-                labels = parse_vertex_labels(fh, graph)
-        return graph, labels
+        return (_generate(g), None) if g["kind"] != "file" else _read_graph(
+            g["path"], g.get("labels_path"))
+
+
+def _read_graph(path: str, labels_path: str | None = None) -> tuple[Graph, LabelStore | None]:
+    """The graph of an edge-list file, with the labels of a labels file if one is named."""
+    with open(path, "r", encoding="utf-8") as fh:
+        graph = load_graph(fh)
+    if not labels_path:
+        return graph, None
+    with open(labels_path, "r", encoding="utf-8") as fh:
+        return graph, parse_vertex_labels(fh, graph)
 
 
 def _generate(spec: dict) -> Graph:
-    """The graph of a ``ba`` or ``gab`` spec (keys as in ``_GRAPH_KEYS``,
-    the seed optional and 0 by default)."""
-    seed = int(spec.get("seed", 0))
-    if spec["kind"] == "ba":
-        return generate_barabasi_albert(int(spec["n"]), int(spec["attach"]), seed)
-    return generate_joined_ba(int(spec["n_each"]), int(spec["attach_a"]),
-                              int(spec["attach_b"]), seed)
+    """The graph of a checked ``ba`` or ``gab`` spec: its generator's arguments
+    are the ``_GRAPH_KEYS`` of its kind, in order, the seed 0 when left out."""
+    args = [int(spec.get(key, 0)) for key in _GRAPH_KEYS[spec["kind"]]]
+    return (generate_barabasi_albert if spec["kind"] == "ba" else generate_joined_ba)(*args)
 
 
 # -- single-run sampling + estimation ----------------------------------------

@@ -25,7 +25,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from .errors import BudgetError, ConfigError, GraphFormatError
-from .graphs import _WRITE_BLOCK, Graph, _parse_c, _text_file
+from .graphs import _WRITE_BLOCK, Graph, _ids, _parse_c, _text_file
 from .rng import RngStream, _lane_draws, _lane_generators, _lane_keys
 
 __all__ = [
@@ -779,15 +779,18 @@ def read_trace_csv(source: "str | IO") -> SampleTrace:
     extra = {k: _parse_meta_value(val) for k, val in meta.items()}
 
     def header(key: str, cast, default: str):
+        text = known.get(key, default)
         try:
-            return cast(known.get(key, default))
-        except (ValueError, OverflowError):
-            raise GraphFormatError(f"trace header {key}={known[key]!r} is not numeric") from None
+            return cast(text)
+        except ValueError:
+            if key == "m" and text.isascii() and text.lstrip("+-").isdigit():
+                return int(text)  # past int64: _check_trace refuses it by range
+            raise GraphFormatError(f"trace header {key}={text!r} is not numeric") from None
 
-    starts = header("start_vertices", lambda text: np.asarray(
-        [int(x) for x in text.split(",") if x], dtype=np.int64), "")
+    # ids, m too, in the records' grammar, which refuses "1_0" and non-ASCII digits
+    starts = header("start_vertices", lambda text: _ids([x for x in text.split(",") if x]), "")
     return SampleTrace(
-        method=known.get("method", "unknown"), m=header("m", int, "1"),
+        method=known.get("method", "unknown"), m=header("m", lambda t: int(_ids([t])[0]), "1"),
         budget=header("budget", float, "nan"), spent=header("spent", float, "nan"),
         start_vertices=starts, graph_hash=known.get("graph_hash"), meta=extra,
         **{name: np.ascontiguousarray(data[name]) for name, _ in fields[1:]})

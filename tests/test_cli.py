@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -64,6 +65,15 @@ def test_generate_refuses_overwrite(graph_file, capsys):
     assert err["error"] == "config"
     assert run("generate", "ba", "--n", "300", "--attach", "2",
                "--seed", "4", "--out", graph_file, "--force") == 0
+
+
+def test_generate_gab_default_attachments_are_one_and_five(tmp_path):
+    plain, explicit = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+    assert run("generate", "gab", "--n-each", "30", "--out", plain) == 0
+    assert run("generate", "gab", "--n-each", "30", "--attach-a", "1", "--attach-b", "5",
+               "--out", explicit) == 0
+    assert read(plain) == read(explicit)
+    assert read(plain + ".json") == read(explicit + ".json")
 
 
 # -- sample -------------------------------------------------------------------
@@ -276,6 +286,20 @@ def test_estimate_domain_error_is_exit_3(tmp_path, graph_file, capsys):
     assert err["error"] == "vertex_only_trace"
 
 
+@pytest.mark.parametrize("method, targets", [("fs", "ccdf"), ("random_vertex", "label=A")],
+                         ids=["walk_ccdf", "vertex_label"])
+def test_estimate_on_a_trace_without_records_is_exit_3(tmp_path, graph_file, capsys,
+                                                        method, targets):
+    # the degree-density and the vertex-sample label estimators need a record
+    trace, labels = str(tmp_path / "t.csv"), str(tmp_path / "labels.txt")
+    open(trace, "w").write(f"# method={method}\n# m=1\nstep,walker,u,v,cost\n")
+    open(labels, "w").write("0 A\n1 A\n")
+    assert run("estimate", "--graph", graph_file, "--trace", trace, "--targets", targets,
+               "--labels-file", labels) == 3
+    err = _one_json_error(capsys)
+    assert err["error"] == "empty_trace"
+
+
 def test_estimate_vertex_trace_degree_density(tmp_path, graph_file):
     vtrace = str(tmp_path / "v.csv")
     assert run("sample", "vertex", "--graph", graph_file, "--budget", "200",
@@ -409,7 +433,10 @@ def test_estimate_rejects_trace_outside_graph(tmp_path, graph_file, capsys, head
     ("# method=rw\n# m=1\n# start_vertices=a,1\n", "1,0,0,1,1.0", "start_vertices="),
     ("# method=rw\n# m=1\n", "1,0,0.5,1,1.0", "row 1"),
     ("# method=rw\n# m=1\n", "1,0,0,1,abc", "row 1"),
-], ids=["m", "budget", "start_vertices", "u_float", "cost"])
+    ("# method=rw\n# m=1_0\n", "1,0,0,1,1.0", "m="),
+    ("# method=rw\n# m=1\n# start_vertices=\u0663\n", "1,0,0,1,1.0", "start_vertices="),
+], ids=["m", "budget", "start_vertices", "u_float", "cost", "m_underscore",
+        "start_vertices_non_ascii"])
 def test_estimate_rejects_non_numeric_trace_fields(tmp_path, graph_file, capsys,
                                                    header, row, where):
     trace = str(tmp_path / "bad.csv")
@@ -754,6 +781,81 @@ def test_usage_error_is_one_json_line_exit_2(tmp_path, capsys, argv):
     err = _one_json_error(capsys)
     assert err["error"] == "usage" and err["message"].startswith("frontier")
     assert not (tmp_path / "t.csv").exists()
+
+
+_S = argparse.SUPPRESS
+# each subcommand's flags: (action, default, required, type, choices)
+_PARSER_FLAGS = {
+    "generate ba": {
+        "--n": ("store", None, True, int, None),
+        "--attach": ("store", None, True, int, None),
+        "--seed": ("store", 0, False, int, None),
+        "--out": ("store", None, True, None, None),
+        "--force": ("store_true", False, False, None, None)},
+    "generate gab": {
+        "--n-each": ("store", None, True, int, None),
+        "--attach-a": ("store", 1, False, int, None),
+        "--attach-b": ("store", 5, False, int, None),
+        "--seed": ("store", 0, False, int, None),
+        "--out": ("store", None, True, None, None),
+        "--force": ("store_true", False, False, None, None)},
+    "sample": {
+        "method": ("store", None, True, None, ("fs", "rw", "mrw", "dfs", "vertex", "edge")),
+        "--graph": ("store", None, True, None, None),
+        "--budget": ("store", None, False, None, None),
+        "--time-budget": ("store", None, False, float, None),
+        "--m": ("store", 1, False, int, None),
+        "--seed": ("store", 0, False, int, None),
+        "--start": ("store", "uniform", False, None, ("uniform", "degree", "explicit")),
+        "--start-vertices": ("store", None, False, None, None),
+        "--burn-in": ("store", 0, False, int, None),
+        "--walk-step-cost": ("store", _S, False, float, None),
+        "--vertex-query-cost": ("store", _S, False, float, None),
+        "--vertex-hit-ratio": ("store", _S, False, float, None),
+        "--edge-sample-cost": ("store", _S, False, float, None),
+        "--edge-hit-ratio": ("store", _S, False, float, None),
+        "--stochastic-starts": ("store_true", _S, False, None, None),
+        "--out": ("store", None, True, None, None),
+        "--force": ("store_true", False, False, None, None)},
+    "estimate": {
+        "--graph": ("store", None, True, None, None),
+        "--trace": ("store", None, True, None, None),
+        "--targets": ("store", None, True, None, None),
+        "--ccdf-mode": ("store", "symmetric", False, None,
+                        ("symmetric", "in_directed", "out_directed")),
+        "--burn-in": ("store", 0, False, int, None),
+        "--labels-file": ("store", None, False, None, None),
+        "--out": ("store", "-", False, None, None),
+        "--force": ("store_true", False, False, None, None)},
+    "experiment": {
+        "--config": ("store", None, True, None, None),
+        "--out": ("store", None, True, None, None),
+        "--workers": ("store", 1, False, int, None),
+        "--truth-cache": ("store", None, False, None, None),
+        "--force": ("store_true", False, False, None, None)},
+}
+
+
+def _parser_flags(parser, command=()) -> dict:
+    """Each (sub)command's flags as in ``_PARSER_FLAGS``."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(_parser_flags(sub, command + (name,)))
+        elif not isinstance(action, argparse._HelpAction):
+            kind = "store_true" if isinstance(action, argparse._StoreTrueAction) else "store"
+            name = action.option_strings[0] if action.option_strings else action.dest
+            out.setdefault(" ".join(command), {})[name] = (
+                kind, action.default, action.required, action.type,
+                tuple(action.choices) if action.choices else None)
+    return out
+
+
+def test_parser_flags_and_defaults_are_pinned():
+    # the flags are built from the config schema; each keeps its spelling,
+    # default, type, choices and whether it is required
+    assert _parser_flags(cli._build_parser()) == _PARSER_FLAGS
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):

@@ -105,6 +105,20 @@ def test_budget_errors():
         distributed_fs(g, 2, 0.0, StartMode.uniform(), RngStream(0))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda g: StartMode("bogus"), ConfigError, "unknown start mode 'bogus'"),
+    (lambda g: multiple_rw(g, 0, StartMode.uniform(), 10.0, DEFAULT_COST, RngStream(0)),
+     ValueError, "m must be >= 1"),
+    (lambda g: distributed_fs(g, 0, 5.0, StartMode.uniform(), RngStream(0)),
+     ValueError, "m must be >= 1"),
+], ids=["start_kind", "mrw_no_walkers", "dfs_no_walkers"])
+def test_public_samplers_refuse_what_configs_refuse_first(tri_pendant, call, error, message):
+    # experiments and the CLI refuse these in their config checks; the public
+    # constructors and samplers refuse them too
+    with pytest.raises(error, match=f"^{message}$"):
+        call(tri_pendant)
+
+
 def test_hit_ratio_inflates_start_price(tri_pendant):
     cost = CostModel(vertex_hit_ratio=0.25)
     assert cost.effective_start_cost == 4.0

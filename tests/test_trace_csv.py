@@ -262,6 +262,19 @@ def test_reader_refuses_python_only_spellings_by_row():
             raise AssertionError(f"{row!r} was read")
 
 
+@pytest.mark.parametrize("line", ["# m=1_0", "# m=\u0663", "# start_vertices=1_0",
+                                  "# start_vertices=\u0663,0_1"],
+                         ids=["m_underscore", "m_non_ascii", "starts_underscore",
+                              "starts_non_ascii"])
+def test_reader_refuses_python_only_header_ids(line):
+    # int() read "# m=1_0" as m = 10 and "\u0663" (Arabic-Indic three) as 3
+    key, value = line[2:].split("=")
+    text = f"# method=rw\n# m=1\n{line}\nstep,walker,u,v,cost\n1,0,0,1,1.0\n"
+    with pytest.raises(GraphFormatError) as got:
+        read_trace_csv(io.StringIO(text))
+    assert str(got.value) == f"trace header {key}={value!r} is not numeric"
+
+
 @pytest.mark.parametrize("field", ["0\u01fe", "\u01fe", "1\u0761"])
 def test_reader_refuses_a_non_ascii_digit_that_the_c_reader_misreads(field):
     # numpy's C integer reader calls C's isdigit on code points past 255, which reads
