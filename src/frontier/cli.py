@@ -31,7 +31,7 @@ from .errors import (
     StationarityError,
     UndefinedEstimateError,
 )
-from .graphs import DEGREE_MODES, _ids, _sorted_search, write_edge_list
+from .graphs import DEGREE_MODES, _numbers, _sorted_search, write_edge_list
 from .harness import (
     _GRAPH_KEYS,
     _TARGET_FLAGS,
@@ -85,7 +85,7 @@ def _flag(key: str) -> str:
 def _resolve_vertices(graph, text: str) -> tuple[int, ...]:
     """Map comma-separated vertex ids from the input file to internal ids."""
     try:
-        ids = _ids([t for t in text.split(",") if t.strip()])
+        ids = _numbers([t for t in text.split(",") if t.strip()])
     except ValueError:
         raise ConfigError(f"bad vertex list {text!r}") from None
     pos = _sorted_search(graph.original_ids, ids)
@@ -162,7 +162,7 @@ def _parse_targets(text: str) -> TargetSpec:
             raw[token] = True
         elif token.startswith("degree="):
             try:
-                raw.setdefault("degree_density", []).append(int(token[7:]))
+                raw.setdefault("degree_density", []).append(int(_numbers([token[7:]])[0]))
             except ValueError:
                 raise ConfigError(f"bad target {token!r}") from None
         elif token.startswith("label="):

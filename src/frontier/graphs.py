@@ -239,10 +239,11 @@ def _as_text(source: "str | bytes | IO") -> str:
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
-# Edge lists and label files have one grammar, numpy's C reader's: a line ends at "\n"
-# (a "\r" before it is dropped), "#" starts a comment anywhere, fields are split on
-# whitespace, and an id is what the reader takes as an int64.  The reader takes a
-# non-ASCII character in an id for a digit ("0\u01fe1" is 4621) or crashes on it.
+# Edge lists, label files and trace records have one grammar, numpy's C reader's: a line
+# ends at "\n" (a "\r" before it is dropped), "#" starts a comment anywhere, fields are
+# split on whitespace (on "," in a trace, whitespace around a field dropped), and an id
+# is what the reader takes as an int64.  The reader takes a non-ASCII character in an id
+# for a digit ("0\u01fe1" is 4621) or crashes on it.
 _NON_ASCII_FIELD = re.compile(r"^[^#\n]*?[^\s\x00-\x7f]", re.M)
 _ID_SPELLING = re.compile(r"[+-]?[0-9]+")  # an id field of the reader, at any size
 
@@ -256,19 +257,23 @@ def _parse_c(lines, dtype, **kwargs) -> np.ndarray:
         return np.loadtxt(lines, dtype=dtype, **kwargs)
 
 
-def _read_c(text: str, dtype, **kwargs) -> np.ndarray:
-    """The rows of ``text`` under the grammar above; ValueError where it is refused."""
+def _read_c(source: "str | list[str]", dtype, **kwargs) -> np.ndarray:
+    """The rows of a text, or of its lines, under the grammar above; ValueError where it
+    is refused."""
+    text = source if isinstance(source, str) else "".join(source)
     if not text.isascii() and _NON_ASCII_FIELD.search(text):
         raise ValueError("a non-ASCII character in a field")
-    return _parse_c(io.StringIO(text), dtype, comments="#", **kwargs)
+    lines = io.StringIO(text) if isinstance(source, str) else source
+    return _parse_c(lines, dtype, comments="#", **kwargs)
 
 
-def _ids(tokens: list[str]) -> np.ndarray:
-    """The int64 id that each of ``tokens`` spells; ValueError where one spells none."""
-    ids = _parse_c(tokens, np.int64, comments=None, ndmin=1) if "".join(tokens).isascii() else None
-    if ids is None or ids.shape != (len(tokens),):
-        raise ValueError("not one id per token")
-    return ids
+def _numbers(tokens: list[str], dtype=np.int64) -> np.ndarray:
+    """The ``dtype`` number that each of ``tokens`` spells in the reader's grammar (an id
+    by default); ValueError where one spells none."""
+    out = _parse_c(tokens, dtype, comments=None, ndmin=1) if "".join(tokens).isascii() else None
+    if out is None or out.shape != (len(tokens),):
+        raise ValueError("not one number per token")
+    return out
 
 
 def _fields(line: str) -> list[str] | None:
@@ -277,22 +282,29 @@ def _fields(line: str) -> list[str] | None:
     return None if "\r" in body else body.split()
 
 
-def _parsed(text: str, parse, error):
-    """``parse(text)``; where it refuses ``text``, the ``error(line number, line, fields)``
-    of the first line it refuses, found by bisecting the text's line prefixes, is raised."""
-    try:
-        return parse(text)
-    except ValueError:
-        lines = text.split("\n")
+def _first_refused(lines: list[str], parse) -> int:
+    """The index of the first of ``lines`` that ``parse`` refuses, where it refuses them
+    all: a bisection of their prefixes, in O(log lines) parses."""
     lo, hi = 0, len(lines) - 1
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            parse("\n".join(lines[:mid + 1]))
+            parse(lines[:mid + 1])
             lo = mid + 1
         except ValueError:
             hi = mid
-    raise error(lo + 1, lines[lo].removesuffix("\r"), _fields(lines[lo]))
+    return lo
+
+
+def _parsed(text: str, parse, error):
+    """``parse(text)``; where it refuses ``text``, the ``error(line number, line, fields)``
+    of the first line it refuses is raised."""
+    try:
+        return parse(text)
+    except ValueError:
+        lines = text.split("\n")
+    i = _first_refused(lines, lambda head: parse("\n".join(head)))
+    raise error(i + 1, lines[i].removesuffix("\r"), _fields(lines[i]))
 
 
 def _edge_rows(text: str) -> np.ndarray:
@@ -494,7 +506,7 @@ def _label_pairs(text: str, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
         lines = [f for f in map(_fields, text.split("\n")) if f != []]
         if any(f is None or len(f) == 1 for f in lines):
             raise ValueError("a line without a label") from None
-        ids = np.repeat(_ids([f[0] for f in lines]), [len(f) - 1 for f in lines])
+        ids = np.repeat(_numbers([f[0] for f in lines]), [len(f) - 1 for f in lines])
         names = np.array([name for f in lines for name in f[1:]], dtype=object)
     pos = _sorted_search(graph.original_ids, ids)
     if (pos < 0).any():

@@ -38,8 +38,9 @@ from .estimators import (
     vertex_density_from_vertex_samples,
     _degree_density,
 )
-from .graphs import (DEGREE_MODES, Graph, LabelStore, _text_file, generate_barabasi_albert,
-                     generate_joined_ba, load_graph, parse_vertex_labels)
+from .graphs import (DEGREE_MODES, Graph, LabelStore, _numbers, _text_file,
+                     generate_barabasi_albert, generate_joined_ba, load_graph,
+                     parse_vertex_labels)
 from .oracles import (
     CharacteristicTruth,
     _binomial,
@@ -342,7 +343,7 @@ def resolve_budget(raw, n_vertices: int) -> float:
         text = raw.strip()
         if text.upper().startswith("V/"):
             try:
-                div = int(text[2:])
+                div = int(_numbers([text[2:]])[0])
             except ValueError:
                 raise ConfigError(f"bad budget expression {raw!r}") from None
             if div < 1:
@@ -350,7 +351,7 @@ def resolve_budget(raw, n_vertices: int) -> float:
             value = float(n_vertices // div)
         else:
             try:
-                value = float(text)
+                value = float(_numbers([text], np.float64)[0])
             except ValueError:
                 raise ConfigError(f"bad budget expression {raw!r}") from None
     else:

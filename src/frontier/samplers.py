@@ -20,12 +20,12 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import IO, Iterator
+from typing import IO
 
 import numpy as np
 
 from .errors import BudgetError, ConfigError, GraphFormatError
-from .graphs import _WRITE_BLOCK, Graph, _ids, _parse_c, _text_file
+from .graphs import _WRITE_BLOCK, Graph, _first_refused, _numbers, _read_c, _text_file
 from .rng import RngStream, _lane_draws, _lane_generators, _lane_keys
 
 __all__ = [
@@ -707,93 +707,61 @@ def write_trace_csv(trace: SampleTrace, path_or_stream: "str | IO") -> None:
 # characters of trace lines read at a time: a block's lines are Python strings
 # while it is parsed, and 1 MiB blocks of a 200k-record trace peaked 3 MB higher
 _READ_BLOCK = 1 << 16
-# the bytes of lines that the line filter passes unchanged, if none is blank
-_PLAIN_RECORDS = bytes(range(33, 127)).replace(b"#", b"") + b"\n"
-
-
-def _plain(block: list[str]) -> bool:
-    """Whether the lines ``block`` are records that the line filter would pass unchanged."""
-    text = "".join(block)
-    return (text.isascii() and not text.encode("ascii").translate(None, _PLAIN_RECORDS)
-            and text[:1] != "\n" and "\n\n" not in text)
 
 
 def read_trace_csv(source: "str | IO") -> SampleTrace:
     """The trace a :func:`write_trace_csv` file holds; the first bad record is named by its row."""
     meta: dict[str, str] = {}
-    row = (-1, "")  # record number and text of the last line read; the header is record 0
-    plain = None  # the block of plain records being parsed; ``row`` is the one before it
-
-    def lines(chunks) -> Iterator[str]:
-        """Stripped lines that are neither blank nor ``#`` comments, as they
-        are read; ``# key=value`` comments go into ``meta``."""
-        nonlocal row
-        for chunk in chunks:
-            for raw in chunk.splitlines():
-                line = raw.strip()
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if "=" in body:
-                        k, _, val = body.partition("=")
-                        meta[k.strip()] = val.strip()
-                elif line:  # C's isdigit misreads non-ASCII digits: such a record is refused
-                    row = (row[0] + 1, line)
-                    yield line if line.isascii() or row[0] == 0 else "?"
-
-    def blocks(fh: IO):
-        """The record lines of ``fh``, read ``_READ_BLOCK`` characters at a time: a
-        block of plain records after the header as it is, any other through ``lines``."""
-        nonlocal row, plain
-        for block in iter(lambda: fh.readlines(_READ_BLOCK), []):
-            if row[0] < 0 or not _plain(block):
-                yield lines(block)
-                continue
-            plain = block
-            yield block
-            row, plain = (row[0] + len(block), block[-1].strip()), None
-
+    columns = None
     with _text_file(source, "r") as fh:
-        records = itertools.chain.from_iterable(blocks(fh))
-        header = next(records, None)
-        if header not in (_TRACE_COLUMNS, _TRACE_COLUMNS + ",time"):
+        for line in iter(fh.readline, ""):  # "# key=value" and blank lines up to the column line
+            line = line.strip()
+            if line.startswith("#"):
+                k, eq, val = line[1:].partition("=")
+                if eq:
+                    meta[k.strip()] = val.strip()
+            elif line:
+                columns = line
+                break
+        if columns not in (_TRACE_COLUMNS, _TRACE_COLUMNS + ",time"):
             raise GraphFormatError(f"trace column header must be {_TRACE_COLUMNS}[,time], "
-                                   f"got {header!r}")
-        fields = list(_TRACE_FIELDS[:header.count(",") + 1])
-        try:
-            data = _parse_c(records, fields, delimiter=",", comments=None, ndmin=1)
-        except UnicodeError:  # text that is not UTF-8 is not a bad record
-            raise
-        except ValueError:  # the parser takes one line at a time: ``row`` is the bad one,
-            if plain is not None:  # or in a plain block, the one it refuses through ``lines``
-                try:
-                    _parse_c(lines(plain), fields, delimiter=",", comments=None, ndmin=1)
-                except ValueError:
-                    pass
-            i, line = row
-            k = line.count(",") + 1
-            raise GraphFormatError(f"trace row {i} has {k} fields, expected {len(fields)}"
-                                   if k != len(fields) else
-                                   f"trace row {i}: non-numeric field in {line!r}") from None
+                                   f"got {columns!r}")
+        fields = list(_TRACE_FIELDS[:columns.count(",") + 1])
+        records = functools.partial(_read_c, dtype=fields, delimiter=",", ndmin=1)
+        parts = [np.empty(0, fields)]  # the columns of a trace without records
+        for block in iter(lambda: fh.readlines(_READ_BLOCK), []):
+            try:
+                parts.append(records(block))
+            except ValueError:
+                i = _first_refused(block, records)
+                row = sum(map(len, parts)) + len(records(block[:i])) + 1
+                line = block[i].strip()
+                k = line.partition("#")[0].count(",") + 1
+                raise GraphFormatError(f"trace row {row} has {k} fields, expected {len(fields)}"
+                                       if k != len(fields) else
+                                       f"trace row {row}: non-numeric field in {line!r}") from None
     known = {k: meta.pop(k) for k in ("method", "m", "budget", "spent", "graph_hash",
                                       "start_vertices") if k in meta}
     extra = {k: _parse_meta_value(val) for k, val in meta.items()}
 
-    def header(key: str, cast, default: str):
+    def header(key: str, read, default: str):
         text = known.get(key, default)
         try:
-            return cast(text)
+            return read(text)
         except ValueError:
             if key == "m" and text.isascii() and text.lstrip("+-").isdigit():
                 return int(text)  # past int64: _check_trace refuses it by range
             raise GraphFormatError(f"trace header {key}={text!r} is not numeric") from None
 
-    # ids, m too, in the records' grammar, which refuses "1_0" and non-ASCII digits
-    starts = header("start_vertices", lambda text: _ids([x for x in text.split(",") if x]), "")
+    # header numbers, ids too, in the records' grammar, which refuses "1_0" and non-ASCII digits
+    starts = header("start_vertices", lambda text: _numbers([x for x in text.split(",") if x]), "")
+    budget, spent = (header(key, lambda text: float(_numbers([text], np.float64)[0]), "nan")
+                     for key in ("budget", "spent"))
     return SampleTrace(
-        method=known.get("method", "unknown"), m=header("m", lambda t: int(_ids([t])[0]), "1"),
-        budget=header("budget", float, "nan"), spent=header("spent", float, "nan"),
-        start_vertices=starts, graph_hash=known.get("graph_hash"), meta=extra,
-        **{name: np.ascontiguousarray(data[name]) for name, _ in fields[1:]})
+        method=known.get("method", "unknown"), m=header("m", lambda t: int(_numbers([t])[0]), "1"),
+        budget=budget, spent=spent, start_vertices=starts, graph_hash=known.get("graph_hash"),
+        meta=extra,
+        **{name: np.concatenate([p[name] for p in parts]) for name, _ in fields[1:]})
 
 
 def _check_trace(trace: SampleTrace, graph: Graph) -> None:
@@ -829,9 +797,9 @@ def _check_trace(trace: SampleTrace, graph: Graph) -> None:
 
 
 def _parse_meta_value(text: str):
-    for cast in (int, float):
+    for dtype in (np.int64, np.float64):
         try:
-            return cast(text)
+            return _numbers([text], dtype)[0].item()
         except ValueError:
             continue
     if text and text[0] in "'\"" and text[-1] == text[0]:

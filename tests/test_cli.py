@@ -435,8 +435,10 @@ def test_estimate_rejects_trace_outside_graph(tmp_path, graph_file, capsys, head
     ("# method=rw\n# m=1\n", "1,0,0,1,abc", "row 1"),
     ("# method=rw\n# m=1_0\n", "1,0,0,1,1.0", "m="),
     ("# method=rw\n# m=1\n# start_vertices=\u0663\n", "1,0,0,1,1.0", "start_vertices="),
+    ("# method=rw\n# m=1\n# budget=1_0\n", "1,0,0,1,1.0", "budget='1_0' is not numeric"),
+    ("# method=rw\n# m=1\n# spent=\u0663\n", "1,0,0,1,1.0", "spent="),
 ], ids=["m", "budget", "start_vertices", "u_float", "cost", "m_underscore",
-        "start_vertices_non_ascii"])
+        "start_vertices_non_ascii", "budget_underscore", "spent_non_ascii"])
 def test_estimate_rejects_non_numeric_trace_fields(tmp_path, graph_file, capsys,
                                                    header, row, where):
     trace = str(tmp_path / "bad.csv")
@@ -948,9 +950,12 @@ def test_sample_dfs_time_budget_past_record_cap_exit_2(tmp_path, graph_file, cap
      "config"),
     (["estimate", "--targets", "ccdf,degree=x"], "config"),
     (["estimate", "--targets", "degree=2.5"], "config"),
+    (["estimate", "--targets", "degree=1_0"], "config"),
+    (["estimate", "--targets", "degree=\u0663"], "config"),
 ], ids=["explicit_without_vertices", "bad_vertex_list", "bad_vertex_separator",
         "vertex_id_underscore", "vertex_id_non_ascii_digit",
-        "degree_not_a_number", "degree_not_an_integer"])
+        "degree_not_a_number", "degree_not_an_integer", "degree_underscore",
+        "degree_non_ascii_digit"])
 def test_bad_start_vertices_and_degree_targets_exit_2(tmp_path, graph_file, trace_file,
                                                       capsys, argv, error):
     files = (["--trace", trace_file] if argv[0] == "estimate"
@@ -960,6 +965,20 @@ def test_bad_start_vertices_and_degree_targets_exit_2(tmp_path, graph_file, trac
     assert err["error"] == error
     if argv[-1] in ("1_0", "1,٣"):  # ids under the edge list's grammar, as int() no longer reads them
         assert err["message"] == f"bad vertex list {argv[-1]!r}"
+    if argv[-1] in ("degree=1_0", "degree=\u0663"):  # so are degrees: int() read them as 10 and 3
+        assert err["message"] == f"bad target {argv[-1]!r}"
+
+
+@pytest.mark.parametrize("budget", ["1_0", "V/1_0", "V/\u0663", "\u0661\u0660", "1_0.5"])
+def test_budget_spellings_outside_the_number_grammar_exit_2(tmp_path, graph_file, capsys,
+                                                            budget):
+    # a budget is a number, or the k of V/k an integer, as the file readers spell them:
+    # int() and float() read "1_0" and "\u0661\u0660" (Arabic-Indic ten) as 10
+    out = tmp_path / "t.csv"
+    assert run("sample", "rw", "--graph", graph_file, "--budget", budget, "--out", str(out)) == 2
+    assert _one_error(capsys) == {"error": "config",
+                                  "message": f"bad budget expression {budget!r}"}
+    assert not out.exists()
 
 
 def test_estimate_label_named_like_a_degree_target_exit_2(tmp_path, graph_file, trace_file,

@@ -462,7 +462,7 @@ def test_label_c_parser_matches_line_loop(text):
 ])
 def test_label_c_parser_takes_plain_one_label_lines(text, c_path):
     # c_path: the one C pass reads the text and accepts it, without the token loop
-    with mock.patch.object(graphs, "_ids", side_effect=AssertionError("token loop")):
+    with mock.patch.object(graphs, "_numbers", side_effect=AssertionError("token loop")):
         try:
             took = not isinstance(_label_outcome(text, _LABEL_GRAPH)[1], int)
         except AssertionError:

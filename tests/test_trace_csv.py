@@ -1,5 +1,6 @@
 """Trace CSV codec: exact round trips, and the reader against its former
-per-row loop on mutated trace texts."""
+per-row loop on mutated trace texts, which it reads alike up to the first line
+whose reading changed when records took the edge-list grammar."""
 
 import io
 import itertools
@@ -173,7 +174,8 @@ _FIELDS = ["x", "-1", "0", "1", " 2 ", "+3", "39", "1.5", "1.0", "nan", "-nan", 
            "2147483648", "-2147483649", "9223372036854775808", "1_0", "1_0.5", "٣",
            "７", "2 "]
 _LINES = ["", "  ", "# c", "# k=v", "#budget=x", "1,0,0,1,1.0", "1,0,0,1,1.0,2.0", "1,0,0",
-          "step,walker,u,v,cost", "step,walker,u,v,cost,time", "x,y"]
+          "step,walker,u,v,cost", "step,walker,u,v,cost,time", "x,y", "  # c",
+          "1,0,0,1,1.0 # x", "1,0,0,1,1.0\x0b2,0,1,0,1.0"]
 _BASES = [_text(_sample(_GRAPH, MethodSpec.from_config(raw, "test"), 5.0, RngStream(9)))
           for raw in ({"name": "fs", "m": 2}, {"name": "dfs", "m": 2, "time_budget": 1.5},
                       {"name": "random_vertex"})]
@@ -214,11 +216,6 @@ def _outcome(reader, text: str):
         return str(exc)
 
 
-def _record_lines(text: str) -> list:
-    lines = [raw.strip() for raw in text.splitlines()]
-    return [line for line in lines if line and not line.startswith("#")][1:]
-
-
 def _python_only(line: str) -> bool:
     """Whether a record line holds a spelling only the former reader took:
     an underscore or a non-ASCII character in a field, a step that is not an
@@ -226,27 +223,92 @@ def _python_only(line: str) -> bool:
     parts = line.split(",")
     if any("_" in p or not p.isascii() for p in parts):
         return True
+    if len(parts) < 2:
+        return False
     step_ok = re.fullmatch(r"\s*[+-]?[0-9]+\s*", parts[0]) and -2 ** 63 <= int(parts[0]) < 2 ** 63
     walker_ok = (not re.fullmatch(r"\s*[+-]?[0-9]+\s*", parts[1])
                  or -2 ** 31 <= int(parts[1]) < 2 ** 31)
     return not (step_ok and walker_ok)
 
 
+_LINE_ENDS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines ends lines at these too
+
+
+def _changed(line: str, record_line: bool) -> bool:
+    """Whether a line reads differently since lines end at "\\n" only and records follow
+    the edge-list grammar (README, "File formats"); ``record_line``: one after the column
+    line."""
+    body = line.removesuffix("\r")
+    if any(c in body.strip() for c in _LINE_ENDS):  # within a line: no longer a line end
+        return True
+    record = body.partition("#")[0]
+    return record_line and (
+        record.isspace() or "\r" in record  # whitespace only, before a "#", or a "\r": refused
+        or not record and "=" in body  # "# k=v": a comment, not meta
+        or "#" in body and record.strip() != ""  # "1,0,0,1,1.0 # x": the comment dropped
+        or record.strip() != "" and _python_only(record.strip()))
+
+
+def _row_error(row: int, line: str, n_fields: int) -> str:
+    line = line.strip()
+    k = line.partition("#")[0].count(",") + 1
+    return (f"trace row {row} has {k} fields, expected {n_fields}" if k != n_fields else
+            f"trace row {row}: non-numeric field in {line!r}")
+
+
 @given(_mutated_texts())
 @settings(max_examples=600, deadline=None)
 def test_reader_matches_the_per_row_loop_on_mutated_texts(text):
+    # the only differences come from the lines whose reading changed (_changed): up to
+    # the first of them, the reader and the loop read the text alike
     ref, new = _outcome(_ref_read_trace_csv, text), _outcome(read_trace_csv, text)
-    if ref == new:
+    lines = text.split("\n")
+    column = next((i for i, line in enumerate(lines) if line.strip()[:1] not in ("", "#")),
+                  len(lines))
+    changed = next((i for i, line in enumerate(lines) if _changed(line, i > column)), None)
+    if changed is None:
+        assert new == ref, (text, ref, new)
         return
-    # the only differences: the reader refuses, at that row, a spelling the loop took
-    assert isinstance(new, str), (text, ref, new)
-    row = re.match(r"trace row (\d+): non-numeric field in ", new)
-    assert row, (text, ref, new)
-    line = _record_lines(text)[int(row.group(1)) - 1]
-    assert _python_only(line), (text, ref, new)
-    assert new == f"trace row {row.group(1)}: non-numeric field in {line!r}"
-    ref_row = re.match(r"trace row (\d+)", ref) if isinstance(ref, str) else None
-    assert not ref_row or int(ref_row.group(1)) > int(row.group(1)), (text, ref, new)
+    head = "\n".join(lines[:changed]) + "\n"
+    assert _outcome(read_trace_csv, head) == _outcome(_ref_read_trace_csv, head), (text, head)
+    # a record is a line with text before its "#": the reader reads them all, or names the
+    # first it refuses by its row
+    records = [i for i in range(column + 1, len(lines))
+               if lines[i].removesuffix("\r").partition("#")[0]]
+    row = re.match(r"trace row (\d+)", new) if isinstance(new, str) else None
+    if isinstance(new, dict):
+        assert new["u"][1] == (len(records),), (text, new)
+    elif row:
+        at = records[int(row.group(1)) - 1]
+        assert new == _row_error(int(row.group(1)), lines[at], lines[column].count(",") + 1)
+        before = _outcome(read_trace_csv, "\n".join(lines[:at]) + "\n")
+        assert not (isinstance(before, str) and before.startswith("trace row")), (text, before)
+
+
+_HEAD = "# method=rw\n# m=1\n# budget=5.0\nstep,walker,u,v,cost\n1,0,0,1,1.0\n"
+
+
+@pytest.mark.parametrize("line, before, now", [
+    ("  ", 1, "trace row 2 has 1 fields, expected 5"),
+    ("  # c", 1, "trace row 2 has 1 fields, expected 5"),
+    ("# budget=x", "trace header budget='x' is not numeric", 1),
+    ("2,0,1,0,1.0 # x", "trace row 2: non-numeric field in '2,0,1,0,1.0 # x'", 2),
+    ("2,0,1,0,1.0\r3,0,0,1,1.0", 3, "trace row 2 has 9 fields, expected 5"),
+    ("2,0,1,0,1.0\x0b3,0,0,1,1.0", 3, "trace row 2 has 9 fields, expected 5"),
+    ("2,0,1,0,1.0\x853,0,0,1,1.0", 3, "trace row 2 has 9 fields, expected 5"),
+    ("2,0,1_0,0,1.0", 2, "trace row 2: non-numeric field in '2,0,1_0,0,1.0'"),
+    ("\u00a02,0,1,\u00a00,1.0\u00a0", 2, 2),  # whitespace around a field is dropped, as before
+], ids=["blank", "indented_comment", "meta_after_columns", "inline_comment", "cr", "vt",
+        "nel", "underscore", "no_break_space"])
+def test_reader_changes_after_the_column_line(line, before, now):
+    # each change of reading since records follow the edge-list grammar, from a stream
+    text = _HEAD + line + "\n"
+    for reader, want in ((_ref_read_trace_csv, before), (read_trace_csv, now)):
+        got = _outcome(reader, text)
+        if isinstance(want, int):
+            assert got["u"][1] == (want,) and got["budget"] == "5.0", (reader, got)
+        else:
+            assert got == want, reader
 
 
 def test_reader_refuses_python_only_spellings_by_row():
@@ -263,11 +325,13 @@ def test_reader_refuses_python_only_spellings_by_row():
 
 
 @pytest.mark.parametrize("line", ["# m=1_0", "# m=\u0663", "# start_vertices=1_0",
-                                  "# start_vertices=\u0663,0_1"],
+                                  "# start_vertices=\u0663,0_1", "# budget=1_0",
+                                  "# spent=\u0663"],
                          ids=["m_underscore", "m_non_ascii", "starts_underscore",
-                              "starts_non_ascii"])
+                              "starts_non_ascii", "budget_underscore", "spent_non_ascii"])
 def test_reader_refuses_python_only_header_ids(line):
-    # int() read "# m=1_0" as m = 10 and "\u0663" (Arabic-Indic three) as 3
+    # int() read "# m=1_0" as m = 10 and "\u0663" (Arabic-Indic three) as 3, and float()
+    # "# budget=1_0" as 10.0
     key, value = line[2:].split("=")
     text = f"# method=rw\n# m=1\n{line}\nstep,walker,u,v,cost\n1,0,0,1,1.0\n"
     with pytest.raises(GraphFormatError) as got:
@@ -303,7 +367,7 @@ def test_reader_names_a_bad_record_past_the_first_block(tmp_path, bad, error,
     rows = [f"{i},{i % 3},{i % 40},{(i + 1) % 40},1.0" for i in range(1, 40_000)]
     per_block = samplers._READ_BLOCK // len(rows[-1])
     rows.insert(int(2.5 * per_block), "# budget=9")
-    rows.insert(int(2.5 * per_block), "  ")
+    rows.insert(int(2.5 * per_block), "")
     rows.insert(int(1.5 * per_block), "")  # the one line in its block that is not a record
     at = int(3.5 * per_block)
     if block_with_comment:
