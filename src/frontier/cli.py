@@ -31,26 +31,27 @@ from .errors import (
     StationarityError,
     UndefinedEstimateError,
 )
-from .graphs import DEGREE_MODES, _numbers, _sorted_search, write_edge_list
+from .graphs import (DEGREE_MODES, _numbers, _sorted_search, _text_file, integer, real,
+                     write_edge_list)
 from .harness import (
     _GRAPH_KEYS,
     _TARGET_FLAGS,
     ExperimentConfig,
     MethodSpec,
     TargetSpec,
-    _burn_in,
     _check_generator,
     _check_labels,
     _estimate_targets,
     _field_int,
     _generate,
+    _int,
     _read_graph,
     _sample,
     resolve_budget,
     run_monte_carlo,
 )
 from .rng import RngStream
-from .samplers import CostModel, _check_trace, read_trace_csv, write_trace_csv
+from .samplers import CostModel, _check_trace, discard_burn_in, read_trace_csv, write_trace_csv
 
 __all__ = ["main"]
 
@@ -108,7 +109,7 @@ def _cmd_generate(args) -> int:
                    n_vertices=graph.n_vertices,
                    n_edges=graph.n_undirected_edges,
                    average_degree=graph.average_degree)
-    with open(args.out + ".json", "w", encoding="utf-8") as fh:
+    with _text_file(args.out + ".json") as fh:
         fh.write(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     print(f"wrote {args.out} ({graph.n_vertices} vertices, "
           f"{graph.n_undirected_edges} edges)")
@@ -141,10 +142,8 @@ def _cmd_sample(args) -> int:
     if args.budget is None and name != "dfs":
         raise ConfigError(f"{args.method} needs --budget")
     budget = None if name == "dfs" else resolve_budget(args.budget, graph.n_vertices)
-    trace = _sample(graph, method, budget, RngStream(seed))
-    trace = _burn_in(trace, args.burn_in)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        write_trace_csv(trace, fh)
+    trace = discard_burn_in(_sample(graph, method, budget, RngStream(seed)), args.burn_in)
+    write_trace_csv(trace, args.out)
     print(f"wrote {args.out} ({trace.n_steps} records, spent {trace.spent!r})")
     return 0
 
@@ -178,29 +177,17 @@ def _cmd_estimate(args) -> int:
     if args.out != "-":
         _check_out(args.out, args.force)
     targets = _parse_targets(args.targets)
-    with open(args.trace, "r", encoding="utf-8", newline="") as fh:
-        trace = read_trace_csv(fh)
+    trace = read_trace_csv(args.trace)
     graph, labels = _read_graph(args.graph, args.labels_file)
     _check_trace(trace, graph)
     _check_labels(targets, labels, graph)
-    trace = _burn_in(trace, args.burn_in)
-
-    raw = _estimate_targets(trace, graph, labels, targets, args.ccdf_mode, strict=True)
-    est = {key: raw[key] for key in ("p_edge", "r", "C") if key in raw}
-    if "gamma" in raw:
-        est["gamma"] = {str(k): v for k, v in raw["gamma"].items()}
-    theta = {f"degree={k}": v for k, v in raw.get("theta_degree", {}).items()}
-    theta.update(raw.get("theta_label", {}))
-    if theta:
-        est["theta"] = theta
+    trace = discard_burn_in(trace, args.burn_in)
+    est = _estimate_targets(trace, graph, labels, targets, args.ccdf_mode, strict=True)
     result = {"graph_hash": graph.graph_hash, "method": trace.method,
               "n_records": trace.n_steps, "estimates": est}
-    payload = json.dumps(result, sort_keys=True, indent=2) + "\n"
-    if args.out == "-":
-        sys.stdout.write(payload)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+    with _text_file(sys.stdout if args.out == "-" else args.out) as fh:
+        fh.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
+    if args.out != "-":
         print(f"wrote {args.out}")
     return 0
 
@@ -209,11 +196,11 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    workers = _int(args.workers, "--workers", 1)
     _check_out(args.out, args.force)
-    with open(args.config, "r", encoding="utf-8") as fh:
+    with _text_file(args.config, "r") as fh:
         config = ExperimentConfig.from_json(fh.read())
-    report = run_monte_carlo(config, workers=args.workers,
-                             truth_cache_dir=args.truth_cache)
+    report = run_monte_carlo(config, workers=workers, truth_cache_dir=args.truth_cache)
     report.to_csv(args.out)
     print(f"wrote {args.out} ({len(report.rows)} rows, "
           f"{len(report.warnings)} warnings)")
@@ -236,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = gen_sub.add_parser(kind, help=text)
         for key in _GRAPH_KEYS[kind]:  # the generator's parameters, as config keys
             default = _GENERATE_DEFAULTS.get(key)
-            p.add_argument(_flag(key), type=int, default=default, required=default is None)
+            p.add_argument(_flag(key), type=integer, default=default, required=default is None)
         p.add_argument("--out", required=True)
         p.add_argument("--force", action="store_true")
         p.set_defaults(func=_cmd_generate)
@@ -245,16 +232,16 @@ def _build_parser() -> argparse.ArgumentParser:
     smp.add_argument("method", choices=("fs", "rw", "mrw", "dfs", "vertex", "edge"))
     smp.add_argument("--graph", required=True)
     smp.add_argument("--budget", help="number or V/k (fraction of vertex count)")
-    smp.add_argument("--time-budget", type=float,
+    smp.add_argument("--time-budget", type=real,
                      help="continuous-time horizon (dfs only)")
-    smp.add_argument("--m", type=int, default=1, help="number of walkers")
+    smp.add_argument("--m", type=integer, default=1, help="number of walkers")
     smp.add_argument("--start", choices=("uniform", "degree", "explicit"),
                      default="uniform")
     smp.add_argument("--start-vertices", help="comma separated, with --start explicit")
     for key in ("seed", "burn_in"):  # ExperimentConfig's fields, with their defaults
-        smp.add_argument(_flag(key), type=int, default=getattr(ExperimentConfig, key))
+        smp.add_argument(_flag(key), type=integer, default=getattr(ExperimentConfig, key))
     for f in fields(CostModel):  # a cost flag left out is absent from args: its default holds
-        kind = {"action": "store_true"} if isinstance(f.default, bool) else {"type": float}
+        kind = {"action": "store_true"} if isinstance(f.default, bool) else {"type": real}
         smp.add_argument(_flag(f.name), default=argparse.SUPPRESS, **kind)
     smp.add_argument("--out", required=True)
     smp.add_argument("--force", action="store_true")
@@ -267,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma list: ccdf, degree=K, label=NAME, "
                           "edge-label=NAME, assortativity, clustering")
     est.add_argument("--ccdf-mode", choices=DEGREE_MODES, default=ExperimentConfig.ccdf_mode)
-    est.add_argument("--burn-in", type=int, default=ExperimentConfig.burn_in)
+    est.add_argument("--burn-in", type=integer, default=ExperimentConfig.burn_in)
     est.add_argument("--labels-file")
     est.add_argument("--out", default="-")
     est.add_argument("--force", action="store_true")
@@ -276,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a Monte Carlo error study")
     exp.add_argument("--config", required=True)
     exp.add_argument("--out", required=True)
-    exp.add_argument("--workers", type=int, default=1)
+    exp.add_argument("--workers", type=integer, default=1)
     exp.add_argument("--truth-cache", help="directory for exact-truth JSON cache")
     exp.add_argument("--force", action="store_true")
     exp.set_defaults(func=_cmd_experiment)

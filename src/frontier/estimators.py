@@ -73,17 +73,14 @@ class ClusteringEstimate:
     active_endpoints: int
 
 
-def _require_edge_trace(trace: SampleTrace) -> None:
+def _require_samples(trace: SampleTrace, edges: bool = True) -> None:
+    """Refuse an empty trace, and where ``edges``, one that sampled vertices only."""
     if trace.n_steps == 0:
         raise UndefinedEstimateError("empty trace", code="empty_trace")
-    if trace.vertex_only:
+    if edges and trace.vertex_only:
         raise UndefinedEstimateError(
             "vertex-only trace; this estimator needs sampled edges",
             code="vertex_only_trace")
-
-
-def _inverse_degrees(trace: SampleTrace, graph: Graph) -> np.ndarray:
-    return 1.0 / graph.deg[trace.v]
 
 
 def estimate_edge_label_density(trace: SampleTrace, labels: LabelStore,
@@ -93,7 +90,7 @@ def estimate_edge_label_density(trace: SampleTrace, labels: LabelStore,
     Unlabeled edges are outside the labeled sub-population and do not
     count toward the effective sample size.
     """
-    _require_edge_trace(trace)
+    _require_samples(trace)
     lid = labels.label_id(label)
     e = labels.edge_pairs
     n = 1 + int(e[:, :2].max(initial=0))  # a record with an id past the rows' is no key
@@ -116,7 +113,7 @@ def estimate_edge_label_density(trace: SampleTrace, labels: LabelStore,
 def estimate_vertex_label_density(trace: SampleTrace, graph: Graph,
                                   labels: LabelStore, label: str) -> DensityEstimate:
     """Inverse-degree-weighted frequency of ``label`` over terminal vertices."""
-    _require_edge_trace(trace)
+    _require_samples(trace)
     labels.label_id(label)  # an unknown label is a KeyError
     group = estimate_group_densities(trace, graph, labels)
     return DensityEstimate({label: group.values[label]}, group.b_star, group.s)
@@ -129,8 +126,8 @@ def estimate_group_densities(trace: SampleTrace, graph: Graph,
     Labels that partition the sampled vertices get estimates summing to
     one exactly (the shared normalizer cancels).
     """
-    _require_edge_trace(trace)
-    inv = _inverse_degrees(trace, graph)
+    _require_samples(trace)
+    inv = 1.0 / graph.deg[trace.v]
     denom = float(inv.sum())
     counts = np.bincount(trace.v, minlength=graph.n_vertices)
     p = labels.vertex_pairs
@@ -143,19 +140,20 @@ def estimate_group_densities(trace: SampleTrace, graph: Graph,
 def _degree_density(trace: SampleTrace, graph: Graph, mode: str, sampler: str) -> np.ndarray:
     """Density of each degree class k at index k, up to the largest sampled
     class and zero where no record has it.  ``sampler`` sets the weighting:
-    plain frequency (random_vertex), tilt-corrected frequency (random_edge;
-    class 0 left out) or inverse symmetric degree (any walk)."""
+    plain frequency (random_vertex), tilt-corrected frequency (random_edge) or
+    inverse symmetric degree (any walk).  A uniform edge's source is drawn in
+    proportion to its symmetric degree, so random_edge counts the records of each
+    (class, symmetric degree) pair and divides each count by that degree."""
+    _require_samples(trace, edges=sampler != "random_vertex")
     if sampler == "random_vertex":
-        if trace.n_steps == 0:
-            raise UndefinedEstimateError("empty trace", code="empty_trace")
         return np.bincount(graph.degrees(mode)[trace.v]) / trace.n_steps
-    _require_edge_trace(trace)
-    if sampler == "random_edge":
-        counts = np.bincount(graph.degrees(mode)[trace.u])
-        counts[0] = 0
-        return np.trim_zeros(counts / trace.n_steps * (graph.vol_total / graph.n_vertices)
-                             / np.arange(counts.size).clip(1), "b")
-    inv = _inverse_degrees(trace, graph)
+    if sampler == "random_edge":  # one pair per class in symmetric mode
+        n = graph.n_vertices
+        pair, count = np.unique(graph.degrees(mode)[trace.u] * n + graph.deg[trace.u],
+                                return_counts=True)
+        return np.bincount(pair // n, weights=count / trace.n_steps * (graph.vol_total / n)
+                           / (pair % n))
+    inv = 1.0 / graph.deg[trace.v]
     return np.bincount(graph.degrees(mode)[trace.v], weights=inv) / float(inv.sum())
 
 
@@ -168,7 +166,7 @@ def estimate_degree_density(trace: SampleTrace, graph: Graph,
     """
     values = _nonzero(_degree_density(trace, graph, mode, "walk"))
     return DensityEstimate(values, trace.n_steps,
-                           float(_inverse_degrees(trace, graph).sum()) / trace.n_steps)
+                           float((1.0 / graph.deg[trace.v]).sum()) / trace.n_steps)
 
 
 def _ccdf_from_density(theta: dict) -> dict[int, float]:
@@ -193,7 +191,7 @@ def estimate_assortativity(trace: SampleTrace, graph: Graph) -> AssortativityEst
     joint density truncated at the observed degree maxima; the estimate
     is its correlation coefficient.
     """
-    _require_edge_trace(trace)
+    _require_samples(trace)
     mask = graph.directed_edge_mask(trace.u, trace.v)
     b_star = int(mask.sum())
     if b_star == 0:
@@ -228,7 +226,7 @@ def estimate_global_clustering(trace: SampleTrace, graph: Graph,
     ``restrict_normalizer=False`` normalizes over all endpoints instead
     (biased low by the degree-one share; kept for comparison).
     """
-    _require_edge_trace(trace)
+    _require_samples(trace)
     deg_v = graph.deg[trace.v]
     active = deg_v >= 2
     n_active = int(active.sum())
@@ -258,8 +256,7 @@ def estimate_global_clustering(trace: SampleTrace, graph: Graph,
 def vertex_density_from_vertex_samples(trace: SampleTrace, labels: LabelStore,
                                        label: str) -> DensityEstimate:
     """Plain frequency of ``label`` among uniformly sampled vertices."""
-    if trace.n_steps == 0:
-        raise UndefinedEstimateError("empty trace", code="empty_trace")
+    _require_samples(trace, edges=False)
     hits = np.isin(trace.v, labels.vertices_with_label(label))
     return DensityEstimate({label: float(hits.mean())}, trace.n_steps)
 
@@ -276,9 +273,9 @@ def degree_density_from_edge_samples(trace: SampleTrace, graph: Graph,
     """Degree densities from uniform edge samples, assuming the average
     degree is known.
 
-    A uniform edge's source has degree i with probability i*theta_i/d,
-    so the observed frequency is tilted by i/d; dividing it out recovers
-    theta_i.
+    A uniform edge's source is a given vertex of symmetric degree s with
+    probability s/|E|, so weighting each record by d/s, summed over the
+    records of each class, recovers theta under any degree notion.
     """
     return DensityEstimate(_nonzero(_degree_density(trace, graph, mode, "random_edge")),
                            trace.n_steps)

@@ -276,6 +276,19 @@ def _numbers(tokens: list[str], dtype=np.int64) -> np.ndarray:
     return out
 
 
+def integer(text: str) -> int:
+    """The integer ``text`` spells as an id of the reader's grammar, at any size so that a
+    range check can name it; ValueError where it spells none.  A CLI flag type, as is real."""
+    if not _ID_SPELLING.fullmatch(text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def real(text: str) -> float:
+    """The float64 ``text`` spells in the reader's grammar; ValueError where it spells none."""
+    return float(_numbers([text], np.float64)[0])
+
+
 def _fields(line: str) -> list[str] | None:
     """A line's fields before its ``#``; None for a carriage return not at its end."""
     body = line.removesuffix("\r").partition("#")[0]
@@ -373,10 +386,11 @@ _WRITE_BLOCK = 1 << 12
 
 @contextmanager
 def _text_file(path_or_stream: "str | IO", mode: str = "w") -> Iterator[IO]:
-    """A text stream: the UTF-8 file at a path (opened in ``mode``, closed on
-    exit), or the given stream itself (left open)."""
+    """A text stream: the UTF-8 file at a path (opened in ``mode``, closed on exit), or
+    the given stream itself (left open).  A file's lines end at a newline alone, as in a
+    ``str``, so a carriage return is kept and a file parses as its text does."""
     if isinstance(path_or_stream, str):
-        with open(path_or_stream, mode, encoding="utf-8") as fh:
+        with open(path_or_stream, mode, encoding="utf-8", newline="\n") as fh:
             yield fh
     else:
         yield path_or_stream

@@ -40,7 +40,7 @@ from .estimators import (
 )
 from .graphs import (DEGREE_MODES, Graph, LabelStore, _numbers, _text_file,
                      generate_barabasi_albert, generate_joined_ba, load_graph,
-                     parse_vertex_labels)
+                     parse_vertex_labels, real)
 from .oracles import (
     CharacteristicTruth,
     _binomial,
@@ -55,6 +55,7 @@ from .rng import RngStream
 from .samplers import (
     _BATCH_STEPS,
     DEFAULT_COST,
+    _WALK_METHODS,
     MAX_RUN_RECORDS,
     CostModel,
     SampleTrace,
@@ -102,7 +103,6 @@ _RUNS = {
     "random_edge": lambda g, s, b, rngs: (random_edge_sample(g, b, s.cost, rng) for rng in rngs),
 }
 _METHOD_NAMES = tuple(_RUNS)
-_WALK_METHODS = ("rw", "mrw", "fs", "dfs")
 _TARGET_FLAGS = ("ccdf", "assortativity", "clustering")
 _GRAPH_KEYS = {"ba": ("n", "attach", "seed"), "gab": ("n_each", "attach_a", "attach_b", "seed"),
                "file": ("path", "labels_path")}
@@ -322,7 +322,7 @@ class TargetSpec:
             if (not isinstance(value, bool if key in _TARGET_FLAGS else (list, tuple))
                     or ("labels" in key and not all(isinstance(x, str) for x in value))):
                 raise ConfigError(f"targets: {key} has the wrong type: {value!r}")
-        degrees = tuple(_int(k, "targets: degree_density entry", 0)
+        degrees = tuple(_int(k, "targets: degree_density entry", 0, 2 ** 63 - 1)
                         for k in raw.get("degree_density", ()))
         spec = cls(**{key: value if key in _TARGET_FLAGS else tuple(value)
                       for key, value in raw.items()} | {"degree_density": degrees})
@@ -351,7 +351,7 @@ def resolve_budget(raw, n_vertices: int) -> float:
             value = float(n_vertices // div)
         else:
             try:
-                value = float(_numbers([text], np.float64)[0])
+                value = real(text)
             except ValueError:
                 raise ConfigError(f"bad budget expression {raw!r}") from None
     else:
@@ -433,11 +433,11 @@ class ExperimentConfig:
 
 def _read_graph(path: str, labels_path: str | None = None) -> tuple[Graph, LabelStore | None]:
     """The graph of an edge-list file, with the labels of a labels file if one is named."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _text_file(path, "r") as fh:
         graph = load_graph(fh)
     if not labels_path:
         return graph, None
-    with open(labels_path, "r", encoding="utf-8") as fh:
+    with _text_file(labels_path, "r") as fh:
         return graph, parse_vertex_labels(fh, graph)
 
 
@@ -459,12 +459,6 @@ def _sample_runs(graph: Graph, method: MethodSpec, budget: float, rngs: list[Rng
     """Traces of the runs with streams ``rngs``, in order: each the trace
     :func:`_sample` gives for its stream."""
     return _RUNS[method.name](graph, method, budget, rngs)
-
-
-def _burn_in(trace: SampleTrace, w: int) -> SampleTrace:
-    """Drop each walker's first ``w`` steps of a walk trace; independent
-    samples have no transient and pass through, but a negative ``w`` fails."""
-    return discard_burn_in(trace, w) if w < 0 or (w and trace.method in _WALK_METHODS) else trace
 
 
 def _check_labels(targets: TargetSpec, labels: LabelStore | None, graph: Graph) -> None:
@@ -491,7 +485,9 @@ def _check_labels(targets: TargetSpec, labels: LabelStore | None, graph: Graph) 
 def _estimate_targets(trace: SampleTrace, graph: Graph, labels: LabelStore | None,
                       targets: TargetSpec, ccdf_mode: str, strict: bool = False) -> dict:
     """Estimate every target from one trace, choosing the estimators that fit
-    how the trace was sampled.
+    how the trace was sampled, in the shape ``frontier estimate`` writes: one
+    ``theta`` dict of ``degree=K`` and label densities, ``gamma`` keyed by the
+    degree as text, ``p_edge`` keyed by label, and ``r`` and ``C``.
 
     An undefined edge-label density, ``r`` or ``C`` is recorded as None, or
     raised when ``strict``.
@@ -505,22 +501,21 @@ def _estimate_targets(trace: SampleTrace, graph: Graph, labels: LabelStore | Non
             return None
 
     t = targets
-    out: dict = {}
+    theta: dict = {}
+    out: dict = {"theta": theta} if t.degree_density or t.labels else {}
     if t.ccdf or t.degree_density:
         dens = _degree_density(trace, graph, ccdf_mode, trace.method)
-        if t.degree_density:
-            out["theta_degree"] = {k: float(dens[k]) if k < dens.size else 0.0
-                                   for k in t.degree_density}
+        theta.update((f"degree={k}", float(dens[k]) if k < dens.size else 0.0)
+                     for k in t.degree_density)
         if t.ccdf:
-            out["gamma"] = _ccdf(dens)
+            out["gamma"] = {str(k): x for k, x in _ccdf(dens).items()}
     if t.labels:
         if trace.method == "random_vertex":
-            out["theta_label"] = {
-                name: vertex_density_from_vertex_samples(trace, labels, name).values[name]
-                for name in t.labels}
+            for name in t.labels:
+                theta[name] = vertex_density_from_vertex_samples(trace, labels, name).values[name]
         else:
             group = estimate_group_densities(trace, graph, labels)
-            out["theta_label"] = {name: group.values[name] for name in t.labels}
+            theta.update((name, group.values[name]) for name in t.labels)
     if t.edge_labels:
         out["p_edge"] = {
             name: defined(lambda: estimate_edge_label_density(trace, labels, name).values[name])
@@ -555,21 +550,21 @@ def _run_chunk(task, state: tuple = ()) -> np.ndarray:
     # no run has a class past top, so the last column is 0.0 and keys past it read it
     width = 2 + (top if t.ccdf else min(top, max(t.degree_density, default=0)))
     dens, rest_rows = np.zeros((len(run_indices), width)), []
-    label_keys = dict(families).get("theta_label", ())
+    label_keys = dict(families).get("labels", ())
     root = RngStream(cfg.seed)
     for r, trace in enumerate(_sample_runs(graph, cfg.methods[method_idx], budget,
                                            [root.child(method_idx, i) for i in run_indices])):
-        trace = _burn_in(trace, cfg.burn_in)
+        trace = discard_burn_in(trace, cfg.burn_in)
         if t.ccdf or t.degree_density:
             d = _degree_density(trace, graph, cfg.ccdf_mode, trace.method)
             dens[r, :d.size] = d[:width]
         est = _estimate_targets(trace, graph, labels, rest, cfg.ccdf_mode)
-        # theta_label, the last family, heads the rows past the degree columns
-        rest_rows.append([est["theta_label"][k] for k in label_keys]
+        # the labels family, the last, heads the rows past the degree columns
+        rest_rows.append([est["theta"][k] for k in label_keys]
                          + [est["p_edge"][name] for name in t.edge_labels]
                          + [est[kind] for kind, on in (("r", t.assortativity),
                                                        ("C", t.clustering)) if on])
-    cols = {"theta_degree": dens} | ({"gamma": _tails(dens)} if t.ccdf else {})
+    cols = {"theta": dens} | ({"gamma": _tails(dens)} if t.ccdf else {})
     return np.concatenate([cols[name][:, np.minimum(keys, width - 1)].T
                            for name, keys in families if name in cols]
                           + [np.array(rest_rows, dtype=np.float64).T])
@@ -616,11 +611,7 @@ class ErrorReport:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return repr(float(x))
+    return "" if x is None else repr(float(x))
 
 
 def _truth_cache_path(cache_dir: str, graph_hash: str, cfg: ExperimentConfig,
@@ -649,7 +640,7 @@ def _load_truth(graph: Graph, labels: LabelStore | None, cfg: ExperimentConfig,
         path = _truth_cache_path(cache_dir, graph.graph_hash, cfg, labels)
         if os.path.exists(path):
             try:
-                with open(path, "r", encoding="utf-8") as fh:
+                with _text_file(path, "r") as fh:
                     cached = CharacteristicTruth.from_json(fh.read())
             except (ValueError, AttributeError):  # not JSON, or not a truth object
                 warnings.append("truth cache unreadable; recomputed")
@@ -660,7 +651,7 @@ def _load_truth(graph: Graph, labels: LabelStore | None, cfg: ExperimentConfig,
     truth = compute_truth(graph, labels, cfg.ccdf_mode, cfg.targets.oracle_targets())
     if path:
         tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with _text_file(tmp) as fh:
             fh.write(truth.to_json())
         os.replace(tmp, path)  # a reader sees the old file or the whole new one
     return truth
@@ -694,17 +685,17 @@ def _check_feasible(graph: Graph, method: MethodSpec, budget: float) -> None:
 
 
 def _families(truth: CharacteristicTruth, t: TargetSpec) -> list[tuple]:
-    """``(estimate key, kind, tag, truth dict, report keys, label format)`` of
-    each requested density family, in report order."""
+    """``(kind, tag, truth dict, report keys, label format)`` of each requested
+    density family, in report order; the tag names the family."""
     out = []
     if t.ccdf:
-        out.append(("gamma", "gamma", "gamma", truth.gamma, sorted(truth.gamma), "{}"))
+        out.append(("gamma", "gamma", truth.gamma, sorted(truth.gamma), "{}"))
     if t.degree_density:
-        out.append(("theta_degree", "theta", "theta",
+        out.append(("theta", "theta",
                     {k: truth.theta.get(f"degree={k}", 0.0) for k in t.degree_density},
                     t.degree_density, "degree={}"))
     if t.labels:
-        out.append(("theta_label", "theta", "labels",
+        out.append(("theta", "labels",
                     {name: truth.theta.get(name, 0.0) for name in t.labels}, t.labels, "{}"))
     return out
 
@@ -762,7 +753,7 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
              for name in t.edge_labels]
     named += [(kind, kind, kind, value) for kind, value, on in (
         ("r", truth.r, t.assortativity), ("C", truth.clustering, t.clustering)) if on]
-    sizes = [len(truth_f) for _, _, _, truth_f, _, _ in families]
+    sizes = [len(truth_f) for _, _, truth_f, _, _ in families]
     # per method: every family's truth keys, then the scalars (NaN: undefined), x runs
     mats = np.empty((len(config.methods), sum(sizes) + len(named), config.runs))
     workers = min(workers, os.cpu_count() or 1)
@@ -775,7 +766,7 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
             mats[mi, :, run_indices.start:run_indices.stop] = block
 
     state = (graph, labels, config, budget,
-             [(name, tuple(truth_f)) for name, _, _, truth_f, _, _ in families])
+             [(tag, tuple(truth_f)) for _, tag, truth_f, _, _ in families])
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=state) as pool:
@@ -786,7 +777,7 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1,
     rows: list[ReportRow] = []
     for mi, method in enumerate(config.methods):
         *blocks, scalars = np.split(mats[mi], np.cumsum(sizes, dtype=int))
-        for (_, kind, tag, truth_f, keys, fmt), vals in zip(families, blocks):
+        for (kind, tag, truth_f, keys, fmt), vals in zip(families, blocks):
             rows += _density_rows(method.key, kind, tag, truth_f, vals, keys, fmt, warnings)
         for (tag, kind, label, truth_val), vals in zip(named, scalars):
             valid = vals[~np.isnan(vals)]

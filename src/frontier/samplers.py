@@ -25,7 +25,8 @@ from typing import IO
 import numpy as np
 
 from .errors import BudgetError, ConfigError, GraphFormatError
-from .graphs import _WRITE_BLOCK, Graph, _first_refused, _numbers, _read_c, _text_file
+from .graphs import (_WRITE_BLOCK, Graph, _first_refused, _numbers, _read_c, _text_file,
+                     integer, real)
 from .rng import RngStream, _lane_draws, _lane_generators, _lane_keys
 
 __all__ = [
@@ -297,6 +298,9 @@ _LOCKSTEP_MIN_LANES = 8
 # 3,700 lanes at 97-129 words.
 _SHORT_MIN_LANES = 64
 _SHORT_LANE_WORDS = 96
+
+
+_WALK_METHODS = ("rw", "mrw", "fs", "dfs")
 
 
 def _lane_m(method: str, m: int) -> int:
@@ -656,10 +660,12 @@ def distributed_fs(graph: Graph, m: int, time_budget: float,
 
 
 def discard_burn_in(trace: SampleTrace, w: int) -> SampleTrace:
-    """Drop each walker's first ``w`` recorded steps; budget metadata stays."""
+    """Drop each walker's first ``w`` recorded steps of a walk trace (rw, mrw, fs or
+    dfs); budget metadata stays.  Independent samples have no transient and pass
+    through, but a negative ``w`` fails for any trace."""
     if w < 0:
         raise ConfigError("burn-in must be non-negative")
-    if w == 0:
+    if w == 0 or trace.method not in _WALK_METHODS:
         return trace
     if trace.n_steps == 0:
         raise ConfigError(f"burn-in {w} needs recorded steps; the trace has none")
@@ -749,18 +755,15 @@ def read_trace_csv(source: "str | IO") -> SampleTrace:
         try:
             return read(text)
         except ValueError:
-            if key == "m" and text.isascii() and text.lstrip("+-").isdigit():
-                return int(text)  # past int64: _check_trace refuses it by range
             raise GraphFormatError(f"trace header {key}={text!r} is not numeric") from None
 
-    # header numbers, ids too, in the records' grammar, which refuses "1_0" and non-ASCII digits
+    # header numbers, ids too, in the records' grammar, which refuses "1_0" and non-ASCII
+    # digits; an m past int64 is read, for _check_trace to refuse by range
     starts = header("start_vertices", lambda text: _numbers([x for x in text.split(",") if x]), "")
-    budget, spent = (header(key, lambda text: float(_numbers([text], np.float64)[0]), "nan")
-                     for key in ("budget", "spent"))
     return SampleTrace(
-        method=known.get("method", "unknown"), m=header("m", lambda t: int(_numbers([t])[0]), "1"),
-        budget=budget, spent=spent, start_vertices=starts, graph_hash=known.get("graph_hash"),
-        meta=extra,
+        method=known.get("method", "unknown"), budget=header("budget", real, "nan"),
+        spent=header("spent", real, "nan"), m=header("m", integer, "1"),
+        start_vertices=starts, graph_hash=known.get("graph_hash"), meta=extra,
         **{name: np.concatenate([p[name] for p in parts]) for name, _ in fields[1:]})
 
 

@@ -10,7 +10,8 @@ import pytest
 
 from frontier import cli, graphs, harness, samplers
 from frontier.cli import main
-from frontier.graphs import load_graph
+from frontier.errors import GraphFormatError
+from frontier.graphs import integer, load_graph, parse_edge_list, real
 from frontier.samplers import read_trace_csv
 
 
@@ -360,6 +361,37 @@ def test_experiment_bad_config(tmp_path, capsys):
     assert run("experiment", "--config", cfg_path,
                "--out", str(tmp_path / "r.csv")) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_a_lone_carriage_return_is_refused_as_in_text(tmp_path, capsys):
+    # a file's lines end at "\n" alone, so a file parses as its text does in a str
+    text = "0 1\r1 2\r"
+    path = tmp_path / "cr.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(GraphFormatError) as want:
+        parse_edge_list(text)
+    assert run("sample", "rw", "--graph", str(path), "--budget", "5",
+               "--out", str(tmp_path / "t.csv")) == 2
+    assert _one_error(capsys) == {"error": "graph_format", "message": str(want.value)}
+    assert str(want.value).startswith("line 1: ")
+
+
+def test_crlf_edge_and_trace_files_read_as_lf(tmp_path, graph_file, capsys):
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(read(graph_file).replace(b"\n", b"\r\n"))
+    traces = [str(tmp_path / name) for name in ("lf.csv", "crlf.csv")]
+    for graph, out in zip((graph_file, str(crlf)), traces):
+        assert run("sample", "fs", "--m", "3", "--graph", graph, "--budget", "60",
+                   "--out", out) == 0
+    assert read(traces[0]) == read(traces[1])
+    crlf_trace = tmp_path / "crlf_trace.csv"
+    crlf_trace.write_bytes(read(traces[0]).replace(b"\n", b"\r\n"))
+    capsys.readouterr()
+    for trace in (traces[0], str(crlf_trace)):
+        assert run("estimate", "--graph", str(crlf), "--trace", trace,
+                   "--targets", "ccdf,degree=2") == 0
+    out = capsys.readouterr().out
+    assert out[:len(out) // 2] == out[len(out) // 2:]
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):
@@ -770,18 +802,29 @@ def _one_json_error(capsys) -> dict:
     return json.loads(lines[0])
 
 
-@pytest.mark.parametrize("argv", [
-    ["sample", "fs", "--graph", "g.txt", "--m", "x", "--budget", "10", "--out", "t.csv"],
-    ["sample", "fs", "--m", "2", "--budget", "10", "--out", "t.csv"],
-    ["resample", "fs"],
-], ids=["m_not_int", "missing_graph", "unknown_subcommand"])
-def test_usage_error_is_one_json_line_exit_2(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "fs", "--graph", "g.txt", "--m", "x", "--budget", "10", "--out", "t.csv"],
+     "argument --m: invalid integer value: 'x'"),
+    (["sample", "fs", "--m", "2", "--budget", "10", "--out", "t.csv"], None),
+    (["resample", "fs"], None),
+    # numeric flags follow the file grammar: int() and float() read these as 10, 3 and 10.5
+    (["sample", "fs", "--graph", "g.txt", "--m", "1_0", "--budget", "10", "--out", "t.csv"],
+     "argument --m: invalid integer value: '1_0'"),
+    (["sample", "rw", "--graph", "g.txt", "--seed", "\u0663", "--budget", "10", "--out", "t.csv"],
+     "argument --seed: invalid integer value: '\u0663'"),
+    (["sample", "dfs", "--graph", "g.txt", "--time-budget", "1_0.5", "--out", "t.csv"],
+     "argument --time-budget: invalid real value: '1_0.5'"),
+], ids=["m_not_int", "missing_graph", "unknown_subcommand", "m_underscore",
+        "seed_non_ascii_digit", "time_budget_underscore"])
+def test_usage_error_is_one_json_line_exit_2(tmp_path, capsys, argv, message):
     argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
     with pytest.raises(SystemExit) as exc:
         run(*argv)
     assert exc.value.code == 2
     err = _one_json_error(capsys)
     assert err["error"] == "usage" and err["message"].startswith("frontier")
+    if message:
+        assert err["message"] == "frontier sample: " + message
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -789,33 +832,33 @@ _S = argparse.SUPPRESS
 # each subcommand's flags: (action, default, required, type, choices)
 _PARSER_FLAGS = {
     "generate ba": {
-        "--n": ("store", None, True, int, None),
-        "--attach": ("store", None, True, int, None),
-        "--seed": ("store", 0, False, int, None),
+        "--n": ("store", None, True, integer, None),
+        "--attach": ("store", None, True, integer, None),
+        "--seed": ("store", 0, False, integer, None),
         "--out": ("store", None, True, None, None),
         "--force": ("store_true", False, False, None, None)},
     "generate gab": {
-        "--n-each": ("store", None, True, int, None),
-        "--attach-a": ("store", 1, False, int, None),
-        "--attach-b": ("store", 5, False, int, None),
-        "--seed": ("store", 0, False, int, None),
+        "--n-each": ("store", None, True, integer, None),
+        "--attach-a": ("store", 1, False, integer, None),
+        "--attach-b": ("store", 5, False, integer, None),
+        "--seed": ("store", 0, False, integer, None),
         "--out": ("store", None, True, None, None),
         "--force": ("store_true", False, False, None, None)},
     "sample": {
         "method": ("store", None, True, None, ("fs", "rw", "mrw", "dfs", "vertex", "edge")),
         "--graph": ("store", None, True, None, None),
         "--budget": ("store", None, False, None, None),
-        "--time-budget": ("store", None, False, float, None),
-        "--m": ("store", 1, False, int, None),
-        "--seed": ("store", 0, False, int, None),
+        "--time-budget": ("store", None, False, real, None),
+        "--m": ("store", 1, False, integer, None),
+        "--seed": ("store", 0, False, integer, None),
         "--start": ("store", "uniform", False, None, ("uniform", "degree", "explicit")),
         "--start-vertices": ("store", None, False, None, None),
-        "--burn-in": ("store", 0, False, int, None),
-        "--walk-step-cost": ("store", _S, False, float, None),
-        "--vertex-query-cost": ("store", _S, False, float, None),
-        "--vertex-hit-ratio": ("store", _S, False, float, None),
-        "--edge-sample-cost": ("store", _S, False, float, None),
-        "--edge-hit-ratio": ("store", _S, False, float, None),
+        "--burn-in": ("store", 0, False, integer, None),
+        "--walk-step-cost": ("store", _S, False, real, None),
+        "--vertex-query-cost": ("store", _S, False, real, None),
+        "--vertex-hit-ratio": ("store", _S, False, real, None),
+        "--edge-sample-cost": ("store", _S, False, real, None),
+        "--edge-hit-ratio": ("store", _S, False, real, None),
         "--stochastic-starts": ("store_true", _S, False, None, None),
         "--out": ("store", None, True, None, None),
         "--force": ("store_true", False, False, None, None)},
@@ -825,14 +868,14 @@ _PARSER_FLAGS = {
         "--targets": ("store", None, True, None, None),
         "--ccdf-mode": ("store", "symmetric", False, None,
                         ("symmetric", "in_directed", "out_directed")),
-        "--burn-in": ("store", 0, False, int, None),
+        "--burn-in": ("store", 0, False, integer, None),
         "--labels-file": ("store", None, False, None, None),
         "--out": ("store", "-", False, None, None),
         "--force": ("store_true", False, False, None, None)},
     "experiment": {
         "--config": ("store", None, True, None, None),
         "--out": ("store", None, True, None, None),
-        "--workers": ("store", 1, False, int, None),
+        "--workers": ("store", 1, False, integer, None),
         "--truth-cache": ("store", None, False, None, None),
         "--force": ("store_true", False, False, None, None)},
 }
@@ -1204,7 +1247,7 @@ def test_non_utf8_config_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-# -- integers past what a run can hold -------------------------------------------
+# -- integers outside what a run can take ------------------------------------------
 
 _HUGE = "99999999999999999999"
 
@@ -1219,7 +1262,10 @@ _HUGE = "99999999999999999999"
     lambda g, t, cfg, out: ["experiment", "--config", cfg, "--out", out],
     lambda g, t, cfg, out: ["estimate", "--graph", g, "--trace", t, "--targets", "ccdf",
                             "--burn-in", "1", "--out", out],
-], ids=["start-vertices", "mrw-m", "fs-m", "experiment-m", "trace-header-m"])
+    lambda g, t, cfg, out: ["experiment", "--config", cfg, "--out", out, "--workers", "0"],
+    lambda g, t, cfg, out: ["experiment", "--config", cfg, "--out", out, "--workers", "-1"],
+], ids=["start-vertices", "mrw-m", "fs-m", "experiment-m", "trace-header-m", "workers-zero",
+        "workers-negative"])
 def test_oversize_integers_exit_2(tmp_path, graph_file, trace_file, capsys, argv):
     trace, cfg, out = (str(tmp_path / name) for name in ("huge_m.csv", "cfg.json", "out.txt"))
     open(trace, "w").write(open(trace_file).read().replace("# m=5\n", f"# m={_HUGE}\n"))
@@ -1227,9 +1273,12 @@ def test_oversize_integers_exit_2(tmp_path, graph_file, trace_file, capsys, argv
                                      "methods": [{"name": "fs", "m": 1e20}], "budget": 10,
                                      "targets": {"ccdf": True}, "runs": 2}))
     capsys.readouterr()
-    assert run(*argv(graph_file, trace, cfg, out)) == 2
+    args = argv(graph_file, trace, cfg, out)
+    assert run(*args) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+    if "--workers" in args:  # refused before the config is read
+        assert json.loads(lines[0])["message"] == f"--workers must be >= 1, got {args[-1]}"
     assert not os.path.exists(out)
 
 

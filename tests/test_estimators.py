@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -153,16 +154,11 @@ def test_edge_sample_degree_density_exact_on_enumeration(tri_pendant):
         assert abs(dens.values[k] - t) < 1e-9
 
 
-_TILT_BY_CLASS = pytest.mark.xfail(strict=True, reason=(
-    "the tilt correction divides class k by k, but a uniform edge's source is drawn in "
-    "proportion to its symmetric degree, and class 0 is dropped"))
-
-
-@pytest.mark.parametrize("mode", ["symmetric", pytest.param("in_directed", marks=_TILT_BY_CLASS),
-                                  pytest.param("out_directed", marks=_TILT_BY_CLASS)])
+@pytest.mark.parametrize("mode", DEGREE_MODES)
 def test_edge_sample_degree_density_exact_on_a_directed_enumeration(directed_fixture, mode):
-    # under in_directed the closure sweep gives {1: 1.43, 2: 0.43, 3: 0.38, 4: 0.21}
-    # against the exact {1: 2/7, 2: 2/7, 3: 2/7, 4: 1/7}
+    # a uniform edge's source is drawn in proportion to its symmetric degree, whatever
+    # its class: dividing class k by k gave {1: 1.43, 2: 0.43, 3: 0.38, 4: 0.21} under
+    # in_directed against the exact {1: 2/7, 2: 2/7, 3: 2/7, 4: 1/7}
     tr = replace(full_closure_trace(directed_fixture), method="random_edge")
     got = degree_density_from_edge_samples(tr, directed_fixture, mode).values
     want = exact_degree_density(directed_fixture, mode)
@@ -367,20 +363,40 @@ def _old_degree_density_from_edge_samples(trace, graph, mode="symmetric"):
     return DensityEstimate(values, trace.n_steps)
 
 
+def _pairwise_degree_density_from_edge_samples(trace, graph, mode="symmetric"):
+    """Edge-sample degree densities under a directed mode: each (class, symmetric
+    degree) pair's frequency, tilt-corrected by that symmetric degree, added up per
+    class in ascending pair order.  In symmetric mode each class is one pair, and
+    this is the code before."""
+    _old_require_edge_trace(trace)
+    d = graph.vol_total / graph.n_vertices
+    pairs = Counter(zip(graph.degrees(mode)[trace.u].tolist(), graph.deg[trace.u].tolist()))
+    values = {}
+    for (k, s), c in sorted(pairs.items()):
+        values[k] = values.get(k, 0.0) + (c / trace.n_steps) * d / s
+    return DensityEstimate(values, trace.n_steps)
+
+
+def _edge_sample_reference(mode):
+    return (_old_degree_density_from_edge_samples if mode == "symmetric"
+            else _pairwise_degree_density_from_edge_samples)
+
+
 def _old_degree_targets(trace, graph, t, ccdf_mode):
-    """The degree block of ``harness._estimate_targets`` as it was."""
+    """The degree block of ``harness._estimate_targets`` as it was, in the shape
+    ``frontier estimate`` writes."""
     out = {}
     if t.ccdf or t.degree_density:
         if trace.method == "random_vertex":
             dens = _old_degree_density_from_vertex_samples(trace, graph, ccdf_mode)
         elif trace.method == "random_edge":
-            dens = _old_degree_density_from_edge_samples(trace, graph, ccdf_mode)
+            dens = _edge_sample_reference(ccdf_mode)(trace, graph, ccdf_mode)
         else:
             dens = _old_estimate_degree_density(trace, graph, ccdf_mode)
         if t.degree_density:
-            out["theta_degree"] = {k: dens.values.get(k, 0.0) for k in t.degree_density}
+            out["theta"] = {f"degree={k}": dens.values.get(k, 0.0) for k in t.degree_density}
         if t.ccdf:
-            out["gamma"] = _old_ccdf_from_density(dens.values)
+            out["gamma"] = {str(k): x for k, x in _old_ccdf_from_density(dens.values).items()}
     return out
 
 
@@ -422,7 +438,7 @@ def _assert_degree_paths_unchanged(trace, graph, mode, degrees):
     for new, old in ((estimate_degree_density, _old_estimate_degree_density),
                      (degree_density_from_vertex_samples,
                       _old_degree_density_from_vertex_samples),
-                     (degree_density_from_edge_samples, _old_degree_density_from_edge_samples)):
+                     (degree_density_from_edge_samples, _edge_sample_reference(mode))):
         _same(lambda: new(trace, graph, mode), lambda: old(trace, graph, mode))
     _same(lambda: estimate_degree_ccdf(trace, graph, mode),
           lambda: _old_ccdf_from_density(_old_estimate_degree_density(trace, graph, mode).values))
@@ -465,7 +481,8 @@ def test_degree_estimates_match_the_dict_code_before(case):
 @pytest.mark.parametrize("mode", DEGREE_MODES)
 def test_degree_estimates_match_the_dict_code_before_on_fixed_traces(mode):
     # the one-way edge 0 -> 1: sampled as a uniform edge, its source has in-degree 0,
-    # which the tilt correction leaves out, so under in_directed gamma is empty
+    # a class the tilt correction keeps, so under in_directed the one record gives
+    # theta_0 = 1 and gamma_0 = 0
     one_way = load_graph("0 1\n")
     edge = SampleTrace(method="random_edge", m=1, budget=2.0, spent=2.0,
                        start_vertices=np.empty(0, dtype=np.int64), u=np.asarray([0]),
@@ -473,7 +490,7 @@ def test_degree_estimates_match_the_dict_code_before_on_fixed_traces(mode):
                        cost=np.full(1, 2.0))
     if mode == "in_directed":
         assert _estimate_targets(edge, one_way, None, TargetSpec(ccdf=True), mode) == {
-            "gamma": {}}
+            "gamma": {"0": 0.0}}
     _assert_degree_paths_unchanged(edge, one_way, mode, (0, 1, 2))
     g = generate_barabasi_albert(80, 2, 5)
     for trace in (full_closure_trace(g), vertex_sweep_trace(g),

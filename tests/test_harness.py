@@ -1,5 +1,4 @@
 import io
-import itertools
 import json
 import math
 import os
@@ -212,7 +211,7 @@ def test_report_deterministic_across_worker_counts(tmp_path):
 def _estimate_one_run(graph, labels, cfg, method, budget, run_idx, method_idx):
     """Replay of one run of an experiment on its own."""
     rng = RngStream(cfg.seed).child(method_idx, run_idx)
-    trace = harness._burn_in(harness._sample(graph, method, budget, rng), cfg.burn_in)
+    trace = samplers.discard_burn_in(harness._sample(graph, method, budget, rng), cfg.burn_in)
     return harness._estimate_targets(trace, graph, labels, cfg.targets, cfg.ccdf_mode)
 
 
@@ -228,7 +227,7 @@ def test_report_rows_match_manual_recomputation():
     for row in report.rows:
         k = int(row.label.split("=")[1])
         truth = counts[k] / graph.n_vertices
-        vals = np.asarray([e["theta_degree"][k] for e in ests])
+        vals = np.asarray([e["theta"][row.label] for e in ests])
         assert math.isclose(row.truth, truth, rel_tol=1e-12)
         assert math.isclose(row.mean_estimate, vals.mean(), rel_tol=1e-12)
         assert math.isclose(row.nmse,
@@ -704,11 +703,19 @@ def test_nmse_matches_per_key_mean_bit_for_bit(n_runs):
             assert out[k] == float(np.sqrt(np.mean((vals - t) ** 2)) / t)
 
 
+# each density family's estimate dict, and how a truth key is spelled in it
+_FAMILY_KEYS = {"gamma": ("gamma", "{}"), "theta": ("theta", "degree={}"),
+                "labels": ("theta", "{}")}
+
+
 def _project(est: dict, families: Sequence[tuple[str, tuple]], targets: TargetSpec):
     """One run's estimates as one float row per density family, over the
     family's truth keys, plus the p_edge, r and C values (None if undefined)."""
-    rows = [np.fromiter(map(est[name].get, keys, itertools.repeat(0.0)), dtype=np.float64,
-                        count=len(keys)) for name, keys in families]
+    rows = []
+    for name, keys in families:
+        values, spelling = _FAMILY_KEYS[name]
+        rows.append(np.fromiter((est[values].get(spelling.format(k), 0.0) for k in keys),
+                                dtype=np.float64, count=len(keys)))
     scalars = [est["p_edge"][name] for name in targets.edge_labels]
     scalars += [est[kind] for kind, on in (("r", targets.assortativity),
                                            ("C", targets.clustering)) if on]
@@ -717,8 +724,8 @@ def _project(est: dict, families: Sequence[tuple[str, tuple]], targets: TargetSp
 
 def test_run_projection_counts_absent_keys_as_zero():
     # as in nmse, a run that never observed a key contributes 0 for it
-    est = {"gamma": {0: 1.0, 2: 0.25}, "theta_degree": {}, "p_edge": {"red": None}, "C": 0.5}
-    families = [("gamma", (0, 1, 2)), ("theta_degree", (3,))]
+    est = {"gamma": {"0": 1.0, "2": 0.25}, "theta": {}, "p_edge": {"red": None}, "C": 0.5}
+    families = [("gamma", (0, 1, 2)), ("theta", (3,))]
     rows, scalars = _project(est, families, harness.TargetSpec(
         ccdf=True, degree_density=(3,), edge_labels=("red",), clustering=True))
     assert [r.tolist() for r in rows] == [[1.0, 0.0, 0.25], [0.0]]
@@ -763,11 +770,10 @@ def test_report_identical_across_chunkings():
         gammas = [_estimate_one_run(graph, None, cfg, method, budget, ri, mi)["gamma"]
                   for ri in range(cfg.runs)]
         rows = report.rows_for(method.key, "gamma")
-        err, _ = nmse({int(r.label): r.truth for r in rows}, gammas)
+        err, _ = nmse({r.label: r.truth for r in rows}, gammas)
         for r in rows:
-            k = int(r.label)
-            assert r.cnmse == err[k]
-            assert r.mean_estimate == float(np.mean([g.get(k, 0.0) for g in gammas]))
+            assert r.cnmse == err[r.label]
+            assert r.mean_estimate == float(np.mean([g.get(r.label, 0.0) for g in gammas]))
 
 
 _CHUNK_METHODS = (
@@ -807,7 +813,7 @@ def test_chunk_blocks_equal_the_per_run_projection_bit_for_bit(case):
     # array, holds the bits that projecting each run's estimate dicts gives
     graph, cfg, run_indices = case
     truth = compute_truth(graph, None, cfg.ccdf_mode, cfg.targets.oracle_targets())
-    families = [(name, tuple(truth_f)) for name, _, _, truth_f, _, _
+    families = [(tag, tuple(truth_f)) for _, tag, truth_f, _, _
                 in harness._families(truth, cfg.targets)]
     budget = resolve_budget(cfg.budget, graph.n_vertices)
     block = harness._run_chunk((0, run_indices), (graph, None, cfg, budget, families))
@@ -815,7 +821,7 @@ def test_chunk_blocks_equal_the_per_run_projection_bit_for_bit(case):
     traces = harness._sample_runs(graph, cfg.methods[0], budget,
                                   [RngStream(cfg.seed).child(0, i) for i in run_indices])
     projected = [_project(harness._estimate_targets(
-        harness._burn_in(trace, cfg.burn_in), graph, None, cfg.targets, cfg.ccdf_mode),
+        samplers.discard_burn_in(trace, cfg.burn_in), graph, None, cfg.targets, cfg.ccdf_mode),
         families, cfg.targets)[0] for trace in traces]
     assert len(blocks) == len(families) + 1 and blocks[-1].shape == (0, len(run_indices))
     for fi, (name, keys) in enumerate(families):
@@ -861,6 +867,9 @@ def test_occupancy_study_runs_match_per_run_replay(method, sampler):
 def test_negative_degree_target_rejected():
     with pytest.raises(ConfigError, match="degree_density"):
         ExperimentConfig.from_dict(_base_config(targets={"degree_density": [2, -1]}))
+    # an entry past int64 is refused, as --targets degree=K past it is
+    with pytest.raises(ConfigError, match=r"entry must lie in \[0, 9223372036854775807\]"):
+        ExperimentConfig.from_dict(_base_config(targets={"degree_density": [2 ** 63]}))
     assert ExperimentConfig.from_dict(
         _base_config(targets={"degree_density": [0, 999]})).targets.degree_density == (0, 999)
 
@@ -988,7 +997,7 @@ def test_label_targets_match_per_run_replay():
         rows = [r for r in report.rows_for(method.key, "theta") if r.label in ("red", "blue")]
         assert [r.label for r in rows] == ["red", "blue"]
         for row in rows:
-            vals = np.asarray([e["theta_label"][row.label] for e in ests])
+            vals = np.asarray([e["theta"][row.label] for e in ests])
             t = truth.theta[row.label]
             assert (row.truth, row.runs_used) == (t, cfg.runs)
             assert row.mean_estimate == vals.mean()

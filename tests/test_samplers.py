@@ -294,6 +294,14 @@ def test_burn_in_zero_is_identity(tri_pendant):
     assert discard_burn_in(tr, 0) is tr
 
 
+def test_burn_in_passes_independent_samples_through(tri_pendant):
+    # independent samples have no transient; a negative burn-in fails for them too
+    tr = random_vertex_sample(tri_pendant, 20.0, DEFAULT_COST, RngStream(19))
+    assert discard_burn_in(tr, 5) is tr
+    with pytest.raises(ConfigError, match="non-negative"):
+        discard_burn_in(tr, -1)
+
+
 def test_burn_in_must_leave_samples(tri_pendant):
     tr = single_rw(tri_pendant, StartMode.uniform(), 30.0, RngStream(19))
     with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from frontier.errors import BudgetError, ConfigError, GraphFormatError
 from frontier.graphs import generate_barabasi_albert
-from frontier.harness import MethodSpec, _burn_in, _sample
+from frontier.harness import MethodSpec, _sample
 from frontier import samplers
 from frontier.rng import RngStream
 from frontier.graphs import _text_file
@@ -139,7 +139,7 @@ def _traces(draw) -> SampleTrace:
     if draw(st.booleans()):  # a str meta value, written quoted
         trace = replace(trace, meta={**trace.meta, "note": draw(st.sampled_from(["a b", "1"]))})
     try:
-        return _burn_in(trace, draw(st.sampled_from([0, 0, 1, 2])))
+        return samplers.discard_burn_in(trace, draw(st.sampled_from([0, 0, 1, 2])))
     except ConfigError:  # a walker with too few steps
         return trace
 
@@ -326,12 +326,13 @@ def test_reader_refuses_python_only_spellings_by_row():
 
 @pytest.mark.parametrize("line", ["# m=1_0", "# m=\u0663", "# start_vertices=1_0",
                                   "# start_vertices=\u0663,0_1", "# budget=1_0",
-                                  "# spent=\u0663"],
+                                  "# spent=\u0663", "# m=" + "9" * 5000],
                          ids=["m_underscore", "m_non_ascii", "starts_underscore",
-                              "starts_non_ascii", "budget_underscore", "spent_non_ascii"])
+                              "starts_non_ascii", "budget_underscore", "spent_non_ascii",
+                              "m_past_int_digit_limit"])
 def test_reader_refuses_python_only_header_ids(line):
     # int() read "# m=1_0" as m = 10 and "\u0663" (Arabic-Indic three) as 3, and float()
-    # "# budget=1_0" as 10.0
+    # "# budget=1_0" as 10.0; an m of more digits than int() converts was a ValueError
     key, value = line[2:].split("=")
     text = f"# method=rw\n# m=1\n{line}\nstep,walker,u,v,cost\n1,0,0,1,1.0\n"
     with pytest.raises(GraphFormatError) as got:
