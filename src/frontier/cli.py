@@ -30,6 +30,7 @@ from .errors import (
     GraphFormatError,
     StationarityError,
     UndefinedEstimateError,
+    _quoted,
 )
 from .graphs import (DEGREE_MODES, _numbers, _sorted_search, _text_file, integer, real,
                      write_edge_list)
@@ -88,7 +89,7 @@ def _resolve_vertices(graph, text: str) -> tuple[int, ...]:
     try:
         ids = _numbers([t for t in text.split(",") if t.strip()])
     except ValueError:
-        raise ConfigError(f"bad vertex list {text!r}") from None
+        raise ConfigError(f"bad vertex list {_quoted(text)}") from None
     pos = _sorted_search(graph.original_ids, ids)
     if (pos < 0).any():
         raise ConfigError(f"unknown vertex id(s): {ids[pos < 0].tolist()}")
@@ -163,13 +164,13 @@ def _parse_targets(text: str) -> TargetSpec:
             try:
                 raw.setdefault("degree_density", []).append(int(_numbers([token[7:]])[0]))
             except ValueError:
-                raise ConfigError(f"bad target {token!r}") from None
+                raise ConfigError(f"bad target {_quoted(token)}") from None
         elif token.startswith("label="):
             raw.setdefault("labels", []).append(token[6:])
         elif token.startswith("edge-label="):
             raw.setdefault("edge_labels", []).append(token[11:])
         else:
-            raise ConfigError(f"unknown target {token!r}")
+            raise ConfigError(f"unknown target {_quoted(token)}")
     return TargetSpec.from_config(raw)
 
 

@@ -16,6 +16,19 @@ __all__ = [
     "StationarityError",
 ]
 
+# the most characters of a refused value's repr that a message quotes: any trace
+# record the package writes (six fields of at most 24 characters) fits whole
+_QUOTE_CHARS = 160
+
+
+def _quoted(value) -> str:
+    """``repr(value)``, cut after ``_QUOTE_CHARS`` characters with its whole length
+    noted, so that a message quoting refused input stays one short line."""
+    text = repr(value)
+    if len(text) <= _QUOTE_CHARS:
+        return text
+    return f"{text[:_QUOTE_CHARS]}... ({len(text)} characters)"
+
 
 class GraphFormatError(ValueError):
     """Malformed edge-list / label input; carries the offending line number."""

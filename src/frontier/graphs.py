@@ -31,7 +31,7 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, GraphFormatError
+from .errors import _QUOTE_CHARS, ConfigError, GraphFormatError, _quoted
 from .rng import RngStream, as_stream
 
 __all__ = [
@@ -329,11 +329,12 @@ def _edge_rows(text: str) -> np.ndarray:
 
 def _edge_line_error(lineno: int, raw: str, parts: list[str] | None) -> GraphFormatError:
     if parts is None or len(parts) != 2:
-        return GraphFormatError(f"line {lineno}: expected 'u v', got {raw!r}", lineno)
+        return GraphFormatError(f"line {lineno}: expected 'u v', got {_quoted(raw)}", lineno)
     problem = ("non-integer vertex id" if not all(map(_ID_SPELLING.fullmatch, parts)) else
-               "negative vertex id" if min(map(int, parts)) < 0 else
+               # read without int(), which refuses more than 4,300 digits
+               "negative vertex id" if any(p[0] == "-" and p.strip("-0") for p in parts) else
                f"vertex id above {2 ** 63 - 1}")
-    return GraphFormatError(f"line {lineno}: {problem} in {raw!r}", lineno)
+    return GraphFormatError(f"line {lineno}: {problem} in {_quoted(raw)}", lineno)
 
 
 def parse_edge_list(source: "str | bytes | IO") -> tuple[np.ndarray, np.ndarray]:
@@ -530,10 +531,12 @@ def _label_pairs(text: str, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 def _label_line_error(lineno: int, raw: str, parts: list[str] | None) -> GraphFormatError:
     if parts is None or len(parts) < 2:
-        return GraphFormatError(f"line {lineno}: expected 'v label...', got {raw!r}", lineno)
+        return GraphFormatError(f"line {lineno}: expected 'v label...', got {_quoted(raw)}", lineno)
     if not _ID_SPELLING.fullmatch(parts[0]):
-        return GraphFormatError(f"line {lineno}: non-integer vertex id in {raw!r}", lineno)
-    return GraphFormatError(f"line {lineno}: vertex id {int(parts[0])} not in graph", lineno)
+        return GraphFormatError(f"line {lineno}: non-integer vertex id in {_quoted(raw)}", lineno)
+    vid = parts[0]  # as int() writes it, or quoted in part where it is long
+    vid = int(vid) if len(vid) <= _QUOTE_CHARS else _quoted(vid)
+    return GraphFormatError(f"line {lineno}: vertex id {vid} not in graph", lineno)
 
 
 def parse_vertex_labels(source: "str | bytes | IO", graph: Graph) -> LabelStore:

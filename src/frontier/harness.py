@@ -29,7 +29,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, UndefinedEstimateError
+from .errors import BudgetError, ConfigError, UndefinedEstimateError, _quoted
 from .estimators import (
     estimate_assortativity,
     estimate_edge_label_density,
@@ -182,7 +182,8 @@ def theoretical_nmse_edge(theta: dict, avg_degree: float, budget: int) -> dict:
 def _check_keys(raw: dict, allowed: Sequence[str], where: str) -> None:
     unknown = sorted(set(raw) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
+        raise ConfigError(f"unknown key(s) {_quoted(unknown)} in {where}; "
+                          f"allowed: {sorted(allowed)}")
 
 
 def _int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
@@ -190,7 +191,7 @@ def _int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
     float with a whole value; never a bool."""
     if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)) or (
             isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
+        raise ConfigError(f"{what} must be an integer, got {_quoted(value)}")
     value = int(value)
     if hi is not None and not lo <= value <= hi:
         raise ConfigError(f"{what} must lie in [{lo}, {hi}], got {value}")
@@ -231,7 +232,7 @@ def _parse_start(raw, where: str) -> StartMode:
             return StartMode.uniform()
         if raw == "degree":
             return StartMode.degree_proportional()
-        raise ConfigError(f"{where}: unknown start mode {raw!r}")
+        raise ConfigError(f"{where}: unknown start mode {_quoted(raw)}")
     if isinstance(raw, dict):
         _check_keys(raw, ("kind", "vertices"), where)
         if raw.get("kind") != "explicit":
@@ -243,16 +244,16 @@ def _parse_start(raw, where: str) -> StartMode:
         vertices = raw.get("vertices", ())
         if not isinstance(vertices, (list, tuple)):
             raise ConfigError(f"{where}: start vertices must be a list of integers, "
-                              f"got {vertices!r}")
+                              f"got {_quoted(vertices)}")
         return StartMode.explicit(_int(v, f"{where}: start vertex") for v in vertices)
-    raise ConfigError(f"{where}: invalid start mode {raw!r}")
+    raise ConfigError(f"{where}: invalid start mode {_quoted(raw)}")
 
 
 def _parse_cost(raw, where: str) -> CostModel:
     if raw is None:
         return DEFAULT_COST
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: cost must be an object, got {raw!r}")
+        raise ConfigError(f"{where}: cost must be an object, got {_quoted(raw)}")
     _check_keys(raw, [f.name for f in fields(CostModel)], where)
     try:
         return CostModel(**raw)
@@ -275,7 +276,8 @@ class MethodSpec:
         _check_keys(raw, [f.name for f in fields(cls)], where)
         name = raw.get("name")
         if name not in _METHOD_NAMES:
-            raise ConfigError(f"{where}: unknown method {name!r}; choose from {_METHOD_NAMES}")
+            raise ConfigError(f"{where}: unknown method {_quoted(name)}; "
+                              f"choose from {_METHOD_NAMES}")
         m = _check_m(name, raw.get("m", cls.m), where)
         time_budget = raw.get("time_budget")
         if time_budget is not None and name != "dfs":
@@ -284,7 +286,8 @@ class MethodSpec:
             raise ConfigError(f"{where}: cost does not apply to dfs, which spends time")
         if time_budget is not None and (isinstance(time_budget, bool) or not isinstance(
                 time_budget, (int, float)) or not math.isfinite(time_budget)):
-            raise ConfigError(f"{where}: time_budget must be a finite number, got {time_budget!r}")
+            raise ConfigError(f"{where}: time_budget must be a finite number, "
+                              f"got {_quoted(time_budget)}")
         spec = cls(name=name, m=m, start=_parse_start(raw.get("start"), where),
                    cost=_parse_cost(raw.get("cost"), where), time_budget=time_budget)
         if name == "dfs" and spec.time_budget is None:
@@ -321,7 +324,7 @@ class TargetSpec:
         for key, value in raw.items():
             if (not isinstance(value, bool if key in _TARGET_FLAGS else (list, tuple))
                     or ("labels" in key and not all(isinstance(x, str) for x in value))):
-                raise ConfigError(f"targets: {key} has the wrong type: {value!r}")
+                raise ConfigError(f"targets: {key} has the wrong type: {_quoted(value)}")
         degrees = tuple(_int(k, "targets: degree_density entry", 0, 2 ** 63 - 1)
                         for k in raw.get("degree_density", ()))
         spec = cls(**{key: value if key in _TARGET_FLAGS else tuple(value)
@@ -345,19 +348,19 @@ def resolve_budget(raw, n_vertices: int) -> float:
             try:
                 div = int(_numbers([text[2:]])[0])
             except ValueError:
-                raise ConfigError(f"bad budget expression {raw!r}") from None
+                raise ConfigError(f"bad budget expression {_quoted(raw)}") from None
             if div < 1:
-                raise ConfigError(f"bad budget expression {raw!r}")
+                raise ConfigError(f"bad budget expression {_quoted(raw)}")
             value = float(n_vertices // div)
         else:
             try:
                 value = real(text)
             except ValueError:
-                raise ConfigError(f"bad budget expression {raw!r}") from None
+                raise ConfigError(f"bad budget expression {_quoted(raw)}") from None
     else:
-        raise ConfigError(f"bad budget value {raw!r}")
+        raise ConfigError(f"bad budget value {_quoted(raw)}")
     if not math.isfinite(value):
-        raise ConfigError(f"budget must be finite, got {raw!r}")
+        raise ConfigError(f"budget must be finite, got {_quoted(raw)}")
     if value <= 0:
         raise ConfigError(f"budget must resolve to a positive value, got {value}")
     return value
@@ -390,7 +393,7 @@ class ExperimentConfig:
         graph_raw = dict(raw["graph"])
         kind = graph_raw.get("kind")
         if kind not in _GRAPH_KEYS:
-            raise ConfigError(f"graph: unknown kind {kind!r}")
+            raise ConfigError(f"graph: unknown kind {_quoted(kind)}")
         _check_keys(graph_raw, ("kind",) + _GRAPH_KEYS[kind], "graph")
         if kind != "file":
             _check_generator(graph_raw, "graph: {}".format)
@@ -406,7 +409,7 @@ class ExperimentConfig:
                 for f in schema if "bounds" in f.metadata}
         mode = raw.get("ccdf_mode", cls.ccdf_mode)
         if mode not in DEGREE_MODES:
-            raise ConfigError(f"config: unknown ccdf_mode {mode!r}")
+            raise ConfigError(f"config: unknown ccdf_mode {_quoted(mode)}")
         vertex_only = [m.key for m in methods if m.name == "random_vertex"]
         if vertex_only and (targets.edge_labels or targets.assortativity
                             or targets.clustering):
@@ -718,9 +721,11 @@ def _density_rows(method_key: str, kind: str, tag: str, truth: dict, vals: np.nd
 
 
 # Fewest runs in a chunk where the runs allow: a chunk's walk runs are the lanes
-# of one lockstep kernel call, and `study` (300 runs, one worker) took 0.81-0.85 s
-# in 75-run chunks, 0.99-1.03 s with its rw and fs runs in chunks of 37.
-_CHUNK_RUNS = 64
+# of one lockstep kernel call.  On gab(50k, 1/5) an fs call of 100-walker lanes
+# took 352 ns a lane-step at 75 lanes, 252 at 150, 204 at 256 and 183 at 582
+# (best of 3), so wider calls gain little past 256; `study` (300 runs, one
+# worker) took 0.70-0.77 s in one chunk a method, 0.80-0.86 s in 75-run chunks.
+_CHUNK_RUNS = 256
 
 
 def run_monte_carlo(config: ExperimentConfig, workers: int = 1,

@@ -24,7 +24,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, GraphFormatError
+from .errors import BudgetError, ConfigError, GraphFormatError, _quoted
 from .graphs import (_WRITE_BLOCK, Graph, _first_refused, _numbers, _read_c, _text_file,
                      integer, real)
 from .rng import RngStream, _lane_draws, _lane_generators, _lane_keys
@@ -335,48 +335,52 @@ def _fs_path(graph: Graph, starts: np.ndarray, r1: np.ndarray, r2: np.ndarray,
     The walkers' degrees sit in a Fenwick tree of Python ints (Fenwick, SP&E
     1994): j is found by descending it, and a move adds its change of degree
     along the O(log m) update path.  For whole sums s, ``s <= x`` exactly when
-    ``s <= floor(x)``, so this is the choice of the float cumulative sums.
+    ``s <= floor(x)``, so this is the choice of the float cumulative sums.  It
+    lists the draws, and the records it writes, one block of steps at a time.
     """
-    ip, ix = memoryview(graph.indptr), memoryview(graph.indices)
+    ip, ix, dg = memoryview(graph.indptr), memoryview(graph.indices), memoryview(graph.deg)
     pos = [int(x) for x in starts]
     m = len(pos)
-    degs = [ip[x + 1] - ip[x] for x in pos]
+    degs = [dg[x] for x in pos]
     total = sum(degs)
-    # tree[k] sums the degrees of walkers k - (k & -k) to k - 1
-    tree = [0] + degs
+    top = 1 << (m.bit_length() - 1)
+    # tree[k] sums the degrees of walkers k - (k & -k) to k - 1; the 2 * top
+    # entries that a descent can reach are padded past m with a sum no draw reaches
+    tree = [0] + degs + [1 << 62] * (2 * top - 1 - m)
     for k in range(1, m):
         if k + (k & -k) <= m:
             tree[k + (k & -k)] += tree[k]
-    top = 1 << (m.bit_length() - 1)
-    # the draws as Python floats, one block of steps at a time: no list covers the run
-    draws = itertools.chain.from_iterable(
-        zip(r1[lo:lo + _WRITE_BLOCK].tolist(), r2[lo:lo + _WRITE_BLOCK].tolist())
-        for lo in range(0, len(r1), _WRITE_BLOCK))
-    for i, (x1, x2) in enumerate(draws):
-        t = int(x1 * total)
-        j, step = 0, top
-        while step:  # the largest prefix at most t; all m only for a draw of 1
-            k = j + step
-            if k <= m and tree[k] <= t:
-                j = k
-                t -= tree[k]
-            step >>= 1
-        if j == m:
-            j -= 1
-        cur = pos[j]
-        a, b = ip[cur], ip[cur + 1]
-        nxt = ix[a + int(x2 * (b - a))]
-        u[i] = cur
-        v[i] = nxt
-        wk[i] = j
-        pos[j] = nxt
-        delta = ip[nxt + 1] - ip[nxt] - (b - a)
-        if delta:
-            total += delta
-            k = j + 1
-            while k <= m:
-                tree[k] += delta
-                k += k & -k
+    for lo in range(0, len(r1), _WRITE_BLOCK):
+        us, vs, ws = [], [], []
+        u_add, v_add, w_add = us.append, vs.append, ws.append
+        for x1, x2 in zip(r1[lo:lo + _WRITE_BLOCK].tolist(), r2[lo:lo + _WRITE_BLOCK].tolist()):
+            t = int(x1 * total)
+            j, step = 0, top
+            while step:  # the largest prefix at most t; all m only for a draw of 1
+                k = j + step
+                if tree[k] <= t:
+                    j = k
+                    t -= tree[k]
+                step >>= 1
+            if j == m:
+                j -= 1
+            cur, d = pos[j], degs[j]
+            nxt = ix[ip[cur] + int(x2 * d)]
+            u_add(cur)
+            v_add(nxt)
+            w_add(j)
+            pos[j] = nxt
+            delta = dg[nxt] - d
+            if delta:
+                degs[j] += delta
+                total += delta
+                k = j + 1
+                while k <= m:
+                    tree[k] += delta
+                    k += k & -k
+        u[lo:lo + len(us)] = us
+        v[lo:lo + len(vs)] = vs
+        wk[lo:lo + len(ws)] = ws
 
 
 def _fs_walk(graph: Graph, starts: np.ndarray, d1: np.ndarray,
@@ -485,7 +489,7 @@ def _walk_steps(method: str, budget: float, m: int, start_cost: float,
 # it draws a group's lanes in one vectorized Philox pass; otherwise
 # (stochastic start costs, long lanes, few lanes) it draws lane by lane on
 # one re-keyed generator, as it does for a lane whose start numpy would draw
-# again.
+# again, and copies each lane into the group's array as it is drawn.
 
 
 def _walk_runs(method: str, graph: Graph, m: int, start_mode: StartMode, budget: float,
@@ -540,17 +544,25 @@ def _walk_runs(method: str, graph: Graph, m: int, start_mode: StartMode, budget:
                 ids[i], d[:, :, i] = start, r
             costs, steps = [cost] * len(part), [top] * len(part)
         else:
-            costs, ids, ds = zip(*lanes(part))
-            steps = [r.shape[1] for r in ds]
-            d = ds[0][:, :, None]  # a one-lane group steps on its lane's own draws
-            if len(ds) > 1:  # more lanes are copied once into one zero-padded array
-                d = np.zeros((n_draws, max(steps), len(ds)))
-                for k, s in enumerate(steps):
-                    d[:, :s, k] = ds[k]
-            del ds  # frees the lanes' own arrays before the walk; a one-lane d views its own
+            costs, ids, steps, d = [], [], [], None
+            for k, (c, start, r) in enumerate(lanes(part)):
+                costs.append(c)
+                ids.append(start)
+                steps.append(r.shape[1])
+                if len(part) == 1:  # a one-lane group steps on its lane's own draws
+                    d = r[:, :, None]
+                    continue
+                # more lanes are copied into one zero-padded array as they are drawn,
+                # which a drawn start cost widens (a copy) when it gives a longer lane
+                if d is None:
+                    d = np.zeros((n_draws, r.shape[1], len(part)))
+                elif r.shape[1] > d.shape[1]:
+                    d = np.pad(d, ((0, 0), (0, r.shape[1] - d.shape[1]), (0, 0)))
+                d[:, :r.shape[1], k] = r
         n_group, steps = len(part) // per_run, np.asarray(steps)
         starts = start_mode._place(graph, m, ids, n_group)
         u, v, wk = _fs_walk(graph, starts.reshape(-1, lane_m), d[0], d[-1])
+        del d  # the draws go before the records are sliced
         # the group's records, lane-major: a view of a one-lane group's arrays
         # where no lane is cut short, else a copy
         keep = np.arange(steps.max()) < steps[:, None] if steps.min() < steps.max() else ...
@@ -731,7 +743,7 @@ def read_trace_csv(source: "str | IO") -> SampleTrace:
                 break
         if columns not in (_TRACE_COLUMNS, _TRACE_COLUMNS + ",time"):
             raise GraphFormatError(f"trace column header must be {_TRACE_COLUMNS}[,time], "
-                                   f"got {columns!r}")
+                                   f"got {_quoted(columns)}")
         fields = list(_TRACE_FIELDS[:columns.count(",") + 1])
         records = functools.partial(_read_c, dtype=fields, delimiter=",", ndmin=1)
         parts = [np.empty(0, fields)]  # the columns of a trace without records
@@ -743,9 +755,10 @@ def read_trace_csv(source: "str | IO") -> SampleTrace:
                 row = sum(map(len, parts)) + len(records(block[:i])) + 1
                 line = block[i].strip()
                 k = line.partition("#")[0].count(",") + 1
-                raise GraphFormatError(f"trace row {row} has {k} fields, expected {len(fields)}"
-                                       if k != len(fields) else
-                                       f"trace row {row}: non-numeric field in {line!r}") from None
+                raise GraphFormatError(
+                    f"trace row {row} has {k} fields, expected {len(fields)}"
+                    if k != len(fields) else
+                    f"trace row {row}: non-numeric field in {_quoted(line)}") from None
     known = {k: meta.pop(k) for k in ("method", "m", "budget", "spent", "graph_hash",
                                       "start_vertices") if k in meta}
     extra = {k: _parse_meta_value(val) for k, val in meta.items()}
@@ -755,7 +768,7 @@ def read_trace_csv(source: "str | IO") -> SampleTrace:
         try:
             return read(text)
         except ValueError:
-            raise GraphFormatError(f"trace header {key}={text!r} is not numeric") from None
+            raise GraphFormatError(f"trace header {key}={_quoted(text)} is not numeric") from None
 
     # header numbers, ids too, in the records' grammar, which refuses "1_0" and non-ASCII
     # digits; an m past int64 is read, for _check_trace to refuse by range

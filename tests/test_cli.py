@@ -469,16 +469,21 @@ def test_estimate_rejects_trace_outside_graph(tmp_path, graph_file, capsys, head
     ("# method=rw\n# m=1\n# start_vertices=\u0663\n", "1,0,0,1,1.0", "start_vertices="),
     ("# method=rw\n# m=1\n# budget=1_0\n", "1,0,0,1,1.0", "budget='1_0' is not numeric"),
     ("# method=rw\n# m=1\n# spent=\u0663\n", "1,0,0,1,1.0", "spent="),
+    ("# method=rw\n# m=" + "9" * 5000 + "\n", "1,0,0,1,1.0", "m="),
+    ("# method=rw\n# m=1\n", "1,0,0,1," + "x" * 5000, "row 1"),
 ], ids=["m", "budget", "start_vertices", "u_float", "cost", "m_underscore",
-        "start_vertices_non_ascii", "budget_underscore", "spent_non_ascii"])
+        "start_vertices_non_ascii", "budget_underscore", "spent_non_ascii", "m_5000_digits",
+        "row_5000_characters"])
 def test_estimate_rejects_non_numeric_trace_fields(tmp_path, graph_file, capsys,
                                                    header, row, where):
     trace = str(tmp_path / "bad.csv")
     open(trace, "w").write(header + "step,walker,u,v,cost\n" + row + "\n")
     assert run("estimate", "--graph", graph_file, "--trace", trace,
                "--targets", "ccdf") == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "graph_format" and where in err["message"]
+    line = capsys.readouterr().err
+    err = json.loads(line)
+    # a long refused value is quoted in part, so the error stays one short line
+    assert err["error"] == "graph_format" and where in err["message"] and len(line) < 300
 
 
 def test_estimate_rejects_non_edge_records(tmp_path, graph_file, capsys):
@@ -602,14 +607,16 @@ def test_estimate_edge_label_with_labels_file_exit_2(tmp_path, graph_file, trace
     assert err["error"] == "config" and "only vertex labels" in err["message"]
 
 
-@pytest.mark.parametrize("line", ["99999999999999999999 1", "3 9223372036854775808"])
+@pytest.mark.parametrize("line", ["99999999999999999999 1", "3 9223372036854775808",
+                                  pytest.param("3 " + "9" * 5000, id="5000_digits")])
 def test_sample_rejects_edge_id_above_int64(tmp_path, capsys, line):
     graph = str(tmp_path / "big.txt")
     open(graph, "w").write(f"0 1\n1 2\n{line}\n")
     assert run("sample", "rw", "--graph", graph, "--budget", "10",
                "--out", str(tmp_path / "t.csv")) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "graph_format" and "line 3" in err["message"]
+    out = capsys.readouterr().err
+    err = json.loads(out)
+    assert err["error"] == "graph_format" and "line 3" in err["message"] and len(out) < 300
 
 
 # -- burn-in errors ---------------------------------------------------------------

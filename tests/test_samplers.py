@@ -567,6 +567,33 @@ def test_walks_hold_no_per_graph_memory():
     assert held < 100_000, held
 
 
+def test_a_wide_fs_batch_holds_its_draws_once():
+    # one lockstep group of 300 fs lanes (m = 100, 900 steps each) copies each
+    # lane's draws (16 bytes a step) into the group array as they are drawn, and
+    # frees that array before its records (20 bytes a step) are copied out
+    # lane-major.  Keeping every lane's own draws while the group array was built
+    # peaked at 32 bytes a lane-step before the walk, and keeping the group array
+    # past the walk at 54 in all
+    graph = generate_barabasi_albert(2000, 2, 1)
+    rngs = [RngStream(7).child(i) for i in range(300)]
+    walk, before = samplers._fs_walk, []
+
+    def spy(*args):
+        before.append(tracemalloc.get_traced_memory()[1])
+        return walk(*args)
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(samplers, "_fs_walk", spy):
+            steps = sum(t.n_steps for t in samplers._walk_runs(
+                "fs", graph, 100, StartMode.uniform(), 1000, DEFAULT_COST, rngs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps == 300 * 900 and len(before) == 1
+    assert before[0] < 24 * steps and peak < 46 * steps, (before[0] / steps, peak / steps)
+
+
 # -- running-sum walker choice against the per-step cumulative sums before it ----
 
 
@@ -666,14 +693,18 @@ def test_running_sum_walker_choice_matches_per_step_cumsum(case):
     assert np.array_equal(starts, kept)
 
 
-@pytest.mark.parametrize("block, steps", [(1, 300), (7, 300), (samplers._WRITE_BLOCK, 70_000)],
-                         ids=["1", "7", "default"])
-def test_fs_loop_lists_its_draws_a_block_at_a_time(block, steps):
-    # the loop lists its draws one slice at a time; any slice size, and a lane
-    # past one default slice, walks as the loop that listed the whole run
+@pytest.mark.parametrize("block, steps, m", [(1, 300, 5), (7, 300, 5),
+                                             (samplers._WRITE_BLOCK, 70_000, 5),
+                                             (7, 300, 63), (7, 300, 64)],
+                         ids=["1", "7", "default", "m63", "m64"])
+def test_fs_loop_lists_its_draws_a_block_at_a_time(block, steps, m):
+    # the loop lists its draws and its records one slice at a time; any slice
+    # size, and a lane past one default slice, walks as the loop that listed the
+    # whole run.  Its Fenwick tree fills 2 ** k entries exactly at m = 63 and
+    # pads 63 past the walkers at m = 64
     graph = load_graph("".join(f"{i} {(i * 7 + 3) % 40}\n{i} {i + 1}\n" for i in range(39)))
     gen = np.random.default_rng(block)
-    starts = gen.integers(0, graph.n_vertices, 5)
+    starts = gen.integers(0, graph.n_vertices, m)
     r1, r2 = _walker_draws(gen, steps), gen.random(steps)
     got, want = ([np.zeros(steps, dtype=t) for t in (np.int64, np.int64, np.int32)]
                  for _ in range(2))

@@ -332,12 +332,14 @@ def test_reader_refuses_python_only_spellings_by_row():
                               "m_past_int_digit_limit"])
 def test_reader_refuses_python_only_header_ids(line):
     # int() read "# m=1_0" as m = 10 and "\u0663" (Arabic-Indic three) as 3, and float()
-    # "# budget=1_0" as 10.0; an m of more digits than int() converts was a ValueError
+    # "# budget=1_0" as 10.0; an m of more digits than int() converts was a ValueError,
+    # and the message quotes its first 160 characters
     key, value = line[2:].split("=")
     text = f"# method=rw\n# m=1\n{line}\nstep,walker,u,v,cost\n1,0,0,1,1.0\n"
     with pytest.raises(GraphFormatError) as got:
         read_trace_csv(io.StringIO(text))
-    assert str(got.value) == f"trace header {key}={value!r} is not numeric"
+    quoted = repr(value) if len(value) < 20 else f"'{value[:159]}... (5002 characters)"
+    assert str(got.value) == f"trace header {key}={quoted} is not numeric"
 
 
 @pytest.mark.parametrize("field", ["0\u01fe", "\u01fe", "1\u0761"])
